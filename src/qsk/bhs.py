@@ -89,17 +89,6 @@ class SeriesResult:
     last_term_magnitude: float
 
 
-def phi(
-    numerator: tuple[complex, ...],
-    denominator: tuple[complex, ...],
-    q: QBase | float,
-    z: complex,
-) -> SeriesSpec:
-    """Convenience constructor mirroring the phi(num; den; q, z) notation."""
-    base = q if isinstance(q, QBase) else QBase(q)
-    return SeriesSpec(tuple(numerator), tuple(denominator), z, base)
-
-
 def _termination_index(spec: SeriesSpec, cap: int) -> int | None:
     """Smallest m with some numerator parameter equal to q^(-m), else None."""
     q = spec.base.q

@@ -35,21 +35,12 @@ from .connect import (
     aw_connection,
     lql_connection,
     qlag_connection,
+    sample_points,
     ultra_connection,
 )
 from .context import EvalContext, ParamPoint
 from .errors import QskError
-from .polyfam import (
-    AWParams,
-    LqLParams,
-    QBase,
-    QLagParams,
-    UltraParams,
-    askey_wilson,
-    cont_q_ultra,
-    little_q_laguerre,
-    q_laguerre,
-)
+from .polyfam import FAMILIES, FamilyId, QBase
 
 SCHEMA_VERSION = "qsk-report/1"
 
@@ -190,84 +181,56 @@ def report_to_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _family_params(args, base: QBase):
-    fam = args.family
-    if fam == "aw":
-        need = ("a", "b", "c", "d")
-        vals = [getattr(args, k) for k in need]
-        if any(v is None for v in vals):
-            raise ValueError("family aw needs --a --b --c --d")
-        return AWParams(*vals, base)
-    if fam == "cqu":
-        if args.beta is None:
-            raise ValueError("family cqu needs --beta")
-        return UltraParams(args.beta, base)
-    if fam == "lql":
-        if args.a is None:
-            raise ValueError("family lql needs --a")
-        return LqLParams(args.a, base)
-    if fam == "qlag":
-        if args.alpha is None:
-            raise ValueError("family qlag needs --alpha")
-        return QLagParams(args.alpha, base)
-    raise ValueError(f"unknown family {fam!r}")
+def _flag_values(args, names: tuple[str, ...]) -> list[float]:
+    vals = [getattr(args, k) for k in names]
+    if any(v is None for v in vals):
+        flags = " ".join(f"--{k}" for k in names)
+        raise ValueError(f"family {args.family} needs {flags}")
+    return vals
+
+
+def _shown(v: complex, rel: float) -> str:
+    if abs(v.imag) < rel * (1 + abs(v)):
+        return f"{v.real:.15g}"
+    return f"{v.real:.15g}{v.imag:+.15g}j"
 
 
 def _cmd_eval(args) -> int:
     base = QBase(args.q)
-    p = _family_params(args, base)
-    if args.family == "aw":
-        value = askey_wilson(args.n, args.x, p)
-        shown = f"{value.real:.15g}" if abs(value.imag) < 1e-12 * (1 + abs(value)) \
-            else f"{value.real:.15g}{value.imag:+.15g}j"
-    elif args.family == "cqu":
-        shown = f"{cont_q_ultra(args.n, args.x, p):.15g}"
-    elif args.family == "lql":
-        shown = f"{little_q_laguerre(args.n, args.x, p):.15g}"
-    else:
-        shown = f"{q_laguerre(args.n, args.x, p):.15g}"
+    fam = FAMILIES[FamilyId(args.family)]
+    p = fam.params(*_flag_values(args, fam.names), base)
+    value = fam.evaluate(args.n, args.x, p)
     print(f"family={args.family} n={args.n} x={args.x} q={args.q}")
-    print(f"value = {shown}")
+    print(f"value = {_shown(value, 1e-12)}")
     return 0
+
+
+# Each family's connection function and the flags it takes: the source
+# parameters, then the replaced (target) one.
+_CONNECTIONS = {
+    "aw": (aw_connection, ("a", "b", "c", "d", "alpha")),
+    "cqu": (ultra_connection, ("beta", "gamma")),
+    "lql": (lql_connection, ("a", "b")),
+    "qlag": (qlag_connection, ("alpha", "beta")),
+}
 
 
 def _cmd_connect(args) -> int:
     q = args.q
-    fam = args.family
-    if fam == "aw":
-        need = (args.a, args.b, args.c, args.d, args.alpha)
-        if any(v is None for v in need):
-            raise ValueError("family aw needs --a --b --c --d and target --alpha")
-        exp = aw_connection(args.n, args.a, args.b, args.c, args.d, args.alpha, q)
-    elif fam == "cqu":
-        if args.beta is None or args.gamma is None:
-            raise ValueError("family cqu needs source --beta and target --gamma")
-        exp = ultra_connection(args.n, args.beta, args.gamma, q)
-    elif fam == "lql":
-        if args.a is None or args.b is None:
-            raise ValueError("family lql needs source --a and target --b")
-        exp = lql_connection(args.n, args.a, args.b, q)
-    elif fam == "qlag":
-        if args.alpha is None or args.beta is None:
-            raise ValueError("family qlag needs source --alpha and target --beta")
-        exp = qlag_connection(args.n, args.alpha, args.beta, q)
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    from .connect import sample_points
-    from .polyfam import family_eval
-
+    build, names = _CONNECTIONS[args.family]
+    exp = build(args.n, *_flag_values(args, names), q)
+    evaluate = FAMILIES[exp.family].evaluate
     pts = sample_points(exp.family, q)
     target = [complex(0.0)] * len(pts)
-    source = [family_eval(exp.family, exp.n, x, exp.source_params) for x in pts]
+    source = [evaluate(exp.n, x, exp.source_params) for x in pts]
     scale = 1.0 + max(abs(v) for v in source)
-    print(f"# family={fam} n={args.n} q={q}")
+    print(f"# family={args.family} n={args.n} q={q}")
     print(f"{'degree':>8s}  {'coefficient':>24s}  {'cumulative residual':>20s}")
     for deg, v in exp.coefficients:
         for i, x in enumerate(pts):
-            target[i] += v * family_eval(exp.family, deg, x, exp.target_params)
+            target[i] += v * evaluate(deg, x, exp.target_params)
         resid = max(abs(t - s) for t, s in zip(target, source)) / scale
-        shown = f"{v.real:.15g}" if abs(v.imag) < 1e-13 * (1 + abs(v)) else repr(v)
-        print(f"{deg:8d}  {shown:>24s}  {resid:20.3e}")
+        print(f"{deg:8d}  {_shown(v, 1e-13):>24s}  {resid:20.3e}")
     return 0
 
 

@@ -10,30 +10,28 @@ finite combination of the same family with one parameter replaced:
 * q-Laguerre:        L_n^(alpha)       = sum_j  c_j L_j^(beta)
 
 Coefficients mixing large q^(+-binom) power factors with large-argument
-Pochhammer symbols are assembled through a renormalizing product that
-shifts magnitude into a running q-exponent, so intermediates stay inside
-double range well past n = 20.
+Pochhammer symbols are assembled as scaled values that shift magnitude
+into a running q-exponent, so intermediates stay inside double range well
+past n = 20; a coefficient whose value leaves double range raises
+IllConditioned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DegenerateDenominator, PreconditionViolation
 from .polyfam import (
+    FAMILIES,
     AWParams,
     FamilyId,
     LqLParams,
     QLagParams,
     UltraParams,
-    family_eval,
 )
-from .qpoch import QBase, QLike, as_base, poch_finite
-
-_RENORM_HI = 1e80
-_RENORM_LO = 1e-80
+from .qpoch import QBase, QLike, as_base, poch_finite, renorm, unscale
 
 
 @dataclass(frozen=True)
@@ -54,27 +52,6 @@ class ConnectionExpansion:
             if k == degree:
                 return v
         return complex(0.0)
-
-
-def _renorm_product(q: float, qpower: float, factors: Iterable[complex]) -> complex:
-    """q**qpower times the product of ``factors`` with magnitude shifted
-    into the exponent whenever the mantissa leaves [1e-80, 1e80]."""
-    lnq = math.log(q)
-    mant = complex(1.0)
-    power = float(qpower)
-    for f in factors:
-        mant *= f
-        m = abs(mant)
-        if m > _RENORM_HI or (0.0 < m < _RENORM_LO):
-            shift = round(math.log(m) / lnq)
-            mant *= math.exp(-shift * lnq)
-            power += shift
-    arg = power * lnq
-    if arg > 700.0:
-        return complex(0.0)  # q**power underflows; the coefficient is negligible
-    if arg < -700.0:
-        raise OverflowError("connection coefficient overflows double range")
-    return mant * math.exp(arg)
 
 
 def aw_connection(
@@ -221,10 +198,10 @@ def qlag_connection(n: int, alpha: float, beta: float, q: QLike) -> ConnectionEx
         v = j - n + beta - alpha + 1.0
         factors = [1.0 - qv ** (v + i) for i in range(m)]
         factors.append(poch_finite(qv ** (m + 1), qv, j).real / qq_n)
-        val = (-1.0) ** m * _renorm_product(
-            qv, n * (alpha - beta) + math.comb(m, 2), factors
-        )
-        coeffs.append((j, val))
+        mant, e = (-1.0) ** m, n * (alpha - beta) + math.comb(m, 2)
+        for f in factors:
+            mant, e = renorm(mant * f, e, qv)
+        coeffs.append((j, complex(unscale(mant, e, qv))))
     return ConnectionExpansion(FamilyId.Q_LAGUERRE, n, src, tgt, tuple(coeffs))
 
 
@@ -236,20 +213,7 @@ def qlag_connection(n: int, alpha: float, beta: float, q: QLike) -> ConnectionEx
 def sample_points(family: FamilyId, q: float, count: int = 20) -> list[float]:
     """Sample abscissas matched to each family's natural support:
     Chebyshev nodes on [-1, 1], the lattice q^k, or {0, q^k, q^-k}."""
-    if family in (FamilyId.ASKEY_WILSON, FamilyId.CONT_Q_ULTRA):
-        return [
-            math.cos(math.pi * (2 * i + 1) / (2.0 * count)) for i in range(count)
-        ]
-    if family is FamilyId.LITTLE_Q_LAGUERRE:
-        return [q**k for k in range(count)]
-    pts = [0.0]
-    k = 1
-    while len(pts) < count:
-        pts.append(q**k)
-        if len(pts) < count:
-            pts.append(q**-k)
-        k += 1
-    return pts[:count]
+    return FAMILIES[family].support(q, count)
 
 
 def expansion_residual(
@@ -259,17 +223,16 @@ def expansion_residual(
 
         |sum_k c_k p_k(x; target) - p_n(x; source)| / (1 + max |p_n|).
     """
-    q = _base_of(exp.source_params).q
     if points is None:
-        points = sample_points(exp.family, q)
+        points = sample_points(exp.family, exp.source_params.base.q)
+    evaluate = FAMILIES[exp.family].evaluate
     worst = 0.0
     peak = 0.0
     for x in points:
         lhs = sum(
-            v * family_eval(exp.family, deg, x, exp.target_params)
-            for deg, v in exp.coefficients
+            v * evaluate(deg, x, exp.target_params) for deg, v in exp.coefficients
         )
-        rhs = family_eval(exp.family, exp.n, x, exp.source_params)
+        rhs = evaluate(exp.n, x, exp.source_params)
         worst = max(worst, abs(lhs - rhs))
         peak = max(peak, abs(rhs))
     return worst / (1.0 + peak)
@@ -281,7 +244,7 @@ def compose_ultra(
     """Compose two q-ultraspherical expansions (beta -> gamma -> delta)."""
     if first.family is not FamilyId.CONT_Q_ULTRA or second.family is not FamilyId.CONT_Q_ULTRA:
         raise PreconditionViolation("composition implemented for the symmetric family")
-    q = _base_of(first.source_params).q
+    q = first.source_params.base.q
     out: dict[int, complex] = {}
     for deg, v in first.coefficients:
         inner = ultra_connection(
@@ -297,7 +260,3 @@ def compose_ultra(
         second.target_params,
         coeffs,
     )
-
-
-def _base_of(params) -> QBase:
-    return params.base

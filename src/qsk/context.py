@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import PreconditionViolation
 from .qpoch import QBase
@@ -22,9 +22,10 @@ class EvalContext:
     outer_cap      cap on the outer truncation order
     quad_order     Gauss-Legendre order for interval quadrature
     panel_order    Gauss-Legendre order per geometric panel on (0, inf)
-    lattice_cap    cap on one-sided lattice sums
-    window         initial half-width of bilateral sums
-    window_cap     cap on the bilateral half-width
+    lattice_cap    cap on the nodes of the half-line, lattice, bilateral and
+                   q-integral functionals
+
+    ``base`` is the validated QBase of q, built once.
     """
 
     q: float
@@ -36,23 +37,17 @@ class EvalContext:
     quad_order: int = 256
     panel_order: int = 24
     lattice_cap: int = 4000
-    window: int = 60
-    window_cap: int = 600
 
     def __post_init__(self) -> None:
-        QBase(self.q)  # validates
+        object.__setattr__(self, "base", QBase(self.q))
         for name in ("tol", "series_tol"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise PreconditionViolation(f"{name} must be finite and > 0")
         for name in ("max_terms", "outer_start", "outer_cap", "quad_order",
-                     "panel_order", "lattice_cap", "window", "window_cap"):
+                     "panel_order", "lattice_cap"):
             if getattr(self, name) < 1:
                 raise PreconditionViolation(f"{name} must be >= 1")
-
-    @property
-    def base(self) -> QBase:
-        return QBase(self.q)
 
     def with_q(self, q: float) -> "EvalContext":
         return replace(self, q=q)
@@ -110,6 +105,3 @@ class ParamPoint:
     def __iter__(self) -> Iterator[tuple[str, complex]]:
         return iter(self.values)
 
-
-def point_from_mapping(values: Mapping[str, complex]) -> ParamPoint:
-    return ParamPoint(tuple(values.items()))

@@ -27,18 +27,8 @@ from typing import Callable, Optional
 from .bhs import SeriesSpec, eval_phi
 from .context import EvalContext, ParamPoint
 from .errors import InsufficientTruncation, PreconditionViolation
-from .polyfam import (
-    AWParams,
-    LqLParams,
-    QLagParams,
-    UltraParams,
-    askey_wilson,
-    cont_q_ultra,
-    little_q_laguerre,
-    little_q_laguerre_scaled,
-    q_laguerre,
-)
-from .qpoch import poch_all, poch_finite, poch_infinite
+from .polyfam import FAMILIES, FamilyId, little_q_laguerre_scaled
+from .qpoch import poch_all, poch_finite, poch_infinite, unscale
 
 # Terms this small relative to the partial sum, six in a row, end the
 # outer accumulation early: everything past them is numerically zero.
@@ -119,13 +109,18 @@ class _Entry:
     lhs: Callable[[ParamPoint, EvalContext], complex]
     coef: Callable[[int, ParamPoint, EvalContext], complex]
     inner: Optional[Callable[[int, ParamPoint, EvalContext], SeriesSpec]]
-    poly: Callable[[int, float, ParamPoint, EvalContext], complex]
+    family: FamilyId  # the series side expands over this family ...
+    names: tuple[str, ...]  # ... with the parameters of these point names
     sample: Callable[[Random, float], ParamPoint]
     describe: str
-    # Optional whole-term evaluator returning (value, inner_terms).  Used
-    # where coefficient and polynomial carry huge canceling q-power
-    # scales that must be combined in exponent space.
-    term: Optional[Callable[[int, ParamPoint, EvalContext], tuple[complex, int]]] = None
+    # The coefficient without its q^C(n,2) factor, for the lattice family:
+    # coefficient and polynomial carry huge canceling q-power scales, so
+    # for x > 0 the term is combined in exponent space.
+    coef_mant: Optional[Callable[[int, ParamPoint, EvalContext], complex]] = None
+
+    def family_params(self, pt: ParamPoint, ctx: EvalContext):
+        """The parameter record of the expansion family at this point."""
+        return FAMILIES[self.family].params(*(pt.get(nm) for nm in self.names), ctx.base)
 
 
 def _expi(x: float) -> complex:
@@ -189,16 +184,6 @@ def _coef_src_aw(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
     return t**n / poch_all((q, a * b, c * d), q, n)
 
 
-def _poly_aw_source(n: int, x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
-    p = AWParams(pt.get("a"), pt.get("b"), pt.get("c"), pt.get("d"), ctx.base)
-    return askey_wilson(n, x, p, tol=ctx.series_tol)
-
-
-def _poly_aw_target(n: int, x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
-    p = AWParams(pt.get("alpha"), pt.get("b"), pt.get("c"), pt.get("d"), ctx.base)
-    return askey_wilson(n, x, p, tol=ctx.series_tol)
-
-
 def _coef_t2(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
     q = ctx.q
     a, b, c, d, al, t = (pt.get(nm) for nm in ("a", "b", "c", "d", "alpha", "t"))
@@ -257,14 +242,6 @@ def _cqu_ok(names: str, complex_names: str = ""):
         return True
 
     return ok
-
-
-def _poly_cqu(param: str):
-    def poly(n: int, x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
-        p = UltraParams(pt.real(param), ctx.base)
-        return complex(cont_q_ultra(n, x, p, tol=ctx.series_tol))
-
-    return poly
 
 
 def _lhs_t3(pt: ParamPoint, ctx: EvalContext) -> complex:
@@ -571,33 +548,6 @@ def _coef_src_lql(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
     return (-t) ** n * q ** math.comb(n, 2) / poch_finite(q, q, n)
 
 
-def _lql_term(coef_mant):
-    """Whole-term evaluator for the lattice-family expansions: the
-    coefficient's q^C(n,2) and the polynomial's q^(-C(n,2))-scale growth
-    cancel, so both are combined in exponent space."""
-
-    def term(n: int, pt: ParamPoint, ctx: EvalContext) -> tuple[complex, int]:
-        q = ctx.q
-        x = pt.real("x")
-        target = pt.real("b") if pt.has("b") else pt.real("a")
-        mant, e = little_q_laguerre_scaled(n, x, LqLParams(target, ctx.base))
-        cm = coef_mant(n, pt, ctx)
-        inner_terms = 0
-        inner_val = complex(1.0)
-        entry = _CATALOG[IdentityId("T11")] if pt.has("b") else None
-        if entry is not None:
-            res = eval_phi(entry.inner(n, pt, ctx), tol=ctx.series_tol,
-                           max_terms=ctx.max_terms)
-            inner_val = res.value
-            inner_terms = res.terms_used
-        arg = (math.comb(n, 2) + e) * math.log(q)
-        if arg < -700.0:
-            return complex(0.0), inner_terms
-        return cm * mant * inner_val * math.exp(arg), inner_terms
-
-    return term
-
-
 def _coef_mant_t11(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
     q = ctx.q
     a, b, t = pt.get("a"), pt.get("b"), pt.get("t")
@@ -611,14 +561,6 @@ def _coef_mant_t11(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
 def _coef_mant_src_lql(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
     q = ctx.q
     return (-pt.get("t")) ** n / poch_finite(q, q, n)
-
-
-def _poly_lql(param: str):
-    def poly(n: int, x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
-        p = LqLParams(pt.real(param), ctx.base)
-        return complex(little_q_laguerre(n, x, p, tol=ctx.series_tol))
-
-    return poly
 
 
 def _tb_t11(pt: ParamPoint, q: float) -> float:
@@ -751,14 +693,6 @@ def _coef_src_ql16(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
     )
 
 
-def _poly_ql(param: str):
-    def poly(n: int, x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
-        p = QLagParams(pt.real(param), ctx.base)
-        return complex(q_laguerre(n, x, p, tol=ctx.series_tol))
-
-    return poly
-
-
 def _tb_t13(pt: ParamPoint, q: float) -> float:
     return (1.0 - q ** (pt.real("alpha") + 1.0)) * (1.0 - q)
 
@@ -821,12 +755,13 @@ def _add(entry: _Entry) -> None:
 
 
 I = IdentityId
+F = FamilyId
 
 _add(_Entry(
     I.SRC_AW_14113, None, None,
     DomainPredicate(_tb_const(1.0), _aw_ok("abcd"),
                     "|t| < 1, max(|a|,|b|,|c|,|d|) < 1, x in [-1,1]"),
-    _lhs_aw, _coef_src_aw, None, _poly_aw_source,
+    _lhs_aw, _coef_src_aw, None, F.ASKEY_WILSON, ("a", "b", "c", "d"),
     lambda rng, q: _sample_aw(rng, q, with_alpha=False),
     "product of two 2phi1 factors = sum t^n p_n(x;a,b,c,d) / (q,ab,cd;q)_n",
 ))
@@ -837,7 +772,7 @@ _add(_Entry(
         lambda pt, q: _aw_ok("abcd")(pt, q) and abs(pt.get("alpha")) < 1.0,
         "|t| < (1-q)^3, max moduli < 1 including the free parameter",
     ),
-    _lhs_aw, _coef_t2, _inner_t2, _poly_aw_target,
+    _lhs_aw, _coef_t2, _inner_t2, F.ASKEY_WILSON, ("alpha", "b", "c", "d"),
     lambda rng, q: _sample_aw(rng, q, with_alpha=True),
     "re-expansion of the two-factor 2phi1 product over p_n(x;alpha,b,c,d)",
 ))
@@ -847,7 +782,7 @@ _add(_Entry(
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
     _lhs_t3,
     lambda n, pt, ctx: pt.get("t") ** n,
-    None, _poly_cqu("beta"),
+    None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "(t beta e, t beta/e; q)_inf / (t e, t/e; q)_inf = sum C_n(x;beta) t^n",
 ))
@@ -855,7 +790,7 @@ _add(_Entry(
     I.T3, I.SRC_CQU_141027, "gamma",
     DomainPredicate(_tb_const(1.0), _cqu_ok("bg"),
                     "|t| < 1, beta, gamma in (-1,1)\\{0}"),
-    _lhs_t3, _coef_t3, _inner_t3, _poly_cqu("gamma"),
+    _lhs_t3, _coef_t3, _inner_t3, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0)),
     "re-expansion of the Pochhammer-quotient generating function",
 ))
@@ -868,7 +803,7 @@ _add(_Entry(
         * (-pt.get("beta") * pt.get("t")) ** n
         / poch_finite(pt.get("beta") ** 2, ctx.q, n)
     ),
-    None, _poly_cqu("beta"),
+    None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "(t/e; q)_inf 2phi1(beta, beta e^2; beta^2; q, t/e) expansion",
 ))
@@ -876,7 +811,7 @@ _add(_Entry(
     I.T4, I.SRC_CQU_141029, "gamma",
     DomainPredicate(_tb_t4, _cqu_ok("bg"),
                     "|t| < 1 - beta^2, beta, gamma in (-1,1)\\{0}"),
-    _lhs_29, _coef_t4, _inner_t4, _poly_cqu("gamma"),
+    _lhs_29, _coef_t4, _inner_t4, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t4),
     "re-expansion with a 2phi5 coefficient factor",
 ))
@@ -885,7 +820,7 @@ _add(_Entry(
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
     _lhs_28,
     lambda n, pt, ctx: pt.get("t") ** n / poch_finite(pt.get("beta") ** 2, ctx.q, n),
-    None, _poly_cqu("beta"),
+    None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "2phi1(beta, beta e^2; beta^2; q, t/e) / (t e; q)_inf expansion",
 ))
@@ -893,7 +828,7 @@ _add(_Entry(
     I.T5, I.SRC_CQU_141028, "gamma",
     DomainPredicate(_tb_t4, _cqu_ok("bg"),
                     "|t| < 1 - beta^2, beta, gamma in (-1,1)\\{0}"),
-    _lhs_28, _coef_t5, _inner_t5, _poly_cqu("gamma"),
+    _lhs_28, _coef_t5, _inner_t5, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t4),
     "re-expansion with a 6phi5 coefficient factor",
 ))
@@ -907,7 +842,7 @@ _add(_Entry(
         * pt.get("t") ** n
         / poch_finite(pt.get("beta") ** 2, ctx.q, n)
     ),
-    None, _poly_cqu("beta"),
+    None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",),
                                complex_gamma=True),
     "(gamma t e; q)_inf / (t e; q)_inf 3phi2 expansion",
@@ -921,7 +856,7 @@ _add(_Entry(
         and abs(pt.get("alpha").imag) <= 1e-14,
         "|t| < 1 - beta^2, alpha, beta in (-1,1)\\{0}, gamma complex",
     ),
-    _lhs_33, _coef_t6, _inner_t6, _poly_cqu("alpha"),
+    _lhs_33, _coef_t6, _inner_t6, F.CONT_Q_ULTRA, ("alpha",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t4, names=("beta", "alpha"),
                                complex_gamma=True),
     "re-expansion with a 6phi5 coefficient factor, complex gamma allowed",
@@ -938,7 +873,7 @@ _add(_Entry(
         * pt.get("t") ** n
         / poch_all((pt.get("beta") ** 2, -ctx.q * pt.get("beta")), ctx.q, n)
     ),
-    None, _poly_cqu("beta"),
+    None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "square-root-parameter 2phi1 pair expansion (denominator -beta)",
 ))
@@ -946,7 +881,7 @@ _add(_Entry(
     I.T7, I.SRC_CQU_141031, "gamma",
     DomainPredicate(_tb_t7, _cqu_ok("bg"),
                     "|t| < min{(1-b^2)(1+sqrt(q)|b|)(1-q|g|), 1}"),
-    _lhs_31, _coef_t7, _inner_t7, _poly_cqu("gamma"),
+    _lhs_31, _coef_t7, _inner_t7, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t7),
     "re-expansion with a 10phi9 coefficient factor",
 ))
@@ -963,7 +898,7 @@ _add(_Entry(
             (pt.get("beta") ** 2, pt.get("beta") * math.sqrt(ctx.q)), ctx.q, n
         )
     ),
-    None, _poly_cqu("beta"),
+    None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "square-root-parameter 2phi1 pair expansion (denominator beta q^(1/2))",
 ))
@@ -971,7 +906,7 @@ _add(_Entry(
     I.T8, I.SRC_CQU_141030, "gamma",
     DomainPredicate(_tb_t7, _cqu_ok("bg"),
                     "|t| < min{(1-b^2)(1+sqrt(q)|b|)(1-q|g|), 1}"),
-    _lhs_30, _coef_t8, _inner_t8, _poly_cqu("gamma"),
+    _lhs_30, _coef_t8, _inner_t8, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t7),
     "re-expansion with a 10phi9 coefficient factor",
 ))
@@ -988,7 +923,7 @@ _add(_Entry(
             (pt.get("beta") ** 2, -pt.get("beta") * math.sqrt(ctx.q)), ctx.q, n
         )
     ),
-    None, _poly_cqu("beta"),
+    None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "square-root-parameter 2phi1 pair expansion (denominator -beta q^(1/2))",
 ))
@@ -996,7 +931,7 @@ _add(_Entry(
     I.T9, I.SRC_CQU_141032, "gamma",
     DomainPredicate(_tb_t9, _cqu_ok("bg"),
                     "|t| < min{(1-b^2)(1+sqrt(q)|b|), 1}"),
-    _lhs_32, _coef_t9, _inner_t9, _poly_cqu("gamma"),
+    _lhs_32, _coef_t9, _inner_t9, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t9),
     "re-expansion with a 10phi9 coefficient factor",
 ))
@@ -1004,25 +939,25 @@ _add(_Entry(
     I.SRC_LQL_142011, None, None,
     DomainPredicate(_tb_t11, _lql_ok("a"),
                     "|t| < min{(1-q)(1-aq)/a, 1}, 0 < aq < 1"),
-    _lhs_lql, _coef_src_lql, None, _poly_lql("a"),
+    _lhs_lql, _coef_src_lql, None, F.LITTLE_Q_LAGUERRE, ("a",),
     lambda rng, q: _sample_lql(rng, q, with_b=False),
     "(t;q)_inf/(xt;q)_inf 0phi1 = sum (-1)^n q^C(n,2) p_n(x;a) t^n / (q;q)_n",
-    term=_lql_term(_coef_mant_src_lql),
+    coef_mant=_coef_mant_src_lql,
 ))
 _add(_Entry(
     I.T11, I.SRC_LQL_142011, "b",
     DomainPredicate(_tb_t11, _lql_ok("ab"),
                     "|t| < min{(1-q)(1-aq)/a, 1}, a, b in (0, 1/q)"),
-    _lhs_lql, _coef_t11, _inner_t11, _poly_lql("b"),
+    _lhs_lql, _coef_t11, _inner_t11, F.LITTLE_Q_LAGUERRE, ("b",),
     lambda rng, q: _sample_lql(rng, q, with_b=True),
     "re-expansion with a 1phi1 coefficient factor",
-    term=_lql_term(_coef_mant_t11),
+    coef_mant=_coef_mant_t11,
 ))
 _add(_Entry(
     I.SRC_QL_142114, None, None,
     DomainPredicate(_tb_t13, _qlag_ok(("alpha",)),
                     "|t| < (1-q^(alpha+1))(1-q), alpha > -1"),
-    _lhs_ql14, _coef_src_ql14, None, _poly_ql("alpha"),
+    _lhs_ql14, _coef_src_ql14, None, F.Q_LAGUERRE, ("alpha",),
     lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=False),
     "0phi1 / (t;q)_inf = sum L_n^(alpha)(x) t^n / (q^(alpha+1);q)_n",
 ))
@@ -1030,7 +965,7 @@ _add(_Entry(
     I.T13, I.SRC_QL_142114, "beta",
     DomainPredicate(_tb_t13, _qlag_ok(("alpha", "beta")),
                     "|t| < (1-q^(alpha+1))(1-q), alpha, beta > -1"),
-    _lhs_ql14, _coef_t13, _inner_t13, _poly_ql("beta"),
+    _lhs_ql14, _coef_t13, _inner_t13, F.Q_LAGUERRE, ("beta",),
     lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=True),
     "re-expansion with a 2phi1 coefficient factor",
 ))
@@ -1038,7 +973,7 @@ _add(_Entry(
     I.SRC_QL_142115, None, None,
     DomainPredicate(_tb_t13, _qlag_ok(("alpha",)),
                     "|t| < (1-q^(alpha+1))(1-q), alpha > -1"),
-    _lhs_ql15, _coef_src_ql15, None, _poly_ql("alpha"),
+    _lhs_ql15, _coef_src_ql15, None, F.Q_LAGUERRE, ("alpha",),
     lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=False),
     "(t;q)_inf 0phi2 = sum (-t)^n q^C(n,2) L_n^(alpha)(x) / (q^(alpha+1);q)_n",
 ))
@@ -1046,7 +981,7 @@ _add(_Entry(
     I.T14, I.SRC_QL_142115, "beta",
     DomainPredicate(_tb_t13, _qlag_ok(("alpha", "beta")),
                     "|t| < (1-q^(alpha+1))(1-q), alpha, beta > -1"),
-    _lhs_ql15, _coef_t14, _inner_t14, _poly_ql("beta"),
+    _lhs_ql15, _coef_t14, _inner_t14, F.Q_LAGUERRE, ("beta",),
     lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=True),
     "re-expansion with a 1phi1 coefficient factor",
 ))
@@ -1054,7 +989,7 @@ _add(_Entry(
     I.SRC_QL_142116, None, None,
     DomainPredicate(_tb_t15, _qlag_ok(("alpha",), complex_gamma=True),
                     "|t| < 1-q, alpha > -1, gamma complex"),
-    _lhs_ql16, _coef_src_ql16, None, _poly_ql("alpha"),
+    _lhs_ql16, _coef_src_ql16, None, F.Q_LAGUERRE, ("alpha",),
     lambda rng, q: _sample_ql(rng, q, _tb_t15, with_beta=False,
                               complex_gamma=True),
     "(gamma t;q)_inf/(t;q)_inf 1phi2 expansion",
@@ -1063,7 +998,7 @@ _add(_Entry(
     I.T15, I.SRC_QL_142116, "beta",
     DomainPredicate(_tb_t15, _qlag_ok(("alpha", "beta"), complex_gamma=True),
                     "|t| < 1-q, alpha, beta > -1, gamma complex"),
-    _lhs_ql16, _coef_t15, _inner_t15, _poly_ql("beta"),
+    _lhs_ql16, _coef_t15, _inner_t15, F.Q_LAGUERRE, ("beta",),
     lambda rng, q: _sample_ql(rng, q, _tb_t15, with_beta=True,
                               complex_gamma=True),
     "re-expansion with a 2phi1 coefficient factor, complex gamma allowed",
@@ -1085,29 +1020,36 @@ class _RhsAccumulator:
         self.point = point
         self.ctx = ctx
         self.x = point.real("x")
+        self.params = entry.family_params(point, ctx)
         self.terms: list[complex] = []
         self.partials: list[complex] = [complex(0.0)]
         self.max_inner = 0
         self.exhausted = False
         self._streak = 0
 
+    def _inner(self, n: int) -> complex:
+        res = eval_phi(self.entry.inner(n, self.point, self.ctx),
+                       tol=self.ctx.series_tol, max_terms=self.ctx.max_terms)
+        self.max_inner = max(self.max_inner, res.terms_used)
+        return res.value
+
     def _extend(self, n_terms: int) -> None:
+        entry, pt, ctx = self.entry, self.point, self.ctx
         while len(self.terms) < n_terms and not self.exhausted:
             n = len(self.terms)
-            if self.entry.term is not None and self.x > 0.0:
-                term, inner_used = self.entry.term(n, self.point, self.ctx)
-                self.max_inner = max(self.max_inner, inner_used)
+            if entry.coef_mant is not None and self.x > 0.0:
+                mant, e = little_q_laguerre_scaled(n, self.x, self.params)
+                term = entry.coef_mant(n, pt, ctx) * mant
+                if entry.inner is not None:
+                    term *= self._inner(n)
+                term = unscale(term, math.comb(n, 2) + e, ctx.q)
             else:
-                coef = self.entry.coef(n, self.point, self.ctx)
-                term = complex(0.0)
-                if coef != 0.0:
-                    term = coef * self.entry.poly(n, self.x, self.point, self.ctx)
-                    if term != 0.0 and self.entry.inner is not None:
-                        spec = self.entry.inner(n, self.point, self.ctx)
-                        res = eval_phi(spec, tol=self.ctx.series_tol,
-                                       max_terms=self.ctx.max_terms)
-                        self.max_inner = max(self.max_inner, res.terms_used)
-                        term *= res.value
+                term = entry.coef(n, pt, ctx)
+                if term != 0.0:
+                    term *= FAMILIES[entry.family].evaluate(
+                        n, self.x, self.params, ctx.series_tol)
+                    if term != 0.0 and entry.inner is not None:
+                        term *= self._inner(n)
             self.terms.append(term)
             self.partials.append(self.partials[-1] + term)
             if abs(term) <= _EXHAUSTED_TOL * (1.0 + abs(self.partials[-1])):

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -50,23 +50,15 @@ from .genfun import (
     outer_coefficient,
 )
 from .polyfam import (
-    AWParams,
+    FAMILIES,
     FamilyId,
-    LqLParams,
-    QLagParams,
-    UltraParams,
-    askey_wilson,
     aw_norm,
-    aw_weight,
-    cont_q_ultra,
-    little_q_laguerre,
+    family_of,
     lql_norm,
-    q_laguerre,
     qlag_bilateral_norm,
     qlag_continuous_norm,
     qlag_jackson_norm,
     ultra_norm,
-    ultra_weight,
 )
 from .qpoch import poch_infinite
 
@@ -96,10 +88,55 @@ class FunctionalSpec:
     max_nodes: int = 20000
 
     def __post_init__(self) -> None:
+        if (self.family, self.kind) not in _NORMS:
+            raise PreconditionViolation(
+                f"{self.kind.name} functional cannot take {self.family.name} parameters"
+            )
         if self.kind is FunctionalKind.BILATERAL and not self.c > 0.0:
             raise PreconditionViolation("bilateral functional needs c > 0")
         if self.quad_order < 2 or self.panel_order < 2:
             raise PreconditionViolation("quadrature orders must be >= 2")
+
+    @property
+    def family(self) -> FamilyId:
+        return family_of(self.params)
+
+
+# The closed form of each functional applied to p_n^2, for each family whose
+# orthogonality it expresses; also the list of valid (family, kind) pairs.
+_NORMS: dict[tuple[FamilyId, FunctionalKind], Callable[[int, FunctionalSpec], float]] = {
+    (FamilyId.ASKEY_WILSON, FunctionalKind.CONT_INTERVAL):
+        lambda n, s: 2.0 * math.pi * aw_norm(n, s.params),
+    (FamilyId.CONT_Q_ULTRA, FunctionalKind.CONT_INTERVAL):
+        lambda n, s: ultra_norm(n, s.params),
+    (FamilyId.LITTLE_Q_LAGUERRE, FunctionalKind.DISCRETE_LATTICE):
+        lambda n, s: lql_norm(n, s.params),
+    (FamilyId.Q_LAGUERRE, FunctionalKind.CONT_HALFLINE):
+        lambda n, s: qlag_continuous_norm(n, s.params),
+    (FamilyId.Q_LAGUERRE, FunctionalKind.BILATERAL):
+        lambda n, s: qlag_bilateral_norm(n, s.params, s.c),
+    (FamilyId.Q_LAGUERRE, FunctionalKind.JACKSON):
+        lambda n, s: qlag_jackson_norm(n, s.params),
+}
+
+
+def _sum_tail(terms: Iterable[complex], tol: float,
+              total: complex = 0j) -> tuple[complex, int]:
+    """Add ``terms`` to ``total`` until three in a row are at most
+    tol * (1 + |total|), or the terms run out.  Returns the new total and
+    the number of terms added.  A term source that reaches its cap raises
+    TailNonConvergence instead of running out."""
+    streak = count = 0
+    for term in terms:
+        total += term
+        count += 1
+        if abs(term) <= tol * (1.0 + abs(total)):
+            streak += 1
+            if streak >= _STREAK:
+                break
+        else:
+            streak = 0
+    return total, count
 
 
 def _leg_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,20 +144,14 @@ def _leg_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _interval_once(spec: FunctionalSpec, f, g, order: int) -> complex:
-    if isinstance(spec.params, AWParams):
-        weight = lambda x: aw_weight(x, spec.params)
-    elif isinstance(spec.params, UltraParams):
-        weight = lambda x: ultra_weight(x, spec.params)
-    else:
-        raise PreconditionViolation(
-            "interval functional needs Askey-Wilson or q-ultraspherical parameters"
-        )
+    p = spec.params
+    weight = FAMILIES[spec.family].weight
     nodes, wts = _leg_nodes(order)
     theta = (nodes + 1.0) * (math.pi / 2.0)
     total = complex(0.0)
     for th, w in zip(theta, wts):
         x = math.cos(th)
-        total += w * f(x) * g(x) * weight(x)
+        total += w * f(x) * g(x) * weight(x, p)
     return total * (math.pi / 2.0)
 
 
@@ -140,79 +171,42 @@ def _interval(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
 
 def _halfline(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
     p = spec.params
-    if not isinstance(p, QLagParams):
-        raise PreconditionViolation("half-line functional needs q-Laguerre parameters")
     q = p.base.q
+    weight = FAMILIES[spec.family].weight
     nodes, wts = _leg_nodes(spec.panel_order)
-    used = 0
+    budget = spec.max_nodes // spec.panel_order  # panels, both directions together
 
-    def panel(k: int) -> complex:
-        nonlocal used
-        lo, hi = q ** (k + 1), q**k
-        mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-        acc = complex(0.0)
-        for u, w in zip(nodes, wts):
-            x = mid + half * u
-            wx = x**p.alpha / poch_infinite(-x, p.base).real
-            acc += w * f(x) * g(x) * wx
-            used += 1
-        return acc * half
+    def panels(ks):
+        for k in ks:
+            lo, hi = q ** (k + 1), q**k
+            mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+            acc = complex(0.0)
+            for u, w in zip(nodes, wts):
+                x = mid + half * u
+                acc += w * f(x) * g(x) * weight(x, p)
+            yield acc * half
+        raise TailNonConvergence("half-line quadrature hit its panel cap")
 
-    total = complex(0.0)
-    # downward panels toward 0 (k = 0, 1, 2, ...)
-    streak = 0
-    k = 0
-    while True:
-        contrib = panel(k)
-        total += contrib
-        k += 1
-        if used > spec.max_nodes:
-            raise TailNonConvergence("half-line quadrature hit its panel cap")
-        if abs(contrib) <= spec.tol * (1.0 + abs(total)):
-            streak += 1
-            if streak >= _STREAK:
-                break
-        else:
-            streak = 0
-    # upward panels toward infinity (k = -1, -2, ...)
-    streak = 0
-    k = -1
-    while True:
-        contrib = panel(k)
-        total += contrib
-        k -= 1
-        if used > spec.max_nodes:
-            raise TailNonConvergence("half-line quadrature hit its panel cap")
-        if abs(contrib) <= spec.tol * (1.0 + abs(total)):
-            streak += 1
-            if streak >= _STREAK:
-                break
-        else:
-            streak = 0
-    return total, used
+    # panels [q^(k+1), q^k] toward 0 (k = 0, 1, ...), then toward infinity
+    total, down = _sum_tail(panels(range(budget)), spec.tol)
+    total, up = _sum_tail(panels(range(-1, down - budget - 1, -1)), spec.tol, total)
+    return total, (down + up) * spec.panel_order
 
 
 def _lattice(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
     p = spec.params
-    if not isinstance(p, LqLParams):
-        raise PreconditionViolation("lattice functional needs little q-Laguerre parameters")
     q = p.base.q
     aq = p.a * q
-    w = 1.0
-    total = complex(0.0)
-    streak = 0
-    for k in range(spec.max_nodes):
-        x = q**k
-        term = w * f(x) * g(x)
-        total += term
-        if abs(term) <= spec.tol * (1.0 + abs(total)):
-            streak += 1
-            if streak >= _STREAK:
-                return total, k + 1
-        else:
-            streak = 0
-        w *= aq / (1.0 - q ** (k + 1))
-    raise TailNonConvergence("lattice sum hit its term cap")
+
+    def terms():
+        w = 1.0
+        for k in range(spec.max_nodes):
+            x = q**k
+            yield w * f(x) * g(x)
+            w *= aq / (1.0 - q ** (k + 1))
+        raise TailNonConvergence("lattice sum hit its term cap")
+
+    return _sum_tail(terms(), spec.tol)
 
 
 def _bilateral(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
@@ -220,61 +214,36 @@ def _bilateral(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
     the weight carried by its one-step ratios from w_0 = 1/(-c; q)_inf,
     each tail cut off after three consecutive negligible terms."""
     p = spec.params
-    if not isinstance(p, QLagParams):
-        raise PreconditionViolation("bilateral functional needs q-Laguerre parameters")
     q = p.base.q
     c = spec.c
     qa1 = q ** (p.alpha + 1.0)
     w0 = 1.0 / poch_infinite(-c, p.base).real
-    total = complex(0.0)
-    count = 0
-    # k = 0, 1, 2, ...
-    w = w0
-    streak = 0
-    k = 0
-    while True:
-        term = w * f(c * q**k) * g(c * q**k)
-        total += term
-        count += 1
-        if count > spec.max_nodes:
-            raise TailNonConvergence("bilateral sum hit its term cap")
-        if abs(term) <= spec.tol * (1.0 + abs(total)):
-            streak += 1
-            if streak >= _STREAK:
-                break
-        else:
-            streak = 0
-        w *= qa1 * (1.0 + c * q**k)
-        k += 1
-    # k = -1, -2, ...
-    w = w0
-    streak = 0
-    k = 0
-    while True:
-        w /= qa1 * (1.0 + c * q ** (k - 1))
-        k -= 1
-        if w == 0.0:
-            break  # tail underflowed to exact zero
-        term = w * f(c * q**k) * g(c * q**k)
-        total += term
-        count += 1
-        if count > spec.max_nodes:
-            raise TailNonConvergence("bilateral sum hit its term cap")
-        if abs(term) <= spec.tol * (1.0 + abs(total)):
-            streak += 1
-            if streak >= _STREAK:
-                break
-        else:
-            streak = 0
-    return total, count
+
+    def upper():  # k = 0, 1, 2, ...
+        w = w0
+        for k in range(spec.max_nodes):
+            yield w * f(c * q**k) * g(c * q**k)
+            w *= qa1 * (1.0 + c * q**k)
+        raise TailNonConvergence("bilateral sum hit its term cap")
+
+    def lower(budget):  # k = -1, -2, ...
+        w = w0
+        for k in range(-1, -budget - 1, -1):
+            w /= qa1 * (1.0 + c * q**k)
+            if w == 0.0:
+                return  # tail underflowed to exact zero
+            yield w * f(c * q**k) * g(c * q**k)
+        raise TailNonConvergence("bilateral sum hit its term cap")
+
+    total, up = _sum_tail(upper(), spec.tol)
+    total, down = _sum_tail(lower(spec.max_nodes - up), spec.tol, total)
+    return total, up + down
 
 
 def _jackson(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
     """(1-q) sum_k q^k F(q^k) with the weight rebuilt from x at every
     node; deliberately not routed through the bilateral recurrence."""
     p = spec.params
-    if not isinstance(p, QLagParams):
-        raise PreconditionViolation("q-integral functional needs q-Laguerre parameters")
     q = p.base.q
 
     def node(k: int) -> complex:
@@ -282,48 +251,33 @@ def _jackson(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
         wx = x ** (p.alpha + 1.0) / poch_infinite(-x, p.base).real
         return wx * f(x) * g(x)
 
-    total = complex(0.0)
-    count = 0
-    for direction in (range(0, spec.max_nodes), range(-1, -spec.max_nodes, -1)):
-        streak = 0
-        done = False
-        for k in direction:
+    def terms(ks):
+        for k in ks:
             try:
                 term = node(k)
             except OverflowError:
                 raise TailNonConvergence("q-integral node overflowed before decay")
-            total += term
-            count += 1
-            if abs(term) <= spec.tol * (1.0 + abs(total)):
-                streak += 1
-                if streak >= _STREAK:
-                    done = True
-                    break
-            else:
-                streak = 0
-        if not done:
-            raise TailNonConvergence("q-integral sum hit its term cap")
-    return total * (1.0 - q), count
+            yield term
+        raise TailNonConvergence("q-integral sum hit its term cap")
+
+    total, up = _sum_tail(terms(range(0, spec.max_nodes)), spec.tol)
+    total, down = _sum_tail(terms(range(-1, -spec.max_nodes, -1)), spec.tol, total)
+    return total * (1.0 - q), up + down
 
 
-def _apply(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
-    if spec.kind is FunctionalKind.CONT_INTERVAL:
-        return _interval(spec, f, g)
-    if spec.kind is FunctionalKind.CONT_HALFLINE:
-        return _halfline(spec, f, g)
-    if spec.kind is FunctionalKind.DISCRETE_LATTICE:
-        return _lattice(spec, f, g)
-    if spec.kind is FunctionalKind.BILATERAL:
-        return _bilateral(spec, f, g)
-    if spec.kind is FunctionalKind.JACKSON:
-        return _jackson(spec, f, g)
-    raise PreconditionViolation(f"unknown functional kind {spec.kind!r}")
+_RULES = {
+    FunctionalKind.CONT_INTERVAL: _interval,
+    FunctionalKind.CONT_HALFLINE: _halfline,
+    FunctionalKind.DISCRETE_LATTICE: _lattice,
+    FunctionalKind.BILATERAL: _bilateral,
+    FunctionalKind.JACKSON: _jackson,
+}
 
 
 def inner_product(spec: FunctionalSpec, f: Callable[[float], complex],
                   g: Callable[[float], complex]) -> complex:
     """Apply the functional to the pair (f, g)."""
-    value, _ = _apply(spec, f, g)
+    value, _ = _RULES[spec.kind](spec, f, g)
     return value
 
 
@@ -332,56 +286,25 @@ def inner_product(spec: FunctionalSpec, f: Callable[[float], complex],
 # ---------------------------------------------------------------------------
 
 
-def _family_of_params(params) -> FamilyId:
-    if isinstance(params, AWParams):
-        return FamilyId.ASKEY_WILSON
-    if isinstance(params, UltraParams):
-        return FamilyId.CONT_Q_ULTRA
-    if isinstance(params, LqLParams):
-        return FamilyId.LITTLE_Q_LAGUERRE
-    if isinstance(params, QLagParams):
-        return FamilyId.Q_LAGUERRE
-    raise PreconditionViolation(f"unrecognized parameter record {params!r}")
-
-
-def _poly_fn(params, n: int) -> Callable[[float], complex]:
-    fam = _family_of_params(params)
-    if fam is FamilyId.ASKEY_WILSON:
-        return lambda x: askey_wilson(n, x, params)
-    if fam is FamilyId.CONT_Q_ULTRA:
-        return lambda x: complex(cont_q_ultra(n, x, params))
-    if fam is FamilyId.LITTLE_Q_LAGUERRE:
-        return lambda x: complex(little_q_laguerre(n, x, params))
-    return lambda x: complex(q_laguerre(n, x, params))
+def _poly(spec: FunctionalSpec, n: int) -> Callable[[float], complex]:
+    evaluate = FAMILIES[spec.family].evaluate
+    return lambda x: evaluate(n, x, spec.params)
 
 
 def norm_constant(spec: FunctionalSpec, n: int) -> float:
     """The closed-form value of the functional applied to p_n^2."""
-    p = spec.params
-    if isinstance(p, AWParams):
-        return 2.0 * math.pi * aw_norm(n, p)
-    if isinstance(p, UltraParams):
-        return ultra_norm(n, p)
-    if isinstance(p, LqLParams):
-        return lql_norm(n, p)
-    if spec.kind is FunctionalKind.CONT_HALFLINE:
-        return qlag_continuous_norm(n, p)
-    if spec.kind is FunctionalKind.BILATERAL:
-        return qlag_bilateral_norm(n, p, spec.c)
-    if spec.kind is FunctionalKind.JACKSON:
-        return qlag_jackson_norm(n, p)
-    raise PreconditionViolation("no norm constant for this spec")
+    return _NORMS[spec.family, spec.kind](n, spec)
 
 
 def verify_orthogonality(
     family: FamilyId, spec: FunctionalSpec, m: int, n: int
 ) -> IdentityReport:
     """Compare <p_m, p_n> under the functional with norm * delta_mn."""
-    if _family_of_params(spec.params) is not family:
+    if spec.family is not family:
         raise PreconditionViolation("family does not match the functional's parameters")
     if m < 0 or n < 0:
         raise PreconditionViolation("m, n must be >= 0")
-    lhs, count = _apply(spec, _poly_fn(spec.params, m), _poly_fn(spec.params, n))
+    lhs, count = _RULES[spec.kind](spec, _poly(spec, m), _poly(spec, n))
     rhs = complex(norm_constant(spec, n)) if m == n else complex(0.0)
     abs_res = abs(lhs - rhs)
     q = spec.params.base.q
@@ -436,30 +359,19 @@ class _CorEntry:
     cid: CorollaryId
     theorem: IdentityId
     kind: FunctionalKind
-    target: str  # point name of the parameter carried by weight and norm
     sample: Callable[[Random, float], ParamPoint]
     describe: str
     flagged: bool = False
 
 
 def _spec_for(entry: _CorEntry, point: ParamPoint, ctx: EvalContext) -> FunctionalSpec:
-    base = ctx.base
-    tol = min(1e-10, ctx.tol)
-    if entry.kind is FunctionalKind.CONT_INTERVAL:
-        if entry.cid is CorollaryId.C_AW:
-            params = AWParams(point.get("alpha"), point.get("b"), point.get("c"),
-                              point.get("d"), base)
-        else:
-            params = UltraParams(point.real(entry.target), base)
-        return FunctionalSpec(entry.kind, params, quad_order=ctx.quad_order, tol=tol)
-    if entry.kind is FunctionalKind.DISCRETE_LATTICE:
-        return FunctionalSpec(
-            entry.kind, LqLParams(point.real(entry.target), base),
-            tol=tol, max_nodes=ctx.lattice_cap)
-    params = QLagParams(point.real(entry.target), base)
-    c = point.real("c") if point.has("c") else 1.0
-    return FunctionalSpec(entry.kind, params, c=c, panel_order=ctx.panel_order,
-                          tol=tol, max_nodes=ctx.lattice_cap)
+    """The functional of the family the theorem expands over, whose
+    parameters carry the weight and the norm."""
+    params = entry_for(entry.theorem).family_params(point, ctx)
+    c = point.real("c") if entry.kind is FunctionalKind.BILATERAL else 1.0
+    return FunctionalSpec(entry.kind, params, c=c, quad_order=ctx.quad_order,
+                          panel_order=ctx.panel_order, tol=min(1e-10, ctx.tol),
+                          max_nodes=ctx.lattice_cap)
 
 
 def _prefactor_inverse(theorem: IdentityId, point: ParamPoint, ctx: EvalContext) -> complex:
@@ -513,7 +425,7 @@ def verify_corollary(
         raise PreconditionViolation("n must be >= 0")
     spec = _spec_for(entry, point, ctx)
     kernel = lambda x: lhs_integrand_factor(entry.theorem, x, point, ctx)
-    lhs, count = _apply(spec, kernel, _poly_fn(spec.params, n))
+    lhs, count = _RULES[spec.kind](spec, kernel, _poly(spec, n))
     rhs, inner_terms = _closed_form(entry, n, point, ctx, spec)
     abs_res = abs(lhs - rhs)
     tdom = entry_for(entry.theorem).domain
@@ -621,7 +533,7 @@ def _addc(entry: _CorEntry) -> None:
 
 
 _addc(_CorEntry(
-    CorollaryId.C_AW, IdentityId.T2, FunctionalKind.CONT_INTERVAL, "alpha",
+    CorollaryId.C_AW, IdentityId.T2, FunctionalKind.CONT_INTERVAL,
     _sample_from_theorem(IdentityId.T2),
     "definite integral of the two-factor 2phi1 kernel against p_n",
 ))
@@ -632,28 +544,27 @@ for _i, _thm in enumerate(
 ):
     _addc(_CorEntry(
         CorollaryId(f"C_CQU_{_i}"), _thm, FunctionalKind.CONT_INTERVAL,
-        "alpha" if _thm is IdentityId.T6 else "gamma",
         _sample_from_theorem(_thm),
         "definite integral of the generating kernel against C_n",
     ))
 _addc(_CorEntry(
-    CorollaryId.C26, IdentityId.T13, FunctionalKind.CONT_HALFLINE, "beta",
+    CorollaryId.C26, IdentityId.T13, FunctionalKind.CONT_HALFLINE,
     _sample_ql_corollary(FunctionalKind.CONT_HALFLINE, IdentityId.T13),
     "half-line integral of the 0phi1 kernel against L_n (both norm branches)",
 ))
 _addc(_CorEntry(
-    CorollaryId.C27, IdentityId.T14, FunctionalKind.CONT_HALFLINE, "beta",
+    CorollaryId.C27, IdentityId.T14, FunctionalKind.CONT_HALFLINE,
     _sample_ql_corollary(FunctionalKind.CONT_HALFLINE, IdentityId.T14),
     "half-line integral of the 0phi2 kernel against L_n",
 ))
 _addc(_CorEntry(
-    CorollaryId.C28, IdentityId.T15, FunctionalKind.CONT_HALFLINE, "beta",
+    CorollaryId.C28, IdentityId.T15, FunctionalKind.CONT_HALFLINE,
     _sample_ql_corollary(FunctionalKind.CONT_HALFLINE, IdentityId.T15,
                          complex_gamma=True),
     "half-line integral of the 1phi2 kernel against L_n, complex gamma",
 ))
 _addc(_CorEntry(
-    CorollaryId.C29, IdentityId.T11, FunctionalKind.DISCRETE_LATTICE, "beta",
+    CorollaryId.C29, IdentityId.T11, FunctionalKind.DISCRETE_LATTICE,
     _sample_c29,
     "lattice sum of the 0phi1 kernel against the little q-Laguerre family",
     flagged=True,
@@ -662,7 +573,7 @@ for _cid, _thm in ((CorollaryId.C30, IdentityId.T13),
                    (CorollaryId.C31, IdentityId.T14),
                    (CorollaryId.C32, IdentityId.T15)):
     _addc(_CorEntry(
-        _cid, _thm, FunctionalKind.BILATERAL, "beta",
+        _cid, _thm, FunctionalKind.BILATERAL,
         _sample_ql_corollary(FunctionalKind.BILATERAL, _thm,
                              complex_gamma=_thm is IdentityId.T15, with_c=True),
         "bilateral lattice sum of the kernel against L_n, scale c",
@@ -671,7 +582,7 @@ for _cid, _thm in ((CorollaryId.C33, IdentityId.T13),
                    (CorollaryId.C34, IdentityId.T14),
                    (CorollaryId.C35, IdentityId.T15)):
     _addc(_CorEntry(
-        _cid, _thm, FunctionalKind.JACKSON, "beta",
+        _cid, _thm, FunctionalKind.JACKSON,
         _sample_ql_corollary(FunctionalKind.JACKSON, _thm,
                              complex_gamma=_thm is IdentityId.T15),
         "q-integral of the kernel against L_n",

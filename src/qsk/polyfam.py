@@ -1,4 +1,5 @@
-"""The four polynomial families, their weight functions, and norm constants.
+"""The four polynomial families, their weight functions, norm constants,
+and FAMILIES, the FamilyId-keyed table every other layer dispatches through.
 
 Families (all with base q in (0, 1)):
 
@@ -27,6 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .bhs import SeriesSpec, eval_phi
 from .errors import PreconditionViolation, ZeroParameter, IllConditioned
@@ -36,6 +38,8 @@ from .qpoch import (
     poch_all_infinite,
     poch_finite,
     poch_infinite,
+    renorm,
+    unscale,
 )
 
 
@@ -74,6 +78,14 @@ class AWParams:
         return max(abs(v) for v in self.as_tuple()) < 1.0
 
 
+def _real(name: str, v) -> float:
+    """A real parameter, also accepted as a complex with zero imaginary part."""
+    v = complex(v)
+    if v.imag != 0.0:
+        raise PreconditionViolation(f"parameter {name} must be real, got {v!r}")
+    return v.real
+
+
 @dataclass(frozen=True)
 class UltraParams:
     """Continuous q-ultraspherical parameter beta in (-1, 1) \\ {0}."""
@@ -82,7 +94,7 @@ class UltraParams:
     base: QBase
 
     def __post_init__(self) -> None:
-        b = float(self.beta)
+        b = _real("beta", self.beta)
         if not (math.isfinite(b) and 0.0 < abs(b) < 1.0):
             raise PreconditionViolation(
                 f"beta must lie in (-1, 1) and be nonzero, got {b!r}"
@@ -102,7 +114,7 @@ class LqLParams:
     def __post_init__(self) -> None:
         if not isinstance(self.base, QBase):
             object.__setattr__(self, "base", QBase(self.base))
-        a = float(self.a)
+        a = _real("a", self.a)
         if not (math.isfinite(a) and 0.0 < a * self.base.q < 1.0):
             raise PreconditionViolation(f"need 0 < a*q < 1, got a={a!r}")
         object.__setattr__(self, "a", a)
@@ -116,7 +128,7 @@ class QLagParams:
     base: QBase
 
     def __post_init__(self) -> None:
-        al = float(self.alpha)
+        al = _real("alpha", self.alpha)
         if not (math.isfinite(al) and al > -1.0):
             raise PreconditionViolation(f"alpha must exceed -1, got {al!r}")
         object.__setattr__(self, "alpha", al)
@@ -224,7 +236,7 @@ def askey_wilson_sequence(nmax: int, x: float, p: AWParams) -> list[complex]:
     return out
 
 
-def askey_wilson(n: int, x: float, p: AWParams, tol: float = 1e-15) -> complex:
+def askey_wilson(n: int, x: float, p: AWParams) -> complex:
     """Askey-Wilson polynomial p_n(x; a,b,c,d | q) at x = cos(theta).
 
     Evaluated through the three-term recurrence; the defining 4phi3 sum
@@ -309,10 +321,6 @@ def little_q_laguerre_phi21(n: int, x: float, p: LqLParams, tol: float = 1e-15) 
     return eval_phi(spec, tol=tol).value.real
 
 
-_SCALE_HI = 1e60
-_SCALE_LO = 1e-60
-
-
 def little_q_laguerre_scaled(
     n: int, x: float, p: LqLParams
 ) -> tuple[float, float]:
@@ -330,15 +338,6 @@ def little_q_laguerre_scaled(
         raise PreconditionViolation("scaled evaluation needs x > 0")
     q = p.base.q
     lnq = math.log(q)
-
-    def norm(m: float, e: float) -> tuple[float, float]:
-        am = abs(m)
-        if am > _SCALE_HI or 0.0 < am < _SCALE_LO:
-            shift = round(math.log(am) / lnq)
-            m *= math.exp(-shift * lnq)
-            e += shift
-        return m, e
-
     # series sum (sm, se) and running term (tm, te)
     tm, te = 1.0, 0.0
     sm, se = 1.0, 0.0
@@ -349,20 +348,18 @@ def little_q_laguerre_scaled(
         te -= k
         if tm == 0.0:
             break  # x sits on the lattice; all later terms vanish
-        tm, te = norm(tm, te)
+        tm, te = renorm(tm, te, q)
         if te < se:
             sm = sm * math.exp((se - te) * lnq) + tm
             se = te
         else:
             sm += tm * math.exp((te - se) * lnq)
-        sm, se = norm(sm, se)
+        sm, se = renorm(sm, se, q)
     # prefactor (q^-n / a; q)_n
     pm, pe = 1.0, 0.0
     for j in range(n):
-        pm *= 1.0 - q ** (j - n) / p.a
-        pm, pe = norm(pm, pe)
-    mant, e = norm(sm / pm, se - pe)
-    return mant, e
+        pm, pe = renorm(pm * (1.0 - q ** (j - n) / p.a), pe, q)
+    return renorm(sm / pm, se - pe, q)
 
 
 def little_q_laguerre_phi20(n: int, x: float, p: LqLParams, tol: float = 1e-15) -> float:
@@ -373,21 +370,15 @@ def little_q_laguerre_phi20(n: int, x: float, p: LqLParams, tol: float = 1e-15) 
     For x > 0 the last retained term dominates the sum, so this form is
     numerically stable at every lattice point.  Off the lattice the value
     grows like q^(-n(n-1)/2) x^n and can leave double range; evaluation
-    then refuses rather than overflow (the scaled form remains available).
+    then raises IllConditioned rather than overflow (the scaled form
+    remains available), and a value below double range is returned as 0.
     """
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
     if x == 0.0:
         raise PreconditionViolation("the 2phi0 form needs x != 0")
     if x > 0.0:
-        mant, e = little_q_laguerre_scaled(n, x, p)
-        arg = e * math.log(p.base.q)
-        if arg < -690.0:
-            raise IllConditioned(
-                "value exceeds the double-precision envelope; "
-                "use little_q_laguerre_scaled"
-            )
-        return mant * math.exp(arg)
+        return unscale(*little_q_laguerre_scaled(n, x, p), p.base.q)
     q = p.base.q
     spec = SeriesSpec((q**-n, 1.0 / x), (), x / p.a, p.base)
     pref = 1.0 / poch_finite(q**-n / p.a, q, n)
@@ -435,19 +426,6 @@ def q_laguerre_phi21(n: int, x: float, p: QLagParams, tol: float = 1e-15) -> flo
     q = p.base.q
     spec = SeriesSpec((q**-n, -x), (0.0,), q ** (n + p.alpha + 1.0), p.base)
     return (eval_phi(spec, tol=tol).value / poch_finite(q, q, n)).real
-
-
-def family_eval(family: FamilyId, n: int, x: float, params) -> complex:
-    """Uniform dispatch used by the connection and generating-function layers."""
-    if family is FamilyId.ASKEY_WILSON:
-        return askey_wilson(n, x, params)
-    if family is FamilyId.CONT_Q_ULTRA:
-        return complex(cont_q_ultra(n, x, params))
-    if family is FamilyId.LITTLE_Q_LAGUERRE:
-        return complex(little_q_laguerre(n, x, params))
-    if family is FamilyId.Q_LAGUERRE:
-        return complex(q_laguerre(n, x, params))
-    raise PreconditionViolation(f"unknown family {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -641,3 +619,73 @@ def qlag_jackson_norm(n: int, p: QLagParams, tol: float = 1e-15) -> float:
         * poch_finite(qa1, q, n).real
         / (2.0 * q**n * den * poch_finite(q, q, n).real)
     )
+
+
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+
+def _chebyshev(q: float, count: int) -> list[float]:
+    return [math.cos(math.pi * (2 * i + 1) / (2.0 * count)) for i in range(count)]
+
+
+def _lattice(q: float, count: int) -> list[float]:
+    return [q**k for k in range(count)]
+
+
+def _two_sided(q: float, count: int) -> list[float]:
+    pts = [0.0]
+    for k in range(1, count // 2 + 1):
+        pts += [q**k, q**-k]
+    return pts[:count]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family's entry in FAMILIES.
+
+    params    parameter record class, built as params(*values, base)
+    names     its parameter names, in that order
+    evaluate  (n, x, params[, tol]) -> p_n(x) as a complex
+    weight    (x, params) -> continuous weight w(x); None on a lattice
+    support   (q, count) -> sample abscissas on the natural support
+    """
+
+    params: type
+    names: tuple[str, ...]
+    evaluate: Callable[..., complex]
+    weight: Callable[[float, object], float] | None
+    support: Callable[[float, int], list[float]]
+
+
+# The lambdas look evaluators and weights up as module globals at call
+# time and pass the degree first, so rebinding a module attribute (as a
+# tracer does) reaches every caller of the table.
+FAMILIES: dict[FamilyId, Family] = {
+    FamilyId.ASKEY_WILSON: Family(
+        AWParams, ("a", "b", "c", "d"),
+        lambda n, x, p, tol=1e-15: askey_wilson(n, x, p),
+        lambda x, p: aw_weight(x, p), _chebyshev),
+    FamilyId.CONT_Q_ULTRA: Family(
+        UltraParams, ("beta",),
+        lambda n, x, p, tol=1e-15: complex(cont_q_ultra(n, x, p, tol)),
+        lambda x, p: ultra_weight(x, p), _chebyshev),
+    FamilyId.LITTLE_Q_LAGUERRE: Family(
+        LqLParams, ("a",),
+        lambda n, x, p, tol=1e-15: complex(little_q_laguerre(n, x, p, tol)),
+        None, _lattice),
+    FamilyId.Q_LAGUERRE: Family(
+        QLagParams, ("alpha",),
+        lambda n, x, p, tol=1e-15: complex(q_laguerre(n, x, p, tol)),
+        lambda x, p: qlag_weight(x, p), _two_sided),
+}
+_FAMILY_OF = {fam.params: fid for fid, fam in FAMILIES.items()}
+
+
+def family_of(params) -> FamilyId:
+    """The family whose parameter record ``params`` is."""
+    fid = _FAMILY_OF.get(type(params))
+    if fid is None:
+        raise PreconditionViolation(f"unrecognized parameter record {params!r}")
+    return fid

@@ -24,6 +24,7 @@ from typing import Iterable, Union
 
 from .errors import (
     DegenerateDenominator,
+    IllConditioned,
     NonConvergentTolerance,
     PreconditionViolation,
 )
@@ -36,6 +37,23 @@ DENOM_GUARD = 1e-300
 # truncated infinite product.
 _TAIL_FRACTION = 0.25
 
+# A scaled value is a pair (m, e) standing for m * q**e.  renorm keeps the
+# mantissa m inside [_SCALE_LO, _SCALE_HI]; unscale turns the pair back into
+# a double when its natural log lies inside [_LOG_TINY, _LOG_HUGE].
+_SCALE_HI = 1e60
+_SCALE_LO = 1e-60
+_LOG_HUGE = 709.0
+_LOG_TINY = -708.0
+
+
+def _check_q(q) -> float:
+    if isinstance(q, complex):
+        raise PreconditionViolation("base q must be real, got complex")
+    q = float(q)
+    if not math.isfinite(q) or not (0.0 < q < 1.0):
+        raise PreconditionViolation(f"base q must lie strictly inside (0, 1), got {q!r}")
+    return q
+
 
 @dataclass(frozen=True)
 class QBase:
@@ -44,15 +62,7 @@ class QBase:
     q: float
 
     def __post_init__(self) -> None:
-        q = self.q
-        if isinstance(q, complex):
-            raise PreconditionViolation("base q must be real, got complex")
-        q = float(q)
-        if not math.isfinite(q) or not (0.0 < q < 1.0):
-            raise PreconditionViolation(
-                f"base q must lie strictly inside (0, 1), got {q!r}"
-            )
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _check_q(self.q))
 
     def power(self, z: complex) -> complex:
         """Principal-branch q**z for complex exponents."""
@@ -66,7 +76,37 @@ def as_base(q: QLike) -> float:
     """Validate a base given either as a QBase or a bare float."""
     if isinstance(q, QBase):
         return q.q
-    return QBase(q).q
+    return _check_q(q)
+
+
+def renorm(m: complex, e: float, q: float) -> tuple[complex, float]:
+    """The scaled value (m, e) = m * q**e with the magnitude of m shifted
+    into the exponent whenever |m| leaves [_SCALE_LO, _SCALE_HI]."""
+    am = abs(m)
+    if am > _SCALE_HI or 0.0 < am < _SCALE_LO:
+        lnq = math.log(q)
+        shift = round(math.log(am) / lnq)
+        m *= math.exp(-shift * lnq)
+        e += shift
+    return m, e
+
+
+def unscale(m: complex, e: float, q: float) -> complex:
+    """The scaled value m * q**e as a double.  A value too small for double
+    range is returned as 0; one too large raises IllConditioned."""
+    if m == 0:
+        return 0.0
+    arg = e * math.log(q)
+    size = math.log(abs(m)) + arg
+    if size > _LOG_HUGE:
+        raise IllConditioned(
+            f"value e^{size:.1f} exceeds the double-precision range"
+        )
+    if size < _LOG_TINY:
+        return 0.0
+    if abs(arg) < _LOG_HUGE:
+        return m * math.exp(arg)
+    return m * math.exp(arg / 2.0) * math.exp(arg / 2.0)  # q**e alone leaves range
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,15 @@ def test_eval_invalid_parameters_exit_2(capsys):
     assert code == 2  # missing a, b, c, d
 
 
+def test_out_of_range_values_exit_2(capsys):
+    code, _, err = run(capsys, "eval", "--family", "lql", "--n", "60",
+                       "--x", "0.7", "--a", "0.5", "--q", "0.5")
+    assert code == 2 and "range" in err
+    code, _, err = run(capsys, "connect", "--family", "qlag", "--n", "100",
+                       "--alpha", "-0.9", "--beta", "2.5", "--q", "0.05")
+    assert code == 2 and "range" in err
+
+
 def test_connect_identity_collapse(capsys):
     code, out, _ = run(capsys, "connect", "--family", "cqu", "--n", "3",
                        "--beta", "0.4", "--gamma", "0.4", "--q", "0.5")

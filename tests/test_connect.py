@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from qsk.errors import IllConditioned
 from qsk.connect import (
     aw_connection,
     compose_ultra,
@@ -160,3 +161,9 @@ def test_large_degree_coefficients_stay_finite():
     assert all(math.isfinite(abs(v)) for _, v in exp.coefficients)
     exp2 = lql_connection(24, 0.4, 2.2, 0.3)
     assert all(math.isfinite(abs(v)) for _, v in exp2.coefficients)
+
+
+def test_out_of_range_coefficient_raises():
+    # some coefficients exceed double range: refuse rather than return inf or 0
+    with pytest.raises(IllConditioned):
+        qlag_connection(100, -0.9, 2.5, 0.05)

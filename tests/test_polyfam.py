@@ -25,6 +25,7 @@ from qsk.polyfam import (
     little_q_laguerre,
     little_q_laguerre_phi20,
     little_q_laguerre_phi21,
+    little_q_laguerre_scaled,
     lql_norm,
     q_laguerre,
     q_laguerre_phi21,
@@ -35,7 +36,7 @@ from qsk.polyfam import (
     ultra_norm,
     ultra_weight,
 )
-from qsk.qpoch import poch_finite, poch_infinite
+from qsk.qpoch import poch_finite, poch_infinite, unscale
 
 
 B5 = QBase(0.5)
@@ -50,6 +51,9 @@ def test_param_validation():
         LqLParams(2.5, B5)  # aq = 1.25 >= 1
     with pytest.raises(PreconditionViolation):
         QLagParams(-1.0, B5)
+    with pytest.raises(PreconditionViolation):
+        UltraParams(0.5 + 0.1j, B5)
+    assert QLagParams(0.5 + 0j, B5).alpha == 0.5
     AWParams(1.5, 0.2, 0.1, -0.3, B5)  # bare evaluation allows |a| >= 1
 
 
@@ -201,6 +205,19 @@ def test_lql_exact_at_lattice_top():
     for n in (2, 5, 9, 14):
         exact = (1.0 / poch_finite(q**-n / 0.5, q, n)).real
         assert little_q_laguerre(n, 1.0, p) == pytest.approx(exact, rel=1e-12)
+
+
+def test_lql_scaled_values_at_the_edge_of_double_range():
+    # x = q^3 is a lattice point: small values are returned, not refused
+    p = LqLParams(0.5, B5)
+    # -3.309215171e-298 from a 1500-digit evaluation of the 2phi1 sum
+    assert little_q_laguerre(46, 0.125, p) == pytest.approx(-3.309215171e-298, rel=1e-9)
+    # about -3e-515: below double range, so 0
+    assert little_q_laguerre(60, 0.125, p) == unscale(
+        *little_q_laguerre_scaled(60, 0.125, p), 0.5) == 0.0
+    # off the lattice, about 1e525: above double range
+    with pytest.raises(IllConditioned):
+        little_q_laguerre(60, 0.7, p)
 
 
 # --- q-Laguerre ------------------------------------------------------------

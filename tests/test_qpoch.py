@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qsk.errors import (
     DegenerateDenominator,
+    IllConditioned,
     NonConvergentTolerance,
     PreconditionViolation,
 )
@@ -24,6 +25,8 @@ from qsk.qpoch import (
     poch_infinite,
     q_factorial,
     q_number,
+    renorm,
+    unscale,
 )
 
 
@@ -41,6 +44,31 @@ def test_qbase_validation():
             QBase(bad)
     with pytest.raises(PreconditionViolation):
         QBase(0.5 + 0.1j)
+
+
+@pytest.mark.parametrize("bad", [1.5, float("nan")])
+def test_bare_float_base_is_validated(bad):
+    with pytest.raises(PreconditionViolation):
+        poch_finite(0.3, bad, 3)
+    with pytest.raises(PreconditionViolation):
+        poch_infinite(0.3, bad)
+    with pytest.raises(PreconditionViolation):
+        q_number(2.0, bad)
+
+
+def test_scaled_value_range_policy():
+    # 0.5**-1100 = 2**1100 is above double range, 0.5**1100 below it
+    with pytest.raises(IllConditioned):
+        unscale(1.0, -1100.0, 0.5)
+    assert unscale(1.0, 1100.0, 0.5) == 0.0
+    # the mantissa counts: 1e-200 * 2**1100 = 1.36e131 fits
+    assert unscale(1e-200, -1100.0, 0.5) == pytest.approx(1e-200 * 2.0**550 * 2.0**550)
+    with pytest.raises(IllConditioned):
+        unscale(1e200, -400.0, 0.5)
+    assert unscale(0.0, -1e6, 0.5) == 0.0
+    # a shift of e by k costs about k * ln(1/q) * 2**-52 of relative accuracy
+    m, e = renorm(3e70, 2.0, 0.5)
+    assert abs(m) <= 1e60 and unscale(m, e, 0.5) == pytest.approx(3e70 * 0.25, rel=1e-12)
 
 
 def test_poch_finite_examples():
