@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import PreconditionViolation
@@ -20,12 +20,9 @@ class EvalContext:
     max_terms      cap on series terms
     outer_start    first outer truncation order tried (doubled on escalation)
     outer_cap      cap on the outer truncation order
-    quad_order     Gauss-Legendre order for interval quadrature
-    panel_order    Gauss-Legendre order per geometric panel on (0, inf)
-    lattice_cap    cap on the nodes of the half-line, lattice, bilateral and
-                   q-integral functionals
 
-    ``base`` is the validated QBase of q, built once.
+    ``base`` is the validated QBase of q, built once.  The orthogonality
+    functionals keep their own policy in ``orthofunc.FunctionalSpec``.
     """
 
     q: float
@@ -34,9 +31,6 @@ class EvalContext:
     max_terms: int = 10000
     outer_start: int = 16
     outer_cap: int = 2048
-    quad_order: int = 256
-    panel_order: int = 24
-    lattice_cap: int = 4000
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", QBase(self.q))
@@ -44,13 +38,9 @@ class EvalContext:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise PreconditionViolation(f"{name} must be finite and > 0")
-        for name in ("max_terms", "outer_start", "outer_cap", "quad_order",
-                     "panel_order", "lattice_cap"):
+        for name in ("max_terms", "outer_start", "outer_cap"):
             if getattr(self, name) < 1:
                 raise PreconditionViolation(f"{name} must be >= 1")
-
-    def with_q(self, q: float) -> "EvalContext":
-        return replace(self, q=q)
 
 
 @dataclass(frozen=True)

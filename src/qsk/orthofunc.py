@@ -4,10 +4,10 @@ they produce when paired with the generalized generating functions.
 Five functional kinds share one entry point, ``inner_product``:
 
 * CONT_INTERVAL    int_-1^1 f g w(x) / sqrt(1-x^2) dx, evaluated in the
-                   theta variable by Gauss-Legendre (the endpoint
-                   singularity is absorbed exactly);
-* CONT_HALFLINE    int_0^inf f g x^alpha / (-x; q)_inf dx over geometric
-                   panels [q^(k+1), q^k] matched to the natural lattice;
+                   theta variable (the endpoint singularity is absorbed
+                   exactly) by the trapezoid rule on [0, pi];
+* CONT_HALFLINE    int_0^inf f g x^alpha / (-x; q)_inf dx, evaluated in
+                   u = log x by the trapezoid rule on a window of R;
 * DISCRETE_LATTICE sum_{k>=0} f(q^k) g(q^k) (aq)^k / (q; q)_k;
 * BILATERAL        sum_{k in Z} f(cq^k) g(cq^k) q^((alpha+1)k)
                    / (-c q^k; q)_inf, both tails decaying (the negative
@@ -26,13 +26,12 @@ its inner r_phi_s factor, and the family's norm constant.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import Callable, Iterable
-
-import numpy as np
 
 from .bhs import eval_phi
 from .context import EvalContext, ParamPoint
@@ -63,6 +62,9 @@ from .polyfam import (
 from .qpoch import poch_infinite
 
 _STREAK = 3
+# The trapezoid rule halves its step at most 8 times; an interval integral,
+# which starts from 8 panels, thus evaluates at most 2047 nodes.
+_HALVINGS = 8
 
 
 class FunctionalKind(Enum):
@@ -76,16 +78,14 @@ class FunctionalKind(Enum):
 @dataclass(frozen=True)
 class FunctionalSpec:
     """One orthogonality functional: its kind, the family parameters that
-    fix weight and norm, the lattice scale c (bilateral only), and the
-    quadrature/truncation policy."""
+    fix weight and norm, the lattice scale c (bilateral only), the
+    agreement tolerance and the cap on the nodes of the tail sums."""
 
     kind: FunctionalKind
     params: object
     c: float = 1.0
-    quad_order: int = 256
-    panel_order: int = 24
     tol: float = 1e-10
-    max_nodes: int = 20000
+    max_nodes: int = 4000
 
     def __post_init__(self) -> None:
         if (self.family, self.kind) not in _NORMS:
@@ -94,8 +94,6 @@ class FunctionalSpec:
             )
         if self.kind is FunctionalKind.BILATERAL and not self.c > 0.0:
             raise PreconditionViolation("bilateral functional needs c > 0")
-        if self.quad_order < 2 or self.panel_order < 2:
-            raise PreconditionViolation("quadrature orders must be >= 2")
 
     @property
     def family(self) -> FamilyId:
@@ -120,12 +118,12 @@ _NORMS: dict[tuple[FamilyId, FunctionalKind], Callable[[int, FunctionalSpec], fl
 }
 
 
-def _sum_tail(terms: Iterable[complex], tol: float,
+def _sum_tail(terms: Iterable[complex], tol: float, cap: int,
               total: complex = 0j) -> tuple[complex, int]:
     """Add ``terms`` to ``total`` until three in a row are at most
     tol * (1 + |total|), or the terms run out.  Returns the new total and
-    the number of terms added.  A term source that reaches its cap raises
-    TailNonConvergence instead of running out."""
+    the number of terms added; raises TailNonConvergence once ``cap``
+    terms have been added without the run of three."""
     streak = count = 0
     for term in terms:
         total += term
@@ -136,61 +134,67 @@ def _sum_tail(terms: Iterable[complex], tol: float,
                 break
         else:
             streak = 0
+        if count >= cap:
+            raise TailNonConvergence(f"functional sum hit its cap of {cap} nodes")
     return total, count
 
 
-def _leg_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
-def _interval_once(spec: FunctionalSpec, f, g, order: int) -> complex:
-    p = spec.params
-    weight = FAMILIES[spec.family].weight
-    nodes, wts = _leg_nodes(order)
-    theta = (nodes + 1.0) * (math.pi / 2.0)
-    total = complex(0.0)
-    for th, w in zip(theta, wts):
-        x = math.cos(th)
-        total += w * f(x) * g(x) * weight(x, p)
-    return total * (math.pi / 2.0)
+def _nested(spec: FunctionalSpec, F: Callable[[float], complex], lo: float,
+            hi: float, n: int, s: complex, count: int) -> tuple[complex, int]:
+    """Trapezoid rule for the integral of F over [lo, hi], refined by
+    halving the step.  ``s`` is the sum of F over the nodes of the n-panel
+    grid, already evaluated (``count`` of them); each halving evaluates the
+    new midpoints only.  F must be negligible at lo and hi, so the grid's
+    end nodes take whole weight or none.  Stops when two successive values
+    agree to tol * (1 + |value|); returns the value and the node count."""
+    h = (hi - lo) / n
+    value = h * s
+    for _ in range(_HALVINGS):
+        s += sum(F(lo + (j + 0.5) * h) for j in range(n))
+        count += n
+        n *= 2
+        h /= 2.0
+        prev, value = value, h * s
+        if abs(value - prev) <= spec.tol * (1.0 + abs(value)):
+            return value, count
+    raise QuadratureNonConvergence(f"trapezoid rule not settled at {n} panels")
 
 
 def _interval(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
-    order = spec.quad_order
-    prev = _interval_once(spec, f, g, order)
-    for _ in range(3):
-        cur = _interval_once(spec, f, g, 2 * order)
-        order *= 2
-        if abs(cur - prev) <= spec.tol * (1.0 + abs(cur)):
-            return cur, order
-        prev = cur
-    raise QuadratureNonConvergence(
-        f"interval quadrature not stabilized at order {order}"
-    )
+    """int_0^pi f g w(cos theta) d theta.  The integrand is even and
+    2 pi-periodic in theta, so the trapezoid rule converges geometrically.
+    Both weights (aw_weight, ultra_weight) are exactly 0 at x = +-1, so
+    the end nodes theta = 0, pi contribute nothing and are not evaluated."""
+    p = spec.params
+    weight = FAMILIES[spec.family].weight
+
+    def F(th: float) -> complex:
+        x = math.cos(th)
+        return f(x) * g(x) * weight(x, p)
+
+    n = 8
+    s = sum(F(j * math.pi / n) for j in range(1, n))
+    return _nested(spec, F, 0.0, math.pi, n, s, n - 1)
 
 
 def _halfline(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
+    """int_0^inf f g w(x) dx as int_R F(u) du with x = e^u.  F decays like
+    e^((alpha+1)u) as u -> -inf and faster than exponentially as u -> inf,
+    so the trapezoid rule on R converges geometrically.  The unit-step sum,
+    cut by the tail rule, fixes the u-window once; refinement stays inside
+    it, since the nodes beyond its ends are negligible at every step."""
     p = spec.params
-    q = p.base.q
     weight = FAMILIES[spec.family].weight
-    nodes, wts = _leg_nodes(spec.panel_order)
-    budget = spec.max_nodes // spec.panel_order  # panels, both directions together
 
-    def panels(ks):
-        for k in ks:
-            lo, hi = q ** (k + 1), q**k
-            mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-            acc = complex(0.0)
-            for u, w in zip(nodes, wts):
-                x = mid + half * u
-                acc += w * f(x) * g(x) * weight(x, p)
-            yield acc * half
-        raise TailNonConvergence("half-line quadrature hit its panel cap")
+    def F(u: float) -> complex:
+        x = math.exp(u)
+        return x * f(x) * g(x) * weight(x, p)
 
-    # panels [q^(k+1), q^k] toward 0 (k = 0, 1, ...), then toward infinity
-    total, down = _sum_tail(panels(range(budget)), spec.tol)
-    total, up = _sum_tail(panels(range(-1, down - budget - 1, -1)), spec.tol, total)
-    return total, (down + up) * spec.panel_order
+    # u = 0, -1, -2, ... toward x = 0, then u = 1, 2, ... toward infinity
+    total, down = _sum_tail(map(F, itertools.count(0, -1)), spec.tol, spec.max_nodes)
+    total, up = _sum_tail(map(F, itertools.count(1)), spec.tol,
+                          spec.max_nodes - down, total)
+    return _nested(spec, F, 1.0 - down, up, down + up - 1, total, down + up)
 
 
 def _lattice(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
@@ -200,13 +204,12 @@ def _lattice(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
 
     def terms():
         w = 1.0
-        for k in range(spec.max_nodes):
+        for k in itertools.count():
             x = q**k
             yield w * f(x) * g(x)
             w *= aq / (1.0 - q ** (k + 1))
-        raise TailNonConvergence("lattice sum hit its term cap")
 
-    return _sum_tail(terms(), spec.tol)
+    return _sum_tail(terms(), spec.tol, spec.max_nodes)
 
 
 def _bilateral(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
@@ -221,22 +224,20 @@ def _bilateral(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
 
     def upper():  # k = 0, 1, 2, ...
         w = w0
-        for k in range(spec.max_nodes):
+        for k in itertools.count():
             yield w * f(c * q**k) * g(c * q**k)
             w *= qa1 * (1.0 + c * q**k)
-        raise TailNonConvergence("bilateral sum hit its term cap")
 
-    def lower(budget):  # k = -1, -2, ...
+    def lower():  # k = -1, -2, ...
         w = w0
-        for k in range(-1, -budget - 1, -1):
+        for k in itertools.count(-1, -1):
             w /= qa1 * (1.0 + c * q**k)
             if w == 0.0:
                 return  # tail underflowed to exact zero
             yield w * f(c * q**k) * g(c * q**k)
-        raise TailNonConvergence("bilateral sum hit its term cap")
 
-    total, up = _sum_tail(upper(), spec.tol)
-    total, down = _sum_tail(lower(spec.max_nodes - up), spec.tol, total)
+    total, up = _sum_tail(upper(), spec.tol, spec.max_nodes)
+    total, down = _sum_tail(lower(), spec.tol, spec.max_nodes - up, total)
     return total, up + down
 
 
@@ -246,22 +247,19 @@ def _jackson(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
     p = spec.params
     q = p.base.q
 
-    def node(k: int) -> complex:
-        x = q**k
-        wx = x ** (p.alpha + 1.0) / poch_infinite(-x, p.base).real
-        return wx * f(x) * g(x)
-
     def terms(ks):
         for k in ks:
             try:
-                term = node(k)
+                x = q**k
+                wx = x ** (p.alpha + 1.0) / poch_infinite(-x, p.base).real
+                term = wx * f(x) * g(x)
             except OverflowError:
                 raise TailNonConvergence("q-integral node overflowed before decay")
             yield term
-        raise TailNonConvergence("q-integral sum hit its term cap")
 
-    total, up = _sum_tail(terms(range(0, spec.max_nodes)), spec.tol)
-    total, down = _sum_tail(terms(range(-1, -spec.max_nodes, -1)), spec.tol, total)
+    total, up = _sum_tail(terms(itertools.count()), spec.tol, spec.max_nodes)
+    total, down = _sum_tail(terms(itertools.count(-1, -1)), spec.tol,
+                            spec.max_nodes - up, total)
     return total * (1.0 - q), up + down
 
 
@@ -369,9 +367,7 @@ def _spec_for(entry: _CorEntry, point: ParamPoint, ctx: EvalContext) -> Function
     parameters carry the weight and the norm."""
     params = entry_for(entry.theorem).family_params(point, ctx)
     c = point.real("c") if entry.kind is FunctionalKind.BILATERAL else 1.0
-    return FunctionalSpec(entry.kind, params, c=c, quad_order=ctx.quad_order,
-                          panel_order=ctx.panel_order, tol=min(1e-10, ctx.tol),
-                          max_nodes=ctx.lattice_cap)
+    return FunctionalSpec(entry.kind, params, c=c, tol=min(1e-10, ctx.tol))
 
 
 def _prefactor_inverse(theorem: IdentityId, point: ParamPoint, ctx: EvalContext) -> complex:

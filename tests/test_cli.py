@@ -2,9 +2,14 @@
 contract, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qsk
 from qsk.cli import SuiteConfig, build_parser, main, report_to_json, run_suite
 
 
@@ -164,3 +169,14 @@ def test_run_suite_python_api():
     text = report_to_json(report)
     assert text.endswith("\n")
     json.loads(text)
+
+
+def test_import_does_not_load_numpy():
+    """The runtime depends on the standard library alone."""
+    src = str(Path(qsk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qsk.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -8,7 +8,7 @@ import pytest
 
 from qsk.bhs import SeriesSpec, eval_phi
 from qsk.context import EvalContext, ParamPoint
-from qsk.errors import PreconditionViolation
+from qsk.errors import PreconditionViolation, TailNonConvergence
 from qsk.genfun import IdentityId, inner_series_spec, outer_coefficient
 from qsk.orthofunc import (
     FLAGGED_COROLLARIES,
@@ -107,10 +107,12 @@ def test_gram_matrices_all_functionals():
         (FamilyId.Q_LAGUERRE,
          FunctionalSpec(FunctionalKind.JACKSON, QLagParams(0.5, B5))),
     ]
+    node_cap = {FunctionalKind.CONT_INTERVAL: 255, FunctionalKind.CONT_HALFLINE: 511}
     for fam, spec in cases:
         for m in range(3):
             for n in range(m, 3):
                 rep = verify_orthogonality(fam, spec, m, n)
+                assert rep.n_terms_outer <= node_cap.get(spec.kind, 4000), (fam, m, n)
                 scale = abs(norm_constant(spec, n))
                 if m == n:
                     assert abs(rep.lhs - rep.rhs) <= 1e-7 * scale, (fam, m, n)
@@ -150,6 +152,21 @@ def test_jackson_equals_scaled_bilateral():
         assert inner_product(jack, f, g).real == pytest.approx(
             (1.0 - q) * inner_product(bila, f, g).real, rel=1e-9, abs=1e-12
         )
+
+
+def test_tail_sums_stop_at_the_node_cap():
+    """An integrand whose terms do not decay exhausts the node cap: on the
+    lattice f = g = 1/x at a = q = 0.5 gives terms 1/(q; q)_k, which tend
+    to 1/(q; q)_inf; at alpha = 1 the bilateral and q-integral terms tend
+    to constants as x -> 0."""
+    inv = lambda x: 1.0 / x
+    for spec in (
+        FunctionalSpec(FunctionalKind.DISCRETE_LATTICE, LqLParams(0.5, B5), max_nodes=200),
+        FunctionalSpec(FunctionalKind.BILATERAL, QLagParams(1.0, B5), c=1.3, max_nodes=200),
+        FunctionalSpec(FunctionalKind.JACKSON, QLagParams(1.0, B5), max_nodes=200),
+    ):
+        with pytest.raises(TailNonConvergence):
+            inner_product(spec, inv, inv)
 
 
 def test_functional_kind_validation():
@@ -267,6 +284,40 @@ def test_corollary_tracks_theorem_residual():
         rep_c = verify_corollary(cid, pt.replace(n=rng.randint(0, 3)), CTX)
         assert rep_c.rel_residual < 1e-7
         assert rep_t.rel_residual < 1e-7
+
+
+# The C26 and C28 points ``qsk verify --q-grid 0.9`` draws at seed 1.  At
+# q = 0.9 the half-line integrands decay slowly toward x = 0 (the first two
+# C26 and the first three C28 points take 117-249 trapezoid nodes).
+_Q09_HALFLINE_POINTS = (
+    ("C26", dict(alpha=-0.15655087162116033, beta=0.0, n=4, t=0.006376406159697743)),
+    ("C26", dict(alpha=1.943675622903584, beta=0.0, n=0, t=-0.010728978231094824)),
+    ("C26", dict(alpha=2.0362916717363824, beta=1.2465898254093966, n=0,
+                 t=0.0241436833261669)),
+    ("C26", dict(alpha=1.4053590607883097, beta=2.0, n=2, t=0.014591919224762752)),
+    ("C26", dict(alpha=0.5784732997675478, beta=1.0, n=1, t=0.013713456246175537)),
+    ("C28", dict(alpha=-0.394002482887717, beta=0.0,
+                 gamma=0.24753957370799842 + 0.7515612117729749j, n=3,
+                 t=0.013224879135893588)),
+    ("C28", dict(alpha=1.1693171879081903, beta=0.06304578835972074,
+                 gamma=-0.17317826246158968 + 0.16240423090781275j, n=2,
+                 t=0.06635298024551729)),
+    ("C28", dict(alpha=0.6090884000403886, beta=0.0,
+                 gamma=-0.13224278045044288 + 0.22106381546305354j, n=1,
+                 t=0.04607989990653989)),
+    ("C28", dict(alpha=1.022077145678569, beta=1.768451905273011,
+                 gamma=-0.10636412558844549 + 0.12283747498964397j, n=4,
+                 t=-0.016300608142794205)),
+    ("C28", dict(alpha=-0.16418289967644, beta=2.086718418532478,
+                 gamma=0.4007554693869283 - 0.44125979410863886j, n=1,
+                 t=-0.06618012098463884)),
+)
+
+
+@pytest.mark.parametrize("cid,values", _Q09_HALFLINE_POINTS)
+def test_halfline_corollaries_at_q09(cid, values):
+    rep = verify_corollary(cid, ParamPoint.of(**values), EvalContext(q=0.9))
+    assert rep.rel_residual < 1e-7
 
 
 def test_gram_extends_to_degree_six():
