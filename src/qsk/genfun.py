@@ -1046,8 +1046,7 @@ class _RhsAccumulator:
             else:
                 term = entry.coef(n, pt, ctx)
                 if term != 0.0:
-                    term *= FAMILIES[entry.family].evaluate(
-                        n, self.x, self.params, ctx.series_tol)
+                    term *= FAMILIES[entry.family].evaluate(n, self.x, self.params)
                     if term != 0.0 and entry.inner is not None:
                         term *= self._inner(n)
             self.terms.append(term)

@@ -197,6 +197,14 @@ def _halfline(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
     return _nested(spec, F, 1.0 - down, up, down + up - 1, total, down + up)
 
 
+def _check_weight(w: float) -> None:
+    """A tail weight that reached exact zero makes every later term zero
+    whatever f g is, so the stopping rule could no longer tell a decayed
+    tail from a lost one."""
+    if w == 0.0:
+        raise TailNonConvergence("weight underflowed to 0 before the tail converged")
+
+
 def _lattice(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
     p = spec.params
     q = p.base.q
@@ -205,6 +213,7 @@ def _lattice(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
     def terms():
         w = 1.0
         for k in itertools.count():
+            _check_weight(w)
             x = q**k
             yield w * f(x) * g(x)
             w *= aq / (1.0 - q ** (k + 1))
@@ -225,6 +234,7 @@ def _bilateral(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
     def upper():  # k = 0, 1, 2, ...
         w = w0
         for k in itertools.count():
+            _check_weight(w)
             yield w * f(c * q**k) * g(c * q**k)
             w *= qa1 * (1.0 + c * q**k)
 
@@ -255,6 +265,7 @@ def _jackson(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
                 term = wx * f(x) * g(x)
             except OverflowError:
                 raise TailNonConvergence("q-integral node overflowed before decay")
+            _check_weight(wx)
             yield term
 
     total, up = _sum_tail(terms(itertools.count()), spec.tol, spec.max_nodes)

@@ -15,11 +15,13 @@ Families (all with base q in (0, 1)):
       (q^(alpha+1); q)_n / (q; q)_n
       * 1phi1(q^-n; q^(alpha+1); q, -q^(n+alpha+1) x)
 
-All evaluations go through the series ratio recurrence, so large
-intermediate parameters such as q^(1-n)/beta never overflow. The
-continuous q-ultraspherical family also exposes its classical
-three-term recurrence, kept strictly as an independent cross-check of
-the series definition.
+Askey-Wilson, continuous q-ultraspherical and q-Laguerre polynomials are
+evaluated by one forward three-term recurrence loop, each family supplying
+only its coefficients; none of them forms the q^-n scale of the series
+above.  Little q-Laguerre is evaluated by series: for x > 0 a scaled 2phi0
+form whose terms never cancel, for x <= 0 the defining 2phi1 sum.  The
+series definitions of the other three families serve as oracles in the
+tests.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable
 
 from .bhs import SeriesSpec, eval_phi
 from .errors import PreconditionViolation, ZeroParameter, IllConditioned
 from .qpoch import (
     QBase,
-    poch_all,
     poch_all_infinite,
     poch_finite,
     poch_infinite,
@@ -147,190 +148,98 @@ def _theta(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def askey_wilson_phi43(n: int, x: float, p: AWParams, tol: float = 1e-15) -> complex:
-    """Askey-Wilson polynomial through its defining balanced 4phi3 sum,
+def _recurrence(steps: Iterable[tuple]) -> complex:
+    """p_n from the forward three-term recurrence
 
-        a^-n (ab, ac, ad; q)_n
-        * 4phi3(q^-n, abcd q^(n-1), a e^(i theta), a e^(-i theta);
-                ab, ac, ad; q, q).
+        a_k p_(k+1) = b_k p_k - c_k p_(k-1),   p_(-1) = 0, p_0 = 1,
 
-    The sum cancels catastrophically as n grows (its largest term exceeds
-    the value by roughly q^(-n(n-1)/2)), so in double precision this form
-    is only trustworthy for small n; ``askey_wilson`` is the stable
-    evaluator and this construction is kept for cross-validation.
-    """
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
-    q = p.base.q
-    a, b, c, d = p.as_tuple()
-    if abs(a) == 0.0:
-        raise ZeroParameter("Askey-Wilson evaluation needs a != 0")
-    th = _theta(x)
-    e = cmath.exp(1j * th)
-    spec = SeriesSpec(
-        (q**-n, a * b * c * d * q ** (n - 1), a * e, a / e),
-        (a * b, a * c, a * d),
-        q,
-        p.base,
-    )
-    pref = a**-n * poch_all((a * b, a * c, a * d), q, n)
-    return pref * eval_phi(spec, tol=tol).value
-
-
-def askey_wilson_sequence(nmax: int, x: float, p: AWParams) -> list[complex]:
-    """p_0..p_nmax by the three-term recurrence, written directly in the
-    unnormalized polynomials:
-
-        2x p_n = A'_n p_(n+1) + (a + 1/a - A_n - C_n) p_n + C'_n p_(n-1),
-
-    where A_n, C_n are the classical normalized-recurrence coefficients
-    and A'_n, C'_n absorb the a^-n (ab, ac, ad; q)_n prefactor, so no
-    intermediate ever carries the a^-n scale.  Forward recursion is
-    stable on the orthogonality interval.
-    """
-    q = p.base.q
-    a, b, c, d = p.as_tuple()
-    if abs(a) == 0.0:
-        raise ZeroParameter("Askey-Wilson evaluation needs a != 0")
-    abcd = a * b * c * d
-    out = [complex(1.0)]
-    prev = complex(0.0)  # p_(-1)
-    cur = complex(1.0)
-    for n in range(nmax):
-        qn = q**n
-        d0 = 1.0 - abcd * q ** (2 * n - 1)
-        d1 = 1.0 - abcd * q ** (2 * n)
-        d2 = 1.0 - abcd * q ** (2 * n - 2)
-        if min(abs(d0), abs(d1), abs(d2)) < 1e-12:
-            raise IllConditioned(
-                "recurrence denominator 1 - abcd q^m nearly vanishes"
-            )
-        an = (
-            (1.0 - a * b * qn)
-            * (1.0 - a * c * qn)
-            * (1.0 - a * d * qn)
-            * (1.0 - abcd * q ** (n - 1))
-            / (a * d0 * d1)
-        )
-        cn = (
-            a
-            * (1.0 - qn)
-            * (1.0 - b * c * q ** (n - 1))
-            * (1.0 - b * d * q ** (n - 1))
-            * (1.0 - c * d * q ** (n - 1))
-            / (d2 * d0)
-        )
-        # prefactor ratios g_(n+1)/g_n and g_n/g_(n-1), g_n = (ab,ac,ad;q)_n / a^n
-        up = (1.0 - a * b * qn) * (1.0 - a * c * qn) * (1.0 - a * d * qn) / a
-        dn = (
-            (1.0 - a * b * q ** (n - 1))
-            * (1.0 - a * c * q ** (n - 1))
-            * (1.0 - a * d * q ** (n - 1))
-            / a
-        )
-        a_unnorm = an / up
-        c_unnorm = cn * dn
-        nxt = ((2.0 * x - a - 1.0 / a + an + cn) * cur - c_unnorm * prev) / a_unnorm
-        out.append(nxt)
-        prev, cur = cur, nxt
-    return out
+    taking (a_k, b_k, c_k) for k = 0..n-1 from ``steps``.  A polynomial
+    solution is never the minimal one, so forward recursion keeps it
+    (Gautschi, SIAM Review 9, 1967), and no intermediate carries the q^-n
+    scale of the series forms."""
+    prev, cur = 0.0, 1.0
+    for a, b, c in steps:
+        prev, cur = cur, (b * cur - c * prev) / a
+    return cur
 
 
 def askey_wilson(n: int, x: float, p: AWParams) -> complex:
     """Askey-Wilson polynomial p_n(x; a,b,c,d | q) at x = cos(theta).
 
-    Evaluated through the three-term recurrence; the defining 4phi3 sum
-    (``askey_wilson_phi43``) loses roughly n(n-1)/2 * log10(1/q) digits
-    to cancellation and already fails n = 8 at q = 0.5.
+    The recurrence is written directly in the unnormalized polynomials,
+
+        2x p_k = A'_k p_(k+1) + (a + 1/a - A_k - C_k) p_k + C'_k p_(k-1),
+
+    where A_k, C_k are the classical normalized-recurrence coefficients and
+    A'_k, C'_k absorb the a^-k (ab, ac, ad; q)_k prefactor, so no
+    intermediate carries the a^-k scale.
     """
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
     _theta(x)  # validates |x| <= 1
-    return askey_wilson_sequence(n, x, p)[n]
+    q = p.base.q
+    a, b, c, d = p.as_tuple()
+    if abs(a) == 0.0:
+        raise ZeroParameter("Askey-Wilson evaluation needs a != 0")
+    abcd = a * b * c * d
+
+    def steps():
+        for k in range(n):
+            qk, qk1 = q**k, q ** (k - 1)
+            d0 = 1.0 - abcd * q ** (2 * k - 1)
+            d1 = 1.0 - abcd * q ** (2 * k)
+            d2 = 1.0 - abcd * q ** (2 * k - 2)
+            if min(abs(d0), abs(d1), abs(d2)) < 1e-12:
+                raise IllConditioned(
+                    "recurrence denominator 1 - abcd q^m nearly vanishes"
+                )
+            A = (
+                (1.0 - a * b * qk) * (1.0 - a * c * qk) * (1.0 - a * d * qk)
+                * (1.0 - abcd * qk1) / (a * d0 * d1)
+            )
+            C_a = (
+                (1.0 - qk) * (1.0 - b * c * qk1) * (1.0 - b * d * qk1)
+                * (1.0 - c * d * qk1) / (d2 * d0)
+            )  # C_k / a
+            yield (
+                (1.0 - abcd * qk1) / (d0 * d1),
+                2.0 * x - a - 1.0 / a + A + a * C_a,
+                C_a * (1.0 - a * b * qk1) * (1.0 - a * c * qk1) * (1.0 - a * d * qk1),
+            )
+
+    return complex(_recurrence(steps()))
 
 
-_CQU_SERIES_LIMIT = 30
+def cont_q_ultra(n: int, x: float, p: UltraParams) -> float:
+    """Continuous q-ultraspherical (Rogers) polynomial C_n(x; beta | q), by
 
-
-def cont_q_ultra(n: int, x: float, p: UltraParams, tol: float = 1e-15) -> float:
-    """Continuous q-ultraspherical (Rogers) polynomial C_n(x; beta | q).
-
-    The defining 2phi1 sum is used for n up to 30; past that the
-    q^(1-n)/beta denominator parameter leaves double range at small q
-    and evaluation switches to the (equally valid) three-term
-    recurrence, which the tests cross-check against the series form on
-    the overlap.
+        2x (1 - beta q^k) C_k = (1 - q^(k+1)) C_(k+1)
+                                + (1 - beta^2 q^(k-1)) C_(k-1).
     """
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
-    if n > _CQU_SERIES_LIMIT:
-        return cont_q_ultra_sequence(n, x, p)[n]
-    q = p.base.q
-    beta = p.beta
-    th = _theta(x)
-    e2 = cmath.exp(-2j * th)
-    spec = SeriesSpec(
-        (q**-n, beta),
-        (q ** (1 - n) / beta,),
-        q * e2 / beta,
-        p.base,
+    _theta(x)  # validates |x| <= 1
+    q, beta = p.base.q, p.beta
+    return _recurrence(
+        (1.0 - q ** (k + 1), 2.0 * x * (1.0 - beta * q**k),
+         1.0 - beta * beta * q ** (k - 1))
+        for k in range(n)
     )
-    val = (
-        poch_finite(beta, q, n)
-        / poch_finite(q, q, n)
-        * cmath.exp(1j * n * th)
-        * eval_phi(spec, tol=tol).value
-    )
-    return val.real
-
-
-def cont_q_ultra_sequence(nmax: int, x: float, p: UltraParams) -> list[float]:
-    """C_0..C_nmax by the classical three-term recurrence
-
-        2x (1 - beta q^n) C_n = (1 - q^(n+1)) C_(n+1)
-                                + (1 - beta^2 q^(n-1)) C_(n-1).
-
-    Independent of the series definition; used as a cross-check oracle.
-    """
-    q = p.base.q
-    beta = p.beta
-    out = [1.0]
-    if nmax >= 1:
-        out.append(2.0 * x * (1.0 - beta) / (1.0 - q))
-    for n in range(1, nmax):
-        nxt = (
-            2.0 * x * (1.0 - beta * q**n) * out[n]
-            - (1.0 - beta * beta * q ** (n - 1)) * out[n - 1]
-        ) / (1.0 - q ** (n + 1))
-        out.append(nxt)
-    return out
-
-
-def little_q_laguerre_phi21(n: int, x: float, p: LqLParams, tol: float = 1e-15) -> float:
-    """Little q-Laguerre / Wall polynomial through its defining sum
-    2phi1(q^-n, 0; aq; q, qx).
-
-    Near the top of the lattice (x close to 1) the sum cancels by a
-    factor of roughly q^(n^2/2), so this form degrades for n beyond
-    about 6; ``little_q_laguerre`` dispatches to the stable form there.
-    """
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
-    q = p.base.q
-    spec = SeriesSpec((q**-n, 0.0), (p.a * q,), q * x, p.base)
-    return eval_phi(spec, tol=tol).value.real
 
 
 def little_q_laguerre_scaled(
     n: int, x: float, p: LqLParams
 ) -> tuple[float, float]:
     """Little q-Laguerre value in scaled form ``(mantissa, e)`` with
-    p_n(x; a | q) = mantissa * q**e, for x > 0.
+    p_n(x; a | q) = mantissa * q**e, for x > 0, from the 2phi0 form
 
-    The 2phi0 form is summed upward with the magnitude continually
-    shifted into the q-exponent, so arbitrarily large degrees never
-    overflow even though the value itself grows like q^(-n(n-1)/2) x^n
-    between lattice points.
+        p_n(x; a | q) = 2phi0(q^-n, 1/x; -; q, x/a) / (q^-n / a; q)_n.
+
+    For x > 0 the last retained term dominates the sum, so this form is
+    stable at every lattice point.  It is summed upward with the magnitude
+    continually shifted into the q-exponent, so arbitrarily large degrees
+    never overflow even though the value itself grows like
+    q^(-n(n-1)/2) x^n between lattice points.
     """
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
@@ -362,71 +271,43 @@ def little_q_laguerre_scaled(
     return renorm(sm / pm, se - pe, q)
 
 
-def little_q_laguerre_phi20(n: int, x: float, p: LqLParams, tol: float = 1e-15) -> float:
-    """Alternate 2phi0 form of the little q-Laguerre polynomial (x != 0):
-
-        p_n(x; a | q) = 2phi0(q^-n, 1/x; -; q, x/a) / (q^-n / a; q)_n.
-
-    For x > 0 the last retained term dominates the sum, so this form is
-    numerically stable at every lattice point.  Off the lattice the value
-    grows like q^(-n(n-1)/2) x^n and can leave double range; evaluation
-    then raises IllConditioned rather than overflow (the scaled form
-    remains available), and a value below double range is returned as 0.
-    """
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
-    if x == 0.0:
-        raise PreconditionViolation("the 2phi0 form needs x != 0")
-    if x > 0.0:
-        return unscale(*little_q_laguerre_scaled(n, x, p), p.base.q)
-    q = p.base.q
-    spec = SeriesSpec((q**-n, 1.0 / x), (), x / p.a, p.base)
-    pref = 1.0 / poch_finite(q**-n / p.a, q, n)
-    return (pref * eval_phi(spec, tol=tol).value).real
-
-
-def little_q_laguerre(n: int, x: float, p: LqLParams, tol: float = 1e-15) -> float:
+def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
     """Little q-Laguerre / Wall polynomial p_n(x; a | q).
 
-    Equals 2phi1(q^-n, 0; aq; q, qx); for x > 0 the value is produced
-    through the 2phi0 form, whose terms never cancel there, and the two
-    forms are asserted to agree on grids by the test suite.
+    For x > 0 the value comes from the scaled 2phi0 form, whose terms
+    never cancel there; a value outside double range raises IllConditioned
+    (above) or is returned as 0 (below).  For x <= 0 it is the defining
+    sum 2phi1(q^-n, 0; aq; q, qx), whose terms all share one sign for x < 0.
     """
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
     if n == 0:
         return 1.0
-    if x > 0.0:
-        return little_q_laguerre_phi20(n, x, p, tol=tol)
-    return little_q_laguerre_phi21(n, x, p, tol=tol)
-
-
-def q_laguerre(n: int, x: float, p: QLagParams, tol: float = 1e-15) -> float:
-    """q-Laguerre polynomial L_n^(alpha)(x; q) via its 1phi1 form."""
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
     q = p.base.q
-    if n * math.log(1.0 / q) > 690.0:
-        raise IllConditioned(
-            "degree too large for the double-precision envelope at this base"
-        )
-    qa1 = q ** (p.alpha + 1.0)
-    spec = SeriesSpec((q**-n,), (qa1,), -(q**n) * qa1 * x, p.base)
-    pref = poch_finite(qa1, q, n) / poch_finite(q, q, n)
-    return (pref * eval_phi(spec, tol=tol).value).real
+    if x > 0.0:
+        return unscale(*little_q_laguerre_scaled(n, x, p), q)
+    return eval_phi(SeriesSpec((q**-n, 0.0), (p.a * q,), q * x, p.base)).value.real
 
 
-def q_laguerre_phi21(n: int, x: float, p: QLagParams, tol: float = 1e-15) -> float:
-    """Alternate 2phi1 form of the q-Laguerre polynomial:
+def q_laguerre(n: int, x: float, p: QLagParams) -> float:
+    """q-Laguerre polynomial L_n^(alpha)(x; q), by the recurrence
+    (Koekoek-Lesky-Swarttouw 14.21.3)
 
-        L_n^(alpha)(x; q) = 2phi1(q^-n, -x; 0; q, q^(n+alpha+1)) / (q; q)_n.
+        -q^(2k+alpha+1) x L_k = (1 - q^(k+1)) L_(k+1)
+            - [(1 - q^(k+1)) + q (1 - q^(k+alpha))] L_k
+            + q (1 - q^(k+alpha)) L_(k-1).
     """
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
-    q = p.base.q
-    spec = SeriesSpec((q**-n, -x), (0.0,), q ** (n + p.alpha + 1.0), p.base)
-    return (eval_phi(spec, tol=tol).value / poch_finite(q, q, n)).real
+    q, al = p.base.q, p.alpha
 
+    def steps():
+        for k in range(n):
+            a = 1.0 - q ** (k + 1)
+            c = q * (1.0 - q ** (k + al))
+            yield a, a + c - q ** (2 * k + al + 1.0) * x, c
+
+    return _recurrence(steps())
 
 # ---------------------------------------------------------------------------
 # weights
@@ -647,14 +528,14 @@ class Family:
 
     params    parameter record class, built as params(*values, base)
     names     its parameter names, in that order
-    evaluate  (n, x, params[, tol]) -> p_n(x) as a complex
+    evaluate  (n, x, params) -> p_n(x) as a complex
     weight    (x, params) -> continuous weight w(x); None on a lattice
     support   (q, count) -> sample abscissas on the natural support
     """
 
     params: type
     names: tuple[str, ...]
-    evaluate: Callable[..., complex]
+    evaluate: Callable[[int, float, object], complex]
     weight: Callable[[float, object], float] | None
     support: Callable[[float, int], list[float]]
 
@@ -665,19 +546,19 @@ class Family:
 FAMILIES: dict[FamilyId, Family] = {
     FamilyId.ASKEY_WILSON: Family(
         AWParams, ("a", "b", "c", "d"),
-        lambda n, x, p, tol=1e-15: askey_wilson(n, x, p),
+        lambda n, x, p: askey_wilson(n, x, p),
         lambda x, p: aw_weight(x, p), _chebyshev),
     FamilyId.CONT_Q_ULTRA: Family(
         UltraParams, ("beta",),
-        lambda n, x, p, tol=1e-15: complex(cont_q_ultra(n, x, p, tol)),
+        lambda n, x, p: complex(cont_q_ultra(n, x, p)),
         lambda x, p: ultra_weight(x, p), _chebyshev),
     FamilyId.LITTLE_Q_LAGUERRE: Family(
         LqLParams, ("a",),
-        lambda n, x, p, tol=1e-15: complex(little_q_laguerre(n, x, p, tol)),
+        lambda n, x, p: complex(little_q_laguerre(n, x, p)),
         None, _lattice),
     FamilyId.Q_LAGUERRE: Family(
         QLagParams, ("alpha",),
-        lambda n, x, p, tol=1e-15: complex(q_laguerre(n, x, p, tol)),
+        lambda n, x, p: complex(q_laguerre(n, x, p)),
         lambda x, p: qlag_weight(x, p), _two_sided),
 }
 _FAMILY_OF = {fam.params: fid for fid, fam in FAMILIES.items()}

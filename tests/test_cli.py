@@ -38,6 +38,9 @@ def test_eval_invalid_parameters_exit_2(capsys):
     code, _, err = run(capsys, "eval", "--family", "aw", "--n", "1",
                        "--x", "0.5", "--q", "0.5")
     assert code == 2  # missing a, b, c, d
+    code, _, err = run(capsys, "eval", "--family", "cqu", "--n", "31",
+                       "--x", "1.5", "--beta", "0.4", "--q", "0.5")
+    assert code == 2 and "|x| <= 1" in err
 
 
 def test_out_of_range_values_exit_2(capsys):

@@ -1,5 +1,5 @@
-"""Family evaluators against hand expansions, recurrences, alternate
-series forms, and their weight/norm closed forms."""
+"""Family evaluators against hand expansions, their defining series
+(summed here as oracles), mpmath, and their weight/norm closed forms."""
 
 import itertools
 import math
@@ -7,8 +7,11 @@ from random import Random
 
 import pytest
 
+from qsk import connect, polyfam
+from qsk.bhs import SeriesSpec, eval_phi
 from qsk.errors import IllConditioned, PreconditionViolation, ZeroParameter
 from qsk.polyfam import (
+    FAMILIES,
     AWParams,
     FamilyId,
     LqLParams,
@@ -16,19 +19,13 @@ from qsk.polyfam import (
     QLagParams,
     UltraParams,
     askey_wilson,
-    askey_wilson_phi43,
-    askey_wilson_sequence,
     aw_norm,
     aw_weight,
     cont_q_ultra,
-    cont_q_ultra_sequence,
     little_q_laguerre,
-    little_q_laguerre_phi20,
-    little_q_laguerre_phi21,
     little_q_laguerre_scaled,
     lql_norm,
     q_laguerre,
-    q_laguerre_phi21,
     qlag_bilateral_norm,
     qlag_continuous_norm,
     qlag_jackson_norm,
@@ -36,10 +33,58 @@ from qsk.polyfam import (
     ultra_norm,
     ultra_weight,
 )
-from qsk.qpoch import poch_finite, poch_infinite, unscale
+from qsk.qpoch import poch_all, poch_finite, poch_infinite, unscale
 
 
 B5 = QBase(0.5)
+
+
+# --- series oracles ----------------------------------------------------------
+# The defining series of the families, summed by eval_phi: a path independent
+# of the library's recurrences and of its scaled little q-Laguerre form.
+
+
+def aw_phi43(n, x, p):
+    """a^-n (ab, ac, ad; q)_n
+    * 4phi3(q^-n, abcd q^(n-1), a e^(i theta), a e^(-i theta); ab, ac, ad; q, q).
+    Its largest term exceeds the value by about q^(-n(n-1)/2)."""
+    q = p.base.q
+    a, b, c, d = p.as_tuple()
+    e = complex(x, math.sqrt(1.0 - x * x))
+    spec = SeriesSpec((q**-n, a * b * c * d * q ** (n - 1), a * e, a / e),
+                      (a * b, a * c, a * d), q, p.base)
+    return a**-n * poch_all((a * b, a * c, a * d), q, n) * eval_phi(spec).value
+
+
+def cqu_phi21(n, x, p):
+    """(beta; q)_n / (q; q)_n e^(i n theta)
+    * 2phi1(q^-n, beta; q^(1-n)/beta; q, q e^(-2 i theta)/beta)."""
+    q, beta = p.base.q, p.beta
+    e = complex(x, math.sqrt(1.0 - x * x))
+    spec = SeriesSpec((q**-n, beta), (q ** (1 - n) / beta,), q / (e * e * beta), p.base)
+    pref = poch_finite(beta, q, n) / poch_finite(q, q, n) * e**n
+    return (pref * eval_phi(spec).value).real
+
+
+def lql_phi21(n, x, p):
+    """2phi1(q^-n, 0; aq; q, qx); it cancels by about q^(n^2/2) near x = 1."""
+    q = p.base.q
+    return eval_phi(SeriesSpec((q**-n, 0.0), (p.a * q,), q * x, p.base)).value.real
+
+
+def qlag_phi11(n, x, p):
+    """(q^(alpha+1); q)_n / (q; q)_n * 1phi1(q^-n; q^(alpha+1); q, -q^(n+alpha+1) x)."""
+    q = p.base.q
+    qa1 = q ** (p.alpha + 1.0)
+    spec = SeriesSpec((q**-n,), (qa1,), -(q**n) * qa1 * x, p.base)
+    return (poch_finite(qa1, q, n) / poch_finite(q, q, n) * eval_phi(spec).value).real
+
+
+def qlag_phi21(n, x, p):
+    """2phi1(q^-n, -x; 0; q, q^(n+alpha+1)) / (q; q)_n."""
+    q = p.base.q
+    spec = SeriesSpec((q**-n, -x), (0.0,), q ** (n + p.alpha + 1.0), p.base)
+    return (eval_phi(spec).value / poch_finite(q, q, n)).real
 
 
 def test_param_validation():
@@ -102,7 +147,7 @@ def test_aw_recurrence_matches_definition_for_small_n():
         x = math.cos(rng.uniform(0.2, 2.9))
         for n in range(6):
             stable = askey_wilson(n, x, ps)
-            defn = askey_wilson_phi43(n, x, ps)
+            defn = aw_phi43(n, x, ps)
             noise = 1e-13 * q ** (-n * (n - 1) / 2.0) / abs(ps.a) ** n
             assert abs(stable - defn) <= max(1e-12, noise) * (1.0 + abs(defn))
 
@@ -152,18 +197,17 @@ def test_cqu_definition_matches_recurrence():
         beta = rng.choice((-1, 1)) * rng.uniform(0.05, 0.9)
         x = math.cos(rng.uniform(0.1, 3.0))
         p = UltraParams(beta, QBase(q))
-        seq = cont_q_ultra_sequence(12, x, p)
         for n in range(13):
             assert cont_q_ultra(n, x, p) == pytest.approx(
-                seq[n], rel=1e-11, abs=1e-11
+                cqu_phi21(n, x, p), rel=1e-11, abs=1e-11
             )
 
 
-def test_cqu_large_degree_switchover_is_continuous():
+def test_cqu_rejects_x_outside_the_interval_at_every_degree():
     p = UltraParams(0.4, B5)
-    seq = cont_q_ultra_sequence(40, 0.3, p)
-    for n in (29, 30, 31, 35, 40):
-        assert cont_q_ultra(n, 0.3, p) == pytest.approx(seq[n], rel=1e-10, abs=1e-12)
+    for n in (5, 31, 40):
+        with pytest.raises(PreconditionViolation):
+            cont_q_ultra(n, 1.5, p)
 
 
 # --- little q-Laguerre -----------------------------------------------------
@@ -184,8 +228,8 @@ def test_lql_at_zero_is_one():
 
 
 def test_lql_form_agreement():
-    """2phi1 and 2phi0 forms agree where the 2phi1 sum is well conditioned
-    (small degree or small x)."""
+    """The 2phi1 sum and the evaluator's 2phi0 form agree where the 2phi1
+    sum is well conditioned (small degree or small x)."""
     rng = Random(7)
     for _ in range(40):
         q = rng.uniform(0.3, 0.8)
@@ -193,8 +237,8 @@ def test_lql_form_agreement():
         p = LqLParams(a, QBase(q))
         n = rng.randint(1, 6)
         x = rng.uniform(0.01, 1.0)
-        v21 = little_q_laguerre_phi21(n, x, p)
-        v20 = little_q_laguerre_phi20(n, x, p)
+        v21 = lql_phi21(n, x, p)
+        v20 = little_q_laguerre(n, x, p)
         assert abs(v21 - v20) <= 1e-10 * (1.0 + abs(v21))
 
 
@@ -241,6 +285,17 @@ def test_qlag_at_zero():
         assert q_laguerre(n, 0.0, p) == pytest.approx(want, rel=1e-12)
 
 
+def test_qlag_at_high_degree_and_small_base():
+    # the recurrence never forms q^-n, so values in range are returned
+    q = 0.05
+    p = QLagParams(0.75, QBase(q))
+    want = (poch_finite(q**1.75, q, 250) / poch_finite(q, q, 250)).real
+    assert want == pytest.approx(1.0495367114003, rel=1e-12)
+    assert q_laguerre(250, 0.0, p) == pytest.approx(want, rel=1e-12)
+    # 80-digit evaluation of the 1phi1 form
+    assert q_laguerre(250, 1.3, p) == pytest.approx(1.04190346029330707, rel=1e-12)
+
+
 def test_qlag_form_agreement():
     rng = Random(8)
     for _ in range(40):
@@ -248,9 +303,10 @@ def test_qlag_form_agreement():
         p = QLagParams(rng.uniform(-0.75, 2.5), QBase(q))
         n = rng.randint(0, 8)
         x = rng.uniform(0.0, 3.0)
-        v11 = q_laguerre(n, x, p)
-        v21 = q_laguerre_phi21(n, x, p)
-        assert abs(v11 - v21) <= 1e-10 * (1.0 + abs(v11))
+        rec = q_laguerre(n, x, p)
+        for series in (qlag_phi11, qlag_phi21):
+            v = series(n, x, p)
+            assert abs(rec - v) <= 1e-10 * (1.0 + abs(v))
 
 
 # --- degree property --------------------------------------------------------
@@ -409,3 +465,125 @@ def test_qlag_discrete_norms_positive():
         assert qlag_jackson_norm(n, p) > 0.0
     with pytest.raises(PreconditionViolation):
         qlag_bilateral_norm(0, p, -1.0)
+
+
+# --- recurrence families against mpmath ---------------------------------------
+
+
+def _mp_phi(mp, num, den, z, q, n, power):
+    """Terminating sum_(k=0..n) (num; q)_k / (q, den; q)_k
+    * ((-1)^k q^(k(k-1)/2))^power z^k in mpmath."""
+    total, term = 0, mp.mpf(1)
+    for k in range(n + 1):
+        total += term
+        ratio = z * (-(q**k)) ** power / (1 - q ** (k + 1))
+        for u in num:
+            ratio *= 1 - u * q**k
+        for v in den:
+            ratio /= 1 - v * q**k
+        term *= ratio
+    return total
+
+
+def _mp_aw(mp, n, x, vals, q):
+    a, b, c, d = vals
+    e = mp.expj(mp.acos(x))
+    s = _mp_phi(mp, (q**-n, a * b * c * d * q ** (n - 1), a * e, a / e),
+                (a * b, a * c, a * d), q, q, n, 0)
+    return a**-n * mp.qp(a * b, q, n) * mp.qp(a * c, q, n) * mp.qp(a * d, q, n) * s
+
+
+def _mp_cqu(mp, n, x, vals, q):
+    (beta,) = vals
+    e = mp.expj(mp.acos(x))
+    s = _mp_phi(mp, (q**-n, beta), (q ** (1 - n) / beta,), q / (e * e * beta), q, n, 0)
+    return mp.qp(beta, q, n) / mp.qp(q, q, n) * e**n * s
+
+
+def _mp_qlag(mp, n, x, vals, q):
+    (alpha,) = vals
+    qa1 = q ** (alpha + 1)
+    s = _mp_phi(mp, (q**-n,), (qa1,), -(q**n) * qa1 * x, q, n, 1)
+    return mp.qp(qa1, q, n) / mp.qp(q, q, n) * s
+
+
+def _draw_aw(rng):
+    return [rng.choice((-1, 1)) * rng.uniform(0.05, 0.7) for _ in range(4)], \
+        math.cos(rng.uniform(0.0, math.pi))
+
+
+def _draw_cqu(rng):
+    return [rng.choice((-1, 1)) * rng.uniform(0.05, 0.9)], math.cos(rng.uniform(0.0, math.pi))
+
+
+def _draw_qlag(rng):
+    return [rng.uniform(-0.9, 3.0)], rng.uniform(0.0, 5.0)
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.95])
+@pytest.mark.parametrize("family,evaluate,reference,draw", [
+    (AWParams, askey_wilson, _mp_aw, _draw_aw),
+    (UltraParams, cont_q_ultra, _mp_cqu, _draw_cqu),
+    (QLagParams, q_laguerre, _mp_qlag, _draw_qlag),
+], ids=["aw", "cqu", "qlag"])
+def test_recurrence_families_against_mpmath(q, family, evaluate, reference, draw):
+    """Every degree 0..40 at random points against the defining series
+    summed in mpmath.
+
+    The error is measured against 1 + the largest |p_k|, k <= n: near a
+    zero of p_n, |p_n| falls far below its neighbours, and rounding the
+    coefficients to double already moves p_n by about 1e-16 of their size
+    (over 100 points per q, up to 2.4e-12 * (1 + |p_n|) but at most
+    2.3e-13 * (1 + max |p_k|))."""
+    mp = pytest.importorskip("mpmath")
+    rng = Random(int(q * 100))
+    draws = [draw(rng) for _ in range(4)]
+    if family is UltraParams and q == 0.5:
+        draws.append(([0.4], 0.3))  # degrees around the old series limit of 30
+    for vals, x in draws:
+        p = family(*vals, QBase(q))
+        peak = 0.0
+        for n in range(41):
+            # the sums cancel by about q^(-n^2/2), and the AW sum by |a|^-n more
+            digits = n * n * math.log10(1.0 / q) / 2
+            if family is AWParams:
+                digits += n * math.log10(1.0 / abs(vals[0]))
+            with mp.workdps(60 + int(digits)):
+                ref = complex(reference(mp, n, mp.mpf(x), [mp.mpf(v) for v in vals],
+                                        mp.mpf(q)))
+            peak = max(peak, abs(ref))
+            got = complex(evaluate(n, x, p))
+            assert abs(got - ref) <= 1e-12 * (1.0 + peak), (vals, x, n)
+
+
+# --- the family table -------------------------------------------------------
+
+
+@pytest.mark.parametrize("fid,name", [
+    (FamilyId.ASKEY_WILSON, "askey_wilson"),
+    (FamilyId.CONT_Q_ULTRA, "cont_q_ultra"),
+    (FamilyId.LITTLE_Q_LAGUERRE, "little_q_laguerre"),
+    (FamilyId.Q_LAGUERRE, "q_laguerre"),
+])
+def test_family_table_reaches_rebound_evaluators(monkeypatch, fid, name):
+    """Rebinding a polyfam evaluator reaches both the table and connect, which
+    is how a tracer wrapping the module attribute sees every call."""
+    original = getattr(polyfam, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(polyfam, name, counting)
+    exp = {
+        FamilyId.ASKEY_WILSON: lambda: connect.aw_connection(3, 0.3, 0.2, 0.1, 0.05, 0.4, 0.5),
+        FamilyId.CONT_Q_ULTRA: lambda: connect.ultra_connection(3, 0.4, 0.3, 0.5),
+        FamilyId.LITTLE_Q_LAGUERRE: lambda: connect.lql_connection(3, 0.5, 0.7, 0.5),
+        FamilyId.Q_LAGUERRE: lambda: connect.qlag_connection(3, 0.5, 1.5, 0.5),
+    }[fid]()
+    x = FAMILIES[fid].support(0.5, 2)[1]
+    FAMILIES[fid].evaluate(2, x, exp.source_params)
+    assert calls == [2]
+    assert connect.expansion_residual(exp, [x]) < 1e-10
+    assert sorted(calls[1:]) == sorted([exp.n] + [k for k, _ in exp.coefficients])
