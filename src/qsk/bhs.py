@@ -19,7 +19,6 @@ then vanishes and exactly m + 1 terms are summed.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from .errors import (
@@ -37,20 +36,6 @@ _TERMINATION_SLACK = 1e-12
 _SMALL_STREAK = 3
 
 DEFAULT_MAX_TERMS = 10000
-
-
-def default_max_terms() -> int:
-    """Term cap, overridable through the QSK_MAX_TERMS environment variable."""
-    raw = os.environ.get("QSK_MAX_TERMS")
-    if raw is None:
-        return DEFAULT_MAX_TERMS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise NonConvergentTolerance(f"QSK_MAX_TERMS must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise NonConvergentTolerance("QSK_MAX_TERMS must be positive")
-    return value
 
 
 @dataclass(frozen=True)
@@ -109,7 +94,7 @@ def _termination_index(spec: SeriesSpec, cap: int) -> int | None:
 def eval_phi(
     spec: SeriesSpec,
     tol: float = 1e-15,
-    max_terms: int | None = None,
+    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
     """Sum the series described by ``spec``.
 
@@ -120,8 +105,6 @@ def eval_phi(
     """
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
         raise NonConvergentTolerance(f"tol must be finite and > 0, got {tol!r}")
-    if max_terms is None:
-        max_terms = default_max_terms()
     q = spec.base.q
     z = spec.z
     r, s = spec.r, spec.s
@@ -185,7 +168,7 @@ def eval_phi(
     )
 
 
-def check_qbinomial(a: complex, z: complex, q: QBase | float, tol: float = 1e-15) -> float:
+def check_qbinomial(a: complex, z: complex, q: QBase | float) -> float:
     """Residual of the q-binomial theorem:
 
         |1phi0(a; -; q, z)  -  (az; q)_inf / (z; q)_inf|,   |z| < 1.
@@ -193,8 +176,6 @@ def check_qbinomial(a: complex, z: complex, q: QBase | float, tol: float = 1e-15
     base = q if isinstance(q, QBase) else QBase(q)
     if abs(z) >= 1.0:
         raise DivergentSeries("q-binomial check needs |z| < 1")
-    lhs = eval_phi(SeriesSpec((complex(a),), (), z, base), tol=tol).value
-    rhs = poch_infinite(complex(a) * complex(z), base, tol) / poch_infinite(
-        complex(z), base, tol
-    )
+    lhs = eval_phi(SeriesSpec((complex(a),), (), z, base)).value
+    rhs = poch_infinite(complex(a) * complex(z), base) / poch_infinite(complex(z), base)
     return abs(lhs - rhs)

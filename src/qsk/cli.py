@@ -10,8 +10,7 @@ verify           run identity/corollary suites, write a JSON report
 list-identities  show every verifiable tag with its validity domain
 
 Exit codes: 0 success (verify: no non-flagged failures), 2 invalid
-parameters, 3 infrastructure failure inside a suite.  The environment
-variable QSK_MAX_TERMS overrides the series term cap.
+parameters, 3 infrastructure failure inside a suite.
 
 Report schema ("qsk-report/1"): lower_snake_case field names, complex
 numbers as [re, im] pairs, residuals as scientific-notation strings.
@@ -26,11 +25,11 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from . import genfun, orthofunc
-from .bhs import default_max_terms
+from .bhs import DEFAULT_MAX_TERMS
 from .connect import (
     aw_connection,
     lql_connection,
@@ -60,7 +59,7 @@ class SuiteConfig:
     points_per_identity: int = 5
     tolerance: float = 1e-7
     outer_cap: int = 2048
-    max_terms: int = field(default_factory=default_max_terms)
+    max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self) -> None:
         for q in self.q_grid:
@@ -248,7 +247,7 @@ def _cmd_verify(args) -> int:
         points_per_identity=args.points,
         tolerance=args.tolerance,
         outer_cap=args.outer_cap,
-        max_terms=args.max_terms if args.max_terms else default_max_terms(),
+        max_terms=args.max_terms or DEFAULT_MAX_TERMS,
     )
     try:
         report = run_suite(config)

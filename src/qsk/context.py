@@ -1,44 +1,36 @@
-"""Shared plumbing: the global numeric policy and named parameter points."""
+"""Shared plumbing: the caps of a verification run and named parameter points."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .bhs import DEFAULT_MAX_TERMS
 from .errors import PreconditionViolation
 from .qpoch import QBase
 
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Global numeric policy for one verification run.
+    """The settings of one verification run.
 
     q              base, real in (0, 1)
-    tol            agreement tolerance for truncation escalation
-    series_tol     term tolerance for series and infinite products
-    max_terms      cap on series terms
-    outer_start    first outer truncation order tried (doubled on escalation)
-    outer_cap      cap on the outer truncation order
+    max_terms      cap on the terms of each r_phi_s series
+    outer_cap      cap on the outer truncation order of a series side
 
-    ``base`` is the validated QBase of q, built once.  The orthogonality
-    functionals keep their own policy in ``orthofunc.FunctionalSpec``.
+    ``base`` is the validated QBase of q, built once.  The tolerances are
+    fixed: outer truncations agree to 1e-9 (``genfun``), functionals to
+    1e-10 (``orthofunc``), series and infinite products stop at 1e-15 (the
+    defaults of ``eval_phi`` and ``poch_infinite``).
     """
 
     q: float
-    tol: float = 1e-9
-    series_tol: float = 1e-15
-    max_terms: int = 10000
-    outer_start: int = 16
+    max_terms: int = DEFAULT_MAX_TERMS
     outer_cap: int = 2048
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", QBase(self.q))
-        for name in ("tol", "series_tol"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise PreconditionViolation(f"{name} must be finite and > 0")
-        for name in ("max_terms", "outer_start", "outer_cap"):
+        for name in ("max_terms", "outer_cap"):
             if getattr(self, name) < 1:
                 raise PreconditionViolation(f"{name} must be >= 1")
 

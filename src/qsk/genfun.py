@@ -9,10 +9,15 @@ Two kinds of entries share one report format:
   over the family with one parameter replaced, whose coefficients pick up
   an extra r_phi_s factor.
 
+Each closed form is stored split as prefactor(point) * kernel(x, point):
+the kernel holds every x-dependent factor and is what an orthogonality
+corollary integrates against p_n, the x-independent prefactor (None where
+there is none) moves to the corollary's closed-form side.
+
 ``verify_identity`` evaluates the closed-form side once, assembles the
 series side with outer truncation escalated 16, 32, 64, ... until two
-successive truncations agree to the context tolerance, and reports the
-residual.  Out-of-domain points are still evaluated but flagged.
+successive truncations agree to 1e-9 relative to 1 + |sum|, and reports
+the residual.  Out-of-domain points are still evaluated but flagged.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ from .context import EvalContext, ParamPoint
 from .errors import InsufficientTruncation, PreconditionViolation
 from .polyfam import FAMILIES, FamilyId, little_q_laguerre_scaled
 from .qpoch import poch_all, poch_finite, poch_infinite, unscale
+
+# Two outer truncations agreeing to this, relative to 1 + |sum|, settle
+# the series side; escalation starts at _OUTER_START terms and doubles.
+_TOL = 1e-9
+_OUTER_START = 16
 
 # Terms this small relative to the partial sum, six in a row, end the
 # outer accumulation early: everything past them is numerically zero.
@@ -99,14 +109,23 @@ class IdentityReport:
     n_terms_inner: int
     in_domain: bool
 
+    @classmethod
+    def of(cls, id: str, q: float, point: ParamPoint, lhs: complex, rhs: complex,
+           n_terms_outer: int, n_terms_inner: int, in_domain: bool) -> "IdentityReport":
+        """The report comparing ``lhs`` with ``rhs``; the relative residual
+        is taken against 1 + the larger of the two moduli."""
+        abs_res = abs(lhs - rhs)
+        return cls(id, q, point, lhs, rhs, abs_res,
+                   abs_res / (1.0 + max(abs(lhs), abs(rhs))),
+                   n_terms_outer, n_terms_inner, in_domain)
+
 
 @dataclass(frozen=True)
 class _Entry:
     tag: IdentityId
     source: Optional[IdentityId]
-    free_param: Optional[str]  # name of the connection parameter, None for sources
     domain: DomainPredicate
-    lhs: Callable[[ParamPoint, EvalContext], complex]
+    kernel: Callable[[float, ParamPoint, EvalContext], complex]
     coef: Callable[[int, ParamPoint, EvalContext], complex]
     inner: Optional[Callable[[int, ParamPoint, EvalContext], SeriesSpec]]
     family: FamilyId  # the series side expands over this family ...
@@ -117,6 +136,13 @@ class _Entry:
     # coefficient and polynomial carry huge canceling q-power scales, so
     # for x > 0 the term is combined in exponent space.
     coef_mant: Optional[Callable[[int, ParamPoint, EvalContext], complex]] = None
+    # The x-independent factor of the closed form, None when it is 1.
+    pref: Optional[Callable[[ParamPoint, EvalContext], complex]] = None
+
+    def lhs(self, pt: ParamPoint, ctx: EvalContext) -> complex:
+        """The closed form at the point: prefactor times kernel at its x."""
+        value = self.kernel(pt.real("x"), pt, ctx)
+        return value if self.pref is None else self.pref(pt, ctx) * value
 
     def family_params(self, pt: ParamPoint, ctx: EvalContext):
         """The parameter record of the expansion family at this point."""
@@ -132,11 +158,11 @@ def _expi(x: float) -> complex:
 
 def _phi(num, den, z, ctx: EvalContext) -> complex:
     spec = SeriesSpec(tuple(num), tuple(den), z, ctx.base)
-    return eval_phi(spec, tol=ctx.series_tol, max_terms=ctx.max_terms).value
+    return eval_phi(spec, max_terms=ctx.max_terms).value
 
 
 def _pinf(a: complex, ctx: EvalContext) -> complex:
-    return poch_infinite(a, ctx.base, ctx.series_tol)
+    return poch_infinite(a, ctx.base)
 
 
 def _pair(w: complex, q: float, n: int) -> complex:
@@ -170,9 +196,9 @@ def _aw_ok(names: str):
     return ok
 
 
-def _lhs_aw(pt: ParamPoint, ctx: EvalContext) -> complex:
+def _lhs_aw(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     a, b, c, d, t = (pt.get(n) for n in "abcdt")
-    e = _expi(pt.real("x"))
+    e = _expi(x)
     f1 = _phi((a * e, b * e), (a * b,), t / e, ctx)
     f2 = _phi((c / e, d / e), (c * d,), t * e, ctx)
     return f1 * f2
@@ -244,9 +270,9 @@ def _cqu_ok(names: str, complex_names: str = ""):
     return ok
 
 
-def _lhs_t3(pt: ParamPoint, ctx: EvalContext) -> complex:
+def _lhs_t3(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     t, beta = pt.get("t"), pt.get("beta")
-    e = _expi(pt.real("x"))
+    e = _expi(x)
     num = _pinf(t * beta * e, ctx) * _pinf(t * beta / e, ctx)
     den = _pinf(t * e, ctx) * _pinf(t / e, ctx)
     return num / den
@@ -271,10 +297,10 @@ def _inner_t3(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     )
 
 
-def _lhs_29(pt: ParamPoint, ctx: EvalContext) -> complex:
+def _lhs_29(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     # (t/e; q)_inf * 2phi1(beta, beta e^2; beta^2; q, t/e)
     t, beta = pt.get("t"), pt.get("beta")
-    e = _expi(pt.real("x"))
+    e = _expi(x)
     return _pinf(t / e, ctx) * _phi((beta, beta * e * e), (beta * beta,), t / e, ctx)
 
 
@@ -312,10 +338,10 @@ def _inner_t4(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     )
 
 
-def _lhs_28(pt: ParamPoint, ctx: EvalContext) -> complex:
+def _lhs_28(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     # 2phi1(beta, beta e^2; beta^2; q, t/e) / (t e; q)_inf
     t, beta = pt.get("t"), pt.get("beta")
-    e = _expi(pt.real("x"))
+    e = _expi(x)
     return _phi((beta, beta * e * e), (beta * beta,), t / e, ctx) / _pinf(t * e, ctx)
 
 
@@ -346,11 +372,11 @@ def _inner_t5(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     )
 
 
-def _lhs_33(pt: ParamPoint, ctx: EvalContext) -> complex:
+def _lhs_33(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     # (gamma t e; q)_inf / (t e; q)_inf * 3phi2(gamma, beta, beta e^2;
     #                                           beta^2, gamma t e; q, t/e)
     t, beta, gamma = pt.get("t"), pt.get("beta"), pt.get("gamma")
-    e = _expi(pt.real("x"))
+    e = _expi(x)
     pref = _pinf(gamma * t * e, ctx) / _pinf(t * e, ctx)
     return pref * _phi(
         (gamma, beta, beta * e * e), (beta * beta, gamma * t * e), t / e, ctx
@@ -392,9 +418,9 @@ def _sqrt_ladder(beta: complex, q: float, n: int):
     return w0, w0 * rq ** 1, w0 * rq ** 2, w0 * rq ** 3
 
 
-def _lhs_31(pt: ParamPoint, ctx: EvalContext) -> complex:
+def _lhs_31(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     t, beta = pt.get("t"), pt.get("beta")
-    e = _expi(pt.real("x"))
+    e = _expi(x)
     r = cmath.sqrt(beta)
     rq = r * math.sqrt(ctx.q)
     f1 = _phi((r * e, -r * e), (-beta,), t / e, ctx)
@@ -424,10 +450,10 @@ def _inner_t7(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     return SeriesSpec(num, den, gamma * t * t, ctx.base)
 
 
-def _lhs_30(pt: ParamPoint, ctx: EvalContext) -> complex:
+def _lhs_30(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     t, beta = pt.get("t"), pt.get("beta")
     q = ctx.q
-    e = _expi(pt.real("x"))
+    e = _expi(x)
     r = cmath.sqrt(beta)
     rq = r * math.sqrt(q)
     brq = beta * math.sqrt(q)
@@ -456,10 +482,10 @@ def _inner_t8(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     return SeriesSpec(num, den, gamma * t * t, ctx.base)
 
 
-def _lhs_32(pt: ParamPoint, ctx: EvalContext) -> complex:
+def _lhs_32(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     t, beta = pt.get("t"), pt.get("beta")
     q = ctx.q
-    e = _expi(pt.real("x"))
+    e = _expi(x)
     r = cmath.sqrt(beta)
     rq = r * math.sqrt(q)
     brq = beta * math.sqrt(q)
@@ -518,11 +544,14 @@ def _lql_ok(names: str):
     return ok
 
 
-def _lhs_lql(pt: ParamPoint, ctx: EvalContext) -> complex:
-    t, x, a = pt.get("t"), pt.get("x"), pt.get("a")
-    q = ctx.q
-    pref = _pinf(t, ctx) / _pinf(x * t, ctx)
-    return pref * _phi((), (a * q,), a * q * x * t, ctx)
+def _kernel_lql(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+    # 0phi1(-; aq; q, aqxt) / (xt; q)_inf, times the prefactor (t; q)_inf
+    t, aq = pt.get("t"), pt.get("a") * ctx.q
+    return _phi((), (aq,), aq * x * t, ctx) / _pinf(x * t, ctx)
+
+
+def _pinf_t(pt: ParamPoint, ctx: EvalContext) -> complex:
+    return _pinf(pt.get("t"), ctx)
 
 
 def _coef_t11(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
@@ -599,27 +628,29 @@ def _qlag_ok(names: tuple[str, ...], complex_gamma: bool = False):
     return ok
 
 
-def _lhs_ql14(pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    t, x, al = pt.get("t"), pt.get("x"), pt.real("alpha")
-    return _phi((), (q ** (al + 1.0),), -x * t * q ** (al + 1.0), ctx) / _pinf(t, ctx)
+# The three q-Laguerre kernels are phi series in -x t q^(alpha+1), with
+# the prefactors 1/(t; q)_inf, (t; q)_inf and (gamma t; q)_inf / (t; q)_inf.
+def _kernel_ql14(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+    qa1 = ctx.q ** (pt.real("alpha") + 1.0)
+    return _phi((), (qa1,), -x * pt.get("t") * qa1, ctx)
 
 
-def _lhs_ql15(pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    t, x, al = pt.get("t"), pt.get("x"), pt.real("alpha")
-    return _pinf(t, ctx) * _phi(
-        (), (q ** (al + 1.0), t), -x * t * q ** (al + 1.0), ctx
-    )
+def _kernel_ql15(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+    t, qa1 = pt.get("t"), ctx.q ** (pt.real("alpha") + 1.0)
+    return _phi((), (qa1, t), -x * t * qa1, ctx)
 
 
-def _lhs_ql16(pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    t, x, al, gamma = pt.get("t"), pt.get("x"), pt.real("alpha"), pt.get("gamma")
-    pref = _pinf(gamma * t, ctx) / _pinf(t, ctx)
-    return pref * _phi(
-        (gamma,), (q ** (al + 1.0), gamma * t), -x * t * q ** (al + 1.0), ctx
-    )
+def _kernel_ql16(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+    t, gamma, qa1 = pt.get("t"), pt.get("gamma"), ctx.q ** (pt.real("alpha") + 1.0)
+    return _phi((gamma,), (qa1, gamma * t), -x * t * qa1, ctx)
+
+
+def _pref_ql14(pt: ParamPoint, ctx: EvalContext) -> complex:
+    return 1.0 / _pinf_t(pt, ctx)
+
+
+def _pref_ql16(pt: ParamPoint, ctx: EvalContext) -> complex:
+    return _pinf(pt.get("gamma") * pt.get("t"), ctx) / _pinf_t(pt, ctx)
 
 
 def _coef_t13(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
@@ -758,7 +789,7 @@ I = IdentityId
 F = FamilyId
 
 _add(_Entry(
-    I.SRC_AW_14113, None, None,
+    I.SRC_AW_14113, None,
     DomainPredicate(_tb_const(1.0), _aw_ok("abcd"),
                     "|t| < 1, max(|a|,|b|,|c|,|d|) < 1, x in [-1,1]"),
     _lhs_aw, _coef_src_aw, None, F.ASKEY_WILSON, ("a", "b", "c", "d"),
@@ -766,7 +797,7 @@ _add(_Entry(
     "product of two 2phi1 factors = sum t^n p_n(x;a,b,c,d) / (q,ab,cd;q)_n",
 ))
 _add(_Entry(
-    I.T2, I.SRC_AW_14113, "alpha",
+    I.T2, I.SRC_AW_14113,
     DomainPredicate(
         lambda pt, q: (1.0 - q) ** 3,
         lambda pt, q: _aw_ok("abcd")(pt, q) and abs(pt.get("alpha")) < 1.0,
@@ -778,7 +809,7 @@ _add(_Entry(
 ))
 
 _add(_Entry(
-    I.SRC_CQU_141027, None, None,
+    I.SRC_CQU_141027, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
     _lhs_t3,
     lambda n, pt, ctx: pt.get("t") ** n,
@@ -787,7 +818,7 @@ _add(_Entry(
     "(t beta e, t beta/e; q)_inf / (t e, t/e; q)_inf = sum C_n(x;beta) t^n",
 ))
 _add(_Entry(
-    I.T3, I.SRC_CQU_141027, "gamma",
+    I.T3, I.SRC_CQU_141027,
     DomainPredicate(_tb_const(1.0), _cqu_ok("bg"),
                     "|t| < 1, beta, gamma in (-1,1)\\{0}"),
     _lhs_t3, _coef_t3, _inner_t3, F.CONT_Q_ULTRA, ("gamma",),
@@ -795,7 +826,7 @@ _add(_Entry(
     "re-expansion of the Pochhammer-quotient generating function",
 ))
 _add(_Entry(
-    I.SRC_CQU_141029, None, None,
+    I.SRC_CQU_141029, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
     _lhs_29,
     lambda n, pt, ctx: (
@@ -808,7 +839,7 @@ _add(_Entry(
     "(t/e; q)_inf 2phi1(beta, beta e^2; beta^2; q, t/e) expansion",
 ))
 _add(_Entry(
-    I.T4, I.SRC_CQU_141029, "gamma",
+    I.T4, I.SRC_CQU_141029,
     DomainPredicate(_tb_t4, _cqu_ok("bg"),
                     "|t| < 1 - beta^2, beta, gamma in (-1,1)\\{0}"),
     _lhs_29, _coef_t4, _inner_t4, F.CONT_Q_ULTRA, ("gamma",),
@@ -816,7 +847,7 @@ _add(_Entry(
     "re-expansion with a 2phi5 coefficient factor",
 ))
 _add(_Entry(
-    I.SRC_CQU_141028, None, None,
+    I.SRC_CQU_141028, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
     _lhs_28,
     lambda n, pt, ctx: pt.get("t") ** n / poch_finite(pt.get("beta") ** 2, ctx.q, n),
@@ -825,7 +856,7 @@ _add(_Entry(
     "2phi1(beta, beta e^2; beta^2; q, t/e) / (t e; q)_inf expansion",
 ))
 _add(_Entry(
-    I.T5, I.SRC_CQU_141028, "gamma",
+    I.T5, I.SRC_CQU_141028,
     DomainPredicate(_tb_t4, _cqu_ok("bg"),
                     "|t| < 1 - beta^2, beta, gamma in (-1,1)\\{0}"),
     _lhs_28, _coef_t5, _inner_t5, F.CONT_Q_ULTRA, ("gamma",),
@@ -833,7 +864,7 @@ _add(_Entry(
     "re-expansion with a 6phi5 coefficient factor",
 ))
 _add(_Entry(
-    I.SRC_CQU_141033, None, None,
+    I.SRC_CQU_141033, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b", "g"),
                     "|t| < 1, beta in (-1,1)\\{0}, gamma complex"),
     _lhs_33,
@@ -848,7 +879,7 @@ _add(_Entry(
     "(gamma t e; q)_inf / (t e; q)_inf 3phi2 expansion",
 ))
 _add(_Entry(
-    I.T6, I.SRC_CQU_141033, "alpha",
+    I.T6, I.SRC_CQU_141033,
     DomainPredicate(
         _tb_t4,
         lambda pt, q: _cqu_ok("b", "g")(pt, q)
@@ -862,7 +893,7 @@ _add(_Entry(
     "re-expansion with a 6phi5 coefficient factor, complex gamma allowed",
 ))
 _add(_Entry(
-    I.SRC_CQU_141031, None, None,
+    I.SRC_CQU_141031, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
     _lhs_31,
     lambda n, pt, ctx: (
@@ -878,7 +909,7 @@ _add(_Entry(
     "square-root-parameter 2phi1 pair expansion (denominator -beta)",
 ))
 _add(_Entry(
-    I.T7, I.SRC_CQU_141031, "gamma",
+    I.T7, I.SRC_CQU_141031,
     DomainPredicate(_tb_t7, _cqu_ok("bg"),
                     "|t| < min{(1-b^2)(1+sqrt(q)|b|)(1-q|g|), 1}"),
     _lhs_31, _coef_t7, _inner_t7, F.CONT_Q_ULTRA, ("gamma",),
@@ -886,7 +917,7 @@ _add(_Entry(
     "re-expansion with a 10phi9 coefficient factor",
 ))
 _add(_Entry(
-    I.SRC_CQU_141030, None, None,
+    I.SRC_CQU_141030, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
     _lhs_30,
     lambda n, pt, ctx: (
@@ -903,7 +934,7 @@ _add(_Entry(
     "square-root-parameter 2phi1 pair expansion (denominator beta q^(1/2))",
 ))
 _add(_Entry(
-    I.T8, I.SRC_CQU_141030, "gamma",
+    I.T8, I.SRC_CQU_141030,
     DomainPredicate(_tb_t7, _cqu_ok("bg"),
                     "|t| < min{(1-b^2)(1+sqrt(q)|b|)(1-q|g|), 1}"),
     _lhs_30, _coef_t8, _inner_t8, F.CONT_Q_ULTRA, ("gamma",),
@@ -911,7 +942,7 @@ _add(_Entry(
     "re-expansion with a 10phi9 coefficient factor",
 ))
 _add(_Entry(
-    I.SRC_CQU_141032, None, None,
+    I.SRC_CQU_141032, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
     _lhs_32,
     lambda n, pt, ctx: (
@@ -928,7 +959,7 @@ _add(_Entry(
     "square-root-parameter 2phi1 pair expansion (denominator -beta q^(1/2))",
 ))
 _add(_Entry(
-    I.T9, I.SRC_CQU_141032, "gamma",
+    I.T9, I.SRC_CQU_141032,
     DomainPredicate(_tb_t9, _cqu_ok("bg"),
                     "|t| < min{(1-b^2)(1+sqrt(q)|b|), 1}"),
     _lhs_32, _coef_t9, _inner_t9, F.CONT_Q_ULTRA, ("gamma",),
@@ -936,72 +967,75 @@ _add(_Entry(
     "re-expansion with a 10phi9 coefficient factor",
 ))
 _add(_Entry(
-    I.SRC_LQL_142011, None, None,
+    I.SRC_LQL_142011, None,
     DomainPredicate(_tb_t11, _lql_ok("a"),
                     "|t| < min{(1-q)(1-aq)/a, 1}, 0 < aq < 1"),
-    _lhs_lql, _coef_src_lql, None, F.LITTLE_Q_LAGUERRE, ("a",),
+    _kernel_lql, _coef_src_lql, None, F.LITTLE_Q_LAGUERRE, ("a",),
     lambda rng, q: _sample_lql(rng, q, with_b=False),
     "(t;q)_inf/(xt;q)_inf 0phi1 = sum (-1)^n q^C(n,2) p_n(x;a) t^n / (q;q)_n",
-    coef_mant=_coef_mant_src_lql,
+    coef_mant=_coef_mant_src_lql, pref=_pinf_t,
 ))
 _add(_Entry(
-    I.T11, I.SRC_LQL_142011, "b",
+    I.T11, I.SRC_LQL_142011,
     DomainPredicate(_tb_t11, _lql_ok("ab"),
                     "|t| < min{(1-q)(1-aq)/a, 1}, a, b in (0, 1/q)"),
-    _lhs_lql, _coef_t11, _inner_t11, F.LITTLE_Q_LAGUERRE, ("b",),
+    _kernel_lql, _coef_t11, _inner_t11, F.LITTLE_Q_LAGUERRE, ("b",),
     lambda rng, q: _sample_lql(rng, q, with_b=True),
     "re-expansion with a 1phi1 coefficient factor",
-    coef_mant=_coef_mant_t11,
+    coef_mant=_coef_mant_t11, pref=_pinf_t,
 ))
 _add(_Entry(
-    I.SRC_QL_142114, None, None,
+    I.SRC_QL_142114, None,
     DomainPredicate(_tb_t13, _qlag_ok(("alpha",)),
                     "|t| < (1-q^(alpha+1))(1-q), alpha > -1"),
-    _lhs_ql14, _coef_src_ql14, None, F.Q_LAGUERRE, ("alpha",),
+    _kernel_ql14, _coef_src_ql14, None, F.Q_LAGUERRE, ("alpha",),
     lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=False),
     "0phi1 / (t;q)_inf = sum L_n^(alpha)(x) t^n / (q^(alpha+1);q)_n",
+    pref=_pref_ql14,
 ))
 _add(_Entry(
-    I.T13, I.SRC_QL_142114, "beta",
+    I.T13, I.SRC_QL_142114,
     DomainPredicate(_tb_t13, _qlag_ok(("alpha", "beta")),
                     "|t| < (1-q^(alpha+1))(1-q), alpha, beta > -1"),
-    _lhs_ql14, _coef_t13, _inner_t13, F.Q_LAGUERRE, ("beta",),
+    _kernel_ql14, _coef_t13, _inner_t13, F.Q_LAGUERRE, ("beta",),
     lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=True),
-    "re-expansion with a 2phi1 coefficient factor",
+    "re-expansion with a 2phi1 coefficient factor", pref=_pref_ql14,
 ))
 _add(_Entry(
-    I.SRC_QL_142115, None, None,
+    I.SRC_QL_142115, None,
     DomainPredicate(_tb_t13, _qlag_ok(("alpha",)),
                     "|t| < (1-q^(alpha+1))(1-q), alpha > -1"),
-    _lhs_ql15, _coef_src_ql15, None, F.Q_LAGUERRE, ("alpha",),
+    _kernel_ql15, _coef_src_ql15, None, F.Q_LAGUERRE, ("alpha",),
     lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=False),
     "(t;q)_inf 0phi2 = sum (-t)^n q^C(n,2) L_n^(alpha)(x) / (q^(alpha+1);q)_n",
+    pref=_pinf_t,
 ))
 _add(_Entry(
-    I.T14, I.SRC_QL_142115, "beta",
+    I.T14, I.SRC_QL_142115,
     DomainPredicate(_tb_t13, _qlag_ok(("alpha", "beta")),
                     "|t| < (1-q^(alpha+1))(1-q), alpha, beta > -1"),
-    _lhs_ql15, _coef_t14, _inner_t14, F.Q_LAGUERRE, ("beta",),
+    _kernel_ql15, _coef_t14, _inner_t14, F.Q_LAGUERRE, ("beta",),
     lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=True),
-    "re-expansion with a 1phi1 coefficient factor",
+    "re-expansion with a 1phi1 coefficient factor", pref=_pinf_t,
 ))
 _add(_Entry(
-    I.SRC_QL_142116, None, None,
+    I.SRC_QL_142116, None,
     DomainPredicate(_tb_t15, _qlag_ok(("alpha",), complex_gamma=True),
                     "|t| < 1-q, alpha > -1, gamma complex"),
-    _lhs_ql16, _coef_src_ql16, None, F.Q_LAGUERRE, ("alpha",),
+    _kernel_ql16, _coef_src_ql16, None, F.Q_LAGUERRE, ("alpha",),
     lambda rng, q: _sample_ql(rng, q, _tb_t15, with_beta=False,
                               complex_gamma=True),
-    "(gamma t;q)_inf/(t;q)_inf 1phi2 expansion",
+    "(gamma t;q)_inf/(t;q)_inf 1phi2 expansion", pref=_pref_ql16,
 ))
 _add(_Entry(
-    I.T15, I.SRC_QL_142116, "beta",
+    I.T15, I.SRC_QL_142116,
     DomainPredicate(_tb_t15, _qlag_ok(("alpha", "beta"), complex_gamma=True),
                     "|t| < 1-q, alpha, beta > -1, gamma complex"),
-    _lhs_ql16, _coef_t15, _inner_t15, F.Q_LAGUERRE, ("beta",),
+    _kernel_ql16, _coef_t15, _inner_t15, F.Q_LAGUERRE, ("beta",),
     lambda rng, q: _sample_ql(rng, q, _tb_t15, with_beta=True,
                               complex_gamma=True),
     "re-expansion with a 2phi1 coefficient factor, complex gamma allowed",
+    pref=_pref_ql16,
 ))
 
 
@@ -1029,7 +1063,7 @@ class _RhsAccumulator:
 
     def _inner(self, n: int) -> complex:
         res = eval_phi(self.entry.inner(n, self.point, self.ctx),
-                       tol=self.ctx.series_tol, max_terms=self.ctx.max_terms)
+                       max_terms=self.ctx.max_terms)
         self.max_inner = max(self.max_inner, res.terms_used)
         return res.value
 
@@ -1127,6 +1161,15 @@ def eval_lhs(tag: IdentityId | str, point: ParamPoint, ctx: EvalContext) -> comp
     return entry_for(tag).lhs(point, ctx)
 
 
+def lhs_integrand_factor(
+    tag: IdentityId | str, x: float, point: ParamPoint, ctx: EvalContext
+) -> complex:
+    """The x-dependent factor of the identity's closed form, which a
+    corollary's functional takes against p_n; the x-independent prefactor
+    stays on the corollary's closed-form side."""
+    return entry_for(tag).kernel(x, point, ctx)
+
+
 def eval_rhs(
     tag: IdentityId | str, point: ParamPoint, ctx: EvalContext, n_outer: int
 ) -> complex:
@@ -1139,7 +1182,7 @@ def eval_rhs(
         raise PreconditionViolation("n_outer must be >= 1")
     acc = _RhsAccumulator(entry_for(tag), point, ctx)
     value = acc.partial(n_outer)
-    if acc.last_term_magnitude(n_outer) > ctx.tol * (1.0 + abs(value)):
+    if acc.last_term_magnitude(n_outer) > _TOL * (1.0 + abs(value)):
         raise InsufficientTruncation(
             f"outer sum for {IdentityId(tag).value} not settled at {n_outer} terms"
         )
@@ -1150,29 +1193,17 @@ def _verify(tag: IdentityId, point: ParamPoint, ctx: EvalContext) -> IdentityRep
     entry = _CATALOG[tag]
     lhs = entry.lhs(point, ctx)
     acc = _RhsAccumulator(entry, point, ctx)
-    n_outer = ctx.outer_start
+    n_outer = _OUTER_START
     rhs = acc.partial(n_outer)
     while n_outer * 2 <= ctx.outer_cap:
         nxt = acc.partial(n_outer * 2)
         n_outer *= 2
-        if abs(nxt - rhs) <= ctx.tol * (1.0 + abs(nxt)):
+        if abs(nxt - rhs) <= _TOL * (1.0 + abs(nxt)):
             rhs = nxt
             break
         rhs = nxt
-    abs_res = abs(lhs - rhs)
-    rel_res = abs_res / (1.0 + max(abs(lhs), abs(rhs)))
-    return IdentityReport(
-        id=tag.value,
-        q=ctx.q,
-        point=point,
-        lhs=lhs,
-        rhs=rhs,
-        abs_residual=abs_res,
-        rel_residual=rel_res,
-        n_terms_outer=n_outer,
-        n_terms_inner=acc.max_inner,
-        in_domain=entry.domain.contains(point, ctx.q),
-    )
+    return IdentityReport.of(tag.value, ctx.q, point, lhs, rhs, n_outer,
+                             acc.max_inner, entry.domain.contains(point, ctx.q))
 
 
 def verify_identity(
@@ -1194,37 +1225,3 @@ def verify_source(
         raise PreconditionViolation(f"{t.value} is not a source identity")
     return _verify(t, point, ctx)
 
-
-# ---------------------------------------------------------------------------
-# integrand factors for the orthogonality corollaries
-# ---------------------------------------------------------------------------
-
-
-def lhs_integrand_factor(
-    tag: IdentityId | str, x: float, point: ParamPoint, ctx: EvalContext
-) -> complex:
-    """The x-dependent closed-form factor inside a corollary's functional.
-
-    For the interval families this is the full identity LHS; for the
-    Laguerre-type corollaries the x-independent Pochhammer prefactors are
-    moved to the closed-form side, leaving the bare phi kernel (with the
-    lattice quotient 1/(tx; q)_inf in the little q-Laguerre case).
-    """
-    t = IdentityId(tag)
-    q = ctx.q
-    if t in (I.T2, I.T3, I.T4, I.T5, I.T6, I.T7, I.T8, I.T9):
-        return eval_lhs(t, point.replace(x=x), ctx)
-    tt = point.get("t")
-    if t is I.T11:
-        a = point.get("a")
-        return _phi((), (a * q,), a * q * tt * x, ctx) / _pinf(tt * x, ctx)
-    al = point.real("alpha")
-    qa1 = q ** (al + 1.0)
-    if t is I.T13:
-        return _phi((), (qa1,), -x * tt * qa1, ctx)
-    if t is I.T14:
-        return _phi((), (qa1, tt), -x * tt * qa1, ctx)
-    if t is I.T15:
-        return _phi((point.get("gamma"),), (qa1, point.get("gamma") * tt),
-                    -x * tt * qa1, ctx)
-    raise PreconditionViolation(f"no integrand factor for {t.value}")

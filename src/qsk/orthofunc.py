@@ -19,8 +19,11 @@ Five functional kinds share one entry point, ``inner_product``:
 
 ``verify_corollary`` assembles each corollary as: functional applied to
 (generating-function kernel, polynomial) on the left, and the displayed
-closed form on the right, built from the identity's outer coefficient,
-its inner r_phi_s factor, and the family's norm constant.
+closed form on the right, coefficient x inner factor x norm / prefactor:
+the identity's outer coefficient, its inner r_phi_s factor, the family's
+norm constant, and the x-independent prefactor of the identity's closed
+form, which the kernel leaves out.  Every functional stops at agreement
+1e-10 relative to 1 + |value|.
 """
 
 from __future__ import annotations
@@ -40,14 +43,7 @@ from .errors import (
     QuadratureNonConvergence,
     TailNonConvergence,
 )
-from .genfun import (
-    IdentityId,
-    IdentityReport,
-    entry_for,
-    inner_series_spec,
-    lhs_integrand_factor,
-    outer_coefficient,
-)
+from .genfun import IdentityId, IdentityReport, entry_for, lhs_integrand_factor
 from .polyfam import (
     FAMILIES,
     FamilyId,
@@ -61,6 +57,9 @@ from .polyfam import (
 )
 from .qpoch import poch_infinite
 
+# A functional has converged once successive terms (tail sums, three in a
+# row) or successive trapezoid values are within this of 1 + |value|.
+_TOL = 1e-10
 _STREAK = 3
 # The trapezoid rule halves its step at most 8 times; an interval integral,
 # which starts from 8 panels, thus evaluates at most 2047 nodes.
@@ -78,13 +77,12 @@ class FunctionalKind(Enum):
 @dataclass(frozen=True)
 class FunctionalSpec:
     """One orthogonality functional: its kind, the family parameters that
-    fix weight and norm, the lattice scale c (bilateral only), the
-    agreement tolerance and the cap on the nodes of the tail sums."""
+    fix weight and norm, the lattice scale c (bilateral only) and the cap
+    on the nodes of the tail sums."""
 
     kind: FunctionalKind
     params: object
     c: float = 1.0
-    tol: float = 1e-10
     max_nodes: int = 4000
 
     def __post_init__(self) -> None:
@@ -118,17 +116,17 @@ _NORMS: dict[tuple[FamilyId, FunctionalKind], Callable[[int, FunctionalSpec], fl
 }
 
 
-def _sum_tail(terms: Iterable[complex], tol: float, cap: int,
+def _sum_tail(terms: Iterable[complex], cap: int,
               total: complex = 0j) -> tuple[complex, int]:
     """Add ``terms`` to ``total`` until three in a row are at most
-    tol * (1 + |total|), or the terms run out.  Returns the new total and
+    _TOL * (1 + |total|), or the terms run out.  Returns the new total and
     the number of terms added; raises TailNonConvergence once ``cap``
     terms have been added without the run of three."""
     streak = count = 0
     for term in terms:
         total += term
         count += 1
-        if abs(term) <= tol * (1.0 + abs(total)):
+        if abs(term) <= _TOL * (1.0 + abs(total)):
             streak += 1
             if streak >= _STREAK:
                 break
@@ -139,14 +137,14 @@ def _sum_tail(terms: Iterable[complex], tol: float, cap: int,
     return total, count
 
 
-def _nested(spec: FunctionalSpec, F: Callable[[float], complex], lo: float,
-            hi: float, n: int, s: complex, count: int) -> tuple[complex, int]:
+def _nested(F: Callable[[float], complex], lo: float, hi: float, n: int,
+            s: complex, count: int) -> tuple[complex, int]:
     """Trapezoid rule for the integral of F over [lo, hi], refined by
     halving the step.  ``s`` is the sum of F over the nodes of the n-panel
     grid, already evaluated (``count`` of them); each halving evaluates the
     new midpoints only.  F must be negligible at lo and hi, so the grid's
     end nodes take whole weight or none.  Stops when two successive values
-    agree to tol * (1 + |value|); returns the value and the node count."""
+    agree to _TOL * (1 + |value|); returns the value and the node count."""
     h = (hi - lo) / n
     value = h * s
     for _ in range(_HALVINGS):
@@ -155,7 +153,7 @@ def _nested(spec: FunctionalSpec, F: Callable[[float], complex], lo: float,
         n *= 2
         h /= 2.0
         prev, value = value, h * s
-        if abs(value - prev) <= spec.tol * (1.0 + abs(value)):
+        if abs(value - prev) <= _TOL * (1.0 + abs(value)):
             return value, count
     raise QuadratureNonConvergence(f"trapezoid rule not settled at {n} panels")
 
@@ -174,7 +172,7 @@ def _interval(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
 
     n = 8
     s = sum(F(j * math.pi / n) for j in range(1, n))
-    return _nested(spec, F, 0.0, math.pi, n, s, n - 1)
+    return _nested(F, 0.0, math.pi, n, s, n - 1)
 
 
 def _halfline(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
@@ -191,10 +189,9 @@ def _halfline(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
         return x * f(x) * g(x) * weight(x, p)
 
     # u = 0, -1, -2, ... toward x = 0, then u = 1, 2, ... toward infinity
-    total, down = _sum_tail(map(F, itertools.count(0, -1)), spec.tol, spec.max_nodes)
-    total, up = _sum_tail(map(F, itertools.count(1)), spec.tol,
-                          spec.max_nodes - down, total)
-    return _nested(spec, F, 1.0 - down, up, down + up - 1, total, down + up)
+    total, down = _sum_tail(map(F, itertools.count(0, -1)), spec.max_nodes)
+    total, up = _sum_tail(map(F, itertools.count(1)), spec.max_nodes - down, total)
+    return _nested(F, 1.0 - down, up, down + up - 1, total, down + up)
 
 
 def _check_weight(w: float) -> None:
@@ -218,7 +215,7 @@ def _lattice(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
             yield w * f(x) * g(x)
             w *= aq / (1.0 - q ** (k + 1))
 
-    return _sum_tail(terms(), spec.tol, spec.max_nodes)
+    return _sum_tail(terms(), spec.max_nodes)
 
 
 def _bilateral(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
@@ -246,8 +243,8 @@ def _bilateral(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
                 return  # tail underflowed to exact zero
             yield w * f(c * q**k) * g(c * q**k)
 
-    total, up = _sum_tail(upper(), spec.tol, spec.max_nodes)
-    total, down = _sum_tail(lower(), spec.tol, spec.max_nodes - up, total)
+    total, up = _sum_tail(upper(), spec.max_nodes)
+    total, down = _sum_tail(lower(), spec.max_nodes - up, total)
     return total, up + down
 
 
@@ -268,9 +265,8 @@ def _jackson(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
             _check_weight(wx)
             yield term
 
-    total, up = _sum_tail(terms(itertools.count()), spec.tol, spec.max_nodes)
-    total, down = _sum_tail(terms(itertools.count(-1, -1)), spec.tol,
-                            spec.max_nodes - up, total)
+    total, up = _sum_tail(terms(itertools.count()), spec.max_nodes)
+    total, down = _sum_tail(terms(itertools.count(-1, -1)), spec.max_nodes - up, total)
     return total * (1.0 - q), up + down
 
 
@@ -315,20 +311,9 @@ def verify_orthogonality(
         raise PreconditionViolation("m, n must be >= 0")
     lhs, count = _RULES[spec.kind](spec, _poly(spec, m), _poly(spec, n))
     rhs = complex(norm_constant(spec, n)) if m == n else complex(0.0)
-    abs_res = abs(lhs - rhs)
-    q = spec.params.base.q
-    return IdentityReport(
-        id=f"ORTHO_{family.name}_{spec.kind.name}",
-        q=q,
-        point=ParamPoint.of(m=m, n=n),
-        lhs=lhs,
-        rhs=rhs,
-        abs_residual=abs_res,
-        rel_residual=abs_res / (1.0 + max(abs(lhs), abs(rhs))),
-        n_terms_outer=count,
-        n_terms_inner=0,
-        in_domain=True,
-    )
+    return IdentityReport.of(f"ORTHO_{family.name}_{spec.kind.name}",
+                             spec.params.base.q, ParamPoint.of(m=m, n=n),
+                             lhs, rhs, count, 0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -378,38 +363,25 @@ def _spec_for(entry: _CorEntry, point: ParamPoint, ctx: EvalContext) -> Function
     parameters carry the weight and the norm."""
     params = entry_for(entry.theorem).family_params(point, ctx)
     c = point.real("c") if entry.kind is FunctionalKind.BILATERAL else 1.0
-    return FunctionalSpec(entry.kind, params, c=c, tol=min(1e-10, ctx.tol))
-
-
-def _prefactor_inverse(theorem: IdentityId, point: ParamPoint, ctx: EvalContext) -> complex:
-    """Inverse of the x-independent prefactor of the theorem's closed form,
-    moved to the closed-form side when the corollary keeps only the bare
-    kernel inside the functional."""
-    t = point.get("t")
-    if theorem in (IdentityId.T11, IdentityId.T14):
-        return 1.0 / poch_infinite(t, ctx.base, ctx.series_tol)
-    if theorem is IdentityId.T13:
-        return poch_infinite(t, ctx.base, ctx.series_tol)
-    if theorem is IdentityId.T15:
-        return poch_infinite(t, ctx.base, ctx.series_tol) / poch_infinite(
-            point.get("gamma") * t, ctx.base, ctx.series_tol
-        )
-    return complex(1.0)
+    return FunctionalSpec(entry.kind, params, c=c)
 
 
 def _closed_form(entry: _CorEntry, n: int, point: ParamPoint, ctx: EvalContext,
                  spec: FunctionalSpec) -> tuple[complex, int]:
-    coef = outer_coefficient(entry.theorem, n, point, ctx)
-    inner = eval_phi(inner_series_spec(entry.theorem, n, point, ctx),
-                     tol=ctx.series_tol, max_terms=ctx.max_terms)
-    pref = _prefactor_inverse(entry.theorem, point, ctx)
-    return coef * inner.value * pref * norm_constant(spec, n), inner.terms_used
+    """Coefficient x inner factor x norm / prefactor, and the inner
+    series' term count."""
+    thm = entry_for(entry.theorem)
+    inner = eval_phi(thm.inner(n, point, ctx), max_terms=ctx.max_terms)
+    value = thm.coef(n, point, ctx) * inner.value * norm_constant(spec, n)
+    if thm.pref is not None:
+        value /= thm.pref(point, ctx)
+    return value, inner.terms_used
 
 
 def corollary_rhs(cid: CorollaryId | str, point: ParamPoint, ctx: EvalContext) -> complex:
     """The displayed closed form: outer coefficient times inner r_phi_s
-    factor times the norm constant, with the theorem's x-independent
-    prefactor moved across.
+    factor times the norm constant, divided by the theorem's x-independent
+    prefactor.
 
     The parallel series/q-integral displays retain the q^C(n,2) factor of
     their theorem's coefficient; the definite-integral display derived
@@ -434,21 +406,11 @@ def verify_corollary(
     kernel = lambda x: lhs_integrand_factor(entry.theorem, x, point, ctx)
     lhs, count = _RULES[spec.kind](spec, kernel, _poly(spec, n))
     rhs, inner_terms = _closed_form(entry, n, point, ctx, spec)
-    abs_res = abs(lhs - rhs)
     tdom = entry_for(entry.theorem).domain
-    return IdentityReport(
-        id=entry.cid.value,
-        q=ctx.q,
-        point=point,
-        lhs=lhs,
-        rhs=rhs,
-        abs_residual=abs_res,
-        rel_residual=abs_res / (1.0 + max(abs(lhs), abs(rhs))),
-        n_terms_outer=count,
-        n_terms_inner=inner_terms,
-        in_domain=tdom.params_ok(point.replace(x=0.5), ctx.q)
-        and abs(point.get("t")) < tdom.t_bound(point, ctx.q),
-    )
+    in_domain = (tdom.params_ok(point.replace(x=0.5), ctx.q)
+                 and abs(point.get("t")) < tdom.t_bound(point, ctx.q))
+    return IdentityReport.of(entry.cid.value, ctx.q, point, lhs, rhs, count,
+                             inner_terms, in_domain)
 
 
 def is_flagged(cid: CorollaryId | str) -> bool:

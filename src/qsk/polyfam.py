@@ -277,7 +277,9 @@ def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
     For x > 0 the value comes from the scaled 2phi0 form, whose terms
     never cancel there; a value outside double range raises IllConditioned
     (above) or is returned as 0 (below).  For x <= 0 it is the defining
-    sum 2phi1(q^-n, 0; aq; q, qx), whose terms all share one sign for x < 0.
+    sum 2phi1(q^-n, 0; aq; q, qx), whose terms all share one sign for x < 0:
+    a term or sum leaving double range means the value does, and that
+    raises IllConditioned too.
     """
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
@@ -286,7 +288,13 @@ def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
     q = p.base.q
     if x > 0.0:
         return unscale(*little_q_laguerre_scaled(n, x, p), q)
-    return eval_phi(SeriesSpec((q**-n, 0.0), (p.a * q,), q * x, p.base)).value.real
+    try:
+        value = eval_phi(SeriesSpec((q**-n, 0.0), (p.a * q,), q * x, p.base)).value.real
+    except OverflowError:  # q**-n itself
+        value = math.inf
+    if not math.isfinite(value):
+        raise IllConditioned("value exceeds the double-precision range")
+    return value
 
 
 def q_laguerre(n: int, x: float, p: QLagParams) -> float:
@@ -314,7 +322,7 @@ def q_laguerre(n: int, x: float, p: QLagParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def aw_weight(x: float, p: AWParams, tol: float = 1e-15) -> float:
+def aw_weight(x: float, p: AWParams) -> float:
     """Askey-Wilson weight |(e^(2i theta);q)_inf / (a e^(i theta), b e^(i theta),
     c e^(i theta), d e^(i theta); q)_inf|^2 on the open interval (-1, 1).
 
@@ -327,12 +335,12 @@ def aw_weight(x: float, p: AWParams, tol: float = 1e-15) -> float:
         return 0.0
     th = math.acos(x)
     e = cmath.exp(1j * th)
-    num = poch_infinite(e * e, p.base, tol)
-    den = poch_all_infinite((p.a * e, p.b * e, p.c * e, p.d * e), p.base, tol)
+    num = poch_infinite(e * e, p.base)
+    den = poch_all_infinite((p.a * e, p.b * e, p.c * e, p.d * e), p.base)
     return abs(num / den) ** 2
 
 
-def ultra_weight(x: float, p: UltraParams, tol: float = 1e-15) -> float:
+def ultra_weight(x: float, p: UltraParams) -> float:
     """Weight |(e^(2i theta);q)_inf / (beta e^(2i theta);q)_inf|^2 on (-1, 1)."""
     if abs(x) > 1.0:
         raise PreconditionViolation("weight defined for |x| <= 1")
@@ -340,14 +348,14 @@ def ultra_weight(x: float, p: UltraParams, tol: float = 1e-15) -> float:
         return 0.0
     th = math.acos(x)
     e2 = cmath.exp(2j * th)
-    return abs(poch_infinite(e2, p.base, tol) / poch_infinite(p.beta * e2, p.base, tol)) ** 2
+    return abs(poch_infinite(e2, p.base) / poch_infinite(p.beta * e2, p.base)) ** 2
 
 
-def qlag_weight(x: float, p: QLagParams, tol: float = 1e-15) -> float:
+def qlag_weight(x: float, p: QLagParams) -> float:
     """Half-line weight x^alpha / (-x; q)_inf, x > 0."""
     if x <= 0.0:
         raise PreconditionViolation("half-line weight needs x > 0")
-    return x**p.alpha / poch_infinite(-x, p.base, tol).real
+    return x**p.alpha / poch_infinite(-x, p.base).real
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +363,7 @@ def qlag_weight(x: float, p: QLagParams, tol: float = 1e-15) -> float:
 # ---------------------------------------------------------------------------
 
 
-def aw_norm(n: int, p: AWParams, tol: float = 1e-15) -> float:
+def aw_norm(n: int, p: AWParams) -> float:
     """h_n(a,b,c,d | q); the full orthogonality constant is 2*pi*h_n."""
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
@@ -363,26 +371,13 @@ def aw_norm(n: int, p: AWParams, tol: float = 1e-15) -> float:
     a, b, c, d = p.as_tuple()
     abcd = a * b * c * d
     qn = q**n
-    num = poch_infinite(abcd * q ** (2 * n), p.base, tol) * poch_finite(
-        abcd * q ** (n - 1), q, n
-    )
-    den = poch_all_infinite(
-        (
-            q ** (n + 1),
-            a * b * qn,
-            a * c * qn,
-            a * d * qn,
-            b * c * qn,
-            b * d * qn,
-            c * d * qn,
-        ),
-        p.base,
-        tol,
-    )
+    num = poch_infinite(abcd * q ** (2 * n), p.base) * poch_finite(abcd * q ** (n - 1), q, n)
+    den = poch_all_infinite((q ** (n + 1), a * b * qn, a * c * qn, a * d * qn,
+                             b * c * qn, b * d * qn, c * d * qn), p.base)
     return (num / den).real
 
 
-def ultra_norm(n: int, p: UltraParams, tol: float = 1e-15) -> float:
+def ultra_norm(n: int, p: UltraParams) -> float:
     """Orthogonality constant for C_n(.; beta | q):
 
         2 pi (1-beta) (beta, q beta; q)_inf (beta^2; q)_n
@@ -394,18 +389,18 @@ def ultra_norm(n: int, p: UltraParams, tol: float = 1e-15) -> float:
     beta = p.beta
     num = (
         (1.0 - beta)
-        * poch_all_infinite((beta, q * beta), p.base, tol).real
+        * poch_all_infinite((beta, q * beta), p.base).real
         * poch_finite(beta * beta, q, n).real
     )
     den = (
         (1.0 - beta * q**n)
-        * poch_all_infinite((beta * beta, q), p.base, tol).real
+        * poch_all_infinite((beta * beta, q), p.base).real
         * poch_finite(q, q, n).real
     )
     return 2.0 * math.pi * num / den
 
 
-def lql_norm(n: int, p: LqLParams, tol: float = 1e-15) -> float:
+def lql_norm(n: int, p: LqLParams) -> float:
     """Lattice orthogonality constant (aq)^n (q;q)_n / ((aq;q)_inf (aq;q)_n)."""
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
@@ -414,7 +409,7 @@ def lql_norm(n: int, p: LqLParams, tol: float = 1e-15) -> float:
     return (
         aq**n
         * poch_finite(q, q, n).real
-        / (poch_infinite(aq, p.base, tol).real * poch_finite(aq, q, n).real)
+        / (poch_infinite(aq, p.base).real * poch_finite(aq, q, n).real)
     )
 
 
@@ -422,7 +417,7 @@ _INTEGER_EXACT = 1e-12
 _INTEGER_DANGER = 1e-6
 
 
-def qlag_continuous_norm(n: int, p: QLagParams, tol: float = 1e-15) -> float:
+def qlag_continuous_norm(n: int, p: QLagParams) -> float:
     """Norm of the continuous (half-line) q-Laguerre orthogonality.
 
     Two branches scaled by -1/q^n:
@@ -452,18 +447,18 @@ def qlag_continuous_norm(n: int, p: QLagParams, tol: float = 1e-15) -> float:
     else:
         branch = (
             math.pi
-            * poch_infinite(q**-al, p.base, tol).real
+            * poch_infinite(q**-al, p.base).real
             * poch_finite(q ** (al + 1.0), q, n).real
             / (
                 math.sin(math.pi * al)
-                * poch_infinite(q, p.base, tol).real
+                * poch_infinite(q, p.base).real
                 * poch_finite(q, q, n).real
             )
         )
     return -branch / q**n
 
 
-def qlag_bilateral_norm(n: int, p: QLagParams, c: float, tol: float = 1e-15) -> float:
+def qlag_bilateral_norm(n: int, p: QLagParams, c: float) -> float:
     """Norm of the bilateral lattice orthogonality on nodes c*q^k, k in Z:
 
         (q, -c q^(alpha+1), -q^-alpha / c; q)_inf (q^(alpha+1); q)_n
@@ -475,14 +470,14 @@ def qlag_bilateral_norm(n: int, p: QLagParams, c: float, tol: float = 1e-15) -> 
         raise PreconditionViolation("need c > 0")
     q = p.base.q
     qa1 = q ** (p.alpha + 1.0)
-    num = poch_all_infinite((q, -c * qa1, -(q**-p.alpha) / c), p.base, tol).real
-    den = poch_all_infinite((qa1, -c, -q / c), p.base, tol).real
+    num = poch_all_infinite((q, -c * qa1, -(q**-p.alpha) / c), p.base).real
+    den = poch_all_infinite((qa1, -c, -q / c), p.base).real
     return (
         num * poch_finite(qa1, q, n).real / (q**n * den * poch_finite(q, q, n).real)
     )
 
 
-def qlag_jackson_norm(n: int, p: QLagParams, tol: float = 1e-15) -> float:
+def qlag_jackson_norm(n: int, p: QLagParams) -> float:
     """Norm of the q-integral orthogonality on (0, inf):
 
         (1-q) (q, -q^(alpha+1), -q^-alpha; q)_inf (q^(alpha+1); q)_n
@@ -492,8 +487,8 @@ def qlag_jackson_norm(n: int, p: QLagParams, tol: float = 1e-15) -> float:
         raise PreconditionViolation("n must be >= 0")
     q = p.base.q
     qa1 = q ** (p.alpha + 1.0)
-    num = poch_all_infinite((q, -qa1, -(q**-p.alpha)), p.base, tol).real
-    den = poch_all_infinite((qa1, -q, -q), p.base, tol).real
+    num = poch_all_infinite((q, -qa1, -(q**-p.alpha)), p.base).real
+    den = poch_all_infinite((qa1, -q, -q), p.base).real
     return (
         (1.0 - q)
         * num

@@ -125,9 +125,9 @@ class PochSymbol:
         if self.order is not None and self.order < 0:
             raise PreconditionViolation("order must be >= 0 or None")
 
-    def value(self, tol: float = 1e-15) -> complex:
+    def value(self) -> complex:
         if self.order is None:
-            return poch_infinite(self.a, self.base, tol)
+            return poch_infinite(self.a, self.base)
         return poch_finite(self.a, self.base, self.order)
 
 
@@ -180,11 +180,11 @@ def poch_all(params: Iterable[complex], q: QLike, n: int) -> complex:
     return out
 
 
-def poch_all_infinite(params: Iterable[complex], q: QLike, tol: float = 1e-15) -> complex:
+def poch_all_infinite(params: Iterable[complex], q: QLike) -> complex:
     """Product of infinite symbols ``(a1, a2, ...; q)_inf``."""
     out = complex(1.0)
     for a in params:
-        out *= poch_infinite(a, q, tol)
+        out *= poch_infinite(a, q)
     return out
 
 

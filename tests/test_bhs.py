@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from qsk.bhs import SeriesSpec, check_qbinomial, default_max_terms, eval_phi
+from qsk.bhs import SeriesSpec, check_qbinomial, eval_phi
 from qsk.errors import DivergentSeries, NoConvergence, ZeroDenominator
 from qsk.qpoch import QBase, poch_finite, poch_infinite
 
@@ -144,10 +144,3 @@ def test_qbinomial_random_grid():
         a = complex(rng.uniform(-1.2, 1.2), rng.uniform(-0.5, 0.5))
         z = complex(rng.uniform(-0.85, 0.85), 0.0)
         assert check_qbinomial(a, z, q) < 1e-10
-
-
-def test_max_terms_env_override(monkeypatch):
-    monkeypatch.setenv("QSK_MAX_TERMS", "123")
-    assert default_max_terms() == 123
-    monkeypatch.delenv("QSK_MAX_TERMS")
-    assert default_max_terms() == 10000

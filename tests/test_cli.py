@@ -44,9 +44,10 @@ def test_eval_invalid_parameters_exit_2(capsys):
 
 
 def test_out_of_range_values_exit_2(capsys):
-    code, _, err = run(capsys, "eval", "--family", "lql", "--n", "60",
-                       "--x", "0.7", "--a", "0.5", "--q", "0.5")
-    assert code == 2 and "range" in err
+    for n, x, q in (("60", "0.7", "0.5"), ("250", "-0.5", "0.05"), ("60", "-0.5", "0.5")):
+        code, _, err = run(capsys, "eval", "--family", "lql", "--n", n,
+                           "--x", x, "--a", "0.5", "--q", q)
+        assert code == 2 and "range" in err, (n, x, q)
     code, _, err = run(capsys, "connect", "--family", "qlag", "--n", "100",
                        "--alpha", "-0.9", "--beta", "2.5", "--q", "0.05")
     assert code == 2 and "range" in err
@@ -106,6 +107,25 @@ def test_verify_default_t3_passes_at_1e7(tmp_path, capsys):
     for rec in report["records"]:
         assert rec["status"] == "pass"
         assert float(rec["rel_residual"]) < 1e-7
+
+
+def test_verify_outer_cap_bounds_the_truncation(tmp_path, capsys):
+    out_path = tmp_path / "cap.json"
+    code, _, _ = run(capsys, "verify", "--tags", "T3", "--outer-cap", "16",
+                     "--out", str(out_path))
+    report = json.loads(out_path.read_text())
+    assert code in (0, 1)
+    assert report["config"]["outer_cap"] == 16
+    assert report["records"]
+    assert all(r["n_terms_outer"] <= 16 for r in report["records"])
+
+
+def test_verify_echoes_max_terms(tmp_path, capsys):
+    out_path = tmp_path / "terms.json"
+    code, _, _ = run(capsys, "verify", "--tags", "T3", "--points", "1",
+                     "--max-terms", "500", "--out", str(out_path))
+    assert code == 0
+    assert json.loads(out_path.read_text())["config"]["max_terms"] == 500
 
 
 def test_verify_c29_flagged_never_fails(tmp_path, capsys):
