@@ -68,6 +68,8 @@ class SuiteConfig:
             raise ValueError("points-per-identity must be >= 1")
         if not (self.tolerance > 0.0):
             raise ValueError("tolerance must be > 0")
+        if self.max_terms < 1 or self.outer_cap < 1:
+            raise ValueError("max-terms and outer-cap must be >= 1")
         for tag in self.tags:
             if tag not in _IDENTITY_TAGS and tag not in _COROLLARY_TAGS:
                 raise ValueError(f"unknown tag {tag!r}")
@@ -247,7 +249,7 @@ def _cmd_verify(args) -> int:
         points_per_identity=args.points,
         tolerance=args.tolerance,
         outer_cap=args.outer_cap,
-        max_terms=args.max_terms or DEFAULT_MAX_TERMS,
+        max_terms=args.max_terms,
     )
     try:
         report = run_suite(config)
@@ -313,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="points per (tag, q) pair")
     pv.add_argument("--tolerance", type=float, default=1e-7)
     pv.add_argument("--outer-cap", dest="outer_cap", type=int, default=2048)
-    pv.add_argument("--max-terms", dest="max_terms", type=int, default=None)
+    pv.add_argument("--max-terms", dest="max_terms", type=int,
+                    default=DEFAULT_MAX_TERMS)
     pv.add_argument("--out", default=None, help="report path (default stdout)")
     pv.set_defaults(fn=_cmd_verify)
 

@@ -1047,7 +1047,9 @@ _add(_Entry(
 class _RhsAccumulator:
     """Caches the outer terms coef_n * poly_n(x) * inner_n so truncation
     escalation reuses lower orders, and stops extending once terms are
-    numerically exhausted."""
+    numerically exhausted.  poly_n comes from one family cursor per point,
+    made at the first nonzero coefficient and advanced only at nonzero
+    coefficients, so the recurrence is walked once over the whole sum."""
 
     def __init__(self, entry: _Entry, point: ParamPoint, ctx: EvalContext) -> None:
         self.entry = entry
@@ -1058,6 +1060,7 @@ class _RhsAccumulator:
         self.terms: list[complex] = []
         self.partials: list[complex] = [complex(0.0)]
         self.max_inner = 0
+        self._poly = None
         self.exhausted = False
         self._streak = 0
 
@@ -1080,7 +1083,9 @@ class _RhsAccumulator:
             else:
                 term = entry.coef(n, pt, ctx)
                 if term != 0.0:
-                    term *= FAMILIES[entry.family].evaluate(n, self.x, self.params)
+                    if self._poly is None:
+                        self._poly = FAMILIES[entry.family].cursor(self.x, self.params)
+                    term *= self._poly(n)
                     if term != 0.0 and entry.inner is not None:
                         term *= self._inner(n)
             self.terms.append(term)

@@ -369,29 +369,15 @@ def _spec_for(entry: _CorEntry, point: ParamPoint, ctx: EvalContext) -> Function
 def _closed_form(entry: _CorEntry, n: int, point: ParamPoint, ctx: EvalContext,
                  spec: FunctionalSpec) -> tuple[complex, int]:
     """Coefficient x inner factor x norm / prefactor, and the inner
-    series' term count."""
+    series' term count.  The coefficient keeps its q^C(n,2) factor, which
+    the definite-integral display C27 omits in print: a transcription slip,
+    since the parallel series and q-integral displays retain it."""
     thm = entry_for(entry.theorem)
     inner = eval_phi(thm.inner(n, point, ctx), max_terms=ctx.max_terms)
     value = thm.coef(n, point, ctx) * inner.value * norm_constant(spec, n)
     if thm.pref is not None:
         value /= thm.pref(point, ctx)
     return value, inner.terms_used
-
-
-def corollary_rhs(cid: CorollaryId | str, point: ParamPoint, ctx: EvalContext) -> complex:
-    """The displayed closed form: outer coefficient times inner r_phi_s
-    factor times the norm constant, divided by the theorem's x-independent
-    prefactor.
-
-    The parallel series/q-integral displays retain the q^C(n,2) factor of
-    their theorem's coefficient; the definite-integral display derived
-    from the same theorem omits it in print, which is a transcription
-    slip, and it is restored here (C27).
-    """
-    entry = _COR[CorollaryId(cid)]
-    n = point.intval("n")
-    spec = _spec_for(entry, point, ctx)
-    return _closed_form(entry, n, point, ctx, spec)[0]
 
 
 def verify_corollary(

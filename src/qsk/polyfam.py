@@ -27,6 +27,7 @@ tests.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -148,23 +149,23 @@ def _theta(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _recurrence(steps: Iterable[tuple]) -> complex:
-    """p_n from the forward three-term recurrence
+def _recurrence(steps: Iterable[tuple], prev=0.0, cur=1.0) -> tuple:
+    """(p_(k-1), p_k) advanced by the forward three-term recurrence
 
-        a_k p_(k+1) = b_k p_k - c_k p_(k-1),   p_(-1) = 0, p_0 = 1,
+        a_k p_(k+1) = b_k p_k - c_k p_(k-1),
 
-    taking (a_k, b_k, c_k) for k = 0..n-1 from ``steps``.  A polynomial
+    once per (a_k, b_k, c_k) taken from ``steps``; from the defaults
+    p_(-1) = 0, p_0 = 1, n steps give (p_(n-1), p_n).  A polynomial
     solution is never the minimal one, so forward recursion keeps it
     (Gautschi, SIAM Review 9, 1967), and no intermediate carries the q^-n
     scale of the series forms."""
-    prev, cur = 0.0, 1.0
     for a, b, c in steps:
         prev, cur = cur, (b * cur - c * prev) / a
-    return cur
+    return prev, cur
 
 
-def askey_wilson(n: int, x: float, p: AWParams) -> complex:
-    """Askey-Wilson polynomial p_n(x; a,b,c,d | q) at x = cos(theta).
+def _aw_steps(x: float, p: AWParams, ks: Iterable[int]):
+    """Askey-Wilson recurrence coefficients for the degrees k in ``ks``.
 
     The recurrence is written directly in the unnormalized polynomials,
 
@@ -174,8 +175,6 @@ def askey_wilson(n: int, x: float, p: AWParams) -> complex:
     A'_k, C'_k absorb the a^-k (ab, ac, ad; q)_k prefactor, so no
     intermediate carries the a^-k scale.
     """
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
     _theta(x)  # validates |x| <= 1
     q = p.base.q
     a, b, c, d = p.as_tuple()
@@ -184,7 +183,7 @@ def askey_wilson(n: int, x: float, p: AWParams) -> complex:
     abcd = a * b * c * d
 
     def steps():
-        for k in range(n):
+        for k in ks:
             qk, qk1 = q**k, q ** (k - 1)
             d0 = 1.0 - abcd * q ** (2 * k - 1)
             d1 = 1.0 - abcd * q ** (2 * k)
@@ -207,24 +206,50 @@ def askey_wilson(n: int, x: float, p: AWParams) -> complex:
                 C_a * (1.0 - a * b * qk1) * (1.0 - a * c * qk1) * (1.0 - a * d * qk1),
             )
 
-    return complex(_recurrence(steps()))
+    return steps()
 
 
-def cont_q_ultra(n: int, x: float, p: UltraParams) -> float:
-    """Continuous q-ultraspherical (Rogers) polynomial C_n(x; beta | q), by
+def _cqu_steps(x: float, p: UltraParams, ks: Iterable[int]):
+    """Continuous q-ultraspherical recurrence coefficients, from
 
         2x (1 - beta q^k) C_k = (1 - q^(k+1)) C_(k+1)
                                 + (1 - beta^2 q^(k-1)) C_(k-1).
     """
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
     _theta(x)  # validates |x| <= 1
     q, beta = p.base.q, p.beta
-    return _recurrence(
+    return (
         (1.0 - q ** (k + 1), 2.0 * x * (1.0 - beta * q**k),
          1.0 - beta * beta * q ** (k - 1))
-        for k in range(n)
+        for k in ks
     )
+
+
+def _qlag_steps(x: float, p: QLagParams, ks: Iterable[int]):
+    """q-Laguerre recurrence coefficients (Koekoek-Lesky-Swarttouw 14.21.3)
+
+        -q^(2k+alpha+1) x L_k = (1 - q^(k+1)) L_(k+1)
+            - [(1 - q^(k+1)) + q (1 - q^(k+alpha))] L_k
+            + q (1 - q^(k+alpha)) L_(k-1).
+    """
+    q, al = p.base.q, p.alpha
+    for k in ks:
+        a = 1.0 - q ** (k + 1)
+        c = q * (1.0 - q ** (k + al))
+        yield a, a + c - q ** (2 * k + al + 1.0) * x, c
+
+
+def askey_wilson(n: int, x: float, p: AWParams) -> complex:
+    """Askey-Wilson polynomial p_n(x; a,b,c,d | q) at x = cos(theta)."""
+    if n < 0:
+        raise PreconditionViolation("n must be >= 0")
+    return complex(_recurrence(_aw_steps(x, p, range(n)))[1])
+
+
+def cont_q_ultra(n: int, x: float, p: UltraParams) -> float:
+    """Continuous q-ultraspherical (Rogers) polynomial C_n(x; beta | q)."""
+    if n < 0:
+        raise PreconditionViolation("n must be >= 0")
+    return _recurrence(_cqu_steps(x, p, range(n)))[1]
 
 
 def little_q_laguerre_scaled(
@@ -298,24 +323,11 @@ def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
 
 
 def q_laguerre(n: int, x: float, p: QLagParams) -> float:
-    """q-Laguerre polynomial L_n^(alpha)(x; q), by the recurrence
-    (Koekoek-Lesky-Swarttouw 14.21.3)
-
-        -q^(2k+alpha+1) x L_k = (1 - q^(k+1)) L_(k+1)
-            - [(1 - q^(k+1)) + q (1 - q^(k+alpha))] L_k
-            + q (1 - q^(k+alpha)) L_(k-1).
-    """
+    """q-Laguerre polynomial L_n^(alpha)(x; q)."""
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
-    q, al = p.base.q, p.alpha
+    return _recurrence(_qlag_steps(x, p, range(n)))[1]
 
-    def steps():
-        for k in range(n):
-            a = 1.0 - q ** (k + 1)
-            c = q * (1.0 - q ** (k + al))
-            yield a, a + c - q ** (2 * k + al + 1.0) * x, c
-
-    return _recurrence(steps())
 
 # ---------------------------------------------------------------------------
 # weights
@@ -523,9 +535,12 @@ class Family:
 
     params    parameter record class, built as params(*values, base)
     names     its parameter names, in that order
-    evaluate  (n, x, params) -> p_n(x) as a complex
+    evaluate  (n, x, params) -> p_n(x) as a complex, from degree 0
     weight    (x, params) -> continuous weight w(x); None on a lattice
     support   (q, count) -> sample abscissas on the natural support
+    steps     (x, params, degrees) -> recurrence coefficients at those
+              degrees, x and params checked on the call; None for a
+              family evaluated by series
     """
 
     params: type
@@ -533,6 +548,26 @@ class Family:
     evaluate: Callable[[int, float, object], complex]
     weight: Callable[[float, object], float] | None
     support: Callable[[float, int], list[float]]
+    steps: Callable[[float, object, Iterable[int]], Iterable[tuple]] | None
+
+    def cursor(self, x: float, params) -> Callable[[int], complex]:
+        """``at(n)`` -> p_n(x) for nondecreasing n.  A recurrence family
+        advances from the last degree reached, with the arithmetic of
+        ``evaluate``, so degrees 0..N take N steps in all; a series family
+        is evaluated per degree.  A cursor whose call raised is spent."""
+        if self.steps is None:
+            return lambda n: self.evaluate(n, x, params)
+        steps = self.steps(x, params, itertools.count())
+        k, prev, cur = 0, 0.0, 1.0  # p_(k-1), p_k
+
+        def at(n: int) -> complex:
+            nonlocal k, prev, cur
+            m, k = k, None  # after a raise, the next call fails on n - None
+            prev, cur = _recurrence(itertools.islice(steps, n - m), prev, cur)
+            k = n
+            return complex(cur)
+
+        return at
 
 
 # The lambdas look evaluators and weights up as module globals at call
@@ -542,19 +577,19 @@ FAMILIES: dict[FamilyId, Family] = {
     FamilyId.ASKEY_WILSON: Family(
         AWParams, ("a", "b", "c", "d"),
         lambda n, x, p: askey_wilson(n, x, p),
-        lambda x, p: aw_weight(x, p), _chebyshev),
+        lambda x, p: aw_weight(x, p), _chebyshev, _aw_steps),
     FamilyId.CONT_Q_ULTRA: Family(
         UltraParams, ("beta",),
         lambda n, x, p: complex(cont_q_ultra(n, x, p)),
-        lambda x, p: ultra_weight(x, p), _chebyshev),
+        lambda x, p: ultra_weight(x, p), _chebyshev, _cqu_steps),
     FamilyId.LITTLE_Q_LAGUERRE: Family(
         LqLParams, ("a",),
         lambda n, x, p: complex(little_q_laguerre(n, x, p)),
-        None, _lattice),
+        None, _lattice, None),
     FamilyId.Q_LAGUERRE: Family(
         QLagParams, ("alpha",),
         lambda n, x, p: complex(q_laguerre(n, x, p)),
-        lambda x, p: qlag_weight(x, p), _two_sided),
+        lambda x, p: qlag_weight(x, p), _two_sided, _qlag_steps),
 }
 _FAMILY_OF = {fam.params: fid for fid, fam in FAMILIES.items()}
 

@@ -156,6 +156,12 @@ def test_verify_unknown_tag_exit_2(capsys):
     assert code == 2 and "unknown tag" in err
 
 
+def test_verify_caps_below_one_exit_2(capsys):
+    for flag, value in (("--max-terms", "-5"), ("--outer-cap", "0"), ("--max-terms", "0")):
+        code, _, err = run(capsys, "verify", "--tags", "T3", flag, value)
+        assert code == 2 and "must be >= 1" in err, (flag, value)
+
+
 def test_record_schema(tmp_path, capsys):
     out_path = tmp_path / "one.json"
     run(capsys, "verify", "--tags", "T13", "--points", "1", "--out", str(out_path))
@@ -181,6 +187,10 @@ def test_suite_config_validation():
         SuiteConfig(tags=("NOPE",))
     with pytest.raises(ValueError):
         SuiteConfig(tags=("T3",), points_per_identity=0)
+    with pytest.raises(ValueError):
+        SuiteConfig(tags=("T3",), max_terms=0)
+    with pytest.raises(ValueError):
+        SuiteConfig(tags=("T3",), outer_cap=0)
 
 
 def test_run_suite_python_api():

@@ -2,10 +2,12 @@
 identities, residuals at sampled in-domain points, and truncation
 behavior."""
 
+import dataclasses
 from random import Random
 
 import pytest
 
+from qsk import polyfam
 from qsk.context import EvalContext, ParamPoint
 from qsk.errors import InsufficientTruncation, PreconditionViolation
 from qsk.genfun import (
@@ -250,3 +252,22 @@ def test_report_fields():
     assert rep.rel_residual == rep.abs_residual / (
         1.0 + max(abs(rep.lhs), abs(rep.rhs))
     )
+
+
+@pytest.mark.parametrize("tag", ["T2", "T3", "T13"])
+def test_outer_sum_walks_the_recurrence_once(monkeypatch, tag):
+    """An outer sum of N terms draws at most N recurrence steps from its
+    family; evaluating every degree from degree 0 would draw about N^2 / 2."""
+    fid = entry_for(tag).family
+    fam = polyfam.FAMILIES[fid]
+    drawn = [0]
+
+    def counted(*args):
+        for step in fam.steps(*args):
+            drawn[0] += 1
+            yield step
+
+    monkeypatch.setitem(polyfam.FAMILIES, fid, dataclasses.replace(fam, steps=counted))
+    rep = verify_identity(tag, sample_point(tag, Random(1), 0.5), CTX)
+    assert rep.n_terms_outer >= 32
+    assert 0 < drawn[0] <= rep.n_terms_outer

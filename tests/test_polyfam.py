@@ -587,3 +587,56 @@ def test_family_table_reaches_rebound_evaluators(monkeypatch, fid, name):
     assert calls == [2]
     assert connect.expansion_residual(exp, [x]) < 1e-10
     assert sorted(calls[1:]) == sorted([exp.n] + [k for k, _ in exp.coefficients])
+
+
+# --- cursors ----------------------------------------------------------------
+
+_CURSOR_DRAWS = {
+    FamilyId.ASKEY_WILSON: _draw_aw,
+    FamilyId.CONT_Q_ULTRA: _draw_cqu,
+    FamilyId.Q_LAGUERRE: _draw_qlag,
+}
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("fid", list(_CURSOR_DRAWS), ids=lambda f: f.value)
+def test_cursor_equals_single_degree_evaluation(q, fid):
+    """Walking the recurrence once, at every degree or skipping degrees,
+    gives bit for bit what restarting it from degree 0 gives."""
+    fam = FAMILIES[fid]
+    rng = Random(f"cursor:{fid.value}:{q}")
+    for _ in range(4):
+        vals, x = _CURSOR_DRAWS[fid](rng)
+        p = fam.params(*vals, QBase(q))
+        every, skipping = fam.cursor(x, p), fam.cursor(x, p)
+        for k in range(65):
+            want = fam.evaluate(k, x, p)
+            assert every(k) == want, (vals, x, k)
+            if k % 3 == 2:
+                assert skipping(k) == want, (vals, x, k)
+
+
+def test_cursor_refuses_from_the_same_degree_as_single_degree_evaluation():
+    """abcd q^5 = 1 + 1e-14: the recurrence step k = 3 divides by
+    1 - abcd q^(2k-1), so both paths refuse every degree from 4 on."""
+    p = AWParams(2.0, 2.0, 2.0, 4.0 * (1.0 + 1e-14), B5)
+    x = 0.3
+    at = FAMILIES[FamilyId.ASKEY_WILSON].cursor(x, p)
+    for n in range(4):
+        assert at(n) == askey_wilson(n, x, p)
+    for n in (4, 5, 9):
+        with pytest.raises(IllConditioned):
+            askey_wilson(n, x, p)
+    with pytest.raises(IllConditioned):
+        at(4)
+    with pytest.raises(TypeError):
+        at(5)  # spent: never a stale value
+    with pytest.raises(IllConditioned):
+        FAMILIES[FamilyId.ASKEY_WILSON].cursor(x, p)(9)
+
+
+def test_cursor_validates_before_the_first_degree():
+    with pytest.raises(PreconditionViolation):
+        FAMILIES[FamilyId.CONT_Q_ULTRA].cursor(1.5, UltraParams(0.4, B5))
+    with pytest.raises(ZeroParameter):
+        FAMILIES[FamilyId.ASKEY_WILSON].cursor(0.3, AWParams(0.0, 0.2, 0.1, 0.05, B5))
