@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -66,8 +67,8 @@ class SuiteConfig:
             QBase(q)
         if self.points_per_identity < 1:
             raise ValueError("points-per-identity must be >= 1")
-        if not (self.tolerance > 0.0):
-            raise ValueError("tolerance must be > 0")
+        if not (0.0 < self.tolerance < math.inf):
+            raise ValueError("tolerance must be finite and > 0")
         if self.max_terms < 1 or self.outer_cap < 1:
             raise ValueError("max-terms and outer-cap must be >= 1")
         for tag in self.tags:

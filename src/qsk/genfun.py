@@ -14,10 +14,18 @@ the kernel holds every x-dependent factor and is what an orthogonality
 corollary integrates against p_n, the x-independent prefactor (None where
 there is none) moves to the corollary's closed-form side.
 
+Every outer coefficient is one q-hypergeometric term, stored as the record
+(z, num, den, k) of the point:
+
+    coef_n = z^n q^(k C(n,2)) (num_1, num_2, ...; q)_n / (den_1, den_2, ...; q)_n
+
+with k in {0, 1}; ``_coef`` is its one evaluator.
+
 ``verify_identity`` evaluates the closed-form side once, assembles the
-series side with outer truncation escalated 16, 32, 64, ... until two
-successive truncations agree to 1e-9 relative to 1 + |sum|, and reports
-the residual.  Out-of-domain points are still evaluated but flagged.
+series side with outer truncation escalated 16, 32, 64, ... (starting
+lower when the outer cap is below 16) until two successive truncations
+agree to 1e-9 relative to 1 + |sum|, and reports the residual.
+Out-of-domain points are still evaluated but flagged.
 """
 
 from __future__ import annotations
@@ -33,10 +41,11 @@ from .bhs import SeriesSpec, eval_phi
 from .context import EvalContext, ParamPoint
 from .errors import InsufficientTruncation, PreconditionViolation
 from .polyfam import FAMILIES, FamilyId, little_q_laguerre_scaled
-from .qpoch import poch_all, poch_finite, poch_infinite, unscale
+from .qpoch import poch_all, poch_infinite, unscale
 
 # Two outer truncations agreeing to this, relative to 1 + |sum|, settle
-# the series side; escalation starts at _OUTER_START terms and doubles.
+# the series side; escalation starts at _OUTER_START terms (or the outer
+# cap, if lower) and doubles.
 _TOL = 1e-9
 _OUTER_START = 16
 
@@ -120,22 +129,39 @@ class IdentityReport:
                    n_terms_outer, n_terms_inner, in_domain)
 
 
+Coef = tuple[complex, tuple[complex, ...], tuple[complex, ...], int]
+
+
+def _coef(c: Coef, q: float, n: int, scaled: bool = False) -> complex:
+    """The degree-n value z^n q^(k C(n,2)) (num; q)_n / (den; q)_n of the
+    coefficient record c = (z, num, den, k); ``scaled`` leaves out the
+    q^(k C(n,2)) factor, for a caller that carries it as an exponent."""
+    z, num, den, k = c
+    value = z**n * poch_all(num, q, n) / poch_all(den, q, n)
+    return value if scaled or k == 0 else value * q ** (k * math.comb(n, 2))
+
+
+def _record(names: str,
+            build: Callable[..., Coef]) -> Callable[[ParamPoint, EvalContext], Coef]:
+    """An entry's coefficient record: ``build`` takes the point values
+    named in ``names``, then q."""
+    return lambda pt, ctx: build(*(pt.get(nm) for nm in names.split()), ctx.q)
+
+
 @dataclass(frozen=True)
 class _Entry:
     tag: IdentityId
     source: Optional[IdentityId]
     domain: DomainPredicate
     kernel: Callable[[float, ParamPoint, EvalContext], complex]
-    coef: Callable[[int, ParamPoint, EvalContext], complex]
+    # The outer coefficient's record (z, num, den, k) at the point, the
+    # term z^n q^(k C(n,2)) (num; q)_n / (den; q)_n; see _coef.
+    coef: Callable[[ParamPoint, EvalContext], Coef]
     inner: Optional[Callable[[int, ParamPoint, EvalContext], SeriesSpec]]
     family: FamilyId  # the series side expands over this family ...
     names: tuple[str, ...]  # ... with the parameters of these point names
     sample: Callable[[Random, float], ParamPoint]
     describe: str
-    # The coefficient without its q^C(n,2) factor, for the lattice family:
-    # coefficient and polynomial carry huge canceling q-power scales, so
-    # for x > 0 the term is combined in exponent space.
-    coef_mant: Optional[Callable[[int, ParamPoint, EvalContext], complex]] = None
     # The x-independent factor of the closed form, None when it is 1.
     pref: Optional[Callable[[ParamPoint, EvalContext], complex]] = None
 
@@ -165,9 +191,10 @@ def _pinf(a: complex, ctx: EvalContext) -> complex:
     return poch_infinite(a, ctx.base)
 
 
-def _pair(w: complex, q: float, n: int) -> complex:
-    # (sqrt(w); q)_n (-sqrt(w); q)_n, assembled without taking the root
-    return poch_finite(w, q * q, n)
+def _pm_roots(*ws: complex) -> tuple[complex, ...]:
+    """sqrt(w) and -sqrt(w) for each w: (sqrt(w), -sqrt(w); q)_n is
+    (w; q^2)_n on either branch of the root."""
+    return tuple(s * cmath.sqrt(w) for w in ws for s in (1.0, -1.0))
 
 
 def _tpick(rng: Random, bound: float) -> float:
@@ -202,26 +229,6 @@ def _lhs_aw(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     f1 = _phi((a * e, b * e), (a * b,), t / e, ctx)
     f2 = _phi((c / e, d / e), (c * d,), t * e, ctx)
     return f1 * f2
-
-
-def _coef_src_aw(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    a, b, c, d, t = (pt.get(nm) for nm in "abcdt")
-    return t**n / poch_all((q, a * b, c * d), q, n)
-
-
-def _coef_t2(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    a, b, c, d, al, t = (pt.get(nm) for nm in ("a", "b", "c", "d", "alpha", "t"))
-    abcd = a * b * c * d
-    albcd = al * b * c * d
-    num = poch_finite(albcd / q, q, n) * _pair(abcd / q, q, n) * _pair(abcd, q, n)
-    den = (
-        poch_all((q, a * b, c * d, abcd / q), q, n)
-        * _pair(albcd / q, q, n)
-        * _pair(albcd, q, n)
-    )
-    return t**n * num / den
 
 
 def _inner_t2(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
@@ -278,17 +285,6 @@ def _lhs_t3(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     return num / den
 
 
-def _coef_t3(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
-    return (
-        poch_finite(beta, q, n)
-        * (1.0 - gamma * q**n)
-        * t**n
-        / ((1.0 - gamma) * poch_finite(q * gamma, q, n))
-    )
-
-
 def _inner_t3(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     q = ctx.q
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
@@ -302,22 +298,6 @@ def _lhs_29(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     t, beta = pt.get("t"), pt.get("beta")
     e = _expi(x)
     return _pinf(t / e, ctx) * _phi((beta, beta * e * e), (beta * beta,), t / e, ctx)
-
-
-def _coef_t4(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
-    return (
-        poch_finite(beta, q, n)
-        * q ** math.comb(n, 2)
-        * (1.0 - gamma * q**n)
-        * (-beta * t) ** n
-        / (
-            (1.0 - gamma)
-            * poch_finite(beta * beta, q, n)
-            * poch_finite(q * gamma, q, n)
-        )
-    )
 
 
 def _half_powers(beta: complex, q: float, n: int) -> tuple[complex, complex]:
@@ -345,21 +325,6 @@ def _lhs_28(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     return _phi((beta, beta * e * e), (beta * beta,), t / e, ctx) / _pinf(t * e, ctx)
 
 
-def _coef_t5(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
-    return (
-        poch_finite(beta, q, n)
-        * (1.0 - gamma * q**n)
-        * t**n
-        / (
-            (1.0 - gamma)
-            * poch_finite(beta * beta, q, n)
-            * poch_finite(q * gamma, q, n)
-        )
-    )
-
-
 def _inner_t5(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     q = ctx.q
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
@@ -380,18 +345,6 @@ def _lhs_33(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     pref = _pinf(gamma * t * e, ctx) / _pinf(t * e, ctx)
     return pref * _phi(
         (gamma, beta, beta * e * e), (beta * beta, gamma * t * e), t / e, ctx
-    )
-
-
-def _coef_t6(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    beta, gamma, al, t = (pt.get(nm) for nm in ("beta", "gamma", "alpha", "t"))
-    return (
-        poch_finite(beta, q, n)
-        * poch_finite(gamma, q, n)
-        * (1.0 - al * q**n)
-        * t**n
-        / ((1.0 - al) * poch_finite(beta * beta, q, n) * poch_finite(q * al, q, n))
     )
 
 
@@ -428,15 +381,6 @@ def _lhs_31(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     return f1 * f2
 
 
-def _coef_t7(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
-    rq = math.sqrt(q)
-    num = poch_all((beta, beta * rq, -beta * rq), q, n) * (1.0 - gamma * q**n) * t**n
-    den = (1.0 - gamma) * poch_all((beta * beta, -q * beta, q * gamma), q, n)
-    return num / den
-
-
 def _inner_t7(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     q = ctx.q
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
@@ -462,15 +406,6 @@ def _lhs_30(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     return f1 * f2
 
 
-def _coef_t8(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
-    rq = math.sqrt(q)
-    num = poch_all((beta, -beta, -beta * rq), q, n) * (1.0 - gamma * q**n) * t**n
-    den = (1.0 - gamma) * poch_all((beta * beta, beta * rq, q * gamma), q, n)
-    return num / den
-
-
 def _inner_t8(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     q = ctx.q
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
@@ -492,15 +427,6 @@ def _lhs_32(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
     f1 = _phi((r * e, -rq * e), (-brq,), t / e, ctx)
     f2 = _phi((rq / e, -r / e), (-brq,), t * e, ctx)
     return f1 * f2
-
-
-def _coef_t9(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
-    rq = math.sqrt(q)
-    num = poch_all((beta, -beta, beta * rq), q, n) * (1.0 - gamma * q**n) * t**n
-    den = (1.0 - gamma) * poch_all((beta * beta, -beta * rq, q * gamma), q, n)
-    return num / den
 
 
 def _inner_t9(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
@@ -554,42 +480,10 @@ def _pinf_t(pt: ParamPoint, ctx: EvalContext) -> complex:
     return _pinf(pt.get("t"), ctx)
 
 
-def _coef_t11(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    a, b, t = pt.get("a"), pt.get("b"), pt.get("t")
-    return (
-        q ** math.comb(n, 2)
-        * (-t) ** n
-        * poch_finite(b * q, q, n)
-        / (poch_finite(q, q, n) * poch_finite(a * q, q, n))
-    )
-
-
 def _inner_t11(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     q = ctx.q
     a, b, t = pt.get("a"), pt.get("b"), pt.get("t")
     return SeriesSpec((a / b,), (a * q ** (n + 1),), b * q ** (n + 1) * t, ctx.base)
-
-
-def _coef_src_lql(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    t = pt.get("t")
-    return (-t) ** n * q ** math.comb(n, 2) / poch_finite(q, q, n)
-
-
-def _coef_mant_t11(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    a, b, t = pt.get("a"), pt.get("b"), pt.get("t")
-    return (
-        (-t) ** n
-        * poch_finite(b * q, q, n)
-        / (poch_finite(q, q, n) * poch_finite(a * q, q, n))
-    )
-
-
-def _coef_mant_src_lql(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    return (-pt.get("t")) ** n / poch_finite(q, q, n)
 
 
 def _tb_t11(pt: ParamPoint, q: float) -> float:
@@ -653,27 +547,11 @@ def _pref_ql16(pt: ParamPoint, ctx: EvalContext) -> complex:
     return _pinf(pt.get("gamma") * pt.get("t"), ctx) / _pinf_t(pt, ctx)
 
 
-def _coef_t13(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    al, be, t = pt.real("alpha"), pt.real("beta"), pt.get("t")
-    return (q ** (al - be) * t) ** n / poch_finite(q ** (al + 1.0), q, n)
-
-
 def _inner_t13(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     q = ctx.q
     al, be, t = pt.real("alpha"), pt.real("beta"), pt.get("t")
     return SeriesSpec(
         (q ** (al - be), 0.0), (q ** (al + n + 1.0),), t, ctx.base
-    )
-
-
-def _coef_t14(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    al, be, t = pt.real("alpha"), pt.real("beta"), pt.get("t")
-    return (
-        (-t * q ** (al - be)) ** n
-        * q ** math.comb(n, 2)
-        / poch_finite(q ** (al + 1.0), q, n)
     )
 
 
@@ -683,44 +561,11 @@ def _inner_t14(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     return SeriesSpec((q ** (al - be),), (q ** (al + n + 1.0),), t * q**n, ctx.base)
 
 
-def _coef_t15(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    al, be, t, gamma = pt.real("alpha"), pt.real("beta"), pt.get("t"), pt.get("gamma")
-    return (
-        poch_finite(gamma, q, n)
-        * (t * q ** (al - be)) ** n
-        / poch_finite(q ** (al + 1.0), q, n)
-    )
-
-
 def _inner_t15(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     q = ctx.q
     al, be, t, gamma = pt.real("alpha"), pt.real("beta"), pt.get("t"), pt.get("gamma")
     return SeriesSpec(
         (q ** (al - be), gamma * q**n), (q ** (al + n + 1.0),), t, ctx.base
-    )
-
-
-def _coef_src_ql14(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    return pt.get("t") ** n / poch_finite(q ** (pt.real("alpha") + 1.0), q, n)
-
-
-def _coef_src_ql15(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    return (
-        (-pt.get("t")) ** n
-        * q ** math.comb(n, 2)
-        / poch_finite(q ** (pt.real("alpha") + 1.0), q, n)
-    )
-
-
-def _coef_src_ql16(n: int, pt: ParamPoint, ctx: EvalContext) -> complex:
-    q = ctx.q
-    return (
-        poch_finite(pt.get("gamma"), q, n)
-        * pt.get("t") ** n
-        / poch_finite(q ** (pt.real("alpha") + 1.0), q, n)
     )
 
 
@@ -792,7 +637,9 @@ _add(_Entry(
     I.SRC_AW_14113, None,
     DomainPredicate(_tb_const(1.0), _aw_ok("abcd"),
                     "|t| < 1, max(|a|,|b|,|c|,|d|) < 1, x in [-1,1]"),
-    _lhs_aw, _coef_src_aw, None, F.ASKEY_WILSON, ("a", "b", "c", "d"),
+    _lhs_aw,
+    _record("a b c d t", lambda a, b, c, d, t, q: (t, (), (q, a * b, c * d), 0)),
+    None, F.ASKEY_WILSON, ("a", "b", "c", "d"),
     lambda rng, q: _sample_aw(rng, q, with_alpha=False),
     "product of two 2phi1 factors = sum t^n p_n(x;a,b,c,d) / (q,ab,cd;q)_n",
 ))
@@ -803,7 +650,12 @@ _add(_Entry(
         lambda pt, q: _aw_ok("abcd")(pt, q) and abs(pt.get("alpha")) < 1.0,
         "|t| < (1-q)^3, max moduli < 1 including the free parameter",
     ),
-    _lhs_aw, _coef_t2, _inner_t2, F.ASKEY_WILSON, ("alpha", "b", "c", "d"),
+    _lhs_aw,
+    _record("a b c d alpha t", lambda a, b, c, d, al, t, q: (
+        t, (al * b * c * d / q, *_pm_roots(a * b * c * d / q, a * b * c * d)),
+        (q, a * b, c * d, a * b * c * d / q,
+         *_pm_roots(al * b * c * d / q, al * b * c * d)), 0)),
+    _inner_t2, F.ASKEY_WILSON, ("alpha", "b", "c", "d"),
     lambda rng, q: _sample_aw(rng, q, with_alpha=True),
     "re-expansion of the two-factor 2phi1 product over p_n(x;alpha,b,c,d)",
 ))
@@ -811,8 +663,7 @@ _add(_Entry(
 _add(_Entry(
     I.SRC_CQU_141027, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _lhs_t3,
-    lambda n, pt, ctx: pt.get("t") ** n,
+    _lhs_t3, _record("t", lambda t, q: (t, (), (), 0)),
     None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "(t beta e, t beta/e; q)_inf / (t e, t/e; q)_inf = sum C_n(x;beta) t^n",
@@ -821,19 +672,15 @@ _add(_Entry(
     I.T3, I.SRC_CQU_141027,
     DomainPredicate(_tb_const(1.0), _cqu_ok("bg"),
                     "|t| < 1, beta, gamma in (-1,1)\\{0}"),
-    _lhs_t3, _coef_t3, _inner_t3, F.CONT_Q_ULTRA, ("gamma",),
+    _lhs_t3, _record("beta gamma t", lambda b, g, t, q: (t, (b,), (g,), 0)),
+    _inner_t3, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0)),
     "re-expansion of the Pochhammer-quotient generating function",
 ))
 _add(_Entry(
     I.SRC_CQU_141029, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _lhs_29,
-    lambda n, pt, ctx: (
-        ctx.q ** math.comb(n, 2)
-        * (-pt.get("beta") * pt.get("t")) ** n
-        / poch_finite(pt.get("beta") ** 2, ctx.q, n)
-    ),
+    _lhs_29, _record("beta t", lambda b, t, q: (-b * t, (), (b * b,), 1)),
     None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "(t/e; q)_inf 2phi1(beta, beta e^2; beta^2; q, t/e) expansion",
@@ -842,15 +689,16 @@ _add(_Entry(
     I.T4, I.SRC_CQU_141029,
     DomainPredicate(_tb_t4, _cqu_ok("bg"),
                     "|t| < 1 - beta^2, beta, gamma in (-1,1)\\{0}"),
-    _lhs_29, _coef_t4, _inner_t4, F.CONT_Q_ULTRA, ("gamma",),
+    _lhs_29,
+    _record("beta gamma t", lambda b, g, t, q: (-b * t, (b,), (b * b, g), 1)),
+    _inner_t4, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t4),
     "re-expansion with a 2phi5 coefficient factor",
 ))
 _add(_Entry(
     I.SRC_CQU_141028, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _lhs_28,
-    lambda n, pt, ctx: pt.get("t") ** n / poch_finite(pt.get("beta") ** 2, ctx.q, n),
+    _lhs_28, _record("beta t", lambda b, t, q: (t, (), (b * b,), 0)),
     None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "2phi1(beta, beta e^2; beta^2; q, t/e) / (t e; q)_inf expansion",
@@ -859,7 +707,9 @@ _add(_Entry(
     I.T5, I.SRC_CQU_141028,
     DomainPredicate(_tb_t4, _cqu_ok("bg"),
                     "|t| < 1 - beta^2, beta, gamma in (-1,1)\\{0}"),
-    _lhs_28, _coef_t5, _inner_t5, F.CONT_Q_ULTRA, ("gamma",),
+    _lhs_28,
+    _record("beta gamma t", lambda b, g, t, q: (t, (b,), (b * b, g), 0)),
+    _inner_t5, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t4),
     "re-expansion with a 6phi5 coefficient factor",
 ))
@@ -868,11 +718,7 @@ _add(_Entry(
     DomainPredicate(_tb_const(1.0), _cqu_ok("b", "g"),
                     "|t| < 1, beta in (-1,1)\\{0}, gamma complex"),
     _lhs_33,
-    lambda n, pt, ctx: (
-        poch_finite(pt.get("gamma"), ctx.q, n)
-        * pt.get("t") ** n
-        / poch_finite(pt.get("beta") ** 2, ctx.q, n)
-    ),
+    _record("beta gamma t", lambda b, g, t, q: (t, (g,), (b * b,), 0)),
     None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",),
                                complex_gamma=True),
@@ -887,7 +733,9 @@ _add(_Entry(
         and abs(pt.get("alpha").imag) <= 1e-14,
         "|t| < 1 - beta^2, alpha, beta in (-1,1)\\{0}, gamma complex",
     ),
-    _lhs_33, _coef_t6, _inner_t6, F.CONT_Q_ULTRA, ("alpha",),
+    _lhs_33,
+    _record("beta gamma alpha t", lambda b, g, al, t, q: (t, (b, g), (b * b, al), 0)),
+    _inner_t6, F.CONT_Q_ULTRA, ("alpha",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t4, names=("beta", "alpha"),
                                complex_gamma=True),
     "re-expansion with a 6phi5 coefficient factor, complex gamma allowed",
@@ -896,14 +744,8 @@ _add(_Entry(
     I.SRC_CQU_141031, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
     _lhs_31,
-    lambda n, pt, ctx: (
-        poch_all(
-            (pt.get("beta") * math.sqrt(ctx.q), -pt.get("beta") * math.sqrt(ctx.q)),
-            ctx.q, n,
-        )
-        * pt.get("t") ** n
-        / poch_all((pt.get("beta") ** 2, -ctx.q * pt.get("beta")), ctx.q, n)
-    ),
+    _record("beta t", lambda b, t, q: (
+        t, (b * math.sqrt(q), -b * math.sqrt(q)), (b * b, -q * b), 0)),
     None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "square-root-parameter 2phi1 pair expansion (denominator -beta)",
@@ -912,7 +754,10 @@ _add(_Entry(
     I.T7, I.SRC_CQU_141031,
     DomainPredicate(_tb_t7, _cqu_ok("bg"),
                     "|t| < min{(1-b^2)(1+sqrt(q)|b|)(1-q|g|), 1}"),
-    _lhs_31, _coef_t7, _inner_t7, F.CONT_Q_ULTRA, ("gamma",),
+    _lhs_31,
+    _record("beta gamma t", lambda b, g, t, q: (
+        t, (b, b * math.sqrt(q), -b * math.sqrt(q)), (b * b, -q * b, g), 0)),
+    _inner_t7, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t7),
     "re-expansion with a 10phi9 coefficient factor",
 ))
@@ -920,15 +765,8 @@ _add(_Entry(
     I.SRC_CQU_141030, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
     _lhs_30,
-    lambda n, pt, ctx: (
-        poch_all(
-            (-pt.get("beta"), -pt.get("beta") * math.sqrt(ctx.q)), ctx.q, n
-        )
-        * pt.get("t") ** n
-        / poch_all(
-            (pt.get("beta") ** 2, pt.get("beta") * math.sqrt(ctx.q)), ctx.q, n
-        )
-    ),
+    _record("beta t", lambda b, t, q: (
+        t, (-b, -b * math.sqrt(q)), (b * b, b * math.sqrt(q)), 0)),
     None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "square-root-parameter 2phi1 pair expansion (denominator beta q^(1/2))",
@@ -937,7 +775,10 @@ _add(_Entry(
     I.T8, I.SRC_CQU_141030,
     DomainPredicate(_tb_t7, _cqu_ok("bg"),
                     "|t| < min{(1-b^2)(1+sqrt(q)|b|)(1-q|g|), 1}"),
-    _lhs_30, _coef_t8, _inner_t8, F.CONT_Q_ULTRA, ("gamma",),
+    _lhs_30,
+    _record("beta gamma t", lambda b, g, t, q: (
+        t, (b, -b, -b * math.sqrt(q)), (b * b, b * math.sqrt(q), g), 0)),
+    _inner_t8, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t7),
     "re-expansion with a 10phi9 coefficient factor",
 ))
@@ -945,15 +786,8 @@ _add(_Entry(
     I.SRC_CQU_141032, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
     _lhs_32,
-    lambda n, pt, ctx: (
-        poch_all(
-            (-pt.get("beta"), pt.get("beta") * math.sqrt(ctx.q)), ctx.q, n
-        )
-        * pt.get("t") ** n
-        / poch_all(
-            (pt.get("beta") ** 2, -pt.get("beta") * math.sqrt(ctx.q)), ctx.q, n
-        )
-    ),
+    _record("beta t", lambda b, t, q: (
+        t, (-b, b * math.sqrt(q)), (b * b, -b * math.sqrt(q)), 0)),
     None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "square-root-parameter 2phi1 pair expansion (denominator -beta q^(1/2))",
@@ -962,7 +796,10 @@ _add(_Entry(
     I.T9, I.SRC_CQU_141032,
     DomainPredicate(_tb_t9, _cqu_ok("bg"),
                     "|t| < min{(1-b^2)(1+sqrt(q)|b|), 1}"),
-    _lhs_32, _coef_t9, _inner_t9, F.CONT_Q_ULTRA, ("gamma",),
+    _lhs_32,
+    _record("beta gamma t", lambda b, g, t, q: (
+        t, (b, -b, b * math.sqrt(q)), (b * b, -b * math.sqrt(q), g), 0)),
+    _inner_t9, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t9),
     "re-expansion with a 10phi9 coefficient factor",
 ))
@@ -970,25 +807,29 @@ _add(_Entry(
     I.SRC_LQL_142011, None,
     DomainPredicate(_tb_t11, _lql_ok("a"),
                     "|t| < min{(1-q)(1-aq)/a, 1}, 0 < aq < 1"),
-    _kernel_lql, _coef_src_lql, None, F.LITTLE_Q_LAGUERRE, ("a",),
+    _kernel_lql, _record("t", lambda t, q: (-t, (), (q,), 1)),
+    None, F.LITTLE_Q_LAGUERRE, ("a",),
     lambda rng, q: _sample_lql(rng, q, with_b=False),
     "(t;q)_inf/(xt;q)_inf 0phi1 = sum (-1)^n q^C(n,2) p_n(x;a) t^n / (q;q)_n",
-    coef_mant=_coef_mant_src_lql, pref=_pinf_t,
+    pref=_pinf_t,
 ))
 _add(_Entry(
     I.T11, I.SRC_LQL_142011,
     DomainPredicate(_tb_t11, _lql_ok("ab"),
                     "|t| < min{(1-q)(1-aq)/a, 1}, a, b in (0, 1/q)"),
-    _kernel_lql, _coef_t11, _inner_t11, F.LITTLE_Q_LAGUERRE, ("b",),
+    _kernel_lql, _record("a b t", lambda a, b, t, q: (-t, (b * q,), (q, a * q), 1)),
+    _inner_t11, F.LITTLE_Q_LAGUERRE, ("b",),
     lambda rng, q: _sample_lql(rng, q, with_b=True),
     "re-expansion with a 1phi1 coefficient factor",
-    coef_mant=_coef_mant_t11, pref=_pinf_t,
+    pref=_pinf_t,
 ))
 _add(_Entry(
     I.SRC_QL_142114, None,
     DomainPredicate(_tb_t13, _qlag_ok(("alpha",)),
                     "|t| < (1-q^(alpha+1))(1-q), alpha > -1"),
-    _kernel_ql14, _coef_src_ql14, None, F.Q_LAGUERRE, ("alpha",),
+    _kernel_ql14,
+    _record("alpha t", lambda al, t, q: (t, (), (q ** (al.real + 1.0),), 0)),
+    None, F.Q_LAGUERRE, ("alpha",),
     lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=False),
     "0phi1 / (t;q)_inf = sum L_n^(alpha)(x) t^n / (q^(alpha+1);q)_n",
     pref=_pref_ql14,
@@ -997,7 +838,10 @@ _add(_Entry(
     I.T13, I.SRC_QL_142114,
     DomainPredicate(_tb_t13, _qlag_ok(("alpha", "beta")),
                     "|t| < (1-q^(alpha+1))(1-q), alpha, beta > -1"),
-    _kernel_ql14, _coef_t13, _inner_t13, F.Q_LAGUERRE, ("beta",),
+    _kernel_ql14,
+    _record("alpha beta t", lambda al, be, t, q: (
+        q ** (al.real - be.real) * t, (), (q ** (al.real + 1.0),), 0)),
+    _inner_t13, F.Q_LAGUERRE, ("beta",),
     lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=True),
     "re-expansion with a 2phi1 coefficient factor", pref=_pref_ql14,
 ))
@@ -1005,7 +849,9 @@ _add(_Entry(
     I.SRC_QL_142115, None,
     DomainPredicate(_tb_t13, _qlag_ok(("alpha",)),
                     "|t| < (1-q^(alpha+1))(1-q), alpha > -1"),
-    _kernel_ql15, _coef_src_ql15, None, F.Q_LAGUERRE, ("alpha",),
+    _kernel_ql15,
+    _record("alpha t", lambda al, t, q: (-t, (), (q ** (al.real + 1.0),), 1)),
+    None, F.Q_LAGUERRE, ("alpha",),
     lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=False),
     "(t;q)_inf 0phi2 = sum (-t)^n q^C(n,2) L_n^(alpha)(x) / (q^(alpha+1);q)_n",
     pref=_pinf_t,
@@ -1014,7 +860,10 @@ _add(_Entry(
     I.T14, I.SRC_QL_142115,
     DomainPredicate(_tb_t13, _qlag_ok(("alpha", "beta")),
                     "|t| < (1-q^(alpha+1))(1-q), alpha, beta > -1"),
-    _kernel_ql15, _coef_t14, _inner_t14, F.Q_LAGUERRE, ("beta",),
+    _kernel_ql15,
+    _record("alpha beta t", lambda al, be, t, q: (
+        -t * q ** (al.real - be.real), (), (q ** (al.real + 1.0),), 1)),
+    _inner_t14, F.Q_LAGUERRE, ("beta",),
     lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=True),
     "re-expansion with a 1phi1 coefficient factor", pref=_pinf_t,
 ))
@@ -1022,7 +871,9 @@ _add(_Entry(
     I.SRC_QL_142116, None,
     DomainPredicate(_tb_t15, _qlag_ok(("alpha",), complex_gamma=True),
                     "|t| < 1-q, alpha > -1, gamma complex"),
-    _kernel_ql16, _coef_src_ql16, None, F.Q_LAGUERRE, ("alpha",),
+    _kernel_ql16,
+    _record("alpha gamma t", lambda al, g, t, q: (t, (g,), (q ** (al.real + 1.0),), 0)),
+    None, F.Q_LAGUERRE, ("alpha",),
     lambda rng, q: _sample_ql(rng, q, _tb_t15, with_beta=False,
                               complex_gamma=True),
     "(gamma t;q)_inf/(t;q)_inf 1phi2 expansion", pref=_pref_ql16,
@@ -1031,7 +882,10 @@ _add(_Entry(
     I.T15, I.SRC_QL_142116,
     DomainPredicate(_tb_t15, _qlag_ok(("alpha", "beta"), complex_gamma=True),
                     "|t| < 1-q, alpha, beta > -1, gamma complex"),
-    _kernel_ql16, _coef_t15, _inner_t15, F.Q_LAGUERRE, ("beta",),
+    _kernel_ql16,
+    _record("alpha beta gamma t", lambda al, be, g, t, q: (
+        t * q ** (al.real - be.real), (g,), (q ** (al.real + 1.0),), 0)),
+    _inner_t15, F.Q_LAGUERRE, ("beta",),
     lambda rng, q: _sample_ql(rng, q, _tb_t15, with_beta=True,
                               complex_gamma=True),
     "re-expansion with a 2phi1 coefficient factor, complex gamma allowed",
@@ -1057,6 +911,11 @@ class _RhsAccumulator:
         self.ctx = ctx
         self.x = point.real("x")
         self.params = entry.family_params(point, ctx)
+        self.coef = entry.coef(point, ctx)
+        # The lattice family's polynomial and coefficient carry huge
+        # canceling q-power scales, so for x > 0 the term is combined in
+        # exponent space.
+        self.scaled = entry.family is FamilyId.LITTLE_Q_LAGUERRE and self.x > 0.0
         self.terms: list[complex] = []
         self.partials: list[complex] = [complex(0.0)]
         self.max_inner = 0
@@ -1071,23 +930,22 @@ class _RhsAccumulator:
         return res.value
 
     def _extend(self, n_terms: int) -> None:
-        entry, pt, ctx = self.entry, self.point, self.ctx
+        entry, q = self.entry, self.ctx.q
         while len(self.terms) < n_terms and not self.exhausted:
             n = len(self.terms)
-            if entry.coef_mant is not None and self.x > 0.0:
+            term = _coef(self.coef, q, n, scaled=self.scaled)
+            if self.scaled:
                 mant, e = little_q_laguerre_scaled(n, self.x, self.params)
-                term = entry.coef_mant(n, pt, ctx) * mant
+                term *= mant
                 if entry.inner is not None:
                     term *= self._inner(n)
-                term = unscale(term, math.comb(n, 2) + e, ctx.q)
-            else:
-                term = entry.coef(n, pt, ctx)
-                if term != 0.0:
-                    if self._poly is None:
-                        self._poly = FAMILIES[entry.family].cursor(self.x, self.params)
-                    term *= self._poly(n)
-                    if term != 0.0 and entry.inner is not None:
-                        term *= self._inner(n)
+                term = unscale(term, self.coef[3] * math.comb(n, 2) + e, q)
+            elif term != 0.0:
+                if self._poly is None:
+                    self._poly = FAMILIES[entry.family].cursor(self.x, self.params)
+                term *= self._poly(n)
+                if term != 0.0 and entry.inner is not None:
+                    term *= self._inner(n)
             self.terms.append(term)
             self.partials.append(self.partials[-1] + term)
             if abs(term) <= _EXHAUSTED_TOL * (1.0 + abs(self.partials[-1])):
@@ -1158,7 +1016,7 @@ def inner_series_spec(
 def outer_coefficient(
     tag: IdentityId | str, n: int, point: ParamPoint, ctx: EvalContext
 ) -> complex:
-    return entry_for(tag).coef(n, point, ctx)
+    return _coef(entry_for(tag).coef(point, ctx), ctx.q, n)
 
 
 def eval_lhs(tag: IdentityId | str, point: ParamPoint, ctx: EvalContext) -> complex:
@@ -1198,7 +1056,7 @@ def _verify(tag: IdentityId, point: ParamPoint, ctx: EvalContext) -> IdentityRep
     entry = _CATALOG[tag]
     lhs = entry.lhs(point, ctx)
     acc = _RhsAccumulator(entry, point, ctx)
-    n_outer = _OUTER_START
+    n_outer = min(_OUTER_START, ctx.outer_cap)
     rhs = acc.partial(n_outer)
     while n_outer * 2 <= ctx.outer_cap:
         nxt = acc.partial(n_outer * 2)

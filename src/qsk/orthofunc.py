@@ -43,7 +43,13 @@ from .errors import (
     QuadratureNonConvergence,
     TailNonConvergence,
 )
-from .genfun import IdentityId, IdentityReport, entry_for, lhs_integrand_factor
+from .genfun import (
+    IdentityId,
+    IdentityReport,
+    entry_for,
+    lhs_integrand_factor,
+    outer_coefficient,
+)
 from .polyfam import (
     FAMILIES,
     FamilyId,
@@ -374,7 +380,8 @@ def _closed_form(entry: _CorEntry, n: int, point: ParamPoint, ctx: EvalContext,
     since the parallel series and q-integral displays retain it."""
     thm = entry_for(entry.theorem)
     inner = eval_phi(thm.inner(n, point, ctx), max_terms=ctx.max_terms)
-    value = thm.coef(n, point, ctx) * inner.value * norm_constant(spec, n)
+    value = (outer_coefficient(entry.theorem, n, point, ctx) * inner.value
+             * norm_constant(spec, n))
     if thm.pref is not None:
         value /= thm.pref(point, ctx)
     return value, inner.terms_used

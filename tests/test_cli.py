@@ -110,14 +110,15 @@ def test_verify_default_t3_passes_at_1e7(tmp_path, capsys):
 
 
 def test_verify_outer_cap_bounds_the_truncation(tmp_path, capsys):
-    out_path = tmp_path / "cap.json"
-    code, _, _ = run(capsys, "verify", "--tags", "T3", "--outer-cap", "16",
-                     "--out", str(out_path))
-    report = json.loads(out_path.read_text())
-    assert code in (0, 1)
-    assert report["config"]["outer_cap"] == 16
-    assert report["records"]
-    assert all(r["n_terms_outer"] <= 16 for r in report["records"])
+    for cap in (16, 4):
+        out_path = tmp_path / f"cap{cap}.json"
+        code, _, _ = run(capsys, "verify", "--tags", "T3", "--outer-cap", str(cap),
+                         "--out", str(out_path))
+        report = json.loads(out_path.read_text())
+        assert code in (0, 1)
+        assert report["config"]["outer_cap"] == cap
+        assert report["records"]
+        assert all(r["n_terms_outer"] <= cap for r in report["records"]), cap
 
 
 def test_verify_echoes_max_terms(tmp_path, capsys):
@@ -157,9 +158,12 @@ def test_verify_unknown_tag_exit_2(capsys):
 
 
 def test_verify_caps_below_one_exit_2(capsys):
-    for flag, value in (("--max-terms", "-5"), ("--outer-cap", "0"), ("--max-terms", "0")):
+    for flag, value, msg in (("--max-terms", "-5", "must be >= 1"),
+                             ("--outer-cap", "0", "must be >= 1"),
+                             ("--max-terms", "0", "must be >= 1"),
+                             ("--tolerance", "inf", "must be finite")):
         code, _, err = run(capsys, "verify", "--tags", "T3", flag, value)
-        assert code == 2 and "must be >= 1" in err, (flag, value)
+        assert code == 2 and msg in err, (flag, value)
 
 
 def test_record_schema(tmp_path, capsys):
@@ -191,6 +195,9 @@ def test_suite_config_validation():
         SuiteConfig(tags=("T3",), max_terms=0)
     with pytest.raises(ValueError):
         SuiteConfig(tags=("T3",), outer_cap=0)
+    for tol in (float("inf"), float("nan"), 0.0):
+        with pytest.raises(ValueError):
+            SuiteConfig(tags=("T3",), tolerance=tol)
 
 
 def test_run_suite_python_api():

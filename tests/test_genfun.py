@@ -3,6 +3,8 @@ identities, residuals at sampled in-domain points, and truncation
 behavior."""
 
 import dataclasses
+import math
+import sys
 from random import Random
 
 import pytest
@@ -14,11 +16,13 @@ from qsk.genfun import (
     GENERALIZED,
     SOURCES,
     IdentityId,
+    _coef,
     entry_for,
     eval_lhs,
     eval_rhs,
     in_domain,
     list_identities,
+    outer_coefficient,
     sample_point,
     source_of,
     t_bound,
@@ -271,3 +275,38 @@ def test_outer_sum_walks_the_recurrence_once(monkeypatch, tag):
     rep = verify_identity(tag, sample_point(tag, Random(1), 0.5), CTX)
     assert rep.n_terms_outer >= 32
     assert 0 < drawn[0] <= rep.n_terms_outer
+
+
+LATTICE = {"SRC_LQL_142011": verify_source, "T11": verify_identity}
+
+
+@pytest.mark.parametrize("tag", list(LATTICE))
+def test_scaled_coefficient_drops_only_the_q_power(tag):
+    """The lattice sum takes its coefficients without q^(k C(n,2)) and
+    carries that power as an exponent; multiplied back it gives the
+    unscaled coefficient wherever both are normal doubles."""
+    for q in (0.05, 0.4, 0.9):
+        ctx = EvalContext(q=q)
+        rng = Random(f"scaled:{tag}:{q}")
+        for _ in range(3):
+            c = entry_for(tag).coef(sample_point(tag, rng, q), ctx)
+            assert c[3] == 1
+            for n in range(65):
+                want = _coef(c, q, n)
+                got = _coef(c, q, n, scaled=True) * q ** (c[3] * math.comb(n, 2))
+                if min(abs(want), abs(got)) >= sys.float_info.min:
+                    assert abs(got - want) <= 1e-15 * abs(want), (q, n, got, want)
+
+
+@pytest.mark.parametrize("tag, seed", [("SRC_LQL_142011", 55), ("T11", 72)])
+def test_lattice_sum_past_the_q_power_underflow(tag, seed):
+    """At q = 0.4, q^C(n,2) underflows past n = 40 (q^C(40,2) is about
+    1e-310), while these points need 256 and 128 outer terms: they pass
+    because the lattice terms are combined in exponent space.  Taken as
+    doubles, p_n leaves double range and the sum raises IllConditioned."""
+    ctx = EvalContext(q=0.4)
+    pt = sample_point(tag, Random(seed), 0.4)
+    assert outer_coefficient(tag, 48, pt, ctx) == 0.0
+    rep = LATTICE[tag](tag, pt, ctx)
+    assert rep.n_terms_outer > 40
+    assert rep.rel_residual < 1e-12
