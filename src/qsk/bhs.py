@@ -10,6 +10,11 @@ summed with the term-ratio recurrence
     t_{k+1}/t_k = prod(1 - a_i q^k) / (prod(1 - b_j q^k) (1 - q^(k+1)))
                   * ((-1) q^k)^(1+s-r) * z.
 
+``SeriesPlan`` is the one summation loop: it splits each ratio into a
+node-independent factor, built once per degree, and the node variables,
+so a kernel evaluated at many quadrature nodes re-derives nothing.
+``eval_phi`` is a plan with no scaled parameters, evaluated once.
+
 Termination is detected when a numerator parameter equals q^(-m) for
 some integer m (up to a relative slack of 1e-12, since parameters
 usually arrive from floating-point arithmetic): every term beyond k = m
@@ -21,13 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DivergentSeries,
-    NoConvergence,
-    NonConvergentTolerance,
-    ZeroDenominator,
-)
-from .qpoch import QBase, poch_infinite
+from .errors import DivergentSeries, NoConvergence, ZeroDenominator
+from .qpoch import QBase, as_base, check_tol, poch_infinite
 
 # A numerator parameter a counts as q^(-m) when |a q^m - 1| < this.
 _TERMINATION_SLACK = 1e-12
@@ -49,21 +49,11 @@ class SeriesSpec:
     base: QBase
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "numerator", tuple(complex(a) for a in self.numerator))
-        object.__setattr__(
-            self, "denominator", tuple(complex(b) for b in self.denominator)
-        )
+        object.__setattr__(self, "numerator", tuple(map(complex, self.numerator)))
+        object.__setattr__(self, "denominator", tuple(map(complex, self.denominator)))
         object.__setattr__(self, "z", complex(self.z))
         if not isinstance(self.base, QBase):
             object.__setattr__(self, "base", QBase(self.base))
-
-    @property
-    def r(self) -> int:
-        return len(self.numerator)
-
-    @property
-    def s(self) -> int:
-        return len(self.denominator)
 
 
 @dataclass(frozen=True)
@@ -74,12 +64,11 @@ class SeriesResult:
     last_term_magnitude: float
 
 
-def _termination_index(spec: SeriesSpec, cap: int) -> int | None:
+def _termination_index(numerator, q: float, cap: int) -> int | None:
     """Smallest m with some numerator parameter equal to q^(-m), else None."""
-    q = spec.base.q
     best: int | None = None
     lnq = math.log(q)
-    for a in spec.numerator:
+    for a in numerator:
         mag = abs(a)
         if mag < 1.0 - _TERMINATION_SLACK:
             continue
@@ -91,81 +80,142 @@ def _termination_index(spec: SeriesSpec, cap: int) -> int | None:
     return best
 
 
-def eval_phi(
-    spec: SeriesSpec,
-    tol: float = 1e-15,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
-    """Sum the series described by ``spec``.
+class SeriesPlan:
+    """An r_phi_s evaluated at many nodes (z, u, v): numerator parameters
+    ``numerator`` and u times ``scaled_num``, denominator parameters
+    ``denominator`` and v times ``scaled_den`` (v = u by default).  Each
+    degree's node-independent ratio factor over the fixed a and b,
 
-    Non-terminating series require r <= s + 1, and additionally |z| < 1
-    when r = s + 1.  The stopping rule demands three consecutive terms
-    below ``tol`` times the partial sum, which protects against isolated
-    near-zero terms when a numerator parameter sits close to q^(-m).
-    """
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
-        raise NonConvergentTolerance(f"tol must be finite and > 0, got {tol!r}")
-    q = spec.base.q
-    z = spec.z
-    r, s = spec.r, spec.s
+        c_k = prod(1 - a q^k) / ((1 - q^(k+1)) prod(1 - b q^k)) (-q^k)^(1+s-r),
 
-    stop_at = _termination_index(spec, max_terms)
-    if stop_at is None:
-        if r > s + 1:
-            raise DivergentSeries(
-                f"non-terminating {r}phi{s} diverges for every z != 0"
-            )
-        if r == s + 1 and abs(z) >= 1.0:
-            raise DivergentSeries(f"non-terminating {r}phi{s} needs |z| < 1")
+    and the scaled powers s q^k are built once, on demand, so a node costs
+    t_{k+1}/t_k = z c_k prod(1 - u (s_i q^k)) / prod(1 - v (s_j q^k)).
+    Termination and zero denominators of the fixed parameters are settled
+    once, those of the scaled ones at every node."""
 
-    sign_exp = 1 + s - r
-    term = complex(1.0)
-    total = complex(1.0)
-    comp = complex(0.0)  # Kahan compensation
-    k = 0
-    streak = 0
-    last_mag = 1.0
-    while True:
-        if stop_at is not None and k >= stop_at:
-            break
-        if k + 1 >= max_terms:
-            raise NoConvergence(f"no convergence within {max_terms} terms")
-        qk = q**k
-        ratio = z
-        for a in spec.numerator:
-            ratio *= 1.0 - a * qk
-        den = 1.0 - q ** (k + 1)
-        for b in spec.denominator:
-            f = 1.0 - b * qk
-            if abs(f) < _TERMINATION_SLACK:
-                raise ZeroDenominator(
-                    f"denominator parameter {b!r} hits q^-{k} before termination"
-                )
-            den *= f
-        ratio /= den
-        if sign_exp:
-            ratio *= (-qk) ** sign_exp
-        term *= ratio
-        # Kahan-compensated accumulation
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        k += 1
-        last_mag = abs(term)
+    __slots__ = ("_q", "_num", "_den", "_snum", "_sden", "_tol", "_max_terms",
+                 "_stop", "_c", "_pnum", "_pden")
+
+    def __init__(self, numerator, denominator, base: QBase | float,
+                 scaled_num=(), scaled_den=(), tol: float = 1e-15,
+                 max_terms: int = DEFAULT_MAX_TERMS) -> None:
+        check_tol(tol)
+        self._q = as_base(base)
+        self._num = tuple(map(complex, numerator))
+        self._den = tuple(map(complex, denominator))
+        self._snum = tuple(map(complex, scaled_num))
+        self._sden = tuple(map(complex, scaled_den))
+        self._tol = tol
+        self._max_terms = max_terms
+        self._stop = _termination_index(self._num, self._q, max_terms)
+        # c_k, and the scaled numerator and denominator powers, k = 0, 1, ...
+        self._c, self._pnum, self._pden = [], [], []
+
+    def __call__(self, z: complex, u: complex = 1.0,
+                 v: complex | None = None) -> SeriesResult:
+        """Sum the series at the node.  Non-terminating series require
+        r <= s + 1, and |z| < 1 when r = s + 1.  The sum stops after three
+        consecutive terms below ``tol`` times the partial sum, which guards
+        against isolated near-zero terms when a numerator parameter sits
+        close to q^(-m)."""
+        q, num, den = self._q, self._num, self._den
+        snum, sden, max_terms = self._snum, self._sden, self._max_terms
+        r = len(num) + len(snum)
+        s = len(den) + len(sden)
+        stop_at = self._stop
+        if snum:
+            m = _termination_index([a * u for a in snum], q, max_terms)
+            if m is not None and (stop_at is None or m < stop_at):
+                stop_at = m
         if stop_at is None:
-            if last_mag <= tol * max(abs(total), 1e-300):
-                streak += 1
-                if streak >= _SMALL_STREAK:
-                    break
+            if r > s + 1:
+                raise DivergentSeries(f"non-terminating {r}phi{s} diverges for every z != 0")
+            if r == s + 1 and abs(z) >= 1.0:
+                raise DivergentSeries(f"non-terminating {r}phi{s} needs |z| < 1")
+        # the sum ends at termination or the small-term streak, else raises at the cap
+        end = max_terms - 1 if stop_at is None else min(stop_at, max_terms - 1)
+        if v is None:
+            v = u
+        sign_exp = 1 + s - r
+        c, pnum, pden, tol = self._c, self._pnum, self._pden, self._tol
+        built = len(c)
+        qk1 = q**built  # q^k of the first degree to build
+        small, wide = tol * 1e-300, tol * (1.0 + 1e-9)
+        mag_sum = 1.0
+        term = total = complex(1.0)
+        comp = complex(0.0)  # Kahan compensation
+        streak = 0
+        last_mag = 1.0
+        for k in range(end):
+            if k < built:
+                ratio = c[k]
             else:
-                streak = 0
-    return SeriesResult(
-        value=total,
-        terms_used=k + 1,
-        terminated=stop_at is not None,
-        last_term_magnitude=last_mag,
-    )
+                qk, qk1 = qk1, q ** (k + 1)
+                ratio = 1.0
+                for a in num:
+                    ratio *= 1.0 - a * qk
+                d = 1.0 - qk1
+                for b in den:
+                    f = 1.0 - b * qk
+                    if abs(f) < _TERMINATION_SLACK:
+                        raise _zero_denominator(b, k)
+                    d *= f
+                ratio /= d
+                if sign_exp:
+                    ratio *= (-qk) ** sign_exp
+                c.append(ratio)
+                if snum:
+                    pnum.append(tuple([a * qk for a in snum]))
+                if sden:
+                    pden.append(tuple([b * qk for b in sden]))
+                built += 1
+            ratio *= z
+            if snum:
+                for p in pnum[k]:
+                    ratio *= 1.0 - u * p
+            if sden:
+                for p in pden[k]:
+                    f = 1.0 - v * p
+                    if abs(f) < _TERMINATION_SLACK:
+                        raise _zero_denominator(v * p / q**k, k)
+                    ratio /= f
+            term *= ratio
+            # Kahan-compensated accumulation
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            last_mag = abs(term)
+            if stop_at is None:
+                # |term| <= tol * max(|total|, 1e-300); as |total| <= mag_sum,
+                # a term above wide * mag_sum fails it without forming |total|
+                mag_sum += last_mag
+                if last_mag > wide * mag_sum:
+                    streak = 0
+                elif last_mag <= tol * abs(total) or last_mag <= small:
+                    streak += 1
+                    if streak >= _SMALL_STREAK:
+                        end = k + 1
+                        break
+                else:
+                    streak = 0
+        else:
+            if stop_at is None or end < stop_at:
+                raise NoConvergence(f"no convergence within {max_terms} terms")
+        # terms summed: the leading 1 and one per ratio applied
+        return SeriesResult(total, end + 1, stop_at is not None, last_mag)
+
+
+def _zero_denominator(b: complex, k: int) -> ZeroDenominator:
+    return ZeroDenominator(f"denominator parameter {b!r} hits q^-{k} before termination")
+
+
+def eval_phi(spec: SeriesSpec, tol: float = 1e-15,
+             max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
+    """Sum the series described by ``spec``: its plan, with no parameter
+    scaled, evaluated once at its z."""
+    return SeriesPlan(spec.numerator, spec.denominator, spec.base,
+                      tol=tol, max_terms=max_terms)(spec.z)
 
 
 def check_qbinomial(a: complex, z: complex, q: QBase | float) -> float:

@@ -31,8 +31,9 @@ class EvalContext:
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", QBase(self.q))
         for name in ("max_terms", "outer_cap"):
-            if getattr(self, name) < 1:
-                raise PreconditionViolation(f"{name} must be >= 1")
+            cap = getattr(self, name)
+            if isinstance(cap, bool) or cap < 1:
+                raise PreconditionViolation(f"{name} must be an integer >= 1, got {cap!r}")
 
 
 @dataclass(frozen=True)

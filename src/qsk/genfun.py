@@ -12,7 +12,10 @@ Two kinds of entries share one report format:
 Each closed form is stored split as prefactor(point) * kernel(x, point):
 the kernel holds every x-dependent factor and is what an orthogonality
 corollary integrates against p_n, the x-independent prefactor (None where
-there is none) moves to the corollary's closed-form side.
+there is none) moves to the corollary's closed-form side.  A kernel is
+stored as a factory: given the point, it builds the series and product
+plans of its factors once and returns x -> kernel(x, point), so the nodes
+of a functional do only the arithmetic that depends on x.
 
 Every outer coefficient is one q-hypergeometric term, stored as the record
 (z, num, den, k) of the point:
@@ -37,11 +40,11 @@ from enum import Enum
 from random import Random
 from typing import Callable, Optional
 
-from .bhs import SeriesSpec, eval_phi
+from .bhs import SeriesPlan, SeriesSpec, eval_phi
 from .context import EvalContext, ParamPoint
 from .errors import InsufficientTruncation, PreconditionViolation
 from .polyfam import FAMILIES, FamilyId, little_q_laguerre_scaled
-from .qpoch import poch_all, poch_infinite, unscale
+from .qpoch import ProductPlan, poch_all, poch_infinite, unscale
 
 # Two outer truncations agreeing to this, relative to 1 + |sum|, settle
 # the series side; escalation starts at _OUTER_START terms (or the outer
@@ -153,7 +156,9 @@ class _Entry:
     tag: IdentityId
     source: Optional[IdentityId]
     domain: DomainPredicate
-    kernel: Callable[[float, ParamPoint, EvalContext], complex]
+    # The kernel factory: (point, ctx) -> (x -> kernel(x, point)), which
+    # builds the plans of the kernel's series and products once.
+    kernel: Callable[[ParamPoint, EvalContext], Callable[[float], complex]]
     # The outer coefficient's record (z, num, den, k) at the point, the
     # term z^n q^(k C(n,2)) (num; q)_n / (den; q)_n; see _coef.
     coef: Callable[[ParamPoint, EvalContext], Coef]
@@ -167,7 +172,7 @@ class _Entry:
 
     def lhs(self, pt: ParamPoint, ctx: EvalContext) -> complex:
         """The closed form at the point: prefactor times kernel at its x."""
-        value = self.kernel(pt.real("x"), pt, ctx)
+        value = self.kernel(pt, ctx)(pt.real("x"))
         return value if self.pref is None else self.pref(pt, ctx) * value
 
     def family_params(self, pt: ParamPoint, ctx: EvalContext):
@@ -182,13 +187,24 @@ def _expi(x: float) -> complex:
     return cmath.exp(1j * math.acos(max(-1.0, min(1.0, x))))
 
 
-def _phi(num, den, z, ctx: EvalContext) -> complex:
-    spec = SeriesSpec(tuple(num), tuple(den), z, ctx.base)
-    return eval_phi(spec, max_terms=ctx.max_terms).value
+def _series(num, den, ctx: EvalContext, scaled_num=(), scaled_den=()) -> SeriesPlan:
+    return SeriesPlan(num, den, ctx.base, scaled_num, scaled_den,
+                      max_terms=ctx.max_terms)
 
 
 def _pinf(a: complex, ctx: EvalContext) -> complex:
     return poch_infinite(a, ctx.base)
+
+
+def _at_e(f: Callable[[complex], complex]) -> Callable[[float], complex]:
+    """The kernel x -> f(e) of an interval family, e = e^(i theta), x = cos(theta)."""
+    return lambda x: f(_expi(x))
+
+
+def _phi_pair(t: complex, num1, den1, num2, den2, ctx: EvalContext):
+    """The kernel 2phi1(num1 e; den1; q, t/e) 2phi1(num2 / e; den2; q, t e)."""
+    f1, f2 = _series((), den1, ctx, num1), _series((), den2, ctx, num2)
+    return _at_e(lambda e: f1(t / e, e).value * f2(t * e, 1.0 / e).value)
 
 
 def _pm_roots(*ws: complex) -> tuple[complex, ...]:
@@ -223,12 +239,9 @@ def _aw_ok(names: str):
     return ok
 
 
-def _lhs_aw(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+def _kernel_aw(pt: ParamPoint, ctx: EvalContext):
     a, b, c, d, t = (pt.get(n) for n in "abcdt")
-    e = _expi(x)
-    f1 = _phi((a * e, b * e), (a * b,), t / e, ctx)
-    f2 = _phi((c / e, d / e), (c * d,), t * e, ctx)
-    return f1 * f2
+    return _phi_pair(t, (a, b), (a * b,), (c, d), (c * d,), ctx)
 
 
 def _inner_t2(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
@@ -277,12 +290,11 @@ def _cqu_ok(names: str, complex_names: str = ""):
     return ok
 
 
-def _lhs_t3(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+def _kernel_t3(pt: ParamPoint, ctx: EvalContext):
+    # (t beta e, t beta / e; q)_inf / (t e, t / e; q)_inf
     t, beta = pt.get("t"), pt.get("beta")
-    e = _expi(x)
-    num = _pinf(t * beta * e, ctx) * _pinf(t * beta / e, ctx)
-    den = _pinf(t * e, ctx) * _pinf(t / e, ctx)
-    return num / den
+    tb, tt = ProductPlan(t * beta, ctx.base), ProductPlan(t, ctx.base)
+    return _at_e(lambda e: tb(e) * tb(1.0 / e) / (tt(e) * tt(1.0 / e)))
 
 
 def _inner_t3(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
@@ -293,11 +305,11 @@ def _inner_t3(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     )
 
 
-def _lhs_29(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+def _kernel_29(pt: ParamPoint, ctx: EvalContext):
     # (t/e; q)_inf * 2phi1(beta, beta e^2; beta^2; q, t/e)
     t, beta = pt.get("t"), pt.get("beta")
-    e = _expi(x)
-    return _pinf(t / e, ctx) * _phi((beta, beta * e * e), (beta * beta,), t / e, ctx)
+    tt, phi = ProductPlan(t, ctx.base), _series((beta,), (beta * beta,), ctx, (beta,))
+    return _at_e(lambda e: tt(1.0 / e) * phi(t / e, e * e).value)
 
 
 def _half_powers(beta: complex, q: float, n: int) -> tuple[complex, complex]:
@@ -318,11 +330,11 @@ def _inner_t4(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     )
 
 
-def _lhs_28(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+def _kernel_28(pt: ParamPoint, ctx: EvalContext):
     # 2phi1(beta, beta e^2; beta^2; q, t/e) / (t e; q)_inf
     t, beta = pt.get("t"), pt.get("beta")
-    e = _expi(x)
-    return _phi((beta, beta * e * e), (beta * beta,), t / e, ctx) / _pinf(t * e, ctx)
+    tt, phi = ProductPlan(t, ctx.base), _series((beta,), (beta * beta,), ctx, (beta,))
+    return _at_e(lambda e: phi(t / e, e * e).value / tt(e))
 
 
 def _inner_t5(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
@@ -337,15 +349,13 @@ def _inner_t5(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     )
 
 
-def _lhs_33(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+def _kernel_33(pt: ParamPoint, ctx: EvalContext):
     # (gamma t e; q)_inf / (t e; q)_inf * 3phi2(gamma, beta, beta e^2;
     #                                           beta^2, gamma t e; q, t/e)
     t, beta, gamma = pt.get("t"), pt.get("beta"), pt.get("gamma")
-    e = _expi(x)
-    pref = _pinf(gamma * t * e, ctx) / _pinf(t * e, ctx)
-    return pref * _phi(
-        (gamma, beta, beta * e * e), (beta * beta, gamma * t * e), t / e, ctx
-    )
+    gt, tt = ProductPlan(gamma * t, ctx.base), ProductPlan(t, ctx.base)
+    phi = _series((gamma, beta), (beta * beta,), ctx, (beta,), (gamma * t,))
+    return _at_e(lambda e: gt(e) / tt(e) * phi(t / e, e * e, e).value)
 
 
 def _inner_t6(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
@@ -371,14 +381,11 @@ def _sqrt_ladder(beta: complex, q: float, n: int):
     return w0, w0 * rq ** 1, w0 * rq ** 2, w0 * rq ** 3
 
 
-def _lhs_31(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+def _kernel_31(pt: ParamPoint, ctx: EvalContext):
     t, beta = pt.get("t"), pt.get("beta")
-    e = _expi(x)
     r = cmath.sqrt(beta)
     rq = r * math.sqrt(ctx.q)
-    f1 = _phi((r * e, -r * e), (-beta,), t / e, ctx)
-    f2 = _phi((rq / e, -rq / e), (-ctx.q * beta,), t * e, ctx)
-    return f1 * f2
+    return _phi_pair(t, (r, -r), (-beta,), (rq, -rq), (-ctx.q * beta,), ctx)
 
 
 def _inner_t7(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
@@ -394,16 +401,12 @@ def _inner_t7(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     return SeriesSpec(num, den, gamma * t * t, ctx.base)
 
 
-def _lhs_30(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+def _kernel_30(pt: ParamPoint, ctx: EvalContext):
     t, beta = pt.get("t"), pt.get("beta")
-    q = ctx.q
-    e = _expi(x)
     r = cmath.sqrt(beta)
-    rq = r * math.sqrt(q)
-    brq = beta * math.sqrt(q)
-    f1 = _phi((r * e, rq * e), (brq,), t / e, ctx)
-    f2 = _phi((-r / e, -rq / e), (brq,), t * e, ctx)
-    return f1 * f2
+    rq = r * math.sqrt(ctx.q)
+    brq = beta * math.sqrt(ctx.q)
+    return _phi_pair(t, (r, rq), (brq,), (-r, -rq), (brq,), ctx)
 
 
 def _inner_t8(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
@@ -417,16 +420,12 @@ def _inner_t8(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     return SeriesSpec(num, den, gamma * t * t, ctx.base)
 
 
-def _lhs_32(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+def _kernel_32(pt: ParamPoint, ctx: EvalContext):
     t, beta = pt.get("t"), pt.get("beta")
-    q = ctx.q
-    e = _expi(x)
     r = cmath.sqrt(beta)
-    rq = r * math.sqrt(q)
-    brq = beta * math.sqrt(q)
-    f1 = _phi((r * e, -rq * e), (-brq,), t / e, ctx)
-    f2 = _phi((rq / e, -r / e), (-brq,), t * e, ctx)
-    return f1 * f2
+    rq = r * math.sqrt(ctx.q)
+    brq = beta * math.sqrt(ctx.q)
+    return _phi_pair(t, (r, -rq), (-brq,), (rq, -r), (-brq,), ctx)
 
 
 def _inner_t9(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
@@ -470,10 +469,11 @@ def _lql_ok(names: str):
     return ok
 
 
-def _kernel_lql(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+def _kernel_lql(pt: ParamPoint, ctx: EvalContext):
     # 0phi1(-; aq; q, aqxt) / (xt; q)_inf, times the prefactor (t; q)_inf
     t, aq = pt.get("t"), pt.get("a") * ctx.q
-    return _phi((), (aq,), aq * x * t, ctx) / _pinf(x * t, ctx)
+    phi, tt = _series((), (aq,), ctx), ProductPlan(t, ctx.base)
+    return lambda x: phi(aq * x * t).value / tt(x)
 
 
 def _pinf_t(pt: ParamPoint, ctx: EvalContext) -> complex:
@@ -522,21 +522,21 @@ def _qlag_ok(names: tuple[str, ...], complex_gamma: bool = False):
     return ok
 
 
-# The three q-Laguerre kernels are phi series in -x t q^(alpha+1), with
-# the prefactors 1/(t; q)_inf, (t; q)_inf and (gamma t; q)_inf / (t; q)_inf.
-def _kernel_ql14(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
-    qa1 = ctx.q ** (pt.real("alpha") + 1.0)
-    return _phi((), (qa1,), -x * pt.get("t") * qa1, ctx)
-
-
-def _kernel_ql15(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
+# The three q-Laguerre kernels are phi(num; q^(alpha+1), den; q, -x t q^(alpha+1))
+# with no parameter depending on x, and with the prefactors 1/(t; q)_inf,
+# (t; q)_inf and (gamma t; q)_inf / (t; q)_inf.
+def _kernel_ql14(pt: ParamPoint, ctx: EvalContext, num=(), den=()):
     t, qa1 = pt.get("t"), ctx.q ** (pt.real("alpha") + 1.0)
-    return _phi((), (qa1, t), -x * t * qa1, ctx)
+    phi = _series(num, (qa1, *den), ctx)
+    return lambda x: phi(-x * t * qa1).value
 
 
-def _kernel_ql16(x: float, pt: ParamPoint, ctx: EvalContext) -> complex:
-    t, gamma, qa1 = pt.get("t"), pt.get("gamma"), ctx.q ** (pt.real("alpha") + 1.0)
-    return _phi((gamma,), (qa1, gamma * t), -x * t * qa1, ctx)
+def _kernel_ql15(pt: ParamPoint, ctx: EvalContext):
+    return _kernel_ql14(pt, ctx, den=(pt.get("t"),))
+
+
+def _kernel_ql16(pt: ParamPoint, ctx: EvalContext):
+    return _kernel_ql14(pt, ctx, (pt.get("gamma"),), (pt.get("gamma") * pt.get("t"),))
 
 
 def _pref_ql14(pt: ParamPoint, ctx: EvalContext) -> complex:
@@ -637,7 +637,7 @@ _add(_Entry(
     I.SRC_AW_14113, None,
     DomainPredicate(_tb_const(1.0), _aw_ok("abcd"),
                     "|t| < 1, max(|a|,|b|,|c|,|d|) < 1, x in [-1,1]"),
-    _lhs_aw,
+    _kernel_aw,
     _record("a b c d t", lambda a, b, c, d, t, q: (t, (), (q, a * b, c * d), 0)),
     None, F.ASKEY_WILSON, ("a", "b", "c", "d"),
     lambda rng, q: _sample_aw(rng, q, with_alpha=False),
@@ -650,7 +650,7 @@ _add(_Entry(
         lambda pt, q: _aw_ok("abcd")(pt, q) and abs(pt.get("alpha")) < 1.0,
         "|t| < (1-q)^3, max moduli < 1 including the free parameter",
     ),
-    _lhs_aw,
+    _kernel_aw,
     _record("a b c d alpha t", lambda a, b, c, d, al, t, q: (
         t, (al * b * c * d / q, *_pm_roots(a * b * c * d / q, a * b * c * d)),
         (q, a * b, c * d, a * b * c * d / q,
@@ -663,7 +663,7 @@ _add(_Entry(
 _add(_Entry(
     I.SRC_CQU_141027, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _lhs_t3, _record("t", lambda t, q: (t, (), (), 0)),
+    _kernel_t3, _record("t", lambda t, q: (t, (), (), 0)),
     None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "(t beta e, t beta/e; q)_inf / (t e, t/e; q)_inf = sum C_n(x;beta) t^n",
@@ -672,7 +672,7 @@ _add(_Entry(
     I.T3, I.SRC_CQU_141027,
     DomainPredicate(_tb_const(1.0), _cqu_ok("bg"),
                     "|t| < 1, beta, gamma in (-1,1)\\{0}"),
-    _lhs_t3, _record("beta gamma t", lambda b, g, t, q: (t, (b,), (g,), 0)),
+    _kernel_t3, _record("beta gamma t", lambda b, g, t, q: (t, (b,), (g,), 0)),
     _inner_t3, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0)),
     "re-expansion of the Pochhammer-quotient generating function",
@@ -680,7 +680,7 @@ _add(_Entry(
 _add(_Entry(
     I.SRC_CQU_141029, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _lhs_29, _record("beta t", lambda b, t, q: (-b * t, (), (b * b,), 1)),
+    _kernel_29, _record("beta t", lambda b, t, q: (-b * t, (), (b * b,), 1)),
     None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "(t/e; q)_inf 2phi1(beta, beta e^2; beta^2; q, t/e) expansion",
@@ -689,7 +689,7 @@ _add(_Entry(
     I.T4, I.SRC_CQU_141029,
     DomainPredicate(_tb_t4, _cqu_ok("bg"),
                     "|t| < 1 - beta^2, beta, gamma in (-1,1)\\{0}"),
-    _lhs_29,
+    _kernel_29,
     _record("beta gamma t", lambda b, g, t, q: (-b * t, (b,), (b * b, g), 1)),
     _inner_t4, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t4),
@@ -698,7 +698,7 @@ _add(_Entry(
 _add(_Entry(
     I.SRC_CQU_141028, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _lhs_28, _record("beta t", lambda b, t, q: (t, (), (b * b,), 0)),
+    _kernel_28, _record("beta t", lambda b, t, q: (t, (), (b * b,), 0)),
     None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
     "2phi1(beta, beta e^2; beta^2; q, t/e) / (t e; q)_inf expansion",
@@ -707,7 +707,7 @@ _add(_Entry(
     I.T5, I.SRC_CQU_141028,
     DomainPredicate(_tb_t4, _cqu_ok("bg"),
                     "|t| < 1 - beta^2, beta, gamma in (-1,1)\\{0}"),
-    _lhs_28,
+    _kernel_28,
     _record("beta gamma t", lambda b, g, t, q: (t, (b,), (b * b, g), 0)),
     _inner_t5, F.CONT_Q_ULTRA, ("gamma",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t4),
@@ -717,7 +717,7 @@ _add(_Entry(
     I.SRC_CQU_141033, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b", "g"),
                     "|t| < 1, beta in (-1,1)\\{0}, gamma complex"),
-    _lhs_33,
+    _kernel_33,
     _record("beta gamma t", lambda b, g, t, q: (t, (g,), (b * b,), 0)),
     None, F.CONT_Q_ULTRA, ("beta",),
     lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",),
@@ -733,7 +733,7 @@ _add(_Entry(
         and abs(pt.get("alpha").imag) <= 1e-14,
         "|t| < 1 - beta^2, alpha, beta in (-1,1)\\{0}, gamma complex",
     ),
-    _lhs_33,
+    _kernel_33,
     _record("beta gamma alpha t", lambda b, g, al, t, q: (t, (b, g), (b * b, al), 0)),
     _inner_t6, F.CONT_Q_ULTRA, ("alpha",),
     lambda rng, q: _sample_cqu(rng, q, _tb_t4, names=("beta", "alpha"),
@@ -743,7 +743,7 @@ _add(_Entry(
 _add(_Entry(
     I.SRC_CQU_141031, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _lhs_31,
+    _kernel_31,
     _record("beta t", lambda b, t, q: (
         t, (b * math.sqrt(q), -b * math.sqrt(q)), (b * b, -q * b), 0)),
     None, F.CONT_Q_ULTRA, ("beta",),
@@ -754,7 +754,7 @@ _add(_Entry(
     I.T7, I.SRC_CQU_141031,
     DomainPredicate(_tb_t7, _cqu_ok("bg"),
                     "|t| < min{(1-b^2)(1+sqrt(q)|b|)(1-q|g|), 1}"),
-    _lhs_31,
+    _kernel_31,
     _record("beta gamma t", lambda b, g, t, q: (
         t, (b, b * math.sqrt(q), -b * math.sqrt(q)), (b * b, -q * b, g), 0)),
     _inner_t7, F.CONT_Q_ULTRA, ("gamma",),
@@ -764,7 +764,7 @@ _add(_Entry(
 _add(_Entry(
     I.SRC_CQU_141030, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _lhs_30,
+    _kernel_30,
     _record("beta t", lambda b, t, q: (
         t, (-b, -b * math.sqrt(q)), (b * b, b * math.sqrt(q)), 0)),
     None, F.CONT_Q_ULTRA, ("beta",),
@@ -775,7 +775,7 @@ _add(_Entry(
     I.T8, I.SRC_CQU_141030,
     DomainPredicate(_tb_t7, _cqu_ok("bg"),
                     "|t| < min{(1-b^2)(1+sqrt(q)|b|)(1-q|g|), 1}"),
-    _lhs_30,
+    _kernel_30,
     _record("beta gamma t", lambda b, g, t, q: (
         t, (b, -b, -b * math.sqrt(q)), (b * b, b * math.sqrt(q), g), 0)),
     _inner_t8, F.CONT_Q_ULTRA, ("gamma",),
@@ -785,7 +785,7 @@ _add(_Entry(
 _add(_Entry(
     I.SRC_CQU_141032, None,
     DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _lhs_32,
+    _kernel_32,
     _record("beta t", lambda b, t, q: (
         t, (-b, b * math.sqrt(q)), (b * b, -b * math.sqrt(q)), 0)),
     None, F.CONT_Q_ULTRA, ("beta",),
@@ -796,7 +796,7 @@ _add(_Entry(
     I.T9, I.SRC_CQU_141032,
     DomainPredicate(_tb_t9, _cqu_ok("bg"),
                     "|t| < min{(1-b^2)(1+sqrt(q)|b|), 1}"),
-    _lhs_32,
+    _kernel_32,
     _record("beta gamma t", lambda b, g, t, q: (
         t, (b, -b, b * math.sqrt(q)), (b * b, -b * math.sqrt(q), g), 0)),
     _inner_t9, F.CONT_Q_ULTRA, ("gamma",),
@@ -1029,8 +1029,11 @@ def lhs_integrand_factor(
 ) -> complex:
     """The x-dependent factor of the identity's closed form, which a
     corollary's functional takes against p_n; the x-independent prefactor
-    stays on the corollary's closed-form side."""
-    return entry_for(tag).kernel(x, point, ctx)
+    stays on the corollary's closed-form side.  One call builds the
+    kernel's plans for one x; a functional takes the factory
+    ``entry_for(tag).kernel(point, ctx)`` once and calls what it returns
+    at every node."""
+    return entry_for(tag).kernel(point, ctx)(x)
 
 
 def eval_rhs(

@@ -47,7 +47,6 @@ from .genfun import (
     IdentityId,
     IdentityReport,
     entry_for,
-    lhs_integrand_factor,
     outer_coefficient,
 )
 from .polyfam import (
@@ -169,12 +168,11 @@ def _interval(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
     2 pi-periodic in theta, so the trapezoid rule converges geometrically.
     Both weights (aw_weight, ultra_weight) are exactly 0 at x = +-1, so
     the end nodes theta = 0, pi contribute nothing and are not evaluated."""
-    p = spec.params
-    weight = FAMILIES[spec.family].weight
+    weight = FAMILIES[spec.family].weight(spec.params)
 
     def F(th: float) -> complex:
         x = math.cos(th)
-        return f(x) * g(x) * weight(x, p)
+        return f(x) * g(x) * weight(x)
 
     n = 8
     s = sum(F(j * math.pi / n) for j in range(1, n))
@@ -187,12 +185,11 @@ def _halfline(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
     so the trapezoid rule on R converges geometrically.  The unit-step sum,
     cut by the tail rule, fixes the u-window once; refinement stays inside
     it, since the nodes beyond its ends are negligible at every step."""
-    p = spec.params
-    weight = FAMILIES[spec.family].weight
+    weight = FAMILIES[spec.family].weight(spec.params)
 
     def F(u: float) -> complex:
         x = math.exp(u)
-        return x * f(x) * g(x) * weight(x, p)
+        return x * f(x) * g(x) * weight(x)
 
     # u = 0, -1, -2, ... toward x = 0, then u = 1, 2, ... toward infinity
     total, down = _sum_tail(map(F, itertools.count(0, -1)), spec.max_nodes)
@@ -396,7 +393,7 @@ def verify_corollary(
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
     spec = _spec_for(entry, point, ctx)
-    kernel = lambda x: lhs_integrand_factor(entry.theorem, x, point, ctx)
+    kernel = entry_for(entry.theorem).kernel(point, ctx)
     lhs, count = _RULES[spec.kind](spec, kernel, _poly(spec, n))
     rhs, inner_terms = _closed_form(entry, n, point, ctx, spec)
     tdom = entry_for(entry.theorem).domain

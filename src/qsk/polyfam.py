@@ -36,6 +36,7 @@ from typing import Callable, Iterable
 from .bhs import SeriesSpec, eval_phi
 from .errors import PreconditionViolation, ZeroParameter, IllConditioned
 from .qpoch import (
+    ProductPlan,
     QBase,
     poch_all_infinite,
     poch_finite,
@@ -334,40 +335,56 @@ def q_laguerre(n: int, x: float, p: QLagParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Each weight is a factory: given the parameters it builds the product
+# plans of its infinite products once and returns x -> w(x).
+def _on_interval(f: Callable[[complex], float], m: int) -> Callable[[float], float]:
+    """x -> f(e^(i m theta)) for x = cos(theta) in (-1, 1), and exactly 0 at
+    x = +-1, where the weight's factor (e^(2i theta); q)_inf vanishes."""
+    def weight(x: float) -> float:
+        if abs(x) > 1.0:
+            raise PreconditionViolation("weight defined for |x| <= 1")
+        return 0.0 if abs(x) == 1.0 else f(cmath.exp(m * 1j * math.acos(x)))
+
+    return weight
+
+
+def _aw_weight(p: AWParams) -> Callable[[float], float]:
+    num, den = ProductPlan(1.0, p.base), [ProductPlan(v, p.base) for v in p.as_tuple()]
+    return _on_interval(
+        lambda e: abs(num(e * e) / math.prod(plan(e) for plan in den)) ** 2, 1)
+
+
+def _ultra_weight(p: UltraParams) -> Callable[[float], float]:
+    num, den = ProductPlan(1.0, p.base), ProductPlan(p.beta, p.base)
+    return _on_interval(lambda e2: abs(num(e2) / den(e2)) ** 2, 2)
+
+
+def _qlag_weight(p: QLagParams) -> Callable[[float], float]:
+    den = ProductPlan(-1.0, p.base)
+
+    def weight(x: float) -> float:
+        if x <= 0.0:
+            raise PreconditionViolation("half-line weight needs x > 0")
+        return x**p.alpha / den(x).real
+
+    return weight
+
+
 def aw_weight(x: float, p: AWParams) -> float:
     """Askey-Wilson weight |(e^(2i theta);q)_inf / (a e^(i theta), b e^(i theta),
-    c e^(i theta), d e^(i theta); q)_inf|^2 on the open interval (-1, 1).
-
-    At the endpoints x = +-1 the numerator vanishes (e^(2i theta) = 1) and
-    the weight is returned as exactly 0.
-    """
-    if abs(x) > 1.0:
-        raise PreconditionViolation("weight defined for |x| <= 1")
-    if abs(x) == 1.0:
-        return 0.0
-    th = math.acos(x)
-    e = cmath.exp(1j * th)
-    num = poch_infinite(e * e, p.base)
-    den = poch_all_infinite((p.a * e, p.b * e, p.c * e, p.d * e), p.base)
-    return abs(num / den) ** 2
+    c e^(i theta), d e^(i theta); q)_inf|^2 on [-1, 1], exactly 0 at x = +-1."""
+    return _aw_weight(p)(x)
 
 
 def ultra_weight(x: float, p: UltraParams) -> float:
-    """Weight |(e^(2i theta);q)_inf / (beta e^(2i theta);q)_inf|^2 on (-1, 1)."""
-    if abs(x) > 1.0:
-        raise PreconditionViolation("weight defined for |x| <= 1")
-    if abs(x) == 1.0:
-        return 0.0
-    th = math.acos(x)
-    e2 = cmath.exp(2j * th)
-    return abs(poch_infinite(e2, p.base) / poch_infinite(p.beta * e2, p.base)) ** 2
+    """Weight |(e^(2i theta);q)_inf / (beta e^(2i theta);q)_inf|^2 on [-1, 1],
+    exactly 0 at x = +-1."""
+    return _ultra_weight(p)(x)
 
 
 def qlag_weight(x: float, p: QLagParams) -> float:
     """Half-line weight x^alpha / (-x; q)_inf, x > 0."""
-    if x <= 0.0:
-        raise PreconditionViolation("half-line weight needs x > 0")
-    return x**p.alpha / poch_infinite(-x, p.base).real
+    return _qlag_weight(p)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +553,9 @@ class Family:
     params    parameter record class, built as params(*values, base)
     names     its parameter names, in that order
     evaluate  (n, x, params) -> p_n(x) as a complex, from degree 0
-    weight    (x, params) -> continuous weight w(x); None on a lattice
+    weight    params -> (x -> continuous weight w(x)), a factory that builds
+              the weight's product plans once per functional; None on a
+              lattice
     support   (q, count) -> sample abscissas on the natural support
     steps     (x, params, degrees) -> recurrence coefficients at those
               degrees, x and params checked on the call; None for a
@@ -546,7 +565,7 @@ class Family:
     params: type
     names: tuple[str, ...]
     evaluate: Callable[[int, float, object], complex]
-    weight: Callable[[float, object], float] | None
+    weight: Callable[[object], Callable[[float], float]] | None
     support: Callable[[float, int], list[float]]
     steps: Callable[[float, object, Iterable[int]], Iterable[tuple]] | None
 
@@ -570,18 +589,18 @@ class Family:
         return at
 
 
-# The lambdas look evaluators and weights up as module globals at call
-# time and pass the degree first, so rebinding a module attribute (as a
-# tracer does) reaches every caller of the table.
+# The lambdas look evaluators up as module globals at call time and pass
+# the degree first, so rebinding a module attribute (as a tracer does)
+# reaches every caller of the table.
 FAMILIES: dict[FamilyId, Family] = {
     FamilyId.ASKEY_WILSON: Family(
         AWParams, ("a", "b", "c", "d"),
         lambda n, x, p: askey_wilson(n, x, p),
-        lambda x, p: aw_weight(x, p), _chebyshev, _aw_steps),
+        _aw_weight, _chebyshev, _aw_steps),
     FamilyId.CONT_Q_ULTRA: Family(
         UltraParams, ("beta",),
         lambda n, x, p: complex(cont_q_ultra(n, x, p)),
-        lambda x, p: ultra_weight(x, p), _chebyshev, _cqu_steps),
+        _ultra_weight, _chebyshev, _cqu_steps),
     FamilyId.LITTLE_Q_LAGUERRE: Family(
         LqLParams, ("a",),
         lambda n, x, p: complex(little_q_laguerre(n, x, p)),
@@ -589,7 +608,7 @@ FAMILIES: dict[FamilyId, Family] = {
     FamilyId.Q_LAGUERRE: Family(
         QLagParams, ("alpha",),
         lambda n, x, p: complex(q_laguerre(n, x, p)),
-        lambda x, p: qlag_weight(x, p), _two_sided, _qlag_steps),
+        _qlag_weight, _two_sided, _qlag_steps),
 }
 _FAMILY_OF = {fam.params: fid for fid, fam in FAMILIES.items()}
 

@@ -17,7 +17,9 @@ range, so complex bases are rejected at construction time.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
@@ -148,28 +150,50 @@ def poch_finite(a: complex, q: QLike, n: int) -> complex:
     return out
 
 
-def poch_infinite(a: complex, q: QLike, tol: float = 1e-15) -> complex:
-    """Infinite q-Pochhammer symbol ``(a; q)_inf``.
-
-    The product is truncated at the first index M for which the geometric
-    tail bound ``|a| q^(M+1) / (1-q)`` drops below a fixed fraction of
-    ``tol``; the stopping index is computed in closed form, so the result
-    is deterministic for fixed inputs.
-    """
-    qv = as_base(q)
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
+def check_tol(tol) -> None:
+    """A stopping tolerance must be a finite number > 0; a bool is not one."""
+    if isinstance(tol, bool) or not (
+        isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0
+    ):
         raise NonConvergentTolerance(f"tol must be finite and > 0, got {tol!r}")
-    av = complex(a)
-    mag = abs(av)
-    if mag == 0.0:
-        return complex(1.0)
-    # Tail after factors j = 0..M-1 is sum_{j>=M} |a| q^j = |a| q^M / (1-q).
-    ratio = _TAIL_FRACTION * tol * (1.0 - qv) / mag
-    if ratio >= 1.0:
-        n_factors = 1
-    else:
-        n_factors = max(1, math.ceil(math.log(ratio) / math.log(qv)) + 1)
-    return poch_finite(av, qv, n_factors)
+
+
+class ProductPlan:
+    """``(s u; q)_inf`` for one s at many u.  The base, the tolerance and the
+    powers q^j are settled once, the powers extended on demand, so a call
+    costs only its factors 1 - (s u) q^j.  Their count M is the first index
+    at which the tail bound |s u| q^M / (1-q) drops below a fixed fraction
+    of ``tol``, in closed form, so the result is deterministic."""
+
+    def __init__(self, s: complex, q: QLike, tol: float = 1e-15) -> None:
+        self._q = as_base(q)
+        check_tol(tol)
+        self._s = complex(s)
+        self._cut = _TAIL_FRACTION * tol * (1.0 - self._q)
+        self._lnq = math.log(self._q)
+        self._qj = [1.0]  # q^j by repeated multiplication, as poch_finite forms them
+
+    def __call__(self, u: complex = 1.0) -> complex:
+        a = self._s * u
+        mag = abs(a)
+        if mag == 0.0:
+            return complex(1.0)
+        ratio = self._cut / mag
+        n = 1 if ratio >= 1.0 else max(1, math.ceil(math.log(ratio) / self._lnq) + 1)
+        qj = self._qj
+        if len(qj) < n:  # the last power, then each next one
+            qj[-1:] = itertools.accumulate(itertools.repeat(self._q, n - len(qj)),
+                                           operator.mul, initial=qj[-1])
+        out = complex(1.0)
+        for t in itertools.islice(qj, n):
+            out *= 1.0 - a * t
+        return out
+
+
+def poch_infinite(a: complex, q: QLike, tol: float = 1e-15) -> complex:
+    """Infinite q-Pochhammer symbol ``(a; q)_inf``: the product plan of
+    ``a`` evaluated once, at u = 1."""
+    return ProductPlan(a, q, tol)()
 
 
 def poch_all(params: Iterable[complex], q: QLike, n: int) -> complex:

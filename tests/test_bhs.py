@@ -1,31 +1,38 @@
 """Series evaluator against direct term-by-term summation, termination
-detection, the stopping rule, and the q-binomial theorem."""
+detection, the stopping rule, the q-binomial theorem, and series plans
+against the unsplit series."""
 
+import cmath
 import math
 from random import Random
 
 import pytest
 
-from qsk.bhs import SeriesSpec, check_qbinomial, eval_phi
-from qsk.errors import DivergentSeries, NoConvergence, ZeroDenominator
+from qsk.bhs import SeriesPlan, SeriesSpec, check_qbinomial, eval_phi
+from qsk.errors import (
+    DivergentSeries,
+    NoConvergence,
+    NonConvergentTolerance,
+    ZeroDenominator,
+)
 from qsk.qpoch import QBase, poch_finite, poch_infinite
 
 
-def direct_phi(num, den, q, z, kmax):
-    """Term-by-term evaluation straight from the defining sum, with the
+def direct_term(num, den, q, z, k):
+    """The k-th term straight from the defining sum, with the
     ((-1)^k q^C(k,2))^(1+s-r) factor formed explicitly."""
-    e = 1 + len(den) - len(num)
-    total = 0.0 + 0.0j
-    for k in range(kmax + 1):
-        term = z**k
-        for a in num:
-            term *= poch_finite(a, q, k)
-        term /= poch_finite(q, q, k)
-        for b in den:
-            term /= poch_finite(b, q, k)
-        term *= ((-1.0) ** k * q ** math.comb(k, 2)) ** e
-        total += term
-    return total
+    term = z**k
+    for a in num:
+        term *= poch_finite(a, q, k)
+    term /= poch_finite(q, q, k)
+    for b in den:
+        term /= poch_finite(b, q, k)
+    return term * ((-1.0) ** k * q ** math.comb(k, 2)) ** (1 + len(den) - len(num))
+
+
+def direct_phi(num, den, q, z, kmax):
+    """Term-by-term evaluation straight from the defining sum."""
+    return sum(direct_term(num, den, q, z, k) for k in range(kmax + 1))
 
 
 def test_qbinomial_collapse_at_a_equals_q():
@@ -124,6 +131,15 @@ def test_monotone_tail_stopping():
     long = direct_phi((0.5, 0.25), (0.4,), q, 0.7, res.terms_used + 200)
     assert res.value == pytest.approx(long, rel=1e-12)
     assert res.last_term_magnitude < 1e-12 * abs(res.value)
+    # the sum stops at the first three terms in a row at most tol * |sum|,
+    # counted here from the defining terms
+    partial, streak, k = 1.0, 0, 0
+    while streak < 3:
+        k += 1
+        term = direct_term((0.5, 0.25), (0.4,), q, 0.7, k)
+        partial += term
+        streak = streak + 1 if abs(term) <= 1e-14 * abs(partial) else 0
+    assert res.terms_used == k + 1
 
 
 def test_qbinomial_residuals():
@@ -144,3 +160,99 @@ def test_qbinomial_random_grid():
         a = complex(rng.uniform(-1.2, 1.2), rng.uniform(-0.5, 0.5))
         z = complex(rng.uniform(-0.85, 0.85), 0.0)
         assert check_qbinomial(a, z, q) < 1e-10
+
+
+def test_bool_tolerance_is_rejected():
+    spec = SeriesSpec((0.3, 0.4), (0.2,), 0.5, QBase(0.5))
+    with pytest.raises(NonConvergentTolerance):
+        eval_phi(spec, tol=True)
+    with pytest.raises(NonConvergentTolerance):
+        SeriesPlan((0.3,), (0.2,), QBase(0.5), tol=True)
+
+
+# ---------------------------------------------------------------------------
+# series plans: parameters split into fixed ones and ones scaled by a node
+# ---------------------------------------------------------------------------
+
+
+def _split(params, rng):
+    """A random split of ``params`` into (fixed, scaled) index sets."""
+    idx = list(range(len(params)))
+    scaled = sorted(rng.sample(idx, rng.randint(0, len(idx))))
+    return [i for i in idx if i not in scaled], scaled
+
+
+def _plan_and_spec(num, den, z, q, u, v, rng):
+    """The plan with a random split of num and den, whose scaled parameters
+    are given divided by the node variable, and the unsplit spec."""
+    fn, sn = _split(num, rng)
+    fd, sd = _split(den, rng)
+    plan = SeriesPlan([num[i] for i in fn], [den[i] for i in fd], QBase(q),
+                      scaled_num=[num[i] / u for i in sn],
+                      scaled_den=[den[i] / v for i in sd])
+    spec = SeriesSpec(tuple(num), tuple(den), z, QBase(q))
+    return plan, spec
+
+
+def _node(rng):
+    """A node variable: on the unit circle, or real and positive."""
+    if rng.random() < 0.5:
+        return cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return rng.uniform(0.2, 3.0)
+
+
+def test_plan_matches_unsplit_series_on_random_splits():
+    """The split reorders each ratio's factors, which moves the sum by about
+    1e-16 times sum |t_k|; parameters in the disk of radius 0.6 and
+    |z| <= 0.6 keep that sum within a few times |value| + 1."""
+    rng = Random(2024)
+    for _ in range(300):
+        q = rng.uniform(0.2, 0.9)
+        r = rng.randint(0, 4)
+        s = rng.randint(max(0, r - 1), r + 1)
+        num = [0.6 * rng.random() * cmath.exp(2j * math.pi * rng.random()) for _ in range(r)]
+        den = [0.6 * rng.random() * cmath.exp(2j * math.pi * rng.random()) for _ in range(s)]
+        z = rng.uniform(0.05, 0.6) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        u, v = _node(rng), _node(rng)
+        plan, spec = _plan_and_spec(num, den, z, q, u, v, rng)
+        want = eval_phi(spec)
+        got = plan(z, u, v)
+        assert abs(got.value - want.value) <= 1e-14 * (1.0 + abs(want.value))
+        assert got.terms_used == want.terms_used
+        assert got.terminated == want.terminated
+        # the same plan at a second node reuses its degree factors
+        again = plan(z * 0.5, u, v)
+        assert again.value == pytest.approx(eval_phi(SeriesSpec(
+            spec.numerator, spec.denominator, z * 0.5, QBase(q))).value,
+            rel=1e-13, abs=1e-14)
+
+
+def test_plan_with_nothing_scaled_is_eval_phi():
+    spec = SeriesSpec((0.3, 0.4), (0.2,), 0.5 + 0.1j, QBase(0.5))
+    plan = SeriesPlan(spec.numerator, spec.denominator, spec.base)
+    assert plan(spec.z) == eval_phi(spec)
+    assert plan(spec.z) == eval_phi(spec)  # warm tables give the same sum
+
+
+def test_plan_raises_what_the_unsplit_series_raises():
+    q = 0.5
+    u = cmath.exp(0.7j)
+    # r = s + 1 with |z| >= 1: divergent either way
+    with pytest.raises(DivergentSeries):
+        eval_phi(SeriesSpec((0.3, 0.4), (0.2,), 1.2, QBase(q)))
+    with pytest.raises(DivergentSeries):
+        SeriesPlan((0.3,), (0.2,), QBase(q), scaled_num=(0.4 / u,))(1.2, u)
+    # a scaled numerator equal to q^-3 at the node terminates the series
+    want = eval_phi(SeriesSpec((q**-3, 0.4), (0.2,), 1.5, QBase(q)))
+    got = SeriesPlan((0.4,), (0.2,), QBase(q), scaled_num=(q**-3 / u,))(1.5, u)
+    assert want.terminated and got.terminated and got.terms_used == want.terms_used == 4
+    assert got.value == pytest.approx(want.value, rel=1e-14)
+    # a scaled denominator equal to q^-2 at the node zeroes the k = 2 factor
+    with pytest.raises(ZeroDenominator):
+        eval_phi(SeriesSpec((0.3,), (q**-2,), 0.5, QBase(q)))
+    plan = SeriesPlan((0.3,), (), QBase(q), scaled_den=(q**-2 / u,))
+    with pytest.raises(ZeroDenominator):
+        plan(0.5, u)
+    # the same plan sums normally at a node where nothing vanishes
+    assert plan(0.5, 1.0).value == pytest.approx(
+        eval_phi(SeriesSpec((0.3,), (q**-2 / u,), 0.5, QBase(q))).value, rel=1e-14)

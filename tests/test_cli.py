@@ -1,6 +1,7 @@
 """Command-line surface: eval/connect examples, the verify report
 contract, exit codes, and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,10 @@ import pytest
 
 import qsk
 from qsk.cli import SuiteConfig, build_parser, main, report_to_json, run_suite
+from qsk.genfun import IdentityId
+from qsk.orthofunc import CorollaryId
+
+ALL_TAGS = [t.value for t in IdentityId] + [c.value for c in CorollaryId]
 
 
 def run(capsys, *argv):
@@ -198,6 +203,21 @@ def test_suite_config_validation():
     for tol in (float("inf"), float("nan"), 0.0):
         with pytest.raises(ValueError):
             SuiteConfig(tags=("T3",), tolerance=tol)
+
+
+# sha256 of the sorted (id, point_hash, status, n_terms_outer, n_terms_inner)
+# tuples of the default report: 205 records at q = 0.5.  A change that is
+# meant to move a status or a truncation order updates this digest and
+# says why in CHANGES.md; any other change must leave it as it is.
+DEFAULT_REPORT_SHAPE = "b30369c9837670db0b7485480fb5f2f0ad4d64b3ada4c11984c4d34c8661856b"
+
+
+def test_default_report_shape_is_pinned():
+    records = run_suite(SuiteConfig(tags=tuple(ALL_TAGS)))["records"]
+    shape = sorted((r["id"], r["point_hash"], r["status"], r["n_terms_outer"],
+                    r["n_terms_inner"]) for r in records)
+    assert len(shape) == 205
+    assert hashlib.sha256(repr(shape).encode()).hexdigest() == DEFAULT_REPORT_SHAPE
 
 
 def test_run_suite_python_api():

@@ -226,6 +226,14 @@ def test_in_domain_and_bounds():
     assert t_bound("T2", pt2, CTX) == pytest.approx(0.125)
 
 
+def test_eval_context_rejects_bool_caps():
+    # isinstance(True, int) holds, so a bool would pass as the cap 1
+    with pytest.raises(PreconditionViolation):
+        EvalContext(q=0.5, max_terms=True)
+    with pytest.raises(PreconditionViolation):
+        EvalContext(q=0.5, outer_cap=True)
+
+
 def test_verify_identity_rejects_source_tags():
     pt = ParamPoint.of(beta=0.4, x=0.3, t=0.5)
     with pytest.raises(PreconditionViolation):

@@ -1,6 +1,8 @@
 """Oracle tier: the closed-form side and the outer coefficients of every
-generating-function identity against mpmath's q-Pochhammer symbols
-(``qp``) and basic hypergeometric series (``qhyper``) at 40 digits.
+generating-function identity, and the infinite products, corollary kernels
+and weights that the functionals evaluate node by node, against mpmath's
+q-Pochhammer symbols (``qp``) and basic hypergeometric series (``qhyper``)
+at 40 digits.
 
 Each closed form is written here in full from the reference catalog, so
 the check covers the library's split of it into an x-independent
@@ -9,7 +11,9 @@ printed form, so the check covers the library's folding of it into one
 q-hypergeometric term.
 """
 
+import cmath
 import functools
+import math
 from random import Random
 from types import SimpleNamespace
 
@@ -19,7 +23,23 @@ mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
 from qsk import EvalContext, IdentityId, ParamPoint, eval_lhs, sample_point  # noqa: E402
-from qsk.genfun import outer_coefficient, source_of  # noqa: E402
+from qsk.genfun import (  # noqa: E402
+    entry_for,
+    lhs_integrand_factor,
+    outer_coefficient,
+    source_of,
+)
+from qsk.orthofunc import list_corollaries  # noqa: E402
+from qsk.polyfam import (  # noqa: E402
+    AWParams,
+    FamilyId,
+    QLagParams,
+    UltraParams,
+    aw_weight,
+    qlag_weight,
+    ultra_weight,
+)
+from qsk.qpoch import QBase, poch_infinite  # noqa: E402
 
 QS = (0.5, 0.8)
 DRAWS = 3
@@ -278,3 +298,102 @@ def test_outer_coefficient_against_mpmath(tag, q):
             if abs(w) > COEF_FLOOR:
                 got = outer_coefficient(tag, n, point, ctx)
                 assert abs(got - w) <= COEF_TOL * abs(w), (point.canonical(), n, got, w)
+
+
+# ---------------------------------------------------------------------------
+# infinite products, kernels and weights at quadrature nodes
+# ---------------------------------------------------------------------------
+
+PINF_QS = (0.05, 0.5, 0.9, 0.95)
+PINF_MODULI = (0.05, 0.25, 0.7, 1.0)
+PINF_TOL = 1e-14
+
+
+@pytest.mark.parametrize("q", PINF_QS)
+def test_poch_infinite_against_mpmath(q):
+    """Pinned points on the real axis (both signs; (1; q)_inf is exactly 0)
+    and off it, relative to the value."""
+    for mag in PINF_MODULI:
+        for a in (mag, -mag, mag * cmath.exp(2.0j), mag * cmath.exp(-0.6j)):
+            with mp.workdps(40):
+                want = complex(mp.qp(mp.mpc(a), mp.mpf(q)))
+            got = poch_infinite(a, q)
+            assert abs(got - want) <= PINF_TOL * abs(want), (a, got, want)
+
+
+# The nodes of the 8-panel trapezoid grid on (0, pi), and two nodes next to
+# the ends.  On the half-line and the lattice the node is carried to the
+# support's sampled range, x = 1 + cos(theta) in (0, 2) and
+# x = (1 + cos(theta)) / 2 in (0, 1).
+THETAS = (*(j * math.pi / 8 for j in range(1, 8)), 1e-3, math.pi - 1e-3)
+
+
+def _node_x(family: FamilyId, theta: float) -> float:
+    if family is FamilyId.Q_LAGUERRE:
+        return 1.0 + math.cos(theta)
+    if family is FamilyId.LITTLE_Q_LAGUERRE:
+        return (1.0 + math.cos(theta)) / 2.0
+    return math.cos(theta)
+
+
+# The x-independent prefactor of each closed form, where it is not 1.
+PREFACTORS = {
+    IdentityId.SRC_LQL_142011: lambda v, q: mp.qp(v.t, q),
+    IdentityId.SRC_QL_142114: lambda v, q: 1 / mp.qp(v.t, q),
+    IdentityId.SRC_QL_142115: lambda v, q: mp.qp(v.t, q),
+    IdentityId.SRC_QL_142116: lambda v, q: mp.qp(v.gamma * v.t, q) / mp.qp(v.t, q),
+}
+
+KERNEL_THEOREMS = sorted({IdentityId(row["theorem"]) for row in list_corollaries()},
+                         key=lambda t: t.value)
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("tag", KERNEL_THEOREMS, ids=lambda t: t.value)
+def test_integrand_kernel_at_nodes_against_mpmath(tag, q):
+    """Each corollary's kernel, as a functional evaluates it node by node,
+    against the closed form divided by its prefactor."""
+    point = sample_point(tag, Random(f"kernel:{tag.value}:{q}"), q)
+    source = source_of(tag) or tag
+    ctx = EvalContext(q=q)
+    for theta in THETAS:
+        x = _node_x(entry_for(tag).family, theta)
+        pt = point.replace(x=x)
+        with mp.workdps(40):
+            v = SimpleNamespace(**{k: mp.mpc(val) for k, val in pt})
+            pref = PREFACTORS.get(source, lambda v, q: 1)(v, mp.mpf(q))
+            want = complex(_oracle(tag, pt, q) / pref)
+        got = lhs_integrand_factor(tag, x, pt, ctx)
+        assert abs(got - want) <= TOL * (1.0 + abs(want)), (pt.canonical(), got, want)
+
+
+WEIGHT_TOL = 1e-12
+
+
+def _signed(rng: Random, lo: float, hi: float) -> float:
+    return rng.choice((-1.0, 1.0)) * rng.uniform(lo, hi)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_weights_at_nodes_against_mpmath(q):
+    """The three continuous weights at the same nodes, relative to their
+    value, against their products written with mpmath's qp."""
+    rng = Random(f"weights:{q}")
+    base = QBase(q)
+    aw = AWParams(*(_signed(rng, 0.08, 0.6) for _ in range(4)), base)
+    ultra = UltraParams(_signed(rng, 0.1, 0.8), base)
+    qlag = QLagParams(rng.uniform(-0.75, 2.5), base)
+    for theta in THETAS:
+        x = math.cos(theta)
+        with mp.workdps(40):
+            mq = mp.mpf(q)
+            e = mp.expj(mp.acos(x))
+            den = mp.fprod(mp.qp(p * e, mq) for p in aw.as_tuple())
+            want_aw = abs(mp.qp(e**2, mq) / den) ** 2
+            want_ultra = abs(mp.qp(e**2, mq) / mp.qp(ultra.beta * e**2, mq)) ** 2
+            xl = mp.mpf(1.0 + x)
+            want_qlag = xl**qlag.alpha / mp.qp(-xl, mq)
+        for got, want in ((aw_weight(x, aw), want_aw),
+                          (ultra_weight(x, ultra), want_ultra),
+                          (qlag_weight(1.0 + x, qlag), want_qlag)):
+            assert abs(got - float(want)) <= WEIGHT_TOL * float(want), (theta, got, want)

@@ -18,6 +18,7 @@ from qsk.errors import (
 from qsk.qpoch import (
     PochIdentity,
     PochSymbol,
+    ProductPlan,
     QBase,
     check_lemma1,
     check_poch_identity,
@@ -294,3 +295,25 @@ def test_lemma_preconditions():
         check_lemma1(4, 0.5, z=1.0, k=3, n=2)
     with pytest.raises(PreconditionViolation):
         check_lemma1(5, 0.5, u=1.0, n=1)
+
+
+def test_bool_tolerance_is_rejected():
+    with pytest.raises(NonConvergentTolerance):
+        poch_infinite(0.5, 0.5, tol=True)
+    with pytest.raises(NonConvergentTolerance):
+        ProductPlan(0.5, 0.5, tol=True)
+
+
+def test_product_plan_matches_poch_infinite():
+    """(s u; q)_inf from the plan of s equals poch_infinite(s u) for u on
+    the unit circle and u real and positive; at u = 1 it is poch_infinite."""
+    rng = Random(11)
+    for _ in range(300):
+        q = rng.uniform(0.05, 0.95)
+        s = rng.uniform(0.0, 1.5) * cmath.exp(2j * math.pi * rng.random())
+        plan = ProductPlan(s, q)
+        assert plan() == poch_infinite(s, q)
+        for u in (cmath.exp(2j * math.pi * rng.random()), rng.uniform(0.05, 3.0)):
+            want = poch_infinite(s * u, q)
+            assert abs(plan(u) - want) <= 1e-14 * (1.0 + abs(want))
+    assert ProductPlan(0.0, 0.5)(2.0) == 1.0
