@@ -44,7 +44,6 @@ from .polyfam import (
     q_laguerre,
     qlag_bilateral_norm,
     qlag_continuous_norm,
-    qlag_jackson_norm,
     ultra_norm,
     ultra_weight,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "qlag_bilateral_norm",
     "qlag_connection",
     "qlag_continuous_norm",
-    "qlag_jackson_norm",
     "sample_point",
     "ultra_connection",
     "ultra_norm",

@@ -34,8 +34,8 @@ from .bhs import DEFAULT_MAX_TERMS
 from .connect import (
     aw_connection,
     lql_connection,
+    prefix_residuals,
     qlag_connection,
-    sample_points,
     ultra_connection,
 )
 from .context import EvalContext, ParamPoint
@@ -221,17 +221,10 @@ def _cmd_connect(args) -> int:
     q = args.q
     build, names = _CONNECTIONS[args.family]
     exp = build(args.n, *_flag_values(args, names), q)
-    evaluate = FAMILIES[exp.family].evaluate
-    pts = sample_points(exp.family, q)
-    target = [complex(0.0)] * len(pts)
-    source = [evaluate(exp.n, x, exp.source_params) for x in pts]
-    scale = 1.0 + max(abs(v) for v in source)
+    residuals = prefix_residuals(exp)
     print(f"# family={args.family} n={args.n} q={q}")
     print(f"{'degree':>8s}  {'coefficient':>24s}  {'cumulative residual':>20s}")
-    for deg, v in exp.coefficients:
-        for i, x in enumerate(pts):
-            target[i] += v * evaluate(deg, x, exp.target_params)
-        resid = max(abs(t - s) for t, s in zip(target, source)) / scale
+    for (deg, v), resid in zip(exp.coefficients, residuals[1:]):
         print(f"{deg:8d}  {_shown(v, 1e-13):>24s}  {resid:20.3e}")
     return 0
 

@@ -216,6 +216,25 @@ def sample_points(family: FamilyId, q: float, count: int = 20) -> list[float]:
     return FAMILIES[family].support(q, count)
 
 
+def prefix_residuals(
+    exp: ConnectionExpansion, points: Sequence[float] | None = None
+) -> list[float]:
+    """Entry i is the expansion_residual of the first i terms of ``exp``,
+    for i = 0 .. len(exp.coefficients), all built in one pass over them."""
+    if points is None:
+        points = sample_points(exp.family, exp.source_params.base.q)
+    evaluate = FAMILIES[exp.family].evaluate
+    rhs = [evaluate(exp.n, x, exp.source_params) for x in points]
+    lhs = [complex(0.0)] * len(points)
+    peak = max([0.0, *map(abs, rhs)])
+    out = [peak / (1.0 + peak)]
+    for deg, v in exp.coefficients:
+        for i, x in enumerate(points):
+            lhs[i] += v * evaluate(deg, x, exp.target_params)
+        out.append(max([0.0, *(abs(t - s) for t, s in zip(lhs, rhs))]) / (1.0 + peak))
+    return out
+
+
 def expansion_residual(
     exp: ConnectionExpansion, points: Sequence[float] | None = None
 ) -> float:
@@ -223,19 +242,7 @@ def expansion_residual(
 
         |sum_k c_k p_k(x; target) - p_n(x; source)| / (1 + max |p_n|).
     """
-    if points is None:
-        points = sample_points(exp.family, exp.source_params.base.q)
-    evaluate = FAMILIES[exp.family].evaluate
-    worst = 0.0
-    peak = 0.0
-    for x in points:
-        lhs = sum(
-            v * evaluate(deg, x, exp.target_params) for deg, v in exp.coefficients
-        )
-        rhs = evaluate(exp.n, x, exp.source_params)
-        worst = max(worst, abs(lhs - rhs))
-        peak = max(peak, abs(rhs))
-    return worst / (1.0 + peak)
+    return prefix_residuals(exp, points)[-1]
 
 
 def compose_ultra(

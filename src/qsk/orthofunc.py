@@ -13,9 +13,10 @@ Five functional kinds share one entry point, ``inner_product``:
                    / (-c q^k; q)_inf, both tails decaying (the negative
                    tail super-geometrically);
 * JACKSON          the q-integral (1-q) sum_{k in Z} q^k F(q^k) with
-                   F = f g x^alpha / (-x; q)_inf, computed node by node
-                   (an independent path from BILATERAL, which the tests
-                   exploit as a consistency check).
+                   F = f g x^alpha / (-x; q)_inf, which is (1-q) times
+                   BILATERAL at c = 1.
+
+The three discrete kinds share one geometric-lattice walk, ``_walk``.
 
 ``verify_corollary`` assembles each corollary as: functional applied to
 (generating-function kernel, polynomial) on the left, and the displayed
@@ -31,7 +32,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
 from typing import Callable, Iterable
@@ -57,7 +58,6 @@ from .polyfam import (
     lql_norm,
     qlag_bilateral_norm,
     qlag_continuous_norm,
-    qlag_jackson_norm,
     ultra_norm,
 )
 from .qpoch import poch_infinite
@@ -117,7 +117,7 @@ _NORMS: dict[tuple[FamilyId, FunctionalKind], Callable[[int, FunctionalSpec], fl
     (FamilyId.Q_LAGUERRE, FunctionalKind.BILATERAL):
         lambda n, s: qlag_bilateral_norm(n, s.params, s.c),
     (FamilyId.Q_LAGUERRE, FunctionalKind.JACKSON):
-        lambda n, s: qlag_jackson_norm(n, s.params),
+        lambda n, s: (1.0 - s.params.base.q) * qlag_bilateral_norm(n, s.params, 1.0),
 }
 
 
@@ -197,80 +197,57 @@ def _halfline(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
     return _nested(F, 1.0 - down, up, down + up - 1, total, down + up)
 
 
-def _check_weight(w: float) -> None:
-    """A tail weight that reached exact zero makes every later term zero
-    whatever f g is, so the stopping rule could no longer tell a decayed
-    tail from a lost one."""
-    if w == 0.0:
-        raise TailNonConvergence("weight underflowed to 0 before the tail converged")
+def _walk(spec: FunctionalSpec, f, g, c: float, w0: float,
+          ratio: Callable[[int], float], two_sided: bool) -> tuple[complex, int]:
+    """sum w_k f(cq^k) g(cq^k) over k >= 0, and over k < 0 too if
+    ``two_sided``, with w_(k+1) = w_k ratio(k) from w_0; each tail is cut
+    by _sum_tail, both within spec.max_nodes.  A weight that reached exact
+    zero makes every later term of its tail zero whatever f g is, so the
+    rule could not tell a decayed tail from a lost one: TailNonConvergence."""
+    q = spec.params.base.q
 
-
-def _lattice(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
-    p = spec.params
-    q = p.base.q
-    aq = p.a * q
-
-    def terms():
-        w = 1.0
-        for k in itertools.count():
-            _check_weight(w)
-            x = q**k
-            yield w * f(x) * g(x)
-            w *= aq / (1.0 - q ** (k + 1))
-
-    return _sum_tail(terms(), spec.max_nodes)
-
-
-def _bilateral(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
-    """sum_{k in Z} f(cq^k) g(cq^k) q^((alpha+1)k) / (-cq^k; q)_inf with
-    the weight carried by its one-step ratios from w_0 = 1/(-c; q)_inf,
-    each tail cut off after three consecutive negligible terms."""
-    p = spec.params
-    q = p.base.q
-    c = spec.c
-    qa1 = q ** (p.alpha + 1.0)
-    w0 = 1.0 / poch_infinite(-c, p.base).real
+    def term(w: float, k: int) -> complex:
+        if w == 0.0:
+            raise TailNonConvergence("weight underflowed to 0 before the tail converged")
+        x = c * q**k
+        return w * f(x) * g(x)
 
     def upper():  # k = 0, 1, 2, ...
         w = w0
         for k in itertools.count():
-            _check_weight(w)
-            yield w * f(c * q**k) * g(c * q**k)
-            w *= qa1 * (1.0 + c * q**k)
+            yield term(w, k)
+            w *= ratio(k)
 
     def lower():  # k = -1, -2, ...
         w = w0
         for k in itertools.count(-1, -1):
-            w /= qa1 * (1.0 + c * q**k)
-            if w == 0.0:
-                return  # tail underflowed to exact zero
-            yield w * f(c * q**k) * g(c * q**k)
+            w /= ratio(k)
+            yield term(w, k)
 
     total, up = _sum_tail(upper(), spec.max_nodes)
+    if not two_sided:
+        return total, up
     total, down = _sum_tail(lower(), spec.max_nodes - up, total)
     return total, up + down
 
 
-def _jackson(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
-    """(1-q) sum_k q^k F(q^k) with the weight rebuilt from x at every
-    node; deliberately not routed through the bilateral recurrence."""
-    p = spec.params
+def _lattice(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
+    q = spec.params.base.q
+    aq = spec.params.a * q
+    return _walk(spec, f, g, 1.0, 1.0, lambda k: aq / (1.0 - q ** (k + 1)), False)
+
+
+def _bilateral(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
+    p, c = spec.params, spec.c
     q = p.base.q
+    qa1 = q ** (p.alpha + 1.0)
+    return _walk(spec, f, g, c, 1.0 / poch_infinite(-c, p.base).real,
+                 lambda k: qa1 * (1.0 + c * q**k), True)
 
-    def terms(ks):
-        for k in ks:
-            try:
-                x = q**k
-                wx = x ** (p.alpha + 1.0) / poch_infinite(-x, p.base).real
-                term = wx * f(x) * g(x)
-            except OverflowError:
-                raise TailNonConvergence("q-integral node overflowed before decay")
-            _check_weight(wx)
-            yield term
 
-    total, up = _sum_tail(terms(itertools.count()), spec.max_nodes)
-    total, down = _sum_tail(terms(itertools.count(-1, -1)), spec.max_nodes - up, total)
-    return total * (1.0 - q), up + down
+def _jackson(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
+    total, count = _bilateral(replace(spec, c=1.0), f, g)
+    return total * (1.0 - spec.params.base.q), count
 
 
 _RULES = {
@@ -358,7 +335,6 @@ class _CorEntry:
     kind: FunctionalKind
     sample: Callable[[Random, float], ParamPoint]
     describe: str
-    flagged: bool = False
 
 
 def _spec_for(entry: _CorEntry, point: ParamPoint, ctx: EvalContext) -> FunctionalSpec:
@@ -396,9 +372,8 @@ def verify_corollary(
     kernel = entry_for(entry.theorem).kernel(point, ctx)
     lhs, count = _RULES[spec.kind](spec, kernel, _poly(spec, n))
     rhs, inner_terms = _closed_form(entry, n, point, ctx, spec)
-    tdom = entry_for(entry.theorem).domain
-    in_domain = (tdom.params_ok(point.replace(x=0.5), ctx.q)
-                 and abs(point.get("t")) < tdom.t_bound(point, ctx.q))
+    # corollary points carry no x, and no t-bound reads x
+    in_domain = entry_for(entry.theorem).domain.contains(point.replace(x=0.5), ctx.q)
     return IdentityReport.of(entry.cid.value, ctx.q, point, lhs, rhs, count,
                              inner_terms, in_domain)
 
@@ -417,7 +392,7 @@ def list_corollaries() -> list[dict[str, str]]:
                 "kind": e.kind.name,
                 "theorem": e.theorem.value,
                 "about": e.describe,
-                "flagged": "unresolved-in-paper" if e.flagged else "",
+                "flagged": "unresolved-in-paper" if is_flagged(cid) else "",
             }
         )
     return out
@@ -434,12 +409,9 @@ def _with_n(rng: Random, pt: ParamPoint, nmax: int = 4) -> ParamPoint:
     return pt.replace(n=rng.randint(0, nmax))
 
 
-def _sample_from_theorem(theorem: IdentityId, shrink: float = 1.0):
+def _sample_from_theorem(theorem: IdentityId):
     def sample(rng: Random, q: float) -> ParamPoint:
-        pt = entry_for(theorem).sample(rng, q)
-        if shrink != 1.0:
-            pt = pt.replace(t=pt.get("t") * shrink)
-        d = pt.as_dict()
+        d = entry_for(theorem).sample(rng, q).as_dict()
         d.pop("x", None)
         return _with_n(rng, ParamPoint.of(**d))
 
@@ -526,7 +498,6 @@ _addc(_CorEntry(
     CorollaryId.C29, IdentityId.T11, FunctionalKind.DISCRETE_LATTICE,
     _sample_c29,
     "lattice sum of the 0phi1 kernel against the little q-Laguerre family",
-    flagged=True,
 ))
 for _cid, _thm in ((CorollaryId.C30, IdentityId.T13),
                    (CorollaryId.C31, IdentityId.T14),

@@ -506,26 +506,6 @@ def qlag_bilateral_norm(n: int, p: QLagParams, c: float) -> float:
     )
 
 
-def qlag_jackson_norm(n: int, p: QLagParams) -> float:
-    """Norm of the q-integral orthogonality on (0, inf):
-
-        (1-q) (q, -q^(alpha+1), -q^-alpha; q)_inf (q^(alpha+1); q)_n
-        / (2 q^n (q^(alpha+1), -q, -q; q)_inf (q; q)_n).
-    """
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
-    q = p.base.q
-    qa1 = q ** (p.alpha + 1.0)
-    num = poch_all_infinite((q, -qa1, -(q**-p.alpha)), p.base).real
-    den = poch_all_infinite((qa1, -q, -q), p.base).real
-    return (
-        (1.0 - q)
-        * num
-        * poch_finite(qa1, q, n).real
-        / (2.0 * q**n * den * poch_finite(q, q, n).real)
-    )
-
-
 # ---------------------------------------------------------------------------
 # the family table
 # ---------------------------------------------------------------------------

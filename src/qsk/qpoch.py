@@ -184,10 +184,11 @@ class ProductPlan:
         if len(qj) < n:  # the last power, then each next one
             qj[-1:] = itertools.accumulate(itertools.repeat(self._q, n - len(qj)),
                                            operator.mul, initial=qj[-1])
-        out = complex(1.0)
+        a = a.real if a.imag == 0.0 else a  # real: an overflow is inf, not inf * 0j = nan
+        out = 1.0
         for t in itertools.islice(qj, n):
             out *= 1.0 - a * t
-        return out
+        return complex(out)
 
 
 def poch_infinite(a: complex, q: QLike, tol: float = 1e-15) -> complex:

@@ -6,12 +6,20 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import qsk
 from qsk.cli import SuiteConfig, build_parser, main, report_to_json, run_suite
+from qsk.connect import (
+    aw_connection,
+    expansion_residual,
+    lql_connection,
+    qlag_connection,
+    ultra_connection,
+)
 from qsk.genfun import IdentityId
 from qsk.orthofunc import CorollaryId
 
@@ -77,6 +85,23 @@ def test_connect_parity_structure(capsys):
     degrees = [int(ln.split()[0]) for ln in out.splitlines()
                if ln.strip() and ln.strip()[0].isdigit()]
     assert degrees == [4, 2, 0]
+
+
+@pytest.mark.parametrize("family,values,build", [
+    ("aw", dict(a=0.3, b=0.2, c=0.1, d=0.05, alpha=0.25), aw_connection),
+    ("cqu", dict(beta=0.3, gamma=0.6), ultra_connection),
+    ("lql", dict(a=0.5, b=0.25), lql_connection),
+    ("qlag", dict(alpha=0.5, beta=1.25), qlag_connection),
+])
+def test_connect_last_residual_is_expansion_residual(capsys, family, values, build):
+    """The last cumulative residual printed is expansion_residual of the
+    whole expansion, in the same format."""
+    flags = [f for k, v in values.items() for f in (f"--{k}", str(v))]
+    code, out, _ = run(capsys, "connect", "--family", family, "--n", "4", *flags,
+                       "--q", "0.5")
+    assert code == 0
+    exp = build(4, *values.values(), 0.5)
+    assert out.strip().splitlines()[-1].split()[-1] == f"{expansion_residual(exp):.3e}"
 
 
 def test_connect_invalid_exit_2(capsys):
@@ -229,6 +254,16 @@ def test_run_suite_python_api():
     text = report_to_json(report)
     assert text.endswith("\n")
     json.loads(text)
+
+
+def test_package_exports_are_consistent():
+    """Every name in qsk.__all__ resolves, and every public attribute of
+    the package other than its submodules is listed there."""
+    for name in qsk.__all__:
+        assert hasattr(qsk, name), name
+    public = {name for name, value in vars(qsk).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(qsk.__all__)
 
 
 def test_import_does_not_load_numpy():

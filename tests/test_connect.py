@@ -12,12 +12,14 @@ from qsk.connect import (
     compose_ultra,
     expansion_residual,
     lql_connection,
+    prefix_residuals,
     qlag_connection,
     sample_points,
     ultra_connection,
 )
 from qsk.polyfam import (
     AWParams,
+    FAMILIES,
     FamilyId,
     LqLParams,
     QBase,
@@ -115,6 +117,35 @@ def test_pointwise_random_all_families():
         assert expansion_residual(lq) < 1e-9
         ql = qlag_connection(n, rng.uniform(-0.75, 2.5), rng.uniform(-0.75, 2.5), q)
         assert expansion_residual(ql) < 1e-9
+
+
+def _residual_of_first(exp, i, points):
+    """The defining formula of the residual, for the first i terms only."""
+    evaluate = FAMILIES[exp.family].evaluate
+    worst = peak = 0.0
+    for x in points:
+        lhs = sum(v * evaluate(deg, x, exp.target_params) for deg, v in exp.coefficients[:i])
+        rhs = evaluate(exp.n, x, exp.source_params)
+        worst, peak = max(worst, abs(lhs - rhs)), max(peak, abs(rhs))
+    return worst / (1.0 + peak)
+
+
+@pytest.mark.parametrize("exp", [
+    aw_connection(6, 0.3, 0.2, 0.1, 0.05, 0.25, 0.5),
+    ultra_connection(7, 0.3, 0.6, 0.7),
+    lql_connection(5, 0.5, 0.25, 0.3),
+    qlag_connection(6, 0.5, 1.25, 0.6),
+])
+def test_prefix_residuals_are_the_residuals_of_each_leading_part(exp):
+    """Entry i of the one-pass table equals the residual formula applied to
+    the first i coefficients, bit for bit, and the last entry is the
+    expansion's own residual."""
+    pts = sample_points(exp.family, exp.source_params.base.q)
+    table = prefix_residuals(exp, pts)
+    assert len(table) == len(exp.coefficients) + 1
+    assert table == [_residual_of_first(exp, i, pts) for i in range(len(table))]
+    assert table[-1] == expansion_residual(exp)
+    assert table[0] > 1e-3 and table[-1] < 1e-9
 
 
 def test_ultra_transitivity():

@@ -1,6 +1,7 @@
 """Orthogonality functionals: collapse oracles, Gram structure, the
 functional algebra, and the corollary catalog."""
 
+import itertools
 import math
 from random import Random
 
@@ -15,6 +16,7 @@ from qsk.orthofunc import (
     CorollaryId,
     FunctionalKind,
     FunctionalSpec,
+    _sum_tail,
     inner_product,
     is_flagged,
     list_corollaries,
@@ -139,19 +141,67 @@ def test_functional_linearity():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def _q_integral_oracle(p: QLagParams, f, g) -> complex:
+    """The q-integral (1-q) sum_{k in Z} q^k F(q^k), F = f g x^alpha /
+    (-x; q)_inf, node by node: the weight is rebuilt from x at every node
+    instead of carried by a one-step ratio, each tail cut by the same
+    three-terms rule."""
+    q = p.base.q
+
+    def terms(ks):
+        for k in ks:
+            x = q**k
+            yield x ** (p.alpha + 1.0) / poch_infinite(-x, p.base).real * f(x) * g(x)
+
+    total, up = _sum_tail(terms(itertools.count()), 4000)
+    total, _ = _sum_tail(terms(itertools.count(-1, -1)), 4000 - up, total)
+    return total * (1.0 - q)
+
+
+def _printed_jackson_norm(n: int, p: QLagParams) -> float:
+    """The q-integral norm as displayed:
+
+        (1-q) (q, -q^(alpha+1), -q^-alpha; q)_inf (q^(alpha+1); q)_n
+        / (2 q^n (q^(alpha+1), -q, -q; q)_inf (q; q)_n).
+    """
+    q = p.base.q
+    qa1 = q ** (p.alpha + 1.0)
+    num = poch_all_infinite((q, -qa1, -(q**-p.alpha)), p.base).real
+    den = poch_all_infinite((qa1, -q, -q), p.base).real
+    return ((1.0 - q) * num * poch_finite(qa1, q, n).real
+            / (2.0 * q**n * den * poch_finite(q, q, n).real))
+
+
 def test_jackson_equals_scaled_bilateral():
-    """The q-integral functional must equal (1-q) times the bilateral one
-    at c = 1; the two are computed along different code paths."""
+    """The q-integral functional is (1-q) times the bilateral walk at
+    c = 1; it must match the node-by-node q-integral, whose weight comes
+    from an independent infinite product at every node."""
     q = 0.5
     p = QLagParams(0.75, B5)
     jack = FunctionalSpec(FunctionalKind.JACKSON, p)
-    bila = FunctionalSpec(FunctionalKind.BILATERAL, p, c=1.0)
     for m, n in ((0, 0), (1, 1), (2, 3), (3, 3)):
         f = lambda x: complex(q_laguerre(m, x, p))
         g = lambda x: complex(q_laguerre(n, x, p))
         assert inner_product(jack, f, g).real == pytest.approx(
-            (1.0 - q) * inner_product(bila, f, g).real, rel=1e-9, abs=1e-12
+            _q_integral_oracle(p, f, g).real, rel=1e-9, abs=1e-12
         )
+    # a JACKSON spec ignores c: the q-integral always runs on the nodes q^k
+    f = lambda x: complex(q_laguerre(2, x, p))
+    bila = FunctionalSpec(FunctionalKind.BILATERAL, p, c=1.0)
+    assert inner_product(FunctionalSpec(FunctionalKind.JACKSON, p, c=1.7), f, f) == (
+        (1.0 - q) * inner_product(bila, f, f))
+
+
+def test_jackson_norm_matches_printed_form():
+    """(-1; q)_inf = 2 (-q; q)_inf turns (1-q) times the bilateral norm at
+    c = 1 into the displayed q-integral norm."""
+    for q in (0.2, 0.5, 0.8):
+        for alpha in (-0.5, 0.75, 2.3):
+            p = QLagParams(alpha, QBase(q))
+            spec = FunctionalSpec(FunctionalKind.JACKSON, p)
+            for n in range(6):
+                assert norm_constant(spec, n) == pytest.approx(
+                    _printed_jackson_norm(n, p), rel=1e-13), (q, alpha, n)
 
 
 def test_tail_sums_stop_at_the_node_cap():
@@ -171,6 +221,26 @@ def test_tail_sums_stop_at_the_node_cap():
         for spec in specs:
             with pytest.raises(TailNonConvergence):
                 inner_product(spec, inv, inv)
+
+
+def test_lower_tail_weight_underflow_raises():
+    """The same rule holds toward x -> infinity: with f = g = the square root
+    of 1/weight for x > 1, every lower-tail term is about 1 until the weight
+    w(x) = x^(alpha+1) / (-x; q)_inf reaches exact zero, so a sum cut there
+    would be lost, not converged."""
+    p = QLagParams(0.5, B5)
+    q = p.base.q
+
+    def root_inverse_weight(x: float) -> complex:
+        if x <= 1.0:
+            return 1.0
+        log_poch = sum(math.log1p(x * q**j) for j in range(200))
+        return complex(math.exp(0.5 * (log_poch - (p.alpha + 1.0) * math.log(x))))
+
+    for spec in (FunctionalSpec(FunctionalKind.BILATERAL, p, c=1.0),
+                 FunctionalSpec(FunctionalKind.JACKSON, p)):
+        with pytest.raises(TailNonConvergence, match="underflowed"):
+            inner_product(spec, root_inverse_weight, root_inverse_weight)
 
 
 def test_functional_kind_validation():

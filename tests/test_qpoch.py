@@ -114,6 +114,14 @@ def test_poch_infinite_ratio_property():
         assert abs(ratio - fin) <= 1e-11 * (1.0 + abs(fin))
 
 
+def test_poch_infinite_real_overflow_is_inf_not_nan():
+    """A product of real factors beyond double range is inf with a zero
+    imaginary part, not nan+nanj from inf times the zero imaginary parts;
+    here (-x; q)_inf is about 3.7e322."""
+    x, q = 6651.745352043733, 0.9467669031021675
+    assert poch_infinite(-x, q) == complex(math.inf, 0.0)
+
+
 def test_poch_infinite_rejects_bad_tolerance():
     for tol in (0.0, -1e-3, float("nan")):
         with pytest.raises(NonConvergentTolerance):
