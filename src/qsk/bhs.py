@@ -10,15 +10,19 @@ summed with the term-ratio recurrence
     t_{k+1}/t_k = prod(1 - a_i q^k) / (prod(1 - b_j q^k) (1 - q^(k+1)))
                   * ((-1) q^k)^(1+s-r) * z.
 
+A base-q^2 parameter a stands for (a; q^2)_k = (sqrt(a), -sqrt(a); q)_k:
+it puts (1 - a q^(2k)) in the ratio and counts twice in r or s, so
+(a; q)_(2k) = (a, aq; q^2)_k needs no square roots.
+
 ``SeriesPlan`` is the one summation loop: it splits each ratio into a
 node-independent factor, built once per degree, and the node variables,
 so a kernel evaluated at many quadrature nodes re-derives nothing.
 ``eval_phi`` is a plan with no scaled parameters, evaluated once.
 
-Termination is detected when a numerator parameter equals q^(-m) for
-some integer m (up to a relative slack of 1e-12, since parameters
-usually arrive from floating-point arithmetic): every term beyond k = m
-then vanishes and exactly m + 1 terms are summed.
+Termination is detected when a numerator parameter equals q^(-m), or a
+base-q^2 one q^(-2m), for some integer m (up to a relative slack of
+1e-12, since parameters usually arrive from floating-point arithmetic):
+every term beyond k = m then vanishes and exactly m + 1 terms are summed.
 """
 
 from __future__ import annotations
@@ -41,16 +45,18 @@ DEFAULT_MAX_TERMS = 10000
 @dataclass(frozen=True)
 class SeriesSpec:
     """An r_phi_s description: numerator and denominator parameter lists,
-    argument z, and the base."""
+    argument z, the base, and the base-q^2 parameter lists."""
 
     numerator: tuple[complex, ...]
     denominator: tuple[complex, ...]
     z: complex
     base: QBase
+    numerator2: tuple[complex, ...] = ()
+    denominator2: tuple[complex, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "numerator", tuple(map(complex, self.numerator)))
-        object.__setattr__(self, "denominator", tuple(map(complex, self.denominator)))
+        for name in ("numerator", "denominator", "numerator2", "denominator2"):
+            object.__setattr__(self, name, tuple(map(complex, getattr(self, name))))
         object.__setattr__(self, "z", complex(self.z))
         if not isinstance(self.base, QBase):
             object.__setattr__(self, "base", QBase(self.base))
@@ -64,9 +70,9 @@ class SeriesResult:
     last_term_magnitude: float
 
 
-def _termination_index(numerator, q: float, cap: int) -> int | None:
-    """Smallest m with some numerator parameter equal to q^(-m), else None."""
-    best: int | None = None
+def _termination_index(numerator, q: float, cap: int) -> float:
+    """Smallest m with some numerator parameter equal to q^(-m), else inf."""
+    best = math.inf
     lnq = math.log(q)
     for a in numerator:
         mag = abs(a)
@@ -76,38 +82,43 @@ def _termination_index(numerator, q: float, cap: int) -> int | None:
         if m < 0 or m > cap:
             continue
         if abs(a * q**m - 1.0) < _TERMINATION_SLACK:
-            best = m if best is None else min(best, m)
+            best = min(best, m)
     return best
 
 
 class SeriesPlan:
     """An r_phi_s evaluated at many nodes (z, u, v): numerator parameters
-    ``numerator`` and u times ``scaled_num``, denominator parameters
-    ``denominator`` and v times ``scaled_den`` (v = u by default).  Each
-    degree's node-independent ratio factor over the fixed a and b,
+    ``numerator``, u times ``scaled_num`` and ``num2`` in base q^2,
+    denominator parameters ``denominator``, v times ``scaled_den`` and
+    ``den2`` in base q^2 (v = u by default).  Each degree's
+    node-independent ratio factor over the fixed a, b and a2, b2,
 
-        c_k = prod(1 - a q^k) / ((1 - q^(k+1)) prod(1 - b q^k)) (-q^k)^(1+s-r),
+        c_k = prod(1 - a q^k) prod(1 - a2 q^2k)
+              / ((1 - q^(k+1)) prod(1 - b q^k) prod(1 - b2 q^2k)) (-q^k)^(1+s-r),
 
     and the scaled powers s q^k are built once, on demand, so a node costs
     t_{k+1}/t_k = z c_k prod(1 - u (s_i q^k)) / prod(1 - v (s_j q^k)).
     Termination and zero denominators of the fixed parameters are settled
     once, those of the scaled ones at every node."""
 
-    __slots__ = ("_q", "_num", "_den", "_snum", "_sden", "_tol", "_max_terms",
-                 "_stop", "_c", "_pnum", "_pden")
+    __slots__ = ("_q", "_num", "_den", "_snum", "_sden", "_num2", "_den2", "_tol",
+                 "_max_terms", "_stop", "_c", "_pnum", "_pden")
 
     def __init__(self, numerator, denominator, base: QBase | float,
-                 scaled_num=(), scaled_den=(), tol: float = 1e-15,
+                 scaled_num=(), scaled_den=(), num2=(), den2=(), tol: float = 1e-15,
                  max_terms: int = DEFAULT_MAX_TERMS) -> None:
         check_tol(tol)
-        self._q = as_base(base)
+        self._q = q = as_base(base)
         self._num = tuple(map(complex, numerator))
         self._den = tuple(map(complex, denominator))
         self._snum = tuple(map(complex, scaled_num))
         self._sden = tuple(map(complex, scaled_den))
+        self._num2 = tuple(map(complex, num2))
+        self._den2 = tuple(map(complex, den2))
         self._tol = tol
         self._max_terms = max_terms
-        self._stop = _termination_index(self._num, self._q, max_terms)
+        self._stop = min(_termination_index(self._num, q, max_terms),
+                         _termination_index(self._num2, q * q, max_terms))
         # c_k, and the scaled numerator and denominator powers, k = 0, 1, ...
         self._c, self._pnum, self._pden = [], [], []
 
@@ -118,22 +129,21 @@ class SeriesPlan:
         consecutive terms below ``tol`` times the partial sum, which guards
         against isolated near-zero terms when a numerator parameter sits
         close to q^(-m)."""
-        q, num, den = self._q, self._num, self._den
+        q, num, den, num2, den2 = self._q, self._num, self._den, self._num2, self._den2
         snum, sden, max_terms = self._snum, self._sden, self._max_terms
-        r = len(num) + len(snum)
-        s = len(den) + len(sden)
+        r = len(num) + len(snum) + 2 * len(num2)
+        s = len(den) + len(sden) + 2 * len(den2)
         stop_at = self._stop
         if snum:
-            m = _termination_index([a * u for a in snum], q, max_terms)
-            if m is not None and (stop_at is None or m < stop_at):
-                stop_at = m
-        if stop_at is None:
+            stop_at = min(stop_at, _termination_index([a * u for a in snum], q, max_terms))
+        terminates = stop_at < math.inf
+        if not terminates:
             if r > s + 1:
                 raise DivergentSeries(f"non-terminating {r}phi{s} diverges for every z != 0")
             if r == s + 1 and abs(z) >= 1.0:
                 raise DivergentSeries(f"non-terminating {r}phi{s} needs |z| < 1")
         # the sum ends at termination or the small-term streak, else raises at the cap
-        end = max_terms - 1 if stop_at is None else min(stop_at, max_terms - 1)
+        end = min(stop_at, max_terms - 1)
         if v is None:
             v = u
         sign_exp = 1 + s - r
@@ -160,6 +170,15 @@ class SeriesPlan:
                     if abs(f) < _TERMINATION_SLACK:
                         raise _zero_denominator(b, k)
                     d *= f
+                if num2 or den2:
+                    q2k = qk * qk
+                    for a in num2:
+                        ratio *= 1.0 - a * q2k
+                    for b in den2:
+                        f = 1.0 - b * q2k
+                        if abs(f) < _TERMINATION_SLACK:
+                            raise _zero_denominator(b, 2 * k)
+                        d *= f
                 ratio /= d
                 if sign_exp:
                     ratio *= (-qk) ** sign_exp
@@ -186,7 +205,7 @@ class SeriesPlan:
             comp = (t - total) - y
             total = t
             last_mag = abs(term)
-            if stop_at is None:
+            if not terminates:
                 # |term| <= tol * max(|total|, 1e-300); as |total| <= mag_sum,
                 # a term above wide * mag_sum fails it without forming |total|
                 mag_sum += last_mag
@@ -200,10 +219,10 @@ class SeriesPlan:
                 else:
                     streak = 0
         else:
-            if stop_at is None or end < stop_at:
+            if end < stop_at:
                 raise NoConvergence(f"no convergence within {max_terms} terms")
         # terms summed: the leading 1 and one per ratio applied
-        return SeriesResult(total, end + 1, stop_at is not None, last_mag)
+        return SeriesResult(total, end + 1, terminates, last_mag)
 
 
 def _zero_denominator(b: complex, k: int) -> ZeroDenominator:
@@ -215,6 +234,7 @@ def eval_phi(spec: SeriesSpec, tol: float = 1e-15,
     """Sum the series described by ``spec``: its plan, with no parameter
     scaled, evaluated once at its z."""
     return SeriesPlan(spec.numerator, spec.denominator, spec.base,
+                      num2=spec.numerator2, den2=spec.denominator2,
                       tol=tol, max_terms=max_terms)(spec.z)
 
 

@@ -226,13 +226,19 @@ def prefix_residuals(
     evaluate = FAMILIES[exp.family].evaluate
     rhs = [evaluate(exp.n, x, exp.source_params) for x in points]
     lhs = [complex(0.0)] * len(points)
-    peak = max([0.0, *map(abs, rhs)])
+    peak = _nan_max([abs(v) for v in rhs])
     out = [peak / (1.0 + peak)]
     for deg, v in exp.coefficients:
         for i, x in enumerate(points):
             lhs[i] += v * evaluate(deg, x, exp.target_params)
-        out.append(max([0.0, *(abs(t - s) for t, s in zip(lhs, rhs))]) / (1.0 + peak))
+        out.append(_nan_max([abs(t - s) for t, s in zip(lhs, rhs)]) / (1.0 + peak))
     return out
+
+
+def _nan_max(magnitudes: list[float]) -> float:
+    """The largest magnitude (0.0 for none), or NaN when one is NaN, which
+    is exactly when their sum is: a plain max may keep a number over a NaN."""
+    return max(magnitudes, default=0.0) if sum(magnitudes) >= 0.0 else math.nan
 
 
 def expansion_residual(
@@ -243,27 +249,3 @@ def expansion_residual(
         |sum_k c_k p_k(x; target) - p_n(x; source)| / (1 + max |p_n|).
     """
     return prefix_residuals(exp, points)[-1]
-
-
-def compose_ultra(
-    first: ConnectionExpansion, second: ConnectionExpansion
-) -> ConnectionExpansion:
-    """Compose two q-ultraspherical expansions (beta -> gamma -> delta)."""
-    if first.family is not FamilyId.CONT_Q_ULTRA or second.family is not FamilyId.CONT_Q_ULTRA:
-        raise PreconditionViolation("composition implemented for the symmetric family")
-    q = first.source_params.base.q
-    out: dict[int, complex] = {}
-    for deg, v in first.coefficients:
-        inner = ultra_connection(
-            deg, first.target_params.beta, second.target_params.beta, q
-        )
-        for d2, w in inner.coefficients:
-            out[d2] = out.get(d2, 0.0) + v * w
-    coeffs = tuple(sorted(out.items(), reverse=True))
-    return ConnectionExpansion(
-        FamilyId.CONT_Q_ULTRA,
-        first.n,
-        first.source_params,
-        second.target_params,
-        coeffs,
-    )

@@ -18,11 +18,14 @@ plans of its factors once and returns x -> kernel(x, point), so the nodes
 of a functional do only the arithmetic that depends on x.
 
 Every outer coefficient is one q-hypergeometric term, stored as the record
-(z, num, den, k) of the point:
+(z, num, den, k, num2, den2) of the point:
 
-    coef_n = z^n q^(k C(n,2)) (num_1, num_2, ...; q)_n / (den_1, den_2, ...; q)_n
+    coef_n = z^n q^(k C(n,2)) (num; q)_n (num2; q^2)_n / ((den; q)_n (den2; q^2)_n)
 
-with k in {0, 1}; ``_coef`` is its one evaluator.
+with k in {0, 1} and num2, den2 empty except for T2, whose (w; q)_(2n)
+factors are the base-q^2 pairs (w, wq); ``_coef`` is its one evaluator.
+The inner series of T4-T9 write their (a; q)_(2k) factors the same way,
+as base-q^2 parameters of the ``SeriesSpec``.
 
 ``verify_identity`` evaluates the closed-form side once, assembles the
 series side with outer truncation escalated 16, 32, 64, ... (starting
@@ -38,7 +41,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bhs import SeriesPlan, SeriesSpec, eval_phi
 from .context import EvalContext, ParamPoint
@@ -132,23 +135,34 @@ class IdentityReport:
                    n_terms_outer, n_terms_inner, in_domain)
 
 
-Coef = tuple[complex, tuple[complex, ...], tuple[complex, ...], int]
+class Coef(NamedTuple):
+    """An outer coefficient record; the base-q^2 parameters default to none."""
+
+    z: complex
+    num: tuple[complex, ...]
+    den: tuple[complex, ...]
+    k: int
+    num2: tuple[complex, ...] = ()
+    den2: tuple[complex, ...] = ()
 
 
 def _coef(c: Coef, q: float, n: int, scaled: bool = False) -> complex:
-    """The degree-n value z^n q^(k C(n,2)) (num; q)_n / (den; q)_n of the
-    coefficient record c = (z, num, den, k); ``scaled`` leaves out the
-    q^(k C(n,2)) factor, for a caller that carries it as an exponent."""
-    z, num, den, k = c
+    """The degree-n value z^n q^(k C(n,2)) (num; q)_n (num2; q^2)_n /
+    ((den; q)_n (den2; q^2)_n) of the coefficient record c; ``scaled``
+    leaves out the q^(k C(n,2)) factor, for a caller that carries it as
+    an exponent."""
+    z, num, den, k, num2, den2 = c
     value = z**n * poch_all(num, q, n) / poch_all(den, q, n)
+    if num2 or den2:
+        value *= poch_all(num2, q * q, n) / poch_all(den2, q * q, n)
     return value if scaled or k == 0 else value * q ** (k * math.comb(n, 2))
 
 
 def _record(names: str,
-            build: Callable[..., Coef]) -> Callable[[ParamPoint, EvalContext], Coef]:
+            build: Callable[..., tuple]) -> Callable[[ParamPoint, EvalContext], Coef]:
     """An entry's coefficient record: ``build`` takes the point values
-    named in ``names``, then q."""
-    return lambda pt, ctx: build(*(pt.get(nm) for nm in names.split()), ctx.q)
+    named in ``names``, then q, and returns the fields of a ``Coef``."""
+    return lambda pt, ctx: Coef(*build(*(pt.get(nm) for nm in names.split()), ctx.q))
 
 
 @dataclass(frozen=True)
@@ -159,8 +173,7 @@ class _Entry:
     # The kernel factory: (point, ctx) -> (x -> kernel(x, point)), which
     # builds the plans of the kernel's series and products once.
     kernel: Callable[[ParamPoint, EvalContext], Callable[[float], complex]]
-    # The outer coefficient's record (z, num, den, k) at the point, the
-    # term z^n q^(k C(n,2)) (num; q)_n / (den; q)_n; see _coef.
+    # The outer coefficient's record at the point; see Coef and _coef.
     coef: Callable[[ParamPoint, EvalContext], Coef]
     inner: Optional[Callable[[int, ParamPoint, EvalContext], SeriesSpec]]
     family: FamilyId  # the series side expands over this family ...
@@ -207,10 +220,9 @@ def _phi_pair(t: complex, num1, den1, num2, den2, ctx: EvalContext):
     return _at_e(lambda e: f1(t / e, e).value * f2(t * e, 1.0 / e).value)
 
 
-def _pm_roots(*ws: complex) -> tuple[complex, ...]:
-    """sqrt(w) and -sqrt(w) for each w: (sqrt(w), -sqrt(w); q)_n is
-    (w; q^2)_n on either branch of the root."""
-    return tuple(s * cmath.sqrt(w) for w in ws for s in (1.0, -1.0))
+def _pairs(q: float, *ws: complex) -> tuple[complex, ...]:
+    """w and wq for each w: (w; q)_(2n) = (w, wq; q^2)_n."""
+    return tuple(p for w in ws for p in (w, w * q))
 
 
 def _tpick(rng: Random, bound: float) -> float:
@@ -312,22 +324,25 @@ def _kernel_29(pt: ParamPoint, ctx: EvalContext):
     return _at_e(lambda e: tt(1.0 / e) * phi(t / e, e * e).value)
 
 
-def _half_powers(beta: complex, q: float, n: int) -> tuple[complex, complex]:
-    # beta*q^(n/2) and beta*q^((n+1)/2)
-    rq = math.sqrt(q)
-    return beta * rq**n, beta * rq ** (n + 1)
+def _inner_cqu(n: int, beta: complex, c: complex, z: complex, ctx: EvalContext,
+               num2=lambda b, h: (), den2=lambda b, h: (), zeros: int = 0) -> SeriesSpec:
+    """The inner series of T4-T9 at argument z:
+
+        (beta/c, b, 0 x zeros; q)_k (num2(b, h); q)_(2k)
+          / ((q, c q^(n+1); q)_k (beta b, den2(b, h); q)_(2k)),
+
+    with b = beta q^n and h = beta q^(n+1/2), each (a; q)_(2k) given as
+    the base-q^2 pair (a, aq)."""
+    q = ctx.q
+    b = beta * q**n
+    h = b * math.sqrt(q)
+    return SeriesSpec((beta / c, b) + (0.0,) * zeros, (c * q ** (n + 1),), z, ctx.base,
+                      _pairs(q, *num2(b, h)), _pairs(q, beta * b, *den2(b, h)))
 
 
 def _inner_t4(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
-    q = ctx.q
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
-    h0, h1 = _half_powers(beta, q, n)
-    return SeriesSpec(
-        (beta / gamma, beta * q**n),
-        (gamma * q ** (n + 1), h0, -h0, h1, -h1),
-        gamma * (beta * t) ** 2 * q ** (2 * n + 1),
-        ctx.base,
-    )
+    return _inner_cqu(n, beta, gamma, gamma * (beta * t) ** 2 * ctx.q ** (2 * n + 1), ctx)
 
 
 def _kernel_28(pt: ParamPoint, ctx: EvalContext):
@@ -338,15 +353,8 @@ def _kernel_28(pt: ParamPoint, ctx: EvalContext):
 
 
 def _inner_t5(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
-    q = ctx.q
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
-    h0, h1 = _half_powers(beta, q, n)
-    return SeriesSpec(
-        (beta / gamma, beta * q**n, 0.0, 0.0, 0.0, 0.0),
-        (gamma * q ** (n + 1), h0, -h0, h1, -h1),
-        gamma * t * t,
-        ctx.base,
-    )
+    return _inner_cqu(n, beta, gamma, gamma * t * t, ctx, zeros=4)
 
 
 def _kernel_33(pt: ParamPoint, ctx: EvalContext):
@@ -359,26 +367,8 @@ def _kernel_33(pt: ParamPoint, ctx: EvalContext):
 
 
 def _inner_t6(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
-    q = ctx.q
     beta, gamma, al, t = (pt.get(nm) for nm in ("beta", "gamma", "alpha", "t"))
-    s0 = cmath.sqrt(gamma * q**n)
-    s1 = s0 * math.sqrt(q)
-    h0, h1 = _half_powers(beta, q, n)
-    return SeriesSpec(
-        (beta / al, beta * q**n, s0, -s0, s1, -s1),
-        (al * q ** (n + 1), h0, -h0, h1, -h1),
-        al * t * t,
-        ctx.base,
-    )
-
-
-def _sqrt_ladder(beta: complex, q: float, n: int):
-    """Principal roots of beta q^n, beta q^(n+1/2), beta q^(n+1), beta q^(n+3/2);
-    higher entries derived from the first by real sqrt(q) scalings so the
-    whole ladder shares one branch choice."""
-    w0 = cmath.sqrt(beta * q**n)
-    rq = math.sqrt(math.sqrt(q))  # q^(1/4): each half-step scales the root
-    return w0, w0 * rq ** 1, w0 * rq ** 2, w0 * rq ** 3
+    return _inner_cqu(n, beta, al, al * t * t, ctx, lambda b, h: (gamma * ctx.q**n,))
 
 
 def _kernel_31(pt: ParamPoint, ctx: EvalContext):
@@ -389,16 +379,9 @@ def _kernel_31(pt: ParamPoint, ctx: EvalContext):
 
 
 def _inner_t7(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
-    q = ctx.q
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
-    w0, u1, v1, u2 = _sqrt_ladder(beta, q, n)
-    h0, h1 = _half_powers(beta, q, n)
-    v2 = w0 * q  # sqrt(beta q^(n+2)) on the same branch as w0
-    num = (beta / gamma, beta * q**n, u1, -u1, u2, -u2,
-           1j * u1, -1j * u1, 1j * u2, -1j * u2)
-    den = (gamma * q ** (n + 1), h0, -h0, h1, -h1,
-           1j * v1, -1j * v1, 1j * v2, -1j * v2)
-    return SeriesSpec(num, den, gamma * t * t, ctx.base)
+    return _inner_cqu(n, beta, gamma, gamma * t * t, ctx,
+                      lambda b, h: (h, -h), lambda b, h: (-b * ctx.q,))
 
 
 def _kernel_30(pt: ParamPoint, ctx: EvalContext):
@@ -410,14 +393,9 @@ def _kernel_30(pt: ParamPoint, ctx: EvalContext):
 
 
 def _inner_t8(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
-    q = ctx.q
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
-    w0, u1, v1, u2 = _sqrt_ladder(beta, q, n)
-    h0, h1 = _half_powers(beta, q, n)
-    num = (beta / gamma, beta * q**n, 1j * w0, -1j * w0, 1j * v1, -1j * v1,
-           1j * u1, -1j * u1, 1j * u2, -1j * u2)
-    den = (gamma * q ** (n + 1), h0, -h0, h1, -h1, u1, -u1, u2, -u2)
-    return SeriesSpec(num, den, gamma * t * t, ctx.base)
+    return _inner_cqu(n, beta, gamma, gamma * t * t, ctx,
+                      lambda b, h: (-b, -h), lambda b, h: (h,))
 
 
 def _kernel_32(pt: ParamPoint, ctx: EvalContext):
@@ -429,15 +407,9 @@ def _kernel_32(pt: ParamPoint, ctx: EvalContext):
 
 
 def _inner_t9(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
-    q = ctx.q
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
-    w0, u1, v1, u2 = _sqrt_ladder(beta, q, n)
-    h0, h1 = _half_powers(beta, q, n)
-    num = (beta / gamma, beta * q**n, 1j * w0, -1j * w0, 1j * v1, -1j * v1,
-           u1, -u1, u2, -u2)
-    den = (gamma * q ** (n + 1), h0, -h0, h1, -h1,
-           1j * u1, -1j * u1, 1j * u2, -1j * u2)
-    return SeriesSpec(num, den, gamma * t * t, ctx.base)
+    return _inner_cqu(n, beta, gamma, gamma * t * t, ctx,
+                      lambda b, h: (-b, h), lambda b, h: (-h,))
 
 
 def _sample_cqu(rng: Random, q: float, bound_fn, names=("beta", "gamma"),
@@ -652,9 +624,8 @@ _add(_Entry(
     ),
     _kernel_aw,
     _record("a b c d alpha t", lambda a, b, c, d, al, t, q: (
-        t, (al * b * c * d / q, *_pm_roots(a * b * c * d / q, a * b * c * d)),
-        (q, a * b, c * d, a * b * c * d / q,
-         *_pm_roots(al * b * c * d / q, al * b * c * d)), 0)),
+        t, (al * b * c * d / q,), (q, a * b, c * d, a * b * c * d / q), 0,
+        _pairs(q, a * b * c * d / q), _pairs(q, al * b * c * d / q))),
     _inner_t2, F.ASKEY_WILSON, ("alpha", "b", "c", "d"),
     lambda rng, q: _sample_aw(rng, q, with_alpha=True),
     "re-expansion of the two-factor 2phi1 product over p_n(x;alpha,b,c,d)",
@@ -939,7 +910,7 @@ class _RhsAccumulator:
                 term *= mant
                 if entry.inner is not None:
                     term *= self._inner(n)
-                term = unscale(term, self.coef[3] * math.comb(n, 2) + e, q)
+                term = unscale(term, self.coef.k * math.comb(n, 2) + e, q)
             elif term != 0.0:
                 if self._poly is None:
                     self._poly = FAMILIES[entry.family].cursor(self.x, self.params)

@@ -256,3 +256,88 @@ def test_plan_raises_what_the_unsplit_series_raises():
     # the same plan sums normally at a node where nothing vanishes
     assert plan(0.5, 1.0).value == pytest.approx(
         eval_phi(SeriesSpec((0.3,), (q**-2 / u,), 0.5, QBase(q))).value, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# base-q^2 parameters
+# ---------------------------------------------------------------------------
+
+
+def _roots(params):
+    """The +-sqrt(w) pair of each w: (w; q^2)_k = (sqrt(w), -sqrt(w); q)_k
+    on either branch, the base-q form the base-q^2 parameters replace."""
+    return tuple(s * cmath.sqrt(w) for w in params for s in (1.0, -1.0))
+
+
+def _with_roots(num, den, num2, den2, z, q):
+    """The base-q^2 series and the same series written with +-root pairs."""
+    return (SeriesSpec(num, den, z, QBase(q), num2, den2),
+            SeriesSpec(num + _roots(num2), den + _roots(den2), z, QBase(q)))
+
+
+def _disk(rng, radius):
+    return radius * rng.random() * cmath.exp(2j * math.pi * rng.random())
+
+
+def test_base_q2_parameters_match_their_root_pairs():
+    """On random draws, a series with base-q^2 parameters sums to the value
+    of the same series with each replaced by its two square roots."""
+    rng = Random(7)
+    for _ in range(300):
+        q = rng.uniform(0.2, 0.9)
+        num = tuple(_disk(rng, 0.6) for _ in range(rng.randint(0, 2)))
+        num2 = tuple(_disk(rng, 0.36) for _ in range(rng.randint(0, 2)))
+        den2 = tuple(_disk(rng, 0.36) for _ in range(rng.randint(0, 2)))
+        # s = r - 1, r or r + 1 (or more when den2 alone exceeds that), each
+        # base-q^2 parameter counted twice
+        r = len(num) + 2 * len(num2)
+        den = tuple(_disk(rng, 0.6)
+                    for _ in range(max(0, r + rng.randint(-1, 1) - 2 * len(den2))))
+        z = _disk(rng, 0.6)
+        spec, ladder = _with_roots(num, den, num2, den2, z, q)
+        got, want = eval_phi(spec), eval_phi(ladder)
+        assert abs(got.value - want.value) <= 1e-13 * (1.0 + abs(want.value))
+        assert got.terminated == want.terminated
+
+
+def test_base_q2_numerator_terminates():
+    """A base-q^2 numerator q^(-2m) stops the series after m + 1 terms."""
+    q = 0.5
+    for m in range(4):
+        spec, ladder = _with_roots((0.3,), (0.7,), (q ** (-2 * m),), (), 0.5, q)
+        got, want = eval_phi(spec), eval_phi(ladder)
+        assert got.terminated and got.terms_used == m + 1
+        assert got.value == pytest.approx(want.value, rel=1e-13)
+    # the base-q^2 stop wins over a later base-q one, and the other way round
+    assert eval_phi(SeriesSpec((q**-5,), (), 0.5, QBase(q), (q**-4,))).terms_used == 3
+    assert eval_phi(SeriesSpec((q**-1,), (), 0.5, QBase(q), (q**-4,))).terms_used == 2
+
+
+def test_base_q2_denominator_hitting_q_power_raises():
+    """A base-q^2 denominator q^(-2k) zeroes the k-th factor, as a base-q
+    one q^(-k) does, unless the series terminates first."""
+    q = 0.5
+    with pytest.raises(ZeroDenominator):
+        eval_phi(SeriesSpec((0.3,), (), 0.5, QBase(q), (), (q**-4,)))
+    with pytest.raises(ZeroDenominator):
+        SeriesPlan((0.3,), (), QBase(q), den2=(q**-2,))(0.5)
+    res = eval_phi(SeriesSpec((q**-1,), (), 0.5, QBase(q), (), (q**-4,)))
+    assert res.terminated and res.terms_used == 2
+
+
+def test_base_q2_balance_counts_each_parameter_twice():
+    """The r > s + 1 and |z| >= 1 checks count a base-q^2 parameter twice,
+    so they raise exactly where the root-pair form raises."""
+    q = 0.5
+    for num, den, num2, den2, z in [
+        ((0.2,), (), (0.3,), (), 0.5),  # r = 3, s = 0
+        ((0.2,), (0.4,), (0.3,), (), 0.5),  # r = 3, s = 1
+        ((), (0.5,), (0.3,), (), 1.2),  # r = 2 = s + 1, |z| >= 1
+        ((0.2, 0.3, 0.4), (), (), (0.5,), 1.2),  # r = 3 = s + 1, |z| >= 1
+    ]:
+        for spec in _with_roots(num, den, num2, den2, z, q):
+            with pytest.raises(DivergentSeries):
+                eval_phi(spec)
+    # r = 3 = s + 1 with |z| < 1 converges; counted once, s = 1 would not
+    spec, ladder = _with_roots((0.2, 0.3, 0.4), (), (), (0.5,), 0.5, q)
+    assert eval_phi(spec).value == pytest.approx(eval_phi(ladder).value, rel=1e-13)

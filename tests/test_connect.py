@@ -8,8 +8,8 @@ import pytest
 
 from qsk.errors import IllConditioned
 from qsk.connect import (
+    ConnectionExpansion,
     aw_connection,
-    compose_ultra,
     expansion_residual,
     lql_connection,
     prefix_residuals,
@@ -146,6 +146,31 @@ def test_prefix_residuals_are_the_residuals_of_each_leading_part(exp):
     assert table == [_residual_of_first(exp, i, pts) for i in range(len(table))]
     assert table[-1] == expansion_residual(exp)
     assert table[0] > 1e-3 and table[-1] < 1e-9
+
+
+def test_nan_coefficient_scores_nan_not_zero():
+    """A NaN coefficient makes its prefix residual and every later one NaN;
+    it must never score as a residual that passes."""
+    exp = aw_connection(3, 0.3, 0.2, 0.1, 0.05, 0.4, 0.5)
+    coeffs = tuple((k, math.nan if k == 3 else v) for k, v in exp.coefficients)
+    bad = ConnectionExpansion(exp.family, exp.n, exp.source_params, exp.target_params, coeffs)
+    assert not expansion_residual(bad) <= 1e-9
+    table = prefix_residuals(bad)
+    first = [k for k, _ in coeffs].index(3) + 1
+    assert all(math.isnan(r) for r in table[first:])
+    assert all(r > 0.0 for r in table[:first])
+
+
+def compose_ultra(first, second):
+    """Compose two q-ultraspherical expansions (beta -> gamma -> delta)."""
+    q = first.source_params.base.q
+    out: dict[int, complex] = {}
+    for deg, v in first.coefficients:
+        inner = ultra_connection(deg, first.target_params.beta, second.target_params.beta, q)
+        for d2, w in inner.coefficients:
+            out[d2] = out.get(d2, 0.0) + v * w
+    return ConnectionExpansion(FamilyId.CONT_Q_ULTRA, first.n, first.source_params,
+                               second.target_params, tuple(sorted(out.items(), reverse=True)))
 
 
 def test_ultra_transitivity():

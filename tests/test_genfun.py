@@ -318,3 +318,16 @@ def test_lattice_sum_past_the_q_power_underflow(tag, seed):
     rep = LATTICE[tag](tag, pt, ctx)
     assert rep.n_terms_outer > 40
     assert rep.rel_residual < 1e-12
+
+
+@pytest.mark.parametrize("q", (0.5, 0.8, 0.95))
+def test_t2_coefficient_is_exactly_real(q):
+    """T2's (w; q)_(2n) factors are products of real factors (w, wq in base
+    q^2), so at real parameters its coefficient has no imaginary part at
+    all; square roots of negative w would leave rounding residue there."""
+    ctx = EvalContext(q=q)
+    rng = Random(f"t2-real:{q}")
+    for _ in range(14):
+        pt = sample_point("T2", rng, q)
+        for n in range(41):
+            assert outer_coefficient("T2", n, pt, ctx).imag == 0.0, (pt.canonical(), n)

@@ -23,8 +23,10 @@ mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
 from qsk import EvalContext, IdentityId, ParamPoint, eval_lhs, sample_point  # noqa: E402
+from qsk.bhs import eval_phi  # noqa: E402
 from qsk.genfun import (  # noqa: E402
     entry_for,
+    inner_series_spec,
     lhs_integrand_factor,
     outer_coefficient,
     source_of,
@@ -221,7 +223,7 @@ def _qa1(v, q):
 # Each outer coefficient in the form the reference catalog and the paper
 # print it: with (w; q^2)_n symbols and the replaced parameter's factor
 # (1 - gamma q^n) / ((1 - gamma) (q gamma; q)_n), which the library folds
-# into (+-sqrt(w); q)_n and 1 / (gamma; q)_n.
+# into 1 / (gamma; q)_n.
 COEFFICIENTS = {
     IdentityId.SRC_AW_14113: lambda v, q, n: v.t**n / _qp(q, n, q, v.a * v.b, v.c * v.d),
     IdentityId.T2: _t2,
@@ -298,6 +300,84 @@ def test_outer_coefficient_against_mpmath(tag, q):
             if abs(w) > COEF_FLOOR:
                 got = outer_coefficient(tag, n, point, ctx)
                 assert abs(got - w) <= COEF_TOL * abs(w), (point.canonical(), n, got, w)
+
+
+# ---------------------------------------------------------------------------
+# inner series of T4-T9
+# ---------------------------------------------------------------------------
+
+
+def _inner_sum(q, z, num, den, num2=(), den2=(), zeros=0):
+    """sum_k (num; q)_k (num2; q)_(2k) / ((q, den; q)_k (den2; q)_(2k))
+    ((-1)^k q^C(k,2))^(1+s-r) z^k, where r counts ``zeros`` zero numerators
+    and each (a; q)_(2k) as four parameters (+-sqrt(a), +-sqrt(aq))."""
+    e = 1 + len(den) + 4 * len(den2) - len(num) - zeros - 4 * len(num2)
+    total, small = mp.zero, 0
+    for k in range(5000):
+        term = (_qp(q, k, *num) * _qp(q, 2 * k, *num2) * z**k
+                * ((-1) ** k * q ** mp.binomial(k, 2)) ** e
+                / (_qp(q, k, q, *den) * _qp(q, 2 * k, *den2)))
+        total += term
+        small = small + 1 if abs(term) <= mp.mpf(10) ** -35 * abs(total) else 0
+        if small == 3:
+            return total
+    raise AssertionError("oracle series did not converge")
+
+
+def _cqu_inner(v, q, n, c, z, num2=(), den2=(), zeros=0):
+    """The series of T4-T9 as printed: (beta/c, beta q^n; q)_k (num2; q)_(2k)
+    / ((q, c q^(n+1); q)_k (beta^2 q^n, den2; q)_(2k)) at z."""
+    return _inner_sum(q, z, (v.beta / c, v.beta * q**n), (c * q ** (n + 1),),
+                      num2, (v.beta**2 * q**n, *den2), zeros)
+
+
+def _bh(v, q, n):
+    """b = beta q^n and h = beta q^(n+1/2)."""
+    return v.beta * q**n, v.beta * q ** (n + mp.mpf(1) / 2)
+
+
+def _t7(v, q, n):
+    b, h = _bh(v, q, n)
+    return _cqu_inner(v, q, n, v.gamma, v.gamma * v.t**2, (h, -h), (-b * q,))
+
+
+def _t8(v, q, n):
+    b, h = _bh(v, q, n)
+    return _cqu_inner(v, q, n, v.gamma, v.gamma * v.t**2, (-b, -h), (h,))
+
+
+def _t9(v, q, n):
+    b, h = _bh(v, q, n)
+    return _cqu_inner(v, q, n, v.gamma, v.gamma * v.t**2, (-b, h), (-h,))
+
+
+# Each inner series as printed, with its (a; q)_(2k) symbols.
+INNER = {
+    IdentityId.T4: lambda v, q, n: _cqu_inner(
+        v, q, n, v.gamma, v.gamma * (v.beta * v.t) ** 2 * q ** (2 * n + 1)),
+    IdentityId.T5: lambda v, q, n: _cqu_inner(v, q, n, v.gamma, v.gamma * v.t**2, zeros=4),
+    IdentityId.T6: lambda v, q, n: _cqu_inner(
+        v, q, n, v.alpha, v.alpha * v.t**2, (v.gamma * q**n,)),
+    IdentityId.T7: _t7,
+    IdentityId.T8: _t8,
+    IdentityId.T9: _t9,
+}
+
+INNER_QS = (0.4, 0.65, 0.9)
+INNER_DEGREES = (0, 1, 5, 17, 40)
+
+
+@pytest.mark.parametrize("q", INNER_QS)
+@pytest.mark.parametrize("tag", list(INNER), ids=lambda t: t.value)
+def test_inner_series_against_mpmath(tag, q):
+    ctx = EvalContext(q=q)
+    point = sample_point(tag, Random(f"inner:{tag.value}:{q}"), q)
+    with mp.workdps(40):
+        v = SimpleNamespace(**{k: mp.mpc(val) for k, val in point})
+        want = [complex(INNER[tag](v, mp.mpf(q), n)) for n in INNER_DEGREES]
+    for n, w in zip(INNER_DEGREES, want):
+        got = eval_phi(inner_series_spec(tag, n, point, ctx)).value
+        assert abs(got - w) <= TOL * (1.0 + abs(w)), (point.canonical(), n, got, w)
 
 
 # ---------------------------------------------------------------------------
