@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DivergentSeries, NoConvergence, ZeroDenominator
-from .qpoch import QBase, as_base, check_tol, poch_infinite
+from .qpoch import QBase, as_base, check_tol, poch_infinite, scalar
 
 # A numerator parameter a counts as q^(-m) when |a q^m - 1| < this.
 _TERMINATION_SLACK = 1e-12
@@ -56,8 +56,8 @@ class SeriesSpec:
 
     def __post_init__(self) -> None:
         for name in ("numerator", "denominator", "numerator2", "denominator2"):
-            object.__setattr__(self, name, tuple(map(complex, getattr(self, name))))
-        object.__setattr__(self, "z", complex(self.z))
+            object.__setattr__(self, name, tuple(map(scalar, getattr(self, name))))
+        object.__setattr__(self, "z", scalar(self.z))
         if not isinstance(self.base, QBase):
             object.__setattr__(self, "base", QBase(self.base))
 
@@ -107,16 +107,16 @@ class SeriesPlan:
     def __init__(self, numerator, denominator, base: QBase | float,
                  scaled_num=(), scaled_den=(), num2=(), den2=(), tol: float = 1e-15,
                  max_terms: int = DEFAULT_MAX_TERMS) -> None:
+        params = (numerator, denominator, scaled_num, scaled_den, num2, den2)
+        self._setup(as_base(base), tol, max_terms, *(tuple(map(scalar, p)) for p in params))
+
+    def _setup(self, q: float, tol: float, max_terms: int,
+               num, den, snum, sden, num2, den2) -> None:
+        """Bind the plan to parameter tuples already passed through ``scalar``."""
         check_tol(tol)
-        self._q = q = as_base(base)
-        self._num = tuple(map(complex, numerator))
-        self._den = tuple(map(complex, denominator))
-        self._snum = tuple(map(complex, scaled_num))
-        self._sden = tuple(map(complex, scaled_den))
-        self._num2 = tuple(map(complex, num2))
-        self._den2 = tuple(map(complex, den2))
-        self._tol = tol
-        self._max_terms = max_terms
+        self._q, self._tol, self._max_terms = q, tol, max_terms
+        self._num, self._den, self._snum, self._sden, self._num2, self._den2 = (
+            num, den, snum, sden, num2, den2)
         self._stop = min(_termination_index(self._num, q, max_terms),
                          _termination_index(self._num2, q * q, max_terms))
         # c_k, and the scaled numerator and denominator powers, k = 0, 1, ...
@@ -152,8 +152,8 @@ class SeriesPlan:
         qk1 = q**built  # q^k of the first degree to build
         small, wide = tol * 1e-300, tol * (1.0 + 1e-9)
         mag_sum = 1.0
-        term = total = complex(1.0)
-        comp = complex(0.0)  # Kahan compensation
+        term = total = 1.0  # complex only once a complex factor enters
+        comp = 0.0  # Kahan compensation
         streak = 0
         last_mag = 1.0
         for k in range(end):
@@ -222,7 +222,7 @@ class SeriesPlan:
             if end < stop_at:
                 raise NoConvergence(f"no convergence within {max_terms} terms")
         # terms summed: the leading 1 and one per ratio applied
-        return SeriesResult(total, end + 1, terminates, last_mag)
+        return SeriesResult(complex(total), end + 1, terminates, last_mag)
 
 
 def _zero_denominator(b: complex, k: int) -> ZeroDenominator:
@@ -233,9 +233,10 @@ def eval_phi(spec: SeriesSpec, tol: float = 1e-15,
              max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
     """Sum the series described by ``spec``: its plan, with no parameter
     scaled, evaluated once at its z."""
-    return SeriesPlan(spec.numerator, spec.denominator, spec.base,
-                      num2=spec.numerator2, den2=spec.denominator2,
-                      tol=tol, max_terms=max_terms)(spec.z)
+    plan = SeriesPlan.__new__(SeriesPlan)  # the spec's tuples are normalised already
+    plan._setup(spec.base.q, tol, max_terms, spec.numerator, spec.denominator, (), (),
+                spec.numerator2, spec.denominator2)
+    return plan(spec.z)
 
 
 def check_qbinomial(a: complex, z: complex, q: QBase | float) -> float:

@@ -81,11 +81,20 @@ def as_base(q: QLike) -> float:
     return _check_q(q)
 
 
+def scalar(v: complex) -> complex:
+    """``v`` as a float when its imaginary part is exactly 0, else as it is:
+    float arithmetic keeps the real bits, and overflows to +-inf, not NaN."""
+    return float(v.real) if v.imag == 0.0 else v
+
+
 def renorm(m: complex, e: float, q: float) -> tuple[complex, float]:
     """The scaled value (m, e) = m * q**e with the magnitude of m shifted
-    into the exponent whenever |m| leaves [_SCALE_LO, _SCALE_HI]."""
+    into the exponent whenever |m| leaves [_SCALE_LO, _SCALE_HI].  An
+    infinite m raises IllConditioned; a NaN passes through."""
     am = abs(m)
     if am > _SCALE_HI or 0.0 < am < _SCALE_LO:
+        if am == math.inf:
+            raise IllConditioned("scaled value overflows the double-precision range")
         lnq = math.log(q)
         shift = round(math.log(am) / lnq)
         m *= math.exp(-shift * lnq)
@@ -136,18 +145,18 @@ class PochSymbol:
 def poch_finite(a: complex, q: QLike, n: int) -> complex:
     """Finite q-Pochhammer symbol ``(a; q)_n`` as a literal n-factor product.
 
-    Returns exactly 1 for n = 0 (empty product).
-    """
+    Returns exactly 1 for n = 0 (empty product); at real ``a`` a product
+    beyond double range is +-inf (see ``scalar``)."""
     qv = as_base(q)
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
-    av = complex(a)
-    out = complex(1.0)
+    av = scalar(a)
+    out = 1.0
     t = 1.0
     for _ in range(n):
         out *= 1.0 - av * t
         t *= qv
-    return out
+    return complex(out)
 
 
 def check_tol(tol) -> None:
@@ -168,13 +177,13 @@ class ProductPlan:
     def __init__(self, s: complex, q: QLike, tol: float = 1e-15) -> None:
         self._q = as_base(q)
         check_tol(tol)
-        self._s = complex(s)
+        self._s = scalar(s)
         self._cut = _TAIL_FRACTION * tol * (1.0 - self._q)
         self._lnq = math.log(self._q)
         self._qj = [1.0]  # q^j by repeated multiplication, as poch_finite forms them
 
     def __call__(self, u: complex = 1.0) -> complex:
-        a = self._s * u
+        a = scalar(self._s * u)  # real: an overflow is inf, not inf * 0j = nan
         mag = abs(a)
         if mag == 0.0:
             return complex(1.0)
@@ -184,7 +193,6 @@ class ProductPlan:
         if len(qj) < n:  # the last power, then each next one
             qj[-1:] = itertools.accumulate(itertools.repeat(self._q, n - len(qj)),
                                            operator.mul, initial=qj[-1])
-        a = a.real if a.imag == 0.0 else a  # real: an overflow is inf, not inf * 0j = nan
         out = 1.0
         for t in itertools.islice(qj, n):
             out *= 1.0 - a * t

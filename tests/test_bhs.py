@@ -341,3 +341,51 @@ def test_base_q2_balance_counts_each_parameter_twice():
     # r = 3 = s + 1 with |z| < 1 converges; counted once, s = 1 would not
     spec, ladder = _with_roots((0.2, 0.3, 0.4), (), (), (0.5,), 0.5, q)
     assert eval_phi(spec).value == pytest.approx(eval_phi(ladder).value, rel=1e-13)
+
+
+# float.hex of the real and imaginary parts of each value, and its term count.
+_Q = 0.6
+PHI_BITS = {
+    "real": (SeriesSpec((0.3, -0.4), (0.2,), 0.5, QBase(_Q)),
+             "0x1.8b33482b52239p+2", "0x0.0p+0", 54),
+    "complex": (SeriesSpec((0.3 + 0.2j, -0.4), (0.2 - 0.1j,), 0.5 + 0.1j, QBase(_Q)),
+                "0x1.a10723d1d55f2p+2", "-0x1.1d0e2cfed3bdep-1", 56),
+    "base_q2": (SeriesSpec((0.3,), (0.2,), 0.5, QBase(_Q), (0.7,), (-0.45,)),
+                "0x1.a7338d935df63p-1", "0x0.0p+0", 14),
+    "terminating": (SeriesSpec((_Q**-6, 0.4), (-0.3,), 1.7, QBase(_Q)),
+                    "0x1.0a51c35aa82eep+16", "0x0.0p+0", 7),
+}
+PLAN_NODE_BITS = {
+    "real": ((0.5, 0.8, 1.1), "0x1.2157eecaf5289p-1", "0x0.0p+0", 14),
+    "complex": ((0.5, cmath.exp(0.7j), cmath.exp(-0.7j)),
+                "0x1.0856cb8117f24p-1", "0x1.777cba79c53b1p-4", 14),
+}
+
+
+@pytest.mark.parametrize("name", list(PHI_BITS))
+def test_eval_phi_bits_are_pinned(name):
+    """Real specs run in float arithmetic and complex ones in complex
+    arithmetic; both keep the bits of the all-complex loop, and the value
+    is a complex either way."""
+    spec, re, im, terms = PHI_BITS[name]
+    res = eval_phi(spec)
+    assert type(res.value) is complex
+    assert (res.value.real.hex(), res.value.imag.hex(), res.terms_used) == (re, im, terms)
+
+
+@pytest.mark.parametrize("name", list(PLAN_NODE_BITS))
+def test_scaled_plan_node_bits_are_pinned(name):
+    node, re, im, terms = PLAN_NODE_BITS[name]
+    plan = SeriesPlan((0.3,), (0.2,), QBase(_Q), scaled_num=(0.4,), scaled_den=(-0.25,))
+    res = plan(*node)
+    assert type(res.value) is complex
+    assert (res.value.real.hex(), res.value.imag.hex(), res.terms_used) == (re, im, terms)
+
+
+def test_spec_parameters_are_floats_when_real():
+    """SeriesSpec keeps a parameter with zero imaginary part as a float,
+    and a complex one as it is."""
+    spec = SeriesSpec((0.3 + 0j, 1), (0.2 - 0.1j,), 0.5 + 0j, QBase(0.5), (2,))
+    assert spec.numerator == (0.3, 1.0) and type(spec.numerator[1]) is float
+    assert spec.denominator == (0.2 - 0.1j,) and type(spec.z) is float
+    assert type(spec.numerator2[0]) is float

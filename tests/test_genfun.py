@@ -266,6 +266,17 @@ def test_report_fields():
     )
 
 
+@pytest.mark.parametrize("tag", ["T3", "SRC_QL_142114"])
+def test_values_stay_complex_at_real_points(tag):
+    """Real parameters run in float arithmetic inside the kernel, but every
+    public value is still a complex."""
+    pt = sample_point(tag, Random("types"), 0.5)
+    assert all(type(v) is complex and v.imag == 0.0 for _, v in pt)
+    rep = (verify_source if tag in SOURCES else verify_identity)(tag, pt, CTX)
+    assert type(rep.lhs) is complex and type(rep.rhs) is complex
+    assert all(type(outer_coefficient(tag, n, pt, CTX)) is complex for n in range(4))
+
+
 @pytest.mark.parametrize("tag", ["T2", "T3", "T13"])
 def test_outer_sum_walks_the_recurrence_once(monkeypatch, tag):
     """An outer sum of N terms draws at most N recurrence steps from its

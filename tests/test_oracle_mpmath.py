@@ -44,6 +44,8 @@ from qsk.polyfam import (  # noqa: E402
 from qsk.qpoch import QBase, poch_infinite  # noqa: E402
 
 QS = (0.5, 0.8)
+# The closed forms are also held to the oracle toward both ends of q's range.
+CLOSED_FORM_QS = (0.05, 0.5, 0.8, 0.9, 0.95)
 DRAWS = 3
 TOL = 1e-12
 
@@ -153,9 +155,40 @@ def _check(tag: IdentityId, point, q: float) -> None:
     assert abs(got - want) <= TOL * (1.0 + abs(want)), (point.canonical(), got, want)
 
 
-@pytest.mark.parametrize("draw", range(DRAWS))
-@pytest.mark.parametrize("q", QS)
-@pytest.mark.parametrize("tag", list(IdentityId), ids=lambda t: t.value)
+# Draws whose closed form misses the oracle as q -> 1: the miss relative to
+# 1 + |value|, and kappa, the largest sum |t_k| / |sum t_k| over the closed
+# form's series factors, summed at 40 digits.  Every miss has kappa >= 6e4;
+# they stay expected failures until the closed forms are rewritten.
+NEAR_ONE_MISSES = {
+    ("T4", 0.95, 0): "miss 4.6e-10, kappa 4.0e7",
+    ("T8", 0.9, 2): "miss 2.1e-11, kappa 7.1e10",
+    ("T8", 0.95, 1): "miss 1.8e-7, kappa 8.0e9",
+    ("T9", 0.95, 0): "miss 1.5e-12, kappa 6.2e18",
+    ("T9", 0.95, 1): "miss 4.7e-11, kappa 2.5e20",
+    ("SRC_CQU_141028", 0.9, 1): "miss 1.4e-12, kappa 2.6e10",
+    ("SRC_CQU_141029", 0.9, 2): "miss 3.4e-8, kappa 1.4e11",
+    ("SRC_CQU_141030", 0.9, 0): "miss 1.5e-8, kappa 4.1e14",
+    ("SRC_CQU_141030", 0.9, 1): "miss 5.6e-12, kappa 6.2e4",
+    ("SRC_CQU_141030", 0.95, 0): "miss 3.0e-6, kappa 5.6e11",
+    ("SRC_CQU_141030", 0.95, 1): "miss 9.2e-11, kappa 6.5e14",
+    ("SRC_CQU_141031", 0.95, 0): "miss 2.6e-11, kappa 4.1e5",
+    ("SRC_CQU_141033", 0.95, 0): "miss 4.7e-11, kappa 2.2e7",
+    ("SRC_CQU_141033", 0.95, 1): "miss 1.5e-5, kappa 5.0e30",
+    ("SRC_CQU_141033", 0.95, 2): "miss 1.4e-8, kappa 4.2e9",
+}
+
+
+def _closed_form_cases():
+    for tag in IdentityId:
+        for q in CLOSED_FORM_QS:
+            for draw in range(DRAWS):
+                why = NEAR_ONE_MISSES.get((tag.value, q, draw))
+                marks = () if why is None else pytest.mark.xfail(
+                    strict=True, raises=AssertionError, reason=why)
+                yield pytest.param(tag, q, draw, marks=marks, id=f"{tag.value}-{q}-{draw}")
+
+
+@pytest.mark.parametrize("tag, q, draw", _closed_form_cases())
 def test_closed_form_against_mpmath(tag, q, draw):
     _check(tag, sample_point(tag, Random(f"oracle:{tag.value}:{q}:{draw}"), q), q)
 

@@ -27,6 +27,7 @@ from qsk.qpoch import (
     q_factorial,
     q_number,
     renorm,
+    scalar,
     unscale,
 )
 
@@ -120,6 +121,47 @@ def test_poch_infinite_real_overflow_is_inf_not_nan():
     here (-x; q)_inf is about 3.7e322."""
     x, q = 6651.745352043733, 0.9467669031021675
     assert poch_infinite(-x, q) == complex(math.inf, 0.0)
+
+
+def test_poch_finite_real_overflow_is_inf_not_nan():
+    """A real finite product beyond double range is +-inf with a zero
+    imaginary part, as for poch_infinite, not nan+nanj."""
+    assert poch_finite(1e200, 0.5, 4) == complex(math.inf, 0.0)
+    assert poch_finite(1e200, 0.5, 3) == complex(-math.inf, 0.0)
+
+
+# (a, q, n) -> float.hex of the real and imaginary parts of (a; q)_n.
+POCH_FINITE_BITS = {
+    (0.37, 0.6, 9): ("0x1.65ba735208b10p-2", "0x0.0p+0"),
+    (-2.5, 0.6, 9): ("0x1.933d9c51ac9a4p+5", "0x0.0p+0"),
+    (0.3 - 0.8j, 0.6, 9): ("-0x1.bc8a317223f7bp-2", "0x1.69e90ff0ccd6dp-1"),
+}
+
+
+@pytest.mark.parametrize("args", list(POCH_FINITE_BITS), ids=str)
+def test_poch_finite_bits_are_pinned(args):
+    """Real a runs in float arithmetic and complex a in complex arithmetic;
+    both keep the bits of the all-complex product and return a complex."""
+    v = poch_finite(*args)
+    assert type(v) is complex
+    assert (v.real.hex(), v.imag.hex()) == POCH_FINITE_BITS[args]
+
+
+def test_real_products_stay_complex_values():
+    assert type(poch_infinite(0.5, 0.5)) is complex
+    assert type(ProductPlan(0.5, 0.5)(0.3)) is complex
+    assert scalar(0.5 + 0j) == 0.5 and type(scalar(0.5 + 0j)) is float
+    assert type(scalar(2)) is float and scalar(0.5 - 0.25j) == 0.5 - 0.25j
+
+
+def test_renorm_infinite_mantissa_is_ill_conditioned():
+    """An infinite mantissa raises IllConditioned (round(inf) would raise a
+    bare OverflowError); a NaN passes through unchanged."""
+    for m in (math.inf, -math.inf, complex(math.inf, 0.0)):
+        with pytest.raises(IllConditioned):
+            renorm(m, 0.0, 0.5)
+    m, e = renorm(math.nan, 3.0, 0.5)
+    assert math.isnan(m) and e == 3.0
 
 
 def test_poch_infinite_rejects_bad_tolerance():
