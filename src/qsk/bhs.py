@@ -27,10 +27,11 @@ every term beyond k = m then vanishes and exactly m + 1 terms are summed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DivergentSeries, NoConvergence, ZeroDenominator
+from .errors import DivergentSeries, IllConditioned, NoConvergence, ZeroDenominator
 from .qpoch import QBase, as_base, check_tol, poch_infinite, scalar
 
 # A numerator parameter a counts as q^(-m) when |a q^m - 1| < this.
@@ -128,7 +129,7 @@ class SeriesPlan:
         r <= s + 1, and |z| < 1 when r = s + 1.  The sum stops after three
         consecutive terms below ``tol`` times the partial sum, which guards
         against isolated near-zero terms when a numerator parameter sits
-        close to q^(-m)."""
+        close to q^(-m).  A sum that is not finite raises IllConditioned."""
         q, num, den, num2, den2 = self._q, self._num, self._den, self._num2, self._den2
         snum, sden, max_terms = self._snum, self._sden, self._max_terms
         r = len(num) + len(snum) + 2 * len(num2)
@@ -221,6 +222,8 @@ class SeriesPlan:
         else:
             if end < stop_at:
                 raise NoConvergence(f"no convergence within {max_terms} terms")
+        if not cmath.isfinite(total):  # a term overflowed
+            raise IllConditioned("series sum leaves the double-precision range")
         # terms summed: the leading 1 and one per ratio applied
         return SeriesResult(complex(total), end + 1, terminates, last_mag)
 

@@ -23,7 +23,9 @@ Every outer coefficient is one q-hypergeometric term, stored as the record
     coef_n = z^n q^(k C(n,2)) (num; q)_n (num2; q^2)_n / ((den; q)_n (den2; q^2)_n)
 
 with k in {0, 1} and num2, den2 empty except for T2, whose (w; q)_(2n)
-factors are the base-q^2 pairs (w, wq); ``_coef`` is its one evaluator.
+factors are the base-q^2 pairs (w, wq).  ``_coef``, its one evaluator,
+leaves out q^(k C(n,2)), which the series side of every family carries as
+an exponent next to the cursor's (mantissa, q-exponent) form of p_n(x).
 The inner series of T4-T9 write their (a; q)_(2k) factors the same way,
 as base-q^2 parameters of the ``SeriesSpec``.
 
@@ -46,7 +48,7 @@ from typing import Callable, NamedTuple, Optional
 from .bhs import SeriesPlan, SeriesSpec, eval_phi
 from .context import EvalContext, ParamPoint
 from .errors import InsufficientTruncation, PreconditionViolation
-from .polyfam import FAMILIES, FamilyId, little_q_laguerre_scaled
+from .polyfam import FAMILIES, FamilyId
 from .qpoch import ProductPlan, poch_all, poch_infinite, unscale
 
 # Two outer truncations agreeing to this, relative to 1 + |sum|, settle
@@ -146,16 +148,15 @@ class Coef(NamedTuple):
     den2: tuple[complex, ...] = ()
 
 
-def _coef(c: Coef, q: float, n: int, scaled: bool = False) -> complex:
-    """The degree-n value z^n q^(k C(n,2)) (num; q)_n (num2; q^2)_n /
-    ((den; q)_n (den2; q^2)_n) of the coefficient record c; ``scaled``
-    leaves out the q^(k C(n,2)) factor, for a caller that carries it as
-    an exponent."""
-    z, num, den, k, num2, den2 = c
+def _coef(c: Coef, q: float, n: int) -> complex:
+    """The degree-n value z^n (num; q)_n (num2; q^2)_n / ((den; q)_n
+    (den2; q^2)_n) of the coefficient record c, without its q^(k C(n,2))
+    factor: the outer sum carries that power as an exponent."""
+    z, num, den, _, num2, den2 = c
     value = z**n * poch_all(num, q, n) / poch_all(den, q, n)
     if num2 or den2:
         value *= poch_all(num2, q * q, n) / poch_all(den2, q * q, n)
-    return value if scaled or k == 0 else value * q ** (k * math.comb(n, 2))
+    return value
 
 
 def _record(names: str,
@@ -870,27 +871,26 @@ _add(_Entry(
 
 
 class _RhsAccumulator:
-    """Caches the outer terms coef_n * poly_n(x) * inner_n so truncation
-    escalation reuses lower orders, and stops extending once terms are
-    numerically exhausted.  poly_n comes from one family cursor per point,
-    made at the first nonzero coefficient and advanced only at nonzero
-    coefficients, so the recurrence is walked once over the whole sum."""
+    """The running sum of the outer terms coef_n p_n(x) inner_n, so that
+    truncation escalation reuses lower orders; it stops once terms are
+    numerically exhausted.  Every term is built one way: ``_coef`` (no
+    q^(k C(n,2))) times the mantissa m of the cursor's p_n(x) = m q^e times
+    inner_n, put through ``unscale`` with exponent k C(n,2) + e when that
+    is nonzero, so lattice terms never form their huge canceling scales.
+    The cursor advances only at nonzero coefficients: a recurrence is
+    walked once over the whole sum."""
 
     def __init__(self, entry: _Entry, point: ParamPoint, ctx: EvalContext) -> None:
         self.entry = entry
         self.point = point
         self.ctx = ctx
-        self.x = point.real("x")
-        self.params = entry.family_params(point, ctx)
         self.coef = entry.coef(point, ctx)
-        # The lattice family's polynomial and coefficient carry huge
-        # canceling q-power scales, so for x > 0 the term is combined in
-        # exponent space.
-        self.scaled = entry.family is FamilyId.LITTLE_Q_LAGUERRE and self.x > 0.0
-        self.terms: list[complex] = []
-        self.partials: list[complex] = [complex(0.0)]
+        self._poly = FAMILIES[entry.family].cursor(point.real("x"),
+                                                   entry.family_params(point, ctx))
+        self.count = 0  # terms summed
+        self.total = complex(0.0)
+        self.last = 0.0  # magnitude of the last term summed
         self.max_inner = 0
-        self._poly = None
         self.exhausted = False
         self._streak = 0
 
@@ -900,40 +900,28 @@ class _RhsAccumulator:
         self.max_inner = max(self.max_inner, res.terms_used)
         return res.value
 
-    def _extend(self, n_terms: int) -> None:
-        entry, q = self.entry, self.ctx.q
-        while len(self.terms) < n_terms and not self.exhausted:
-            n = len(self.terms)
-            term = _coef(self.coef, q, n, scaled=self.scaled)
-            if self.scaled:
-                mant, e = little_q_laguerre_scaled(n, self.x, self.params)
-                term *= mant
-                if entry.inner is not None:
-                    term *= self._inner(n)
-                term = unscale(term, self.coef.k * math.comb(n, 2) + e, q)
-            elif term != 0.0:
-                if self._poly is None:
-                    self._poly = FAMILIES[entry.family].cursor(self.x, self.params)
-                term *= self._poly(n)
+    def partial(self, n_terms: int) -> complex:
+        """The sum of the first ``n_terms`` terms, or of all of them once
+        exhausted earlier; ``n_terms`` never decreases between calls."""
+        entry, q, k = self.entry, self.ctx.q, self.coef.k
+        while self.count < n_terms and not self.exhausted:
+            n = self.count
+            term = _coef(self.coef, q, n)
+            if term != 0.0:
+                m, e = self._poly(n)
+                term *= m
                 if term != 0.0 and entry.inner is not None:
                     term *= self._inner(n)
-            self.terms.append(term)
-            self.partials.append(self.partials[-1] + term)
-            if abs(term) <= _EXHAUSTED_TOL * (1.0 + abs(self.partials[-1])):
-                self._streak += 1
-                if self._streak >= _EXHAUSTED_STREAK:
-                    self.exhausted = True
-            else:
-                self._streak = 0
-
-    def partial(self, n_terms: int) -> complex:
-        self._extend(n_terms)
-        return self.partials[min(n_terms, len(self.terms))]
-
-    def last_term_magnitude(self, n_terms: int) -> float:
-        self._extend(n_terms)
-        idx = min(n_terms, len(self.terms)) - 1
-        return abs(self.terms[idx]) if idx >= 0 else 0.0
+                e += k * math.comb(n, 2)
+                if e:
+                    term = unscale(term, e, q)
+            self.count += 1
+            self.total += term
+            self.last = abs(term)
+            small = self.last <= _EXHAUSTED_TOL * (1.0 + abs(self.total))
+            self._streak = self._streak + 1 if small else 0
+            self.exhausted = self._streak >= _EXHAUSTED_STREAK
+        return self.total
 
 
 def entry_for(tag: IdentityId | str) -> _Entry:
@@ -987,7 +975,9 @@ def inner_series_spec(
 def outer_coefficient(
     tag: IdentityId | str, n: int, point: ParamPoint, ctx: EvalContext
 ) -> complex:
-    return _coef(entry_for(tag).coef(point, ctx), ctx.q, n)
+    c = entry_for(tag).coef(point, ctx)
+    value = _coef(c, ctx.q, n)
+    return value if c.k == 0 else value * ctx.q ** (c.k * math.comb(n, 2))
 
 
 def eval_lhs(tag: IdentityId | str, point: ParamPoint, ctx: EvalContext) -> complex:
@@ -1019,7 +1009,7 @@ def eval_rhs(
         raise PreconditionViolation("n_outer must be >= 1")
     acc = _RhsAccumulator(entry_for(tag), point, ctx)
     value = acc.partial(n_outer)
-    if acc.last_term_magnitude(n_outer) > _TOL * (1.0 + abs(value)):
+    if acc.last > _TOL * (1.0 + abs(value)):
         raise InsufficientTruncation(
             f"outer sum for {IdentityId(tag).value} not settled at {n_outer} terms"
         )

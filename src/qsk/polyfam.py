@@ -315,12 +315,9 @@ def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
     if x > 0.0:
         return unscale(*little_q_laguerre_scaled(n, x, p), q)
     try:
-        value = eval_phi(SeriesSpec((q**-n, 0.0), (p.a * q,), q * x, p.base)).value.real
+        return eval_phi(SeriesSpec((q**-n, 0.0), (p.a * q,), q * x, p.base)).value.real
     except OverflowError:  # q**-n itself
-        value = math.inf
-    if not math.isfinite(value):
-        raise IllConditioned("value exceeds the double-precision range")
-    return value
+        raise IllConditioned("value exceeds the double-precision range") from None
 
 
 def q_laguerre(n: int, x: float, p: QLagParams) -> float:
@@ -549,13 +546,17 @@ class Family:
     support: Callable[[float, int], list[float]]
     steps: Callable[[float, object, Iterable[int]], Iterable[tuple]] | None
 
-    def cursor(self, x: float, params) -> Callable[[int], complex]:
-        """``at(n)`` -> p_n(x) for nondecreasing n.  A recurrence family
-        advances from the last degree reached, with the arithmetic of
-        ``evaluate``, so degrees 0..N take N steps in all; a series family
-        is evaluated per degree.  A cursor whose call raised is spent."""
+    def cursor(self, x: float, params) -> Callable[[int], tuple[complex, float]]:
+        """``at(n)`` -> (m, e) with p_n(x) = m * q**e, for nondecreasing n.
+        A recurrence family advances from the last degree reached, with the
+        arithmetic of ``evaluate``, so degrees 0..N take N steps in all,
+        and gives (p_n(x), 0).  Little q-Laguerre, the series family, is
+        evaluated per degree: scaled for x > 0, (p_n(x), 0) for x <= 0.
+        A cursor whose call raised is spent."""
         if self.steps is None:
-            return lambda n: self.evaluate(n, x, params)
+            if x > 0.0:
+                return lambda n: little_q_laguerre_scaled(n, x, params)
+            return lambda n: (little_q_laguerre(n, x, params), 0)
         steps = self.steps(x, params, itertools.count())
         k, prev, cur = 0, 0.0, 1.0  # p_(k-1), p_k
 
@@ -564,7 +565,7 @@ class Family:
             m, k = k, None  # after a raise, the next call fails on n - None
             prev, cur = _recurrence(itertools.islice(steps, n - m), prev, cur)
             k = n
-            return complex(cur)
+            return complex(cur), 0
 
         return at
 

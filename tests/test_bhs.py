@@ -11,6 +11,7 @@ import pytest
 from qsk.bhs import SeriesPlan, SeriesSpec, check_qbinomial, eval_phi
 from qsk.errors import (
     DivergentSeries,
+    IllConditioned,
     NoConvergence,
     NonConvergentTolerance,
     ZeroDenominator,
@@ -120,6 +121,17 @@ def test_zero_denominator_detection():
 def test_no_convergence_cap():
     with pytest.raises(NoConvergence):
         eval_phi(SeriesSpec((0.9,), (0.3,), 0.99, QBase(0.9)), max_terms=8)
+
+
+def test_overflowing_terms_raise_rather_than_return_nan():
+    """Terms past double range make the compensated sum inf - inf = NaN;
+    a sum that is not finite raises, as renorm and unscale do."""
+    with pytest.raises(IllConditioned):
+        eval_phi(SeriesSpec((0.5**-6,), (), 1e300, QBase(0.5)))
+    with pytest.raises(IllConditioned):
+        SeriesPlan((0.5**-6,), (), QBase(0.5))(1e300 * cmath.exp(0.3j))
+    # the largest term, 1e300^6 q^15 / (q;q)_6, is past range; at 1e40 it is not
+    assert cmath.isfinite(eval_phi(SeriesSpec((0.5**-6,), (), 1e40, QBase(0.5))).value)
 
 
 def test_monotone_tail_stopping():

@@ -239,14 +239,29 @@ def test_suite_config_validation():
 # meant to move a status or a truncation order updates this digest and
 # says why in CHANGES.md; any other change must leave it as it is.
 DEFAULT_REPORT_SHAPE = "b30369c9837670db0b7485480fb5f2f0ad4d64b3ada4c11984c4d34c8661856b"
+# The same digest of the default tags and points at the ends of the clean
+# q range; each report is 200 pass + 5 unresolved-in-paper.
+REPORT_SHAPE_AT_Q = {
+    0.05: "0e30f4f2fd654a8b36c64229755e1ee034cbbc8a7bcf15bfd852453d8dd16bb7",
+    0.8: "ee23dfb426395812fc7ff3279fd4ff1cac5e9735788170f5b71c619f05980a4c",
+}
 
 
-def test_default_report_shape_is_pinned():
-    records = run_suite(SuiteConfig(tags=tuple(ALL_TAGS)))["records"]
+def _report_shape(q_grid=(0.5,)) -> str:
+    records = run_suite(SuiteConfig(tags=tuple(ALL_TAGS), q_grid=q_grid))["records"]
     shape = sorted((r["id"], r["point_hash"], r["status"], r["n_terms_outer"],
                     r["n_terms_inner"]) for r in records)
     assert len(shape) == 205
-    assert hashlib.sha256(repr(shape).encode()).hexdigest() == DEFAULT_REPORT_SHAPE
+    return hashlib.sha256(repr(shape).encode()).hexdigest()
+
+
+def test_default_report_shape_is_pinned():
+    assert _report_shape() == DEFAULT_REPORT_SHAPE
+
+
+@pytest.mark.parametrize("q", list(REPORT_SHAPE_AT_Q))
+def test_report_shape_is_pinned_off_the_default_q(q):
+    assert _report_shape((q,)) == REPORT_SHAPE_AT_Q[q]
 
 
 def test_run_suite_python_api():

@@ -4,7 +4,6 @@ behavior."""
 
 import dataclasses
 import math
-import sys
 from random import Random
 
 import pytest
@@ -297,24 +296,43 @@ def test_outer_sum_walks_the_recurrence_once(monkeypatch, tag):
 
 
 LATTICE = {"SRC_LQL_142011": verify_source, "T11": verify_identity}
+# Every tag whose coefficient carries q^C(n,2) (k = 1): the two lattice
+# sums and four recurrence-family sums.
+Q_POWER_TAGS = [*LATTICE, "SRC_CQU_141029", "T4", "SRC_QL_142115", "T14"]
 
 
-@pytest.mark.parametrize("tag", list(LATTICE))
+def test_q_power_tags_are_the_k1_records():
+    ctx = EvalContext(q=0.5)
+    k1 = [t.value for t in IdentityId
+          if entry_for(t).coef(sample_point(t, Random(0), 0.5), ctx).k == 1]
+    assert sorted(k1) == sorted(Q_POWER_TAGS)
+
+
+@pytest.mark.parametrize("tag", Q_POWER_TAGS)
 def test_scaled_coefficient_drops_only_the_q_power(tag):
-    """The lattice sum takes its coefficients without q^(k C(n,2)) and
-    carries that power as an exponent; multiplied back it gives the
-    unscaled coefficient wherever both are normal doubles."""
+    """``_coef`` leaves out q^(k C(n,2)), which the outer sum carries as an
+    exponent; ``outer_coefficient`` multiplies it back, bit for bit."""
     for q in (0.05, 0.4, 0.9):
         ctx = EvalContext(q=q)
         rng = Random(f"scaled:{tag}:{q}")
         for _ in range(3):
-            c = entry_for(tag).coef(sample_point(tag, rng, q), ctx)
-            assert c[3] == 1
+            pt = sample_point(tag, rng, q)
+            c = entry_for(tag).coef(pt, ctx)
+            assert c.k == 1
             for n in range(65):
-                want = _coef(c, q, n)
-                got = _coef(c, q, n, scaled=True) * q ** (c[3] * math.comb(n, 2))
-                if min(abs(want), abs(got)) >= sys.float_info.min:
-                    assert abs(got - want) <= 1e-15 * abs(want), (q, n, got, want)
+                want = _coef(c, q, n) * q ** math.comb(n, 2)
+                assert outer_coefficient(tag, n, pt, ctx) == want, (q, n)
+
+
+@pytest.mark.parametrize("tag", list(LATTICE))
+@pytest.mark.parametrize("x", [-0.9, -0.3, 0.0])
+def test_lattice_sum_at_nonpositive_x(tag, x):
+    """For x <= 0 the little q-Laguerre cursor gives (p_n(x), 0), so the
+    term takes only the coefficient's q^C(n,2) as its exponent."""
+    pt = ParamPoint.of(a=0.7, b=0.4, t=0.2, x=x)
+    rep = LATTICE[tag](tag, pt, CTX)
+    assert rep.in_domain
+    assert rep.rel_residual < 4e-15
 
 
 @pytest.mark.parametrize("tag, seed", [("SRC_LQL_142011", 55), ("T11", 72)])

@@ -608,7 +608,7 @@ _CURSOR_DRAWS = {
 @pytest.mark.parametrize("fid", list(_CURSOR_DRAWS), ids=lambda f: f.value)
 def test_cursor_equals_single_degree_evaluation(q, fid):
     """Walking the recurrence once, at every degree or skipping degrees,
-    gives bit for bit what restarting it from degree 0 gives."""
+    gives bit for bit the pair (value, 0) of restarting it from degree 0."""
     fam = FAMILIES[fid]
     rng = Random(f"cursor:{fid.value}:{q}")
     for _ in range(4):
@@ -616,10 +616,39 @@ def test_cursor_equals_single_degree_evaluation(q, fid):
         p = fam.params(*vals, QBase(q))
         every, skipping = fam.cursor(x, p), fam.cursor(x, p)
         for k in range(65):
-            want = fam.evaluate(k, x, p)
+            want = (fam.evaluate(k, x, p), 0)
             assert every(k) == want, (vals, x, k)
             if k % 3 == 2:
                 assert skipping(k) == want, (vals, x, k)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+def test_lql_cursor_is_the_scaled_evaluation(q):
+    """Off the lattice, at lattice points x = q^k and at x <= 0, with every
+    degree or skipping degrees: for x > 0 the little q-Laguerre cursor
+    gives the scaled 2phi0 pair, which unscales to the single-degree value
+    bit for bit; for x <= 0 it gives (value, 0).  Where the value leaves
+    double range both paths raise IllConditioned."""
+    fam = FAMILIES[FamilyId.LITTLE_Q_LAGUERRE]
+    rng = Random(f"cursor:lql:{q}")
+    for _ in range(3):
+        for x in (rng.uniform(0.01, 1.0), q ** rng.randint(0, 6),
+                  -rng.uniform(0.0, 1.0), 0.0):
+            p = LqLParams(rng.uniform(0.1, 0.9 / q), QBase(q))
+            every, skipping = fam.cursor(x, p), fam.cursor(x, p)
+            for n in range(65):
+                for at in (every, skipping) if n % 3 == 2 else (every,):
+                    try:
+                        want = little_q_laguerre(n, x, p)
+                    except IllConditioned:
+                        with pytest.raises(IllConditioned):
+                            unscale(*at(n), q)
+                        continue
+                    if x > 0.0:
+                        assert at(n) == little_q_laguerre_scaled(n, x, p), (p, x, n)
+                        assert unscale(*at(n), q) == want, (p, x, n)
+                    else:
+                        assert at(n) == (want, 0), (p, x, n)
 
 
 def test_cursor_refuses_from_the_same_degree_as_single_degree_evaluation():
@@ -629,7 +658,7 @@ def test_cursor_refuses_from_the_same_degree_as_single_degree_evaluation():
     x = 0.3
     at = FAMILIES[FamilyId.ASKEY_WILSON].cursor(x, p)
     for n in range(4):
-        assert at(n) == askey_wilson(n, x, p)
+        assert at(n) == (askey_wilson(n, x, p), 0)
     for n in (4, 5, 9):
         with pytest.raises(IllConditioned):
             askey_wilson(n, x, p)
