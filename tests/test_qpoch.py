@@ -2,7 +2,9 @@
 identities, and the four inequality margins."""
 
 import cmath
+import itertools
 import math
+import operator
 from random import Random
 
 import pytest
@@ -20,6 +22,8 @@ from qsk.qpoch import (
     PochSymbol,
     ProductPlan,
     QBase,
+    _euler_table,
+    as_base,
     check_lemma1,
     check_poch_identity,
     poch_finite,
@@ -39,6 +43,24 @@ def brute_poch(a: complex, q: float, n: int) -> complex:
     return out
 
 
+def literal_poch_infinite(a: complex, q: float, tol: float = 1e-15) -> complex:
+    """(a; q)_inf as the literal product of its factors 1 - a q^j, j < M, M
+    the first index at which the geometric tail bound |a| q^M / (1-q)
+    drops below tol/4; the powers by repeated multiplication.  This was
+    the library's product loop before the Euler tail."""
+    a = complex(a)
+    a = a.real if a.imag == 0.0 else a
+    mag = abs(a)
+    if mag == 0.0:
+        return complex(1.0)
+    ratio = 0.25 * tol * (1.0 - q) / mag
+    n = 1 if ratio >= 1.0 else max(1, math.ceil(math.log(ratio) / math.log(q)) + 1)
+    out = 1.0
+    for t in itertools.accumulate(itertools.repeat(q, n - 1), operator.mul, initial=1.0):
+        out *= 1.0 - a * t
+    return complex(out)
+
+
 def test_qbase_validation():
     QBase(0.5)
     for bad in (0.0, 1.0, -0.3, 1.7, float("nan"), float("inf")):
@@ -48,14 +70,31 @@ def test_qbase_validation():
         QBase(0.5 + 0.1j)
 
 
-@pytest.mark.parametrize("bad", [1.5, float("nan")])
+class FloatLike(float):
+    """A float subclass: not an exact float, so it takes the full check."""
+
+
+@pytest.mark.parametrize("bad", [1.5, float("nan"), math.inf, -math.inf, 0.0, 1.0, -0.3, 0, 1,
+                                 2, True, False, 0.5 + 0.0j, 0.5 + 0.1j,
+                                 pytest.param(FloatLike(1.5), id="FloatLike-1.5"),
+                                 pytest.param(FloatLike(math.nan), id="FloatLike-nan")])
 def test_bare_float_base_is_validated(bad):
-    with pytest.raises(PreconditionViolation):
-        poch_finite(0.3, bad, 3)
-    with pytest.raises(PreconditionViolation):
-        poch_infinite(0.3, bad)
-    with pytest.raises(PreconditionViolation):
-        q_number(2.0, bad)
+    """The fast path of the base check admits only an exact float inside
+    (0, 1); every other invalid base still raises, through each entry."""
+    for check in (QBase, as_base, lambda q: poch_finite(0.3, q, 3),
+                  lambda q: poch_infinite(0.3, q), lambda q: ProductPlan(0.3, q),
+                  lambda q: q_number(2.0, q)):
+        with pytest.raises(PreconditionViolation):
+            check(bad)
+
+
+def test_valid_base_is_returned_as_a_float():
+    """The fast path keeps the edges of (0, 1); an int-like or QBase base
+    takes the full check and also comes back as a float."""
+    for q, want in ((1e-300, 1e-300), (math.nextafter(1.0, 0.0), math.nextafter(1.0, 0.0)),
+                    (QBase(0.25), 0.25), (FloatLike(0.5), 0.5)):
+        v = as_base(q)
+        assert type(v) is float and v == want
 
 
 def test_scaled_value_range_policy():
@@ -367,3 +406,87 @@ def test_product_plan_matches_poch_infinite():
             want = poch_infinite(s * u, q)
             assert abs(plan(u) - want) <= 1e-14 * (1.0 + abs(want))
     assert ProductPlan(0.0, 0.5)(2.0) == 1.0
+
+
+# --- infinite products: Euler tail against the literal loop ----------------
+
+EULER_QS = (0.05, 0.2, 0.5, 0.8, 0.9, 0.95)
+
+
+@pytest.mark.parametrize("q", EULER_QS)
+def test_product_plan_against_literal_loop_and_mpmath(q):
+    """Over 400 draws of |a| in [0.01, 3], real of both signs and complex,
+    the worst relative error of the plan against mpmath is within twice
+    the literal loop's, or 1e-15.  The worst points of both sit next to a
+    zero of the product, a = q^-k, in the plain factors both share."""
+    mp = pytest.importorskip("mpmath")
+    rng = Random(f"euler:{q}")
+    worst_plan = worst_literal = 0.0
+    for i in range(400):
+        mag = rng.uniform(0.01, 3.0)
+        a = (mag, -mag, mag * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))[i % 3]
+        got, literal = ProductPlan(a, q)(), literal_poch_infinite(a, q)
+        with mp.workdps(20):
+            want = mp.qp(mp.mpf(a) if isinstance(a, float) else mp.mpc(a), mp.mpf(q))
+            err = float(abs(mp.mpc(got) - want) / abs(want))
+            err_literal = float(abs(mp.mpc(literal) - want) / abs(want))
+        worst_plan, worst_literal = max(worst_plan, err), max(worst_literal, err_literal)
+    assert worst_plan <= max(2.0 * worst_literal, 1e-15), (worst_plan, worst_literal)
+
+
+@pytest.mark.parametrize("q", (0.5, 0.25, 0.125))
+def test_lattice_zeros_of_the_product_are_exact(q):
+    """(q^-k; q)_inf has the factor 1 - q^-k q^k, exactly 0 when the powers
+    are exact (a dyadic q), both directly and through a plan at u."""
+    for k in range(6):
+        a = q**-k
+        assert poch_infinite(a, q) == 0.0
+        assert ProductPlan(1.0, q)(a) == 0.0
+        assert ProductPlan(0.5 * a, q)(2.0) == 0.0
+
+
+def test_product_plan_is_deterministic():
+    """The same input gives the same bits: from a fresh plan or from one
+    whose ladder of powers was already extended by other calls."""
+    rng = Random(17)
+    for _ in range(100):
+        q = rng.uniform(0.05, 0.95)
+        s = rng.uniform(0.01, 3.0) * cmath.exp(2j * math.pi * rng.random())
+        u = rng.uniform(0.05, 3.0)
+        plan = ProductPlan(s, q)
+        first = plan(u)
+        plan(1e3 * u)
+        for v in (plan(u), ProductPlan(s, q)(u), ProductPlan(s, q)(u)):
+            assert (v.real.hex(), v.imag.hex()) == (first.real.hex(), first.imag.hex())
+        real = poch_infinite(-abs(s), q)
+        assert real.imag == 0.0 and real == poch_infinite(-abs(s), q)
+
+
+def test_euler_table_length_is_bounded():
+    """At tol = 1e-15 the Euler tail has at most 16 terms for every q up to
+    0.95, the cost that replaces up to about 760 plain factors."""
+    lengths = [len(_euler_table(j / 1000, 1e-15)) for j in range(1, 951)]
+    assert max(lengths) <= 16
+    assert len(_euler_table(0.5, 1e3)) == 1  # never empty: c_0 = 1 stays
+
+
+def test_euler_tail_alone_is_within_an_ulp():
+    """For |t| <= (1-q)/4 the plan takes no plain factor: the Horner sum of
+    the table alone is (t; q)_inf to 2e-16 relative (the literal loop's
+    hundreds of factors near 1 miss by up to 3.7e-15 at these points)."""
+    mp = pytest.importorskip("mpmath")
+    for q in EULER_QS:
+        r = 0.25 * (1.0 - q)
+        for t in (r, -r, 0.5j * r, 0.1 * r):
+            got = ProductPlan(t, q)()
+            with mp.workdps(20):
+                want = mp.qp(mp.mpc(t), mp.mpf(q))
+                assert float(abs(mp.mpc(got) - want) / abs(want)) <= 2e-16, (q, t)
+
+
+def test_product_plan_infinite_argument_is_ill_conditioned():
+    for s in (math.inf, -math.inf, math.nan, complex(math.inf, 1.0)):
+        with pytest.raises(IllConditioned):
+            ProductPlan(s, 0.5)()
+    with pytest.raises(IllConditioned):
+        ProductPlan(1e300, 0.5)(1e300)
