@@ -42,6 +42,7 @@ from .qpoch import (
     poch_finite,
     poch_infinite,
     renorm,
+    scalar,
     unscale,
 )
 
@@ -57,7 +58,10 @@ class FamilyId(Enum):
 class AWParams:
     """Askey-Wilson parameters.  For orthogonality they must be real or
     occur in complex conjugate pairs with max modulus < 1; bare
-    evaluation accepts any finite values with a != 0."""
+    evaluation accepts any finite values with a != 0.  A value with zero
+    imaginary part is kept as a float (``qpoch.scalar``), so the
+    recurrence, weight and norm run in float arithmetic at real
+    parameters."""
 
     a: complex
     b: complex
@@ -67,8 +71,8 @@ class AWParams:
 
     def __post_init__(self) -> None:
         for name in "abcd":
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            v = scalar(complex(getattr(self, name)))
+            if not cmath.isfinite(v):
                 raise PreconditionViolation(f"parameter {name} must be finite")
             object.__setattr__(self, name, v)
         if not isinstance(self.base, QBase):
@@ -140,9 +144,15 @@ class QLagParams:
 
 
 def _theta(x: float) -> float:
-    if abs(x) > 1.0 + 1e-12:
+    if not abs(x) <= 1.0 + 1e-12:  # NaN fails this test too
         raise PreconditionViolation(f"need |x| <= 1, got {x!r}")
     return math.acos(max(-1.0, min(1.0, float(x))))
+
+
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise PreconditionViolation(f"need a finite x, got {x!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +169,16 @@ def _recurrence(steps: Iterable[tuple], prev=0.0, cur=1.0) -> tuple:
     p_(-1) = 0, p_0 = 1, n steps give (p_(n-1), p_n).  A polynomial
     solution is never the minimal one, so forward recursion keeps it
     (Gautschi, SIAM Review 9, 1967), and no intermediate carries the q^-n
-    scale of the series forms."""
-    for a, b, c in steps:
-        prev, cur = cur, (b * cur - c * prev) / a
+    scale of the series forms.  A p_n beyond double range (inf, or the
+    NaN of inf - inf) raises IllConditioned, and so does an a_k that
+    underflowed to 0 because the coefficients overflowed."""
+    try:
+        for a, b, c in steps:
+            prev, cur = cur, (b * cur - c * prev) / a
+    except ZeroDivisionError:
+        raise IllConditioned("recurrence coefficients leave the double-precision range") from None
+    if not cmath.isfinite(cur):
+        raise IllConditioned("recurrence value leaves the double-precision range")
     return prev, cur
 
 
@@ -232,11 +249,16 @@ def _qlag_steps(x: float, p: QLagParams, ks: Iterable[int]):
             - [(1 - q^(k+1)) + q (1 - q^(k+alpha))] L_k
             + q (1 - q^(k+alpha)) L_(k-1).
     """
+    _finite(x)
     q, al = p.base.q, p.alpha
-    for k in ks:
-        a = 1.0 - q ** (k + 1)
-        c = q * (1.0 - q ** (k + al))
-        yield a, a + c - q ** (2 * k + al + 1.0) * x, c
+
+    def steps():
+        for k in ks:
+            a = 1.0 - q ** (k + 1)
+            c = q * (1.0 - q ** (k + al))
+            yield a, a + c - q ** (2 * k + al + 1.0) * x, c
+
+    return steps()
 
 
 def askey_wilson(n: int, x: float, p: AWParams) -> complex:
@@ -269,8 +291,8 @@ def little_q_laguerre_scaled(
     """
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
-    if x <= 0.0:
-        raise PreconditionViolation("scaled evaluation needs x > 0")
+    if not 0.0 < x < math.inf:
+        raise PreconditionViolation(f"scaled evaluation needs a finite x > 0, got {x!r}")
     q = p.base.q
     lnq = math.log(q)
     # series sum (sm, se) and running term (tm, te)
@@ -309,6 +331,7 @@ def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
     """
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
+    _finite(x)
     if n == 0:
         return 1.0
     q = p.base.q
@@ -338,7 +361,7 @@ def _on_interval(f: Callable[[complex], float], m: int) -> Callable[[float], flo
     """x -> f(e^(i m theta)) for x = cos(theta) in (-1, 1), and exactly 0 at
     x = +-1, where the weight's factor (e^(2i theta); q)_inf vanishes."""
     def weight(x: float) -> float:
-        if abs(x) > 1.0:
+        if not abs(x) <= 1.0:
             raise PreconditionViolation("weight defined for |x| <= 1")
         return 0.0 if abs(x) == 1.0 else f(cmath.exp(m * 1j * math.acos(x)))
 
@@ -360,8 +383,8 @@ def _qlag_weight(p: QLagParams) -> Callable[[float], float]:
     den = ProductPlan(-1.0, p.base)
 
     def weight(x: float) -> float:
-        if x <= 0.0:
-            raise PreconditionViolation("half-line weight needs x > 0")
+        if not 0.0 < x < math.inf:
+            raise PreconditionViolation(f"half-line weight needs a finite x > 0, got {x!r}")
         return x**p.alpha / den(x).real
 
     return weight
@@ -554,7 +577,7 @@ class Family:
         evaluated per degree: scaled for x > 0, (p_n(x), 0) for x <= 0.
         A cursor whose call raised is spent."""
         if self.steps is None:
-            if x > 0.0:
+            if _finite(x) > 0.0:
                 return lambda n: little_q_laguerre_scaled(n, x, params)
             return lambda n: (little_q_laguerre(n, x, params), 0)
         steps = self.steps(x, params, itertools.count())

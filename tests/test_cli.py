@@ -68,6 +68,23 @@ def test_out_of_range_values_exit_2(capsys):
     code, _, err = run(capsys, "connect", "--family", "qlag", "--n", "100",
                        "--alpha", "-0.9", "--beta", "2.5", "--q", "0.05")
     assert code == 2 and "range" in err
+    # recurrence values beyond double range
+    code, _, err = run(capsys, "eval", "--family", "qlag", "--n", "60",
+                       "--x", "1e200", "--alpha", "0.5", "--q", "0.5")
+    assert code == 2 and "range" in err
+    code, _, err = run(capsys, "eval", "--family", "aw", "--n", "300", "--x", "0.3",
+                       "--a", "1e100", "--b", "0.3", "--c", "0.1", "--d", "0.4",
+                       "--q", "0.5")
+    assert code == 2 and "range" in err
+    # a non-finite x
+    for family, x, flags in (("cqu", "nan", ("--beta", "0.5")),
+                             ("aw", "nan", ("--a", "0.3", "--b", "0.2", "--c", "0.1",
+                                            "--d", "0.05")),
+                             ("qlag", "inf", ("--alpha", "0.5")),
+                             ("lql", "nan", ("--a", "0.5"))):
+        code, out, err = run(capsys, "eval", "--family", family, "--n", "3",
+                             "--x", x, *flags, "--q", "0.5")
+        assert code == 2 and "value" not in out and x in err, (family, err)
 
 
 def test_connect_identity_collapse(capsys):

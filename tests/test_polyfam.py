@@ -1,6 +1,7 @@
 """Family evaluators against hand expansions, their defining series
 (summed here as oracles), mpmath, and their weight/norm closed forms."""
 
+import hashlib
 import itertools
 import math
 from random import Random
@@ -176,6 +177,59 @@ def test_aw_zero_parameter():
         askey_wilson(2, 0.3, AWParams(0.0, 0.2, 0.1, 0.05, B5))
     with pytest.raises(PreconditionViolation):
         askey_wilson(2, 1.5, AWParams(0.3, 0.2, 0.1, 0.05, B5))
+
+
+def test_aw_params_are_floats_when_real():
+    """AWParams keeps a parameter with zero imaginary part as a float, and
+    a complex one as it is, so real parameters run in float arithmetic."""
+    p = AWParams(0.3 + 0j, 1, 0.2 - 0.1j, -0.4, B5)
+    assert p.as_tuple() == (0.3, 1.0, 0.2 - 0.1j, -0.4)
+    assert [type(v) for v in p.as_tuple()] == [float, float, complex, float]
+    for bad in (math.nan, math.inf, complex(0.3, math.inf)):
+        with pytest.raises(PreconditionViolation):
+            AWParams(0.3, 0.2, bad, 0.05, B5)
+
+
+def _bits(values) -> str:
+    """Digest of the float.hex of the real and imaginary parts of values."""
+    text = " ".join(f"{v.real.hex()},{v.imag.hex()}" for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# (q, case) -> digests of p_0..p_20 and of h_0..h_20.  Real parameters run
+# in float arithmetic and conjugate pairs in complex arithmetic; both keep
+# the bits of the all-complex recurrence and norm.
+_AW_CASES = {"real": ((0.3, -0.45, 0.2, 0.6), 0.37),
+             "conjugate": ((0.3 + 0.2j, 0.3 - 0.2j, 0.4, -0.2), -0.61)}
+AW_BITS = {
+    (0.05, "real"): ("1ca85e52944b3ae8", "8c0ca9d263f9988d"),
+    (0.05, "conjugate"): ("f82dd68a3599ba72", "4baf4cc6acd23b37"),
+    (0.5, "real"): ("0da8ac7d7e67b46b", "b567d5fd79841a5b"),
+    (0.5, "conjugate"): ("1549dae8ecc3436f", "b98a5ac30560e362"),
+    (0.95, "real"): ("adfc0e8ab92bfaa9", "bfb982b2898efb87"),
+    (0.95, "conjugate"): ("b072817146481327", "e369a5a28e403e87"),
+}
+
+
+@pytest.mark.parametrize("q,case", list(AW_BITS))
+def test_aw_values_and_norms_bits_are_pinned(q, case):
+    vals, x = _AW_CASES[case]
+    p = AWParams(*vals, QBase(q))
+    at = FAMILIES[FamilyId.ASKEY_WILSON].cursor(x, p)
+    values = [askey_wilson(n, x, p) for n in range(21)]
+    walked = [at(n) for n in range(21)]
+    assert all(type(v) is complex for v in values)
+    assert all(type(m) is complex and e == 0 for m, e in walked)
+    want_values, want_norms = AW_BITS[q, case]
+    assert _bits(values) == want_values
+    assert _bits([m for m, _ in walked]) == want_values
+    assert _bits([complex(aw_norm(n, p)) for n in range(21)]) == want_norms
+
+
+def test_aw_connection_coefficients_stay_complex():
+    exp = connect.aw_connection(4, 0.3, 0.2, 0.1, 0.05, 0.4, 0.5)
+    assert all(type(v) is complex for _, v in exp.coefficients)
+    assert exp.source_params.as_tuple() == (0.3, 0.2, 0.1, 0.05)
 
 
 # --- continuous q-ultraspherical -------------------------------------------
@@ -673,5 +727,51 @@ def test_cursor_refuses_from_the_same_degree_as_single_degree_evaluation():
 def test_cursor_validates_before_the_first_degree():
     with pytest.raises(PreconditionViolation):
         FAMILIES[FamilyId.CONT_Q_ULTRA].cursor(1.5, UltraParams(0.4, B5))
+    with pytest.raises(PreconditionViolation):
+        FAMILIES[FamilyId.Q_LAGUERRE].cursor(math.nan, QLagParams(0.5, B5))
     with pytest.raises(ZeroParameter):
         FAMILIES[FamilyId.ASKEY_WILSON].cursor(0.3, AWParams(0.0, 0.2, 0.1, 0.05, B5))
+
+
+_PARAMS = {
+    FamilyId.ASKEY_WILSON: AWParams(0.3, 0.2, 0.1, 0.05, B5),
+    FamilyId.CONT_Q_ULTRA: UltraParams(0.4, B5),
+    FamilyId.LITTLE_Q_LAGUERRE: LqLParams(0.5, B5),
+    FamilyId.Q_LAGUERRE: QLagParams(0.5, B5),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fid", list(_PARAMS), ids=lambda f: f.value)
+def test_non_finite_x_is_refused(fid, x):
+    """Every evaluator, from degree 0 on, and every cursor refuse a
+    non-finite x, and so does every weight."""
+    fam, p = FAMILIES[fid], _PARAMS[fid]
+    for n in (0, 3):
+        with pytest.raises(PreconditionViolation):
+            fam.evaluate(n, x, p)
+    with pytest.raises(PreconditionViolation):
+        fam.cursor(x, p)(3)
+    if fam.weight is not None:
+        with pytest.raises(PreconditionViolation):
+            fam.weight(p)(x)
+    if fid is FamilyId.LITTLE_Q_LAGUERRE:
+        with pytest.raises(PreconditionViolation):
+            little_q_laguerre_scaled(3, x, p)
+
+
+@pytest.mark.parametrize("fid,n,x,p", [
+    (FamilyId.Q_LAGUERRE, 60, 1e200, QLagParams(0.5, B5)),
+    (FamilyId.ASKEY_WILSON, 300, 0.3, AWParams(1e100, 0.3, 0.1, 0.4, B5)),
+    (FamilyId.ASKEY_WILSON, 300, 0.3, AWParams(1e20j, -1e20j, 0.1, 0.4, B5)),
+    (FamilyId.ASKEY_WILSON, 100, 0.3, AWParams(1e100j, -1e100j, 0.1, 0.4, B5)),
+], ids=["qlag", "aw", "aw-conjugate", "aw-zero-step"])
+def test_recurrence_value_beyond_double_range_is_ill_conditioned(fid, n, x, p):
+    """A recurrence whose p_n overflows (to inf, or to the NaN of
+    inf - inf), or whose step divides by an a_k that overflowing factors
+    took to 0, raises, from the evaluator and from the cursor."""
+    fam = FAMILIES[fid]
+    with pytest.raises(IllConditioned):
+        fam.evaluate(n, x, p)
+    with pytest.raises(IllConditioned):
+        fam.cursor(x, p)(n)
