@@ -10,7 +10,9 @@ verify           run identity/corollary suites, write a JSON report
 list-identities  show every verifiable tag with its validity domain
 
 Exit codes: 0 success (verify: no non-flagged failures), 2 invalid
-parameters, 3 infrastructure failure inside a suite.
+parameters, 3 infrastructure failure inside a suite, 141 stdout closed
+before all output was written (qsk list-identities | head -3; the status
+of a process ended by SIGPIPE), with no traceback.
 
 Report schema ("qsk-report/1"): lower_snake_case field names, complex
 numbers as [re, im] pairs, residuals as scientific-notation strings.
@@ -21,9 +23,11 @@ config produce identical reports up to the generated_at timestamp.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -323,10 +327,22 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except (QskError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point the descriptor at devnull, so that the interpreter's own
+        # flush at exit finds nothing to fail on; a stream without a
+        # descriptor is left as it is.
+        with contextlib.suppress(AttributeError, OSError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a process that SIGPIPE ended
 
 
 if __name__ == "__main__":

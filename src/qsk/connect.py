@@ -220,19 +220,37 @@ def prefix_residuals(
     exp: ConnectionExpansion, points: Sequence[float] | None = None
 ) -> list[float]:
     """Entry i is the expansion_residual of the first i terms of ``exp``,
-    for i = 0 .. len(exp.coefficients), all built in one pass over them."""
+    for i = 0 .. len(exp.coefficients), all built in one pass over them.
+
+    The target polynomials come from one walk per point: a Family.cursor
+    read at the expansion's degrees in ascending order, so degrees 0..n
+    cost n recurrence steps, not n^2 / 2; the q-ultraspherical degrees
+    n, n-2, ... are then looked up.  Each value has the bits ``evaluate``
+    gives, so every residual does too, and a value out of double range
+    raises IllConditioned as ``evaluate`` would."""
+    q = exp.source_params.base.q
     if points is None:
-        points = sample_points(exp.family, exp.source_params.base.q)
-    evaluate = FAMILIES[exp.family].evaluate
-    rhs = [evaluate(exp.n, x, exp.source_params) for x in points]
+        points = sample_points(exp.family, q)
+    family = FAMILIES[exp.family]
+    rhs = [family.evaluate(exp.n, x, exp.source_params) for x in points]
+    cursors = [family.cursor(x, exp.target_params) for x in points]
+    values = {deg: [_value(*at(deg), q) for at in cursors]
+              for deg in sorted(deg for deg, _ in exp.coefficients)}
     lhs = [complex(0.0)] * len(points)
     peak = _nan_max([abs(v) for v in rhs])
     out = [peak / (1.0 + peak)]
     for deg, v in exp.coefficients:
-        for i, x in enumerate(points):
-            lhs[i] += v * evaluate(deg, x, exp.target_params)
+        for i, p in enumerate(values[deg]):
+            lhs[i] += v * p
         out.append(_nan_max([abs(t - s) for t, s in zip(lhs, rhs)]) / (1.0 + peak))
     return out
+
+
+def _value(m: complex, e: float, q: float) -> complex:
+    """A cursor's (m, e) as the complex ``evaluate`` returns: an unscaled
+    (p_n(x), 0) as it is, a scaled pair through unscale as little
+    q-Laguerre's evaluator does."""
+    return complex(m if e == 0 else unscale(m, e, q))
 
 
 def _nan_max(magnitudes: list[float]) -> float:

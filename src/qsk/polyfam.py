@@ -575,7 +575,8 @@ class Family:
         arithmetic of ``evaluate``, so degrees 0..N take N steps in all,
         and gives (p_n(x), 0).  Little q-Laguerre, the series family, is
         evaluated per degree: scaled for x > 0, (p_n(x), 0) for x <= 0.
-        A cursor whose call raised is spent."""
+        A cursor whose call raised is spent.  genfun's outer sum walks one
+        per point, and so does connect.prefix_residuals."""
         if self.steps is None:
             if _finite(x) > 0.0:
                 return lambda n: little_q_laguerre_scaled(n, x, params)

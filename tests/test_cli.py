@@ -138,6 +138,34 @@ def test_list_identities(capsys):
         assert want in out
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: ``fails`` names the call that
+    raises, as a write past the pipe buffer or the final flush would."""
+
+    def __init__(self, fails):
+        self.fails = fails
+
+    def write(self, text):
+        if self.fails == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.fails == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+def test_closed_stdout_exits_quietly(capsys, monkeypatch, fails):
+    """qsk list-identities | head -3: a reader that closes the pipe early
+    ends the command with the SIGPIPE status 141 and no traceback."""
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", _ClosedPipe(fails))
+        code = main(["list-identities"])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_empty_tags(tmp_path, capsys):
     out_path = tmp_path / "r.json"
     code, _, err = run(capsys, "verify", "--tags", "", "--out", str(out_path))

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from qsk import polyfam
 from qsk.errors import IllConditioned
 from qsk.connect import (
     ConnectionExpansion,
@@ -130,22 +131,98 @@ def _residual_of_first(exp, i, points):
     return worst / (1.0 + peak)
 
 
+def _signed(rng, lo, hi):
+    return rng.choice((-1, 1)) * rng.uniform(lo, hi)
+
+
+# The families, degrees and parameter ranges of the connect_expand
+# benchmark workload.
+_WORKLOAD = {
+    "aw": (aw_connection, range(17), lambda rng, q: [_signed(rng, 0.05, 0.6) for _ in range(4)]
+           + [_signed(rng, 0.08, 0.6)]),
+    "cqu": (ultra_connection, range(17), lambda rng, q: [_signed(rng, 0.1, 0.85) for _ in range(2)]),
+    "lql": (lql_connection, range(17), lambda rng, q: [rng.uniform(0.1, 0.9 / q) for _ in range(2)]),
+    "qlag": (qlag_connection, range(8), lambda rng, q: [rng.uniform(-0.75, 2.5) for _ in range(2)]),
+}
+
+
+def _workload_draws():
+    """One seeded draw per family and degree of the workload."""
+    for family, (build, degrees, draw) in _WORKLOAD.items():
+        rng = Random(f"prefix-parity:{family}")
+        for n in degrees:
+            q = rng.uniform(0.3, 0.75)
+            yield pytest.param(build(n, *draw(rng, q), q), id=f"{family}-{n}")
+
+
+# Points a caller may pass besides the sample points: x <= 0 takes little
+# q-Laguerre's 2phi1 branch, and x = 0 is q-Laguerre's lattice origin.
+_EXTRA_POINTS = {FamilyId.LITTLE_Q_LAGUERRE: [0.0, -0.5], FamilyId.Q_LAGUERRE: [0.0]}
+
+
 @pytest.mark.parametrize("exp", [
     aw_connection(6, 0.3, 0.2, 0.1, 0.05, 0.25, 0.5),
     ultra_connection(7, 0.3, 0.6, 0.7),
     lql_connection(5, 0.5, 0.25, 0.3),
     qlag_connection(6, 0.5, 1.25, 0.6),
+    *_workload_draws(),
 ])
 def test_prefix_residuals_are_the_residuals_of_each_leading_part(exp):
     """Entry i of the one-pass table equals the residual formula applied to
     the first i coefficients, bit for bit, and the last entry is the
     expansion's own residual."""
-    pts = sample_points(exp.family, exp.source_params.base.q)
+    pts = sample_points(exp.family, exp.source_params.base.q) + _EXTRA_POINTS.get(exp.family, [])
     table = prefix_residuals(exp, pts)
     assert len(table) == len(exp.coefficients) + 1
     assert table == [_residual_of_first(exp, i, pts) for i in range(len(table))]
-    assert table[-1] == expansion_residual(exp)
+    assert table[-1] == expansion_residual(exp, pts)
     assert table[0] > 1e-3 and table[-1] < 1e-9
+
+
+def test_prefix_residuals_raise_where_the_formula_does():
+    """alpha bcd = q makes the target recurrence's first denominator
+    1 - abcd q^-1 vanish, which no connection denominator screens: the
+    formula raises IllConditioned from the degree-1 target polynomial, and
+    so does the table, while the source polynomial is fine."""
+    exp = aw_connection(3, 0.3, 0.5, 0.5, 0.5, 4.0, 0.5)
+    pts = sample_points(exp.family, 0.5, 4)
+    for x in pts:
+        FAMILIES[exp.family].evaluate(exp.n, x, exp.source_params)
+    assert _residual_of_first(exp, 1, pts) > 0.0
+    with pytest.raises(IllConditioned):
+        _residual_of_first(exp, 2, pts)
+    with pytest.raises(IllConditioned):
+        prefix_residuals(exp, pts)
+
+
+@pytest.mark.parametrize("exp", [
+    aw_connection(16, 0.3, -0.2, 0.1, 0.05, 0.25, 0.5),
+    ultra_connection(16, 0.3, -0.6, 0.7),
+    qlag_connection(7, 0.5, 1.25, 0.6),
+], ids=["aw", "cqu", "qlag"])
+def test_prefix_residuals_walk_each_recurrence_once_per_point(monkeypatch, exp):
+    """Beyond the source evaluations, the table takes at most n + 1
+    recurrence steps per point, where evaluating each target degree from
+    degree 0 would take n (n + 1) / 2.  Both the evaluators and the cursors
+    advance through polyfam._recurrence, so counting its steps covers both."""
+    taken = 0
+    walk = polyfam._recurrence
+
+    def counted(steps, *state):
+        def each():
+            nonlocal taken
+            for step in steps:
+                taken += 1
+                yield step
+        return walk(each(), *state)
+
+    monkeypatch.setattr(polyfam, "_recurrence", counted)
+    pts = sample_points(exp.family, exp.source_params.base.q)
+    for x in pts:
+        FAMILIES[exp.family].evaluate(exp.n, x, exp.source_params)
+    source, taken = taken, 0
+    prefix_residuals(exp, pts)
+    assert source < taken <= source + len(pts) * (exp.n + 1)
 
 
 def test_nan_coefficient_scores_nan_not_zero():

@@ -626,8 +626,10 @@ def test_recurrence_families_against_mpmath(q, family, evaluate, reference, draw
     (FamilyId.Q_LAGUERRE, "q_laguerre"),
 ])
 def test_family_table_reaches_rebound_evaluators(monkeypatch, fid, name):
-    """Rebinding a polyfam evaluator reaches both the table and connect, which
-    is how a tracer wrapping the module attribute sees every call."""
+    """Rebinding a polyfam evaluator reaches both the table and connect's
+    source polynomial, which is how a tracer wrapping the module attribute
+    sees those calls.  connect's target polynomials come from one cursor
+    per point, which does not pass through the evaluator's name."""
     original = getattr(polyfam, name)
     calls = []
 
@@ -646,7 +648,7 @@ def test_family_table_reaches_rebound_evaluators(monkeypatch, fid, name):
     FAMILIES[fid].evaluate(2, x, exp.source_params)
     assert calls == [2]
     assert connect.expansion_residual(exp, [x]) < 1e-10
-    assert sorted(calls[1:]) == sorted([exp.n] + [k for k, _ in exp.coefficients])
+    assert calls[1:] == [exp.n]
 
 
 # --- cursors ----------------------------------------------------------------
