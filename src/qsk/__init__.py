@@ -8,7 +8,7 @@ definite integrals, infinite series, bilateral series, and q-integrals
 that follow from orthogonality.
 """
 
-from .bhs import SeriesResult, SeriesSpec, check_qbinomial, eval_phi
+from .bhs import SeriesResult, SeriesSpec, eval_phi
 from .connect import (
     ConnectionExpansion,
     aw_connection,
@@ -47,17 +47,7 @@ from .polyfam import (
     ultra_norm,
     ultra_weight,
 )
-from .qpoch import (
-    PochIdentity,
-    PochSymbol,
-    QBase,
-    check_lemma1,
-    check_poch_identity,
-    poch_finite,
-    poch_infinite,
-    q_factorial,
-    q_number,
-)
+from .qpoch import QBase, poch_finite, poch_infinite
 
 __version__ = "1.0.0"
 
@@ -70,8 +60,6 @@ __all__ = [
     "IdentityReport",
     "LqLParams",
     "ParamPoint",
-    "PochIdentity",
-    "PochSymbol",
     "QBase",
     "QLagParams",
     "SeriesResult",
@@ -81,9 +69,6 @@ __all__ = [
     "aw_connection",
     "aw_norm",
     "aw_weight",
-    "check_lemma1",
-    "check_poch_identity",
-    "check_qbinomial",
     "cont_q_ultra",
     "eval_lhs",
     "eval_phi",
@@ -96,9 +81,7 @@ __all__ = [
     "lql_norm",
     "poch_finite",
     "poch_infinite",
-    "q_factorial",
     "q_laguerre",
-    "q_number",
     "qlag_bilateral_norm",
     "qlag_connection",
     "qlag_continuous_norm",

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DivergentSeries, IllConditioned, NoConvergence, ZeroDenominator
-from .qpoch import QBase, as_base, check_tol, poch_infinite, scalar
+from .qpoch import QBase, as_base, check_tol, scalar
 
 # A numerator parameter a counts as q^(-m) when |a q^m - 1| < this.
 _TERMINATION_SLACK = 1e-12
@@ -240,16 +240,3 @@ def eval_phi(spec: SeriesSpec, tol: float = 1e-15,
     plan._setup(spec.base.q, tol, max_terms, spec.numerator, spec.denominator, (), (),
                 spec.numerator2, spec.denominator2)
     return plan(spec.z)
-
-
-def check_qbinomial(a: complex, z: complex, q: QBase | float) -> float:
-    """Residual of the q-binomial theorem:
-
-        |1phi0(a; -; q, z)  -  (az; q)_inf / (z; q)_inf|,   |z| < 1.
-    """
-    base = q if isinstance(q, QBase) else QBase(q)
-    if abs(z) >= 1.0:
-        raise DivergentSeries("q-binomial check needs |z| < 1")
-    lhs = eval_phi(SeriesSpec((complex(a),), (), z, base)).value
-    rhs = poch_infinite(complex(a) * complex(z), base) / poch_infinite(complex(z), base)
-    return abs(lhs - rhs)

@@ -9,10 +9,11 @@ connect          print the connection coefficients for one expansion
 verify           run identity/corollary suites, write a JSON report
 list-identities  show every verifiable tag with its validity domain
 
-Exit codes: 0 success (verify: no non-flagged failures), 2 invalid
-parameters, 3 infrastructure failure inside a suite, 141 stdout closed
-before all output was written (qsk list-identities | head -3; the status
-of a process ended by SIGPIPE), with no traceback.
+Exit codes: 0 success (verify: no non-flagged failures), 1 verify found
+failures, 2 invalid parameters or a report file that cannot be written,
+3 infrastructure failure inside a suite, 141 stdout closed before all
+output was written (qsk list-identities | head -3; the status of a
+process ended by SIGPIPE), with no traceback.
 
 Report schema ("qsk-report/1"): lower_snake_case field names, complex
 numbers as [re, im] pairs, residuals as scientific-notation strings.
@@ -330,10 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
-    except (QskError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it comes before the clause below
         # Point the descriptor at devnull, so that the interpreter's own
         # flush at exit finds nothing to fail on; a stream without a
         # descriptor is left as it is.
@@ -343,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull, fd)
             os.close(devnull)
         return 141  # 128 + SIGPIPE, as a process that SIGPIPE ended
+    except (QskError, ValueError, OSError) as exc:  # OSError: an unwritable --out
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ class EvalContext:
         object.__setattr__(self, "base", QBase(self.q))
         for name in ("max_terms", "outer_cap"):
             cap = getattr(self, name)
-            if isinstance(cap, bool) or cap < 1:
+            if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
                 raise PreconditionViolation(f"{name} must be an integer >= 1, got {cap!r}")
 
 
@@ -68,9 +68,6 @@ class ParamPoint:
 
     def intval(self, name: str) -> int:
         return int(round(self.get(name).real))
-
-    def has(self, name: str) -> bool:
-        return any(k == name for k, _ in self.values)
 
     def as_dict(self) -> dict[str, complex]:
         return dict(self.values)

@@ -944,32 +944,12 @@ def list_identities() -> list[dict[str, str]]:
     return out
 
 
-def source_of(tag: IdentityId | str) -> Optional[IdentityId]:
-    return entry_for(tag).source
-
-
 def in_domain(tag: IdentityId | str, point: ParamPoint, ctx: EvalContext) -> bool:
     return entry_for(tag).domain.contains(point, ctx.q)
 
 
-def t_bound(tag: IdentityId | str, point: ParamPoint, ctx: EvalContext) -> float:
-    return entry_for(tag).domain.t_bound(point, ctx.q)
-
-
 def sample_point(tag: IdentityId | str, rng: Random, q: float) -> ParamPoint:
     return entry_for(tag).sample(rng, q)
-
-
-def inner_series_spec(
-    tag: IdentityId | str, n: int, point: ParamPoint, ctx: EvalContext
-) -> SeriesSpec:
-    """The r_phi_s factor multiplying the degree-n polynomial on the
-    series side of a generalized identity (used by the orthogonality
-    corollaries, whose closed forms contain the same factor)."""
-    e = entry_for(tag)
-    if e.inner is None:
-        raise PreconditionViolation(f"{e.tag.value} is a source, no inner factor")
-    return e.inner(n, point, ctx)
 
 
 def outer_coefficient(

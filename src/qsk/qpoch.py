@@ -1,5 +1,4 @@
-"""q-Pochhammer symbols, q-numbers, q-factorials, and numeric checks of
-the classical identities and inequalities they satisfy.
+"""q-Pochhammer symbols, finite and infinite.
 
 Conventions
 -----------
@@ -7,9 +6,6 @@ Conventions
 * ``(a; q)_inf`` is the infinite product, absolutely convergent for |q| < 1.
   It is evaluated as the plain factors 1 - a q^j while |a q^j| > r =
   (1 - q)/4, then Euler's series for the rest (see ``ProductPlan``).
-* The q-number is ``[z]_q = (1 - q^z) / (1 - q)`` with the principal
-  branch of ``q^z`` for complex ``z``; the q-factorial is
-  ``[n]_q! = [1]_q [2]_q ... [n]_q``, so ``[n]_q! = (q;q)_n / (1-q)^n``.
 
 The base ``q`` is stored as a real double in the open interval (0, 1).
 Every downstream formula in this package assumes a real base in that
@@ -18,25 +14,14 @@ range, so complex bases are rejected at construction time.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Union
 
-from .errors import (
-    DegenerateDenominator,
-    IllConditioned,
-    NonConvergentTolerance,
-    PreconditionViolation,
-)
-
-# A Pochhammer value with modulus below this guard is treated as an exact
-# zero wherever it would sit in a denominator.
-DENOM_GUARD = 1e-300
+from .errors import IllConditioned, NonConvergentTolerance, PreconditionViolation
 
 # Fraction of the requested tolerance allotted to the first term left out
 # of the truncated Euler series of an infinite product.
@@ -70,10 +55,6 @@ class QBase:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _check_q(self.q))
-
-    def power(self, z: complex) -> complex:
-        """Principal-branch q**z for complex exponents."""
-        return cmath.exp(complex(z) * math.log(self.q))
 
 
 QLike = Union[QBase, float]
@@ -123,28 +104,6 @@ def unscale(m: complex, e: float, q: float) -> complex:
     if abs(arg) < _LOG_HUGE:
         return m * math.exp(arg)
     return m * math.exp(arg / 2.0) * math.exp(arg / 2.0)  # q**e alone leaves range
-
-
-@dataclass(frozen=True)
-class PochSymbol:
-    """A (possibly infinite) q-Pochhammer symbol ``(a; q)_order``.
-
-    ``order`` is a nonnegative integer or ``None`` for the infinite
-    product. ``value()`` evaluates it.
-    """
-
-    a: complex
-    base: QBase
-    order: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.order is not None and self.order < 0:
-            raise PreconditionViolation("order must be >= 0 or None")
-
-    def value(self) -> complex:
-        if self.order is None:
-            return poch_infinite(self.a, self.base)
-        return poch_finite(self.a, self.base, self.order)
 
 
 def poch_finite(a: complex, q: QLike, n: int) -> complex:
@@ -259,201 +218,3 @@ def poch_all_infinite(params: Iterable[complex], q: QLike) -> complex:
     for a in params:
         out *= poch_infinite(a, q)
     return out
-
-
-def q_number(z: complex, q: QLike) -> complex:
-    """The q-number ``[z]_q = (1 - q^z) / (1 - q)`` (principal branch)."""
-    qv = as_base(q)
-    return (1.0 - cmath.exp(complex(z) * math.log(qv))) / (1.0 - qv)
-
-
-def q_factorial(n: int, q: QLike) -> float:
-    """The q-factorial ``[n]_q! = [1]_q [2]_q ... [n]_q`` (1 for n = 0)."""
-    qv = as_base(q)
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
-    out = 1.0
-    t = 1.0
-    for _ in range(n):
-        t *= qv
-        out *= (1.0 - t) / (1.0 - qv)
-    return out
-
-
-class PochIdentity(Enum):
-    """Tags for the checkable q-Pochhammer identities.
-
-    ADD          (a;q)_{n+k} = (a;q)_n (a q^n; q)_k
-    SHIFT_UP     (a q^n; q)_k = (a;q)_k (a q^k; q)_n / (a;q)_n
-    NEG_SHIFT_N  (a q^-n; q)_n = (-a)^n q^(-n - C(n,2)) (q/a; q)_n
-    NEG_SHIFT_K  (a q^-n; q)_k = q^(-nk) (q/a;q)_n (a;q)_k / (q^(1-k)/a; q)_n
-    DOUBLE       (a; q)_{2n} = (a; q^2)_n (aq; q^2)_n
-    SQUARE       (a^2; q^2)_n = (a; q)_n (-a; q)_n
-    MIDPRODUCT   (a q^n; q)_n = (ra;q)_n (-ra;q)_n (rq;q)_n (-rq;q)_n / (a;q)_n
-                 with ra = sqrt(a), rq = sqrt(aq)
-    NEG_SQUARE   (-a^2; q^2)_n = (ia; q)_n (-ia; q)_n
-    """
-
-    ADD = "ADD"
-    SHIFT_UP = "SHIFT_UP"
-    NEG_SHIFT_N = "NEG_SHIFT_N"
-    NEG_SHIFT_K = "NEG_SHIFT_K"
-    DOUBLE = "DOUBLE"
-    SQUARE = "SQUARE"
-    MIDPRODUCT = "MIDPRODUCT"
-    NEG_SQUARE = "NEG_SQUARE"
-
-
-def _guard_denominator(value: complex, what: str) -> complex:
-    if abs(value) < DENOM_GUARD:
-        raise DegenerateDenominator(f"{what} vanishes")
-    return value
-
-
-def check_poch_identity(
-    ident: PochIdentity | str,
-    a: complex,
-    q: QLike,
-    n: int,
-    k: int = 0,
-) -> float:
-    """Evaluate both sides of the named identity and return |LHS - RHS|.
-
-    For MIDPRODUCT the two square roots are taken once (principal branch)
-    and the +/- partners formed by negation, so the pair products are
-    independent of the branch choice; NEG_SQUARE pairs +/- i*a the same
-    way.
-    """
-    ident = PochIdentity(ident)
-    qv = as_base(q)
-    if n < 0 or k < 0:
-        raise PreconditionViolation("orders n, k must be >= 0")
-    av = complex(a)
-
-    if ident is PochIdentity.ADD:
-        lhs = poch_finite(av, qv, n + k)
-        rhs = poch_finite(av, qv, n) * poch_finite(av * qv**n, qv, k)
-    elif ident is PochIdentity.SHIFT_UP:
-        lhs = poch_finite(av * qv**n, qv, k)
-        den = _guard_denominator(poch_finite(av, qv, n), "(a;q)_n")
-        rhs = poch_finite(av, qv, k) * poch_finite(av * qv**k, qv, n) / den
-    elif ident is PochIdentity.NEG_SHIFT_N:
-        _guard_denominator(av, "a")
-        lhs = poch_finite(av * qv**-n, qv, n)
-        rhs = (-av) ** n * qv ** (-n - math.comb(n, 2)) * poch_finite(qv / av, qv, n)
-    elif ident is PochIdentity.NEG_SHIFT_K:
-        _guard_denominator(av, "a")
-        lhs = poch_finite(av * qv**-n, qv, k)
-        den = _guard_denominator(
-            poch_finite(qv ** (1 - k) / av, qv, n), "(q^(1-k)/a;q)_n"
-        )
-        rhs = qv ** (-n * k) * poch_finite(qv / av, qv, n) * poch_finite(av, qv, k) / den
-    elif ident is PochIdentity.DOUBLE:
-        q2 = qv * qv
-        lhs = poch_finite(av, qv, 2 * n)
-        rhs = poch_finite(av, q2, n) * poch_finite(av * qv, q2, n)
-    elif ident is PochIdentity.SQUARE:
-        lhs = poch_finite(av * av, qv * qv, n)
-        rhs = poch_finite(av, qv, n) * poch_finite(-av, qv, n)
-    elif ident is PochIdentity.MIDPRODUCT:
-        ra = cmath.sqrt(av)
-        rq = ra * math.sqrt(qv)
-        lhs = poch_finite(av * qv**n, qv, n)
-        den = _guard_denominator(poch_finite(av, qv, n), "(a;q)_n")
-        rhs = (
-            poch_finite(ra, qv, n)
-            * poch_finite(-ra, qv, n)
-            * poch_finite(rq, qv, n)
-            * poch_finite(-rq, qv, n)
-            / den
-        )
-    elif ident is PochIdentity.NEG_SQUARE:
-        lhs = poch_finite(-av * av, qv * qv, n)
-        rhs = poch_finite(1j * av, qv, n) * poch_finite(-1j * av, qv, n)
-    else:  # pragma: no cover
-        raise PreconditionViolation(f"unknown identity {ident!r}")
-    return abs(lhs - rhs)
-
-
-def check_lemma1(
-    which: int,
-    q: QLike,
-    *,
-    u: complex | None = None,
-    v: float | None = None,
-    z: complex | None = None,
-    j: int | None = None,
-    k: int | None = None,
-    n: int | None = None,
-) -> float:
-    """Margin of one of the four product/quotient inequalities.
-
-    Each inequality is rewritten as ``bound - quantity`` (or
-    ``quantity - bound`` for the lower bound in case 1) so that a
-    nonnegative return value means the inequality holds.  Complex
-    quantities enter through their modulus.
-
-    1: |(q^u;q)_j| / (1-q)^j           >= [Re u]_q [j-1]_q!      (j >= 1)
-    2: |(q^u;q)_n| / (q;q)_n           <= [n+1]_q^(Re u)
-    3: |(q^(v+k);q)_n / (q^(u+k);q)_n| <= [n+1]_q^(v+1) / [Re u]_q
-    4: |(q^(z+k);q)_(n-k)| / (1-q)^(n-k)
-                                       <= ([n]_q!/[k]_q!) [n+1]_q^|z|  (k <= n)
-    """
-    qv = as_base(q)
-    base = QBase(qv)
-
-    def _qn(m: int) -> float:
-        return (1.0 - qv**m) / (1.0 - qv)
-
-    if which == 1:
-        if u is None or j is None:
-            raise PreconditionViolation("case 1 needs u and j")
-        if j < 1:
-            raise PreconditionViolation("j must be >= 1")
-        ru = complex(u).real
-        if ru <= 0.0:
-            raise PreconditionViolation("Re u must be > 0")
-        quantity = abs(poch_finite(base.power(u), qv, j)) / (1.0 - qv) ** j
-        bound = ((1.0 - qv**ru) / (1.0 - qv)) * q_factorial(j - 1, qv)
-        return quantity - bound
-
-    if which == 2:
-        if u is None or n is None:
-            raise PreconditionViolation("case 2 needs u and n")
-        if n < 0:
-            raise PreconditionViolation("n must be >= 0")
-        ru = complex(u).real
-        if ru <= 0.0:
-            raise PreconditionViolation("Re u must be > 0")
-        quantity = abs(poch_finite(base.power(u), qv, n)) / poch_finite(qv, qv, n).real
-        bound = _qn(n + 1) ** ru
-        return bound - quantity
-
-    if which == 3:
-        if u is None or v is None or k is None or n is None:
-            raise PreconditionViolation("case 3 needs u, v, k, n")
-        if v < 0.0 or k < 0 or n < 0:
-            raise PreconditionViolation("need v >= 0 and k, n >= 0")
-        ru = complex(u).real
-        if ru <= 0.0:
-            raise PreconditionViolation("Re u must be > 0")
-        den = _guard_denominator(
-            poch_finite(base.power(complex(u) + k), qv, n), "(q^(u+k);q)_n"
-        )
-        quantity = abs(poch_finite(qv ** (v + k), qv, n) / den)
-        bound = _qn(n + 1) ** (v + 1.0) / ((1.0 - qv**ru) / (1.0 - qv))
-        return bound - quantity
-
-    if which == 4:
-        if z is None or k is None or n is None:
-            raise PreconditionViolation("case 4 needs z, k, n")
-        if k < 0 or n < 0 or k > n:
-            raise PreconditionViolation("need 0 <= k <= n")
-        zz = complex(z)
-        quantity = abs(poch_finite(base.power(zz + k), qv, n - k)) / (1.0 - qv) ** (
-            n - k
-        )
-        bound = (q_factorial(n, qv) / q_factorial(k, qv)) * _qn(n + 1) ** abs(zz)
-        return bound - quantity
-
-    raise PreconditionViolation(f"which must be 1..4, got {which!r}")

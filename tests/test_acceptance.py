@@ -23,7 +23,6 @@ from random import Random
 
 import pytest
 
-from qsk.bhs import check_qbinomial
 from qsk.cli import SuiteConfig, run_suite
 from qsk.connect import (
     aw_connection,
@@ -38,7 +37,6 @@ from qsk.genfun import (
     SOURCES,
     IdentityId,
     sample_point,
-    source_of,
     verify_identity,
     verify_source,
 )
@@ -60,9 +58,15 @@ from qsk.polyfam import (
     QLagParams,
     UltraParams,
 )
-from qsk.qpoch import PochIdentity, check_lemma1, check_poch_identity
 
-from test_qpoch import sample_identity_case, sample_lemma_case
+from test_bhs import qbinomial_residual
+from test_qpoch import (
+    LEMMA1_MARGINS,
+    POCH_IDENTITIES,
+    identity_residual,
+    sample_identity_case,
+    sample_lemma_case,
+)
 
 
 def _report(idx: int, label: str, detail: str, t0: float, budget: float):
@@ -74,13 +78,13 @@ def _report(idx: int, label: str, detail: str, t0: float, budget: float):
 def test_criterion_1_pochhammer_identities():
     t0 = time.time()
     worst = 0.0
-    for ident in PochIdentity:
-        rng = Random(f"acc1:{ident.value}")
+    for name in POCH_IDENTITIES:
+        rng = Random(f"acc1:{name}")
         for _ in range(1000):
-            a, q, n, k = sample_identity_case(ident, rng)
-            r = check_poch_identity(ident, a, q, n, k)
+            a, q, n, k = sample_identity_case(name, rng)
+            r = identity_residual(name, a, q, n, k)
             worst = max(worst, r)
-            assert r < 1e-11, (ident, a, q, n, k)
+            assert r < 1e-11, (name, a, q, n, k)
     _report(1, "q-Pochhammer identity suite",
             f"8 x 1000 points, max residual {worst:.2e}", t0, 5.0)
 
@@ -92,7 +96,7 @@ def test_criterion_2_inequality_suite():
         rng = Random(f"acc2:{which}")
         for _ in range(1000):
             q, kw = sample_lemma_case(which, rng)
-            m = check_lemma1(which, q, **kw)
+            m = LEMMA1_MARGINS[which](q, **kw)
             worst = min(worst, m)
             assert m >= -1e-12, (which, q, kw)
     _report(2, "product inequality suite",
@@ -111,7 +115,7 @@ def test_criterion_3_qbinomial():
         q = rng.uniform(0.15, 0.8)
         a = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8))
         z = 0.9 * rng.uniform(-1.0, 1.0)
-        r = check_qbinomial(a, z, q)
+        r = qbinomial_residual(a, z, q)
         worst = max(worst, r)
         assert r < 1e-10, (a, z, q)
     _report(3, "q-binomial theorem", f"200 points, max residual {worst:.2e}",

@@ -166,6 +166,17 @@ def test_closed_stdout_exits_quietly(capsys, monkeypatch, fails):
     assert capsys.readouterr().err == ""
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    """A report path in a missing directory is a bad parameter: one error
+    line and exit 2, not a traceback and the status of failed checks."""
+    out_path = tmp_path / "missing" / "r.json"
+    code, _, err = run(capsys, "verify", "--tags", "T3", "--points", "1",
+                       "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error: ") and str(out_path) in err
+    assert "Traceback" not in err and not out_path.parent.exists()
+
+
 def test_verify_empty_tags(tmp_path, capsys):
     out_path = tmp_path / "r.json"
     code, _, err = run(capsys, "verify", "--tags", "", "--out", str(out_path))

@@ -23,8 +23,6 @@ from qsk.genfun import (
     list_identities,
     outer_coefficient,
     sample_point,
-    source_of,
-    t_bound,
     verify_identity,
     verify_source,
 )
@@ -38,9 +36,9 @@ def test_catalog_structure():
     rows = list_identities()
     assert len(rows) == 24
     for t in GENERALIZED:
-        assert source_of(t) in SOURCES
+        assert entry_for(t).source in SOURCES
     for t in SOURCES:
-        assert source_of(t) is None
+        assert entry_for(t).source is None
 
 
 @pytest.mark.parametrize("tag", [t for t in IdentityId])
@@ -88,7 +86,7 @@ def test_collapse_onto_source(tag):
     pt = pt.replace(**{COLLAPSES[tag]: pt.get(src_name)})
     rep = verify_identity(tag, pt, CTX)
     assert rep.rel_residual < 1e-12
-    src_rep = verify_source(source_of(tag), pt, CTX)
+    src_rep = verify_source(entry_for(tag).source, pt, CTX)
     assert rep.lhs == pytest.approx(src_rep.lhs, rel=1e-12, abs=1e-13)
     assert rep.rhs == pytest.approx(src_rep.rhs, rel=1e-11, abs=1e-12)
 
@@ -216,21 +214,22 @@ def test_eval_rhs_insufficient_truncation():
 
 def test_in_domain_and_bounds():
     pt = ParamPoint.of(beta=0.4, gamma=0.6, x=0.3, t=0.5)
-    assert t_bound("T3", pt, CTX) == 1.0
+    assert entry_for("T3").domain.t_bound(pt, CTX.q) == 1.0
     assert in_domain("T3", pt, CTX)
-    assert t_bound("T4", pt, CTX) == pytest.approx(1 - 0.16)
+    assert entry_for("T4").domain.t_bound(pt, CTX.q) == pytest.approx(1 - 0.16)
     assert not in_domain("T4", pt.replace(t=0.9), CTX)
     # T2 bound is (1-q)^3
     pt2 = ParamPoint.of(a=0.3, b=0.2, c=0.1, d=0.05, alpha=0.25, x=0.1, t=0.0)
-    assert t_bound("T2", pt2, CTX) == pytest.approx(0.125)
+    assert entry_for("T2").domain.t_bound(pt2, CTX.q) == pytest.approx(0.125)
 
 
 def test_eval_context_rejects_bool_caps():
-    # isinstance(True, int) holds, so a bool would pass as the cap 1
-    with pytest.raises(PreconditionViolation):
-        EvalContext(q=0.5, max_terms=True)
-    with pytest.raises(PreconditionViolation):
-        EvalContext(q=0.5, outer_cap=True)
+    # isinstance(True, int) holds, so a bool would pass as the cap 1; a
+    # float cap would reach range() in the series loop as a bare TypeError
+    for caps in (dict(max_terms=True), dict(outer_cap=True),
+                 dict(max_terms=2.5), dict(outer_cap=20.5)):
+        with pytest.raises(PreconditionViolation, match="must be an integer"):
+            EvalContext(q=0.5, **caps)
 
 
 def test_verify_identity_rejects_source_tags():
@@ -248,7 +247,7 @@ def test_consistency_chain():
     for tag in (IdentityId.T3, IdentityId.T13):
         pt = sample_point(tag, rng, 0.5)
         rep_gen = verify_identity(tag, pt, CTX)
-        rep_src = verify_source(source_of(tag), pt, CTX)
+        rep_src = verify_source(entry_for(tag).source, pt, CTX)
         assert rep_gen.rel_residual < 1e-9
         assert rep_src.rel_residual < 1e-9
         assert rep_gen.lhs == pytest.approx(rep_src.lhs, rel=1e-12)

@@ -26,10 +26,8 @@ from qsk import EvalContext, IdentityId, ParamPoint, eval_lhs, sample_point  # n
 from qsk.bhs import eval_phi  # noqa: E402
 from qsk.genfun import (  # noqa: E402
     entry_for,
-    inner_series_spec,
     lhs_integrand_factor,
     outer_coefficient,
-    source_of,
 )
 from qsk.orthofunc import list_corollaries  # noqa: E402
 from qsk.polyfam import (  # noqa: E402
@@ -146,7 +144,7 @@ def _oracle(tag: IdentityId, point, q: float) -> complex:
         mq = mp.mpf(q)
         # e = e^(i theta) for x = cos(theta); the lattice families ignore it
         e = mp.expj(mp.acos(v.x.real)) if abs(v.x.real) <= 1 else None
-        return complex(CLOSED[source_of(tag) or tag](v, mq, e))
+        return complex(CLOSED[entry_for(tag).source or tag](v, mq, e))
 
 
 def _check(tag: IdentityId, point, q: float) -> None:
@@ -409,7 +407,7 @@ def test_inner_series_against_mpmath(tag, q):
         v = SimpleNamespace(**{k: mp.mpc(val) for k, val in point})
         want = [complex(INNER[tag](v, mp.mpf(q), n)) for n in INNER_DEGREES]
     for n, w in zip(INNER_DEGREES, want):
-        got = eval_phi(inner_series_spec(tag, n, point, ctx)).value
+        got = eval_phi(entry_for(tag).inner(n, point, ctx)).value
         assert abs(got - w) <= TOL * (1.0 + abs(w)), (point.canonical(), n, got, w)
 
 
@@ -467,7 +465,7 @@ def test_integrand_kernel_at_nodes_against_mpmath(tag, q):
     """Each corollary's kernel, as a functional evaluates it node by node,
     against the closed form divided by its prefactor."""
     point = sample_point(tag, Random(f"kernel:{tag.value}:{q}"), q)
-    source = source_of(tag) or tag
+    source = entry_for(tag).source or tag
     ctx = EvalContext(q=q)
     for theta in THETAS:
         x = _node_x(entry_for(tag).family, theta)

@@ -10,7 +10,7 @@ import pytest
 from qsk.bhs import SeriesSpec, eval_phi
 from qsk.context import EvalContext, ParamPoint
 from qsk.errors import PreconditionViolation, TailNonConvergence
-from qsk.genfun import IdentityId, inner_series_spec, outer_coefficient
+from qsk.genfun import IdentityId, entry_for, outer_coefficient
 from qsk.orthofunc import (
     FLAGGED_COROLLARIES,
     CorollaryId,
@@ -327,7 +327,7 @@ def test_t9_derived_integral_extra():
     lhs = inner_product(spec, kernel, g)
     rhs = (
         outer_coefficient("T9", n, point, ctx)
-        * eval_phi(inner_series_spec("T9", n, point, ctx)).value
+        * eval_phi(entry_for("T9").inner(n, point, ctx)).value
         * ultra_norm(n, tgt)
     )
     assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))

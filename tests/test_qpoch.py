@@ -11,25 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsk.errors import (
-    DegenerateDenominator,
-    IllConditioned,
-    NonConvergentTolerance,
-    PreconditionViolation,
-)
+from qsk.errors import IllConditioned, NonConvergentTolerance, PreconditionViolation
 from qsk.qpoch import (
-    PochIdentity,
-    PochSymbol,
     ProductPlan,
     QBase,
     _euler_table,
     as_base,
-    check_lemma1,
-    check_poch_identity,
     poch_finite,
     poch_infinite,
-    q_factorial,
-    q_number,
     renorm,
     scalar,
     unscale,
@@ -82,8 +71,7 @@ def test_bare_float_base_is_validated(bad):
     """The fast path of the base check admits only an exact float inside
     (0, 1); every other invalid base still raises, through each entry."""
     for check in (QBase, as_base, lambda q: poch_finite(0.3, q, 3),
-                  lambda q: poch_infinite(0.3, q), lambda q: ProductPlan(0.3, q),
-                  lambda q: q_number(2.0, q)):
+                  lambda q: poch_infinite(0.3, q), lambda q: ProductPlan(0.3, q)):
         with pytest.raises(PreconditionViolation):
             check(bad)
 
@@ -209,28 +197,28 @@ def test_poch_infinite_rejects_bad_tolerance():
             poch_infinite(0.5, 0.5, tol)
 
 
-def test_poch_symbol_wrapper():
-    s = PochSymbol(0.5, QBase(0.5), 2)
-    assert s.value() == pytest.approx(0.375)
-    inf = PochSymbol(0.5, QBase(0.5), None)
-    assert abs(inf.value() - poch_infinite(0.5, 0.5)) == 0.0
-    with pytest.raises(PreconditionViolation):
-        PochSymbol(0.5, QBase(0.5), -1)
+def q_number(x: float, q: float) -> float:
+    """The q-number [x]_q = (1 - q^x) / (1 - q) at real x."""
+    return (1.0 - q**x) / (1.0 - q)
 
 
-def test_q_number_examples():
-    assert q_number(1.0, 0.5) == pytest.approx(1.0)
-    assert q_number(3.0, 0.5) == pytest.approx(1.75)
-    assert abs(q_number(0.0, 0.9)) < 1e-15
-    # complex exponent, principal branch
-    z = 0.5 + 0.2j
-    q = 0.3
-    assert q_number(z, q) == pytest.approx(
-        (1.0 - cmath.exp(z * math.log(q))) / (1.0 - q)
-    )
+def q_power(z: complex, q: float) -> complex:
+    """Principal-branch q^z at complex z."""
+    return cmath.exp(complex(z) * math.log(q))
+
+
+def q_factorial(n: int, q: float) -> float:
+    """The q-factorial [n]_q! = [1]_q [2]_q ... [n]_q (1 for n = 0)."""
+    out = 1.0
+    t = 1.0
+    for _ in range(n):
+        t *= q
+        out *= (1.0 - t) / (1.0 - q)
+    return out
 
 
 def test_q_factorial():
+    """The helper that criterion 2's bounds rest on."""
     assert q_factorial(0, 0.3) == 1.0
     assert q_factorial(2, 0.5) == pytest.approx(1.5)
     # [n]_q! = (q; q)_n / (1-q)^n
@@ -241,59 +229,101 @@ def test_q_factorial():
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-IDENTITY_GRIDS = {
-    PochIdentity.ADD: dict(nmax=10, kmax=10, qlo=0.2, qhi=0.85),
-    PochIdentity.SHIFT_UP: dict(nmax=10, kmax=10, qlo=0.2, qhi=0.85),
-    PochIdentity.NEG_SHIFT_N: dict(nmax=4, kmax=0, qlo=0.45, qhi=0.85),
-    PochIdentity.NEG_SHIFT_K: dict(nmax=4, kmax=4, qlo=0.45, qhi=0.85),
-    PochIdentity.DOUBLE: dict(nmax=10, kmax=0, qlo=0.2, qhi=0.85),
-    PochIdentity.SQUARE: dict(nmax=10, kmax=0, qlo=0.2, qhi=0.85),
-    PochIdentity.MIDPRODUCT: dict(nmax=8, kmax=0, qlo=0.3, qhi=0.85),
-    PochIdentity.NEG_SQUARE: dict(nmax=10, kmax=0, qlo=0.2, qhi=0.85),
+def _midproduct(a: complex, q: float, n: int) -> complex:
+    """(ra;q)_n (-ra;q)_n (rq;q)_n (-rq;q)_n / (a;q)_n, ra = sqrt(a) and
+    rq = sqrt(aq): each root taken once (principal branch) and its partner
+    formed by negation, so the pair products do not depend on the branch."""
+    ra = cmath.sqrt(a)
+    rq = ra * math.sqrt(q)
+    return (poch_finite(ra, q, n) * poch_finite(-ra, q, n) * poch_finite(rq, q, n)
+            * poch_finite(-rq, q, n) / poch_finite(a, q, n))
+
+
+# The eight q-Pochhammer identities as (lhs, rhs) of (a, q, n, k).
+POCH_IDENTITIES = {
+    # (a;q)_{n+k} = (a;q)_n (a q^n; q)_k
+    "ADD": (lambda a, q, n, k: poch_finite(a, q, n + k),
+            lambda a, q, n, k: poch_finite(a, q, n) * poch_finite(a * q**n, q, k)),
+    # (a q^n; q)_k = (a;q)_k (a q^k; q)_n / (a;q)_n
+    "SHIFT_UP": (lambda a, q, n, k: poch_finite(a * q**n, q, k),
+                 lambda a, q, n, k: poch_finite(a, q, k) * poch_finite(a * q**k, q, n)
+                 / poch_finite(a, q, n)),
+    # (a q^-n; q)_n = (-a)^n q^(-n - C(n,2)) (q/a; q)_n
+    "NEG_SHIFT_N": (lambda a, q, n, k: poch_finite(a * q**-n, q, n),
+                    lambda a, q, n, k: (-a) ** n * q ** (-n - math.comb(n, 2))
+                    * poch_finite(q / a, q, n)),
+    # (a q^-n; q)_k = q^(-nk) (q/a;q)_n (a;q)_k / (q^(1-k)/a; q)_n
+    "NEG_SHIFT_K": (lambda a, q, n, k: poch_finite(a * q**-n, q, k),
+                    lambda a, q, n, k: q ** (-n * k) * poch_finite(q / a, q, n)
+                    * poch_finite(a, q, k) / poch_finite(q ** (1 - k) / a, q, n)),
+    # (a; q)_{2n} = (a; q^2)_n (aq; q^2)_n
+    "DOUBLE": (lambda a, q, n, k: poch_finite(a, q, 2 * n),
+               lambda a, q, n, k: poch_finite(a, q * q, n) * poch_finite(a * q, q * q, n)),
+    # (a^2; q^2)_n = (a; q)_n (-a; q)_n
+    "SQUARE": (lambda a, q, n, k: poch_finite(a * a, q * q, n),
+               lambda a, q, n, k: poch_finite(a, q, n) * poch_finite(-a, q, n)),
+    # (a q^n; q)_n = (ra;q)_n (-ra;q)_n (rq;q)_n (-rq;q)_n / (a;q)_n
+    "MIDPRODUCT": (lambda a, q, n, k: poch_finite(a * q**n, q, n),
+                   lambda a, q, n, k: _midproduct(a, q, n)),
+    # (-a^2; q^2)_n = (ia; q)_n (-ia; q)_n
+    "NEG_SQUARE": (lambda a, q, n, k: poch_finite(-a * a, q * q, n),
+                   lambda a, q, n, k: poch_finite(1j * a, q, n) * poch_finite(-1j * a, q, n)),
 }
 
 
-def sample_identity_case(ident: PochIdentity, rng: Random):
+def identity_residual(name: str, a: complex, q: float, n: int, k: int = 0) -> float:
+    """|LHS - RHS| of the named identity at complex a."""
+    lhs, rhs = POCH_IDENTITIES[name]
+    a = complex(a)
+    return abs(lhs(a, q, n, k) - rhs(a, q, n, k))
+
+
+IDENTITY_GRIDS = {
+    "ADD": dict(nmax=10, kmax=10, qlo=0.2, qhi=0.85),
+    "SHIFT_UP": dict(nmax=10, kmax=10, qlo=0.2, qhi=0.85),
+    "NEG_SHIFT_N": dict(nmax=4, kmax=0, qlo=0.45, qhi=0.85),
+    "NEG_SHIFT_K": dict(nmax=4, kmax=4, qlo=0.45, qhi=0.85),
+    "DOUBLE": dict(nmax=10, kmax=0, qlo=0.2, qhi=0.85),
+    "SQUARE": dict(nmax=10, kmax=0, qlo=0.2, qhi=0.85),
+    "MIDPRODUCT": dict(nmax=8, kmax=0, qlo=0.3, qhi=0.85),
+    "NEG_SQUARE": dict(nmax=10, kmax=0, qlo=0.2, qhi=0.85),
+}
+
+
+def sample_identity_case(name: str, rng: Random):
     """Random admissible (a, q, n, k), rejecting near-degenerate
-    denominators for the tags that divide by a Pochhammer value."""
-    g = IDENTITY_GRIDS[ident]
+    denominators for the identities that divide by a Pochhammer value."""
+    g = IDENTITY_GRIDS[name]
     while True:
         q = rng.uniform(g["qlo"], g["qhi"])
         a = cmath.rect(rng.uniform(0.1, 1.4), rng.uniform(0.0, 2.0 * math.pi))
         n = rng.randint(0, g["nmax"])
         k = rng.randint(0, g["kmax"]) if g["kmax"] else 0
-        if ident in (PochIdentity.NEG_SHIFT_N, PochIdentity.NEG_SHIFT_K):
+        if name in ("NEG_SHIFT_N", "NEG_SHIFT_K"):
             if abs(a) < 0.3:
                 continue
-        if ident in (PochIdentity.SHIFT_UP, PochIdentity.MIDPRODUCT):
+        if name in ("SHIFT_UP", "MIDPRODUCT"):
             if min(abs(1.0 - a * q**j) for j in range(max(n, 1))) < 0.05:
                 continue
-        if ident is PochIdentity.NEG_SHIFT_K:
+        if name == "NEG_SHIFT_K":
             if abs(brute_poch(q ** (1 - k) / a, q, n)) < 0.05:
                 continue
         return a, q, n, k
 
 
-@pytest.mark.parametrize("ident", list(PochIdentity))
-def test_poch_identities_random_grid(ident):
-    rng = Random(f"ident:{ident.value}")
+# the ids keep the form this test has always printed under
+@pytest.mark.parametrize("name", list(POCH_IDENTITIES), ids=lambda n: f"PochIdentity.{n}")
+def test_poch_identities_random_grid(name):
+    rng = Random(f"ident:{name}")
     for _ in range(150):
-        a, q, n, k = sample_identity_case(ident, rng)
-        assert check_poch_identity(ident, a, q, n, k) < 1e-11
+        a, q, n, k = sample_identity_case(name, rng)
+        assert identity_residual(name, a, q, n, k) < 1e-11
 
 
 def test_poch_identity_pinned_cases():
-    assert check_poch_identity(PochIdentity.ADD, 0.3, 0.5, 2, 3) < 1e-13
-    assert check_poch_identity(PochIdentity.SQUARE, 0.6, 0.25, 4) < 1e-13
-    assert check_poch_identity(PochIdentity.NEG_SHIFT_N, 0.8, 0.5, 3) < 1e-12
-
-
-def test_poch_identity_degenerate_denominator():
-    # a = q^-1 makes (a; q)_n vanish for n >= 2
-    with pytest.raises(DegenerateDenominator):
-        check_poch_identity(PochIdentity.SHIFT_UP, 2.0, 0.5, 2, 1)
-    with pytest.raises(DegenerateDenominator):
-        check_poch_identity(PochIdentity.NEG_SHIFT_N, 0.0, 0.5, 2)
+    assert identity_residual("ADD", 0.3, 0.5, 2, 3) < 1e-13
+    assert identity_residual("SQUARE", 0.6, 0.25, 4) < 1e-13
+    assert identity_residual("NEG_SHIFT_N", 0.8, 0.5, 3) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -332,6 +362,38 @@ def test_splitting_law_full_grid():
 
 
 # --- inequality margins ----------------------------------------------------
+# Each inequality of Lemma 1 as ``bound - quantity`` (``quantity - bound``
+# for the lower bound of case 1), so that a nonnegative margin means it
+# holds; complex quantities enter through their modulus.
+
+
+def lemma1_case1(q: float, u: complex, j: int) -> float:
+    """|(q^u;q)_j| / (1-q)^j >= [Re u]_q [j-1]_q!  (j >= 1)"""
+    quantity = abs(poch_finite(q_power(u, q), q, j)) / (1.0 - q) ** j
+    return quantity - q_number(complex(u).real, q) * q_factorial(j - 1, q)
+
+
+def lemma1_case2(q: float, u: complex, n: int) -> float:
+    """|(q^u;q)_n| / (q;q)_n <= [n+1]_q^(Re u)"""
+    quantity = abs(poch_finite(q_power(u, q), q, n)) / poch_finite(q, q, n).real
+    return q_number(n + 1, q) ** complex(u).real - quantity
+
+
+def lemma1_case3(q: float, u: complex, v: float, k: int, n: int) -> float:
+    """|(q^(v+k);q)_n / (q^(u+k);q)_n| <= [n+1]_q^(v+1) / [Re u]_q"""
+    quantity = abs(poch_finite(q ** (v + k), q, n)
+                   / poch_finite(q_power(complex(u) + k, q), q, n))
+    return q_number(n + 1, q) ** (v + 1.0) / q_number(complex(u).real, q) - quantity
+
+
+def lemma1_case4(q: float, z: complex, k: int, n: int) -> float:
+    """|(q^(z+k);q)_(n-k)| / (1-q)^(n-k) <= ([n]_q!/[k]_q!) [n+1]_q^|z|  (k <= n)"""
+    z = complex(z)
+    quantity = abs(poch_finite(q_power(z + k, q), q, n - k)) / (1.0 - q) ** (n - k)
+    return (q_factorial(n, q) / q_factorial(k, q)) * q_number(n + 1, q) ** abs(z) - quantity
+
+
+LEMMA1_MARGINS = {1: lemma1_case1, 2: lemma1_case2, 3: lemma1_case3, 4: lemma1_case4}
 
 
 def sample_lemma_case(which: int, rng: Random):
@@ -362,28 +424,15 @@ def test_lemma_margins_random_grid(which):
     rng = Random(f"lemma:{which}")
     for _ in range(300):
         q, kw = sample_lemma_case(which, rng)
-        assert check_lemma1(which, q, **kw) >= -1e-12
+        assert LEMMA1_MARGINS[which](q, **kw) >= -1e-12
 
 
 def test_lemma_margin_pinned_cases():
     # equality case: (q; q)_1 / (1-q) = 1 = [1]_q [0]_q!
-    assert check_lemma1(1, 0.5, u=1.0, j=1) == pytest.approx(0.0, abs=1e-14)
+    assert lemma1_case1(0.5, u=1.0, j=1) == pytest.approx(0.0, abs=1e-14)
     # u = 1 gives ratio 1 <= [4]_q
-    assert check_lemma1(2, 0.5, u=1.0, n=3) > 0.0
-    assert check_lemma1(4, 0.3, z=0.5 + 0.2j, k=1, n=4) >= 0.0
-
-
-def test_lemma_preconditions():
-    with pytest.raises(PreconditionViolation):
-        check_lemma1(1, 0.5, u=-1.0, j=2)
-    with pytest.raises(PreconditionViolation):
-        check_lemma1(1, 0.5, u=1.0, j=0)
-    with pytest.raises(PreconditionViolation):
-        check_lemma1(3, 0.5, u=1.0, v=-0.5, k=0, n=2)
-    with pytest.raises(PreconditionViolation):
-        check_lemma1(4, 0.5, z=1.0, k=3, n=2)
-    with pytest.raises(PreconditionViolation):
-        check_lemma1(5, 0.5, u=1.0, n=1)
+    assert lemma1_case2(0.5, u=1.0, n=3) > 0.0
+    assert lemma1_case4(0.3, z=0.5 + 0.2j, k=1, n=4) >= 0.0
 
 
 def test_bool_tolerance_is_rejected():
