@@ -31,13 +31,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DivergentSeries, IllConditioned, NoConvergence, ZeroDenominator
-from .qpoch import QBase, as_base, check_tol, scalar
+from .errors import (DivergentSeries, IllConditioned, NoConvergence,
+                     PreconditionViolation, ZeroDenominator)
+from .qpoch import QBase, as_base, scalar
 
 # A numerator parameter a counts as q^(-m) when |a q^m - 1| < this.
 _TERMINATION_SLACK = 1e-12
 
-# Consecutive negligible terms required before a non-terminating sum stops.
+# A non-terminating sum stops after _SMALL_STREAK consecutive terms at
+# most _TOL times the partial sum.
+_TOL = 1e-15
 _SMALL_STREAK = 3
 
 DEFAULT_MAX_TERMS = 10000
@@ -102,20 +105,18 @@ class SeriesPlan:
     Termination and zero denominators of the fixed parameters are settled
     once, those of the scaled ones at every node."""
 
-    __slots__ = ("_q", "_num", "_den", "_snum", "_sden", "_num2", "_den2", "_tol",
+    __slots__ = ("_q", "_num", "_den", "_snum", "_sden", "_num2", "_den2",
                  "_max_terms", "_stop", "_c", "_pnum", "_pden")
 
     def __init__(self, numerator, denominator, base: QBase | float,
-                 scaled_num=(), scaled_den=(), num2=(), den2=(), tol: float = 1e-15,
+                 scaled_num=(), scaled_den=(), num2=(), den2=(),
                  max_terms: int = DEFAULT_MAX_TERMS) -> None:
         params = (numerator, denominator, scaled_num, scaled_den, num2, den2)
-        self._setup(as_base(base), tol, max_terms, *(tuple(map(scalar, p)) for p in params))
+        self._setup(as_base(base), max_terms, *(tuple(map(scalar, p)) for p in params))
 
-    def _setup(self, q: float, tol: float, max_terms: int,
-               num, den, snum, sden, num2, den2) -> None:
+    def _setup(self, q: float, max_terms: int, num, den, snum, sden, num2, den2) -> None:
         """Bind the plan to parameter tuples already passed through ``scalar``."""
-        check_tol(tol)
-        self._q, self._tol, self._max_terms = q, tol, max_terms
+        self._q, self._max_terms = q, max_terms
         self._num, self._den, self._snum, self._sden, self._num2, self._den2 = (
             num, den, snum, sden, num2, den2)
         self._stop = min(_termination_index(self._num, q, max_terms),
@@ -127,9 +128,13 @@ class SeriesPlan:
                  v: complex | None = None) -> SeriesResult:
         """Sum the series at the node.  Non-terminating series require
         r <= s + 1, and |z| < 1 when r = s + 1.  The sum stops after three
-        consecutive terms below ``tol`` times the partial sum, which guards
+        consecutive terms below 1e-15 times the partial sum, which guards
         against isolated near-zero terms when a numerator parameter sits
-        close to q^(-m).  A sum that is not finite raises IllConditioned."""
+        close to q^(-m).  A z that is not finite raises PreconditionViolation
+        before any term is summed; a sum that is not finite raises
+        IllConditioned."""
+        if not cmath.isfinite(z):
+            raise PreconditionViolation(f"series argument must be finite, got {z!r}")
         q, num, den, num2, den2 = self._q, self._num, self._den, self._num2, self._den2
         snum, sden, max_terms = self._snum, self._sden, self._max_terms
         r = len(num) + len(snum) + 2 * len(num2)
@@ -148,7 +153,7 @@ class SeriesPlan:
         if v is None:
             v = u
         sign_exp = 1 + s - r
-        c, pnum, pden, tol = self._c, self._pnum, self._pden, self._tol
+        c, pnum, pden, tol = self._c, self._pnum, self._pden, _TOL
         built = len(c)
         qk1 = q**built  # q^k of the first degree to build
         small, wide = tol * 1e-300, tol * (1.0 + 1e-9)
@@ -232,11 +237,10 @@ def _zero_denominator(b: complex, k: int) -> ZeroDenominator:
     return ZeroDenominator(f"denominator parameter {b!r} hits q^-{k} before termination")
 
 
-def eval_phi(spec: SeriesSpec, tol: float = 1e-15,
-             max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
+def eval_phi(spec: SeriesSpec, max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
     """Sum the series described by ``spec``: its plan, with no parameter
     scaled, evaluated once at its z."""
     plan = SeriesPlan.__new__(SeriesPlan)  # the spec's tuples are normalised already
-    plan._setup(spec.base.q, tol, max_terms, spec.numerator, spec.denominator, (), (),
+    plan._setup(spec.base.q, max_terms, spec.numerator, spec.denominator, (), (),
                 spec.numerator2, spec.denominator2)
     return plan(spec.z)

@@ -20,8 +20,8 @@ class EvalContext:
 
     ``base`` is the validated QBase of q, built once.  The tolerances are
     fixed: outer truncations agree to 1e-9 (``genfun``), functionals to
-    1e-10 (``orthofunc``), series and infinite products stop at 1e-15 (the
-    defaults of ``eval_phi`` and ``poch_infinite``).
+    1e-10 (``orthofunc``), series and infinite products stop at 1e-15
+    (``bhs`` and ``qpoch``).
     """
 
     q: float

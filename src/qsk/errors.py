@@ -9,10 +9,6 @@ class PreconditionViolation(QskError):
     """An argument lies outside the stated domain of the operation."""
 
 
-class NonConvergentTolerance(QskError):
-    """A tolerance argument is non-finite or not strictly positive."""
-
-
 class DegenerateDenominator(QskError):
     """A Pochhammer symbol in a denominator vanishes (or is below the
     machine guard), so the requested quantity is undefined."""

@@ -7,7 +7,8 @@ Two kinds of entries share one report format:
   in the Koekoek/Lesky/Swarttouw reference catalog;
 * generalized identities (tags T2..T15): the same closed forms re-expanded
   over the family with one parameter replaced, whose coefficients pick up
-  an extra r_phi_s factor.
+  an extra r_phi_s factor.  Each names its source and takes the source's
+  kernel, prefactor and family.
 
 Each closed form is stored split as prefactor(point) * kernel(x, point):
 the kernel holds every x-dependent factor and is what an orthogonality
@@ -33,7 +34,11 @@ as base-q^2 parameters of the ``SeriesSpec``.
 series side with outer truncation escalated 16, 32, 64, ... (starting
 lower when the outer cap is below 16) until two successive truncations
 agree to 1e-9 relative to 1 + |sum|, and reports the residual.
-Out-of-domain points are still evaluated but flagged.
+A point is in an identity's domain when its values are finite, x is on
+the family's support (``Family.x_range``), the family records of the
+source's and the identity's parameters construct (Askey-Wilson ones
+orthogonal) and |t| is below the ``DomainPredicate`` bound.  Points outside
+are still evaluated but flagged; a non-finite value is refused.
 """
 
 from __future__ import annotations
@@ -42,13 +47,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from random import Random
 from typing import Callable, NamedTuple, Optional
 
 from .bhs import SeriesPlan, SeriesSpec, eval_phi
 from .context import EvalContext, ParamPoint
 from .errors import InsufficientTruncation, PreconditionViolation
-from .polyfam import FAMILIES, FamilyId
+from .polyfam import FAMILIES, FamilyId, _theta
 from .qpoch import ProductPlan, poch_all, poch_infinite, unscale
 
 # Two outer truncations agreeing to this, relative to 1 + |sum|, settle
@@ -100,17 +106,13 @@ SOURCES: tuple[IdentityId, ...] = tuple(
 
 @dataclass(frozen=True)
 class DomainPredicate:
-    """Validity region of one identity: a bound on |t| plus parameter
-    range checks, both taken verbatim from the identity's hypotheses."""
+    """The bound on |t| of one identity, taken verbatim from its
+    hypotheses, and the text of its whole domain.  The parameter ranges
+    and the support of x are those of the family records; see
+    ``_Entry.contains``."""
 
     t_bound: Callable[[ParamPoint, float], float]
-    params_ok: Callable[[ParamPoint, float], bool]
     describe: str
-
-    def contains(self, point: ParamPoint, q: float) -> bool:
-        if not self.params_ok(point, q):
-            return False
-        return abs(point.get("t")) < self.t_bound(point, q)
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,10 @@ def _record(names: str,
     return lambda pt, ctx: Coef(*build(*(pt.get(nm) for nm in names.split()), ctx.q))
 
 
+def _finite(pt: ParamPoint) -> bool:
+    return all(cmath.isfinite(v) for _, v in pt)
+
+
 @dataclass(frozen=True)
 class _Entry:
     tag: IdentityId
@@ -179,13 +185,19 @@ class _Entry:
     inner: Optional[Callable[[int, ParamPoint, EvalContext], SeriesSpec]]
     family: FamilyId  # the series side expands over this family ...
     names: tuple[str, ...]  # ... with the parameters of these point names
-    sample: Callable[[Random, float], ParamPoint]
+    # (rng, q, t_bound) -> a point inside the domain whose |t| bound is given
+    sample: Callable[[Random, float, Callable[[ParamPoint, float], float]], ParamPoint]
     describe: str
     # The x-independent factor of the closed form, None when it is 1.
-    pref: Optional[Callable[[ParamPoint, EvalContext], complex]] = None
+    pref: Optional[Callable[[ParamPoint, EvalContext], complex]]
+    # The point names of each family record the domain requires: the
+    # source's parameters, then (for a generalized entry) its own.
+    domain_names: tuple[tuple[str, ...], ...]
 
     def lhs(self, pt: ParamPoint, ctx: EvalContext) -> complex:
         """The closed form at the point: prefactor times kernel at its x."""
+        if not _finite(pt):
+            raise PreconditionViolation(f"point values must be finite: {pt.canonical()}")
         value = self.kernel(pt, ctx)(pt.real("x"))
         return value if self.pref is None else self.pref(pt, ctx) * value
 
@@ -193,21 +205,33 @@ class _Entry:
         """The parameter record of the expansion family at this point."""
         return FAMILIES[self.family].params(*(pt.get(nm) for nm in self.names), ctx.base)
 
+    def contains(self, pt: ParamPoint, ctx: EvalContext) -> bool:
+        """Whether the point lies in the identity's domain: every value is
+        finite, x is on the family's support, the family records of
+        ``domain_names`` construct (Askey-Wilson ones are orthogonal, too) and
+        |t| is below the domain's bound."""
+        fam = FAMILIES[self.family]
+        lo, hi = fam.x_range
+        if not (_finite(pt) and lo <= pt.real("x") <= hi):
+            return False
+        for names in self.domain_names:
+            try:
+                rec = fam.params(*(pt.get(nm) for nm in names), ctx.base)
+            except PreconditionViolation:
+                return False
+            if self.family is FamilyId.ASKEY_WILSON and not rec.orthogonal():
+                return False
+        return abs(pt.get("t")) < self.domain.t_bound(pt, ctx.q)
+
 
 def _expi(x: float) -> complex:
     """e^(i theta) for x = cos(theta), theta in [0, pi]."""
-    if abs(x) > 1.0 + 1e-12:
-        raise PreconditionViolation(f"need |x| <= 1, got {x!r}")
-    return cmath.exp(1j * math.acos(max(-1.0, min(1.0, x))))
+    return cmath.exp(1j * _theta(x))
 
 
 def _series(num, den, ctx: EvalContext, scaled_num=(), scaled_den=()) -> SeriesPlan:
     return SeriesPlan(num, den, ctx.base, scaled_num, scaled_den,
                       max_terms=ctx.max_terms)
-
-
-def _pinf(a: complex, ctx: EvalContext) -> complex:
-    return poch_infinite(a, ctx.base)
 
 
 def _at_e(f: Callable[[complex], complex]) -> Callable[[float], complex]:
@@ -243,15 +267,6 @@ def _signed(rng: Random, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _aw_ok(names: str):
-    def ok(pt: ParamPoint, q: float) -> bool:
-        if abs(pt.real("x")) > 1.0:
-            return False
-        return all(abs(pt.get(n)) < 1.0 for n in names)
-
-    return ok
-
-
 def _kernel_aw(pt: ParamPoint, ctx: EvalContext):
     a, b, c, d, t = (pt.get(n) for n in "abcdt")
     return _phi_pair(t, (a, b), (a * b,), (c, d), (c * d,), ctx)
@@ -270,37 +285,17 @@ def _inner_t2(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     )
 
 
-def _sample_aw(rng: Random, q: float, with_alpha: bool) -> ParamPoint:
+def _sample_aw(rng: Random, q: float, t_bound, with_alpha: bool = False) -> ParamPoint:
     vals = {nm: _signed(rng, 0.08, 0.6) for nm in "abcd"}
     if with_alpha:
         vals["alpha"] = _signed(rng, 0.08, 0.6)
-    vals["t"] = _tpick(rng, (1.0 - q) ** 3 if with_alpha else 1.0)
-    vals["x"] = _xcos(rng)
-    return ParamPoint.of(**vals)
+    pt = ParamPoint.of(**vals)  # t is drawn before x
+    return pt.replace(t=_tpick(rng, t_bound(pt, q)), x=_xcos(rng))
 
 
 # ---------------------------------------------------------------------------
 # continuous q-ultraspherical block
 # ---------------------------------------------------------------------------
-
-
-def _cqu_ok(names: str, complex_names: str = ""):
-    def ok(pt: ParamPoint, q: float) -> bool:
-        if abs(pt.real("x")) > 1.0:
-            return False
-        for nm in names:
-            v = pt.get("beta" if nm == "b" else "gamma" if nm == "g" else "alpha")
-            if abs(v.imag) > 1e-14:
-                return False
-            if not (0.0 < abs(v.real) < 1.0):
-                return False
-        for nm in complex_names:
-            v = pt.get("gamma" if nm == "g" else nm)
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                return False
-        return True
-
-    return ok
 
 
 def _kernel_t3(pt: ParamPoint, ctx: EvalContext):
@@ -413,7 +408,7 @@ def _inner_t9(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
                       lambda b, h: (-b, h), lambda b, h: (-h,))
 
 
-def _sample_cqu(rng: Random, q: float, bound_fn, names=("beta", "gamma"),
+def _sample_cqu(rng: Random, q: float, t_bound, names=("beta", "gamma"),
                 complex_gamma: bool = False) -> ParamPoint:
     vals: dict[str, complex] = {}
     for nm in names:
@@ -423,23 +418,12 @@ def _sample_cqu(rng: Random, q: float, bound_fn, names=("beta", "gamma"),
         ph = rng.uniform(0.0, 2.0 * math.pi)
         vals["gamma"] = mag * cmath.exp(1j * ph)
     pt = ParamPoint.of(x=_xcos(rng), t=0.0, **vals)
-    return pt.replace(t=_tpick(rng, bound_fn(pt, q)))
+    return pt.replace(t=_tpick(rng, t_bound(pt, q)))
 
 
 # ---------------------------------------------------------------------------
 # little q-Laguerre block
 # ---------------------------------------------------------------------------
-
-
-def _lql_ok(names: str):
-    def ok(pt: ParamPoint, q: float) -> bool:
-        for nm in names:
-            v = pt.get(nm)
-            if abs(v.imag) > 1e-14 or not (0.0 < v.real < 1.0 / q):
-                return False
-        return True
-
-    return ok
 
 
 def _kernel_lql(pt: ParamPoint, ctx: EvalContext):
@@ -450,7 +434,7 @@ def _kernel_lql(pt: ParamPoint, ctx: EvalContext):
 
 
 def _pinf_t(pt: ParamPoint, ctx: EvalContext) -> complex:
-    return _pinf(pt.get("t"), ctx)
+    return poch_infinite(pt.get("t"), ctx.base)
 
 
 def _inner_t11(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
@@ -459,40 +443,18 @@ def _inner_t11(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     return SeriesSpec((a / b,), (a * q ** (n + 1),), b * q ** (n + 1) * t, ctx.base)
 
 
-def _tb_t11(pt: ParamPoint, q: float) -> float:
-    a = pt.real("a")
-    return min((1.0 - q) * (1.0 - a * q) / a, 1.0)
-
-
-def _sample_lql(rng: Random, q: float, with_b: bool) -> ParamPoint:
+def _sample_lql(rng: Random, q: float, t_bound, with_b: bool = False) -> ParamPoint:
     a = rng.uniform(0.1, 0.9 / q)
     vals = {"a": a}
     if with_b:
         vals["b"] = rng.uniform(0.1, 0.9 / q)
     pt = ParamPoint.of(x=rng.uniform(0.05, 1.0), t=0.0, **vals)
-    return pt.replace(t=_tpick(rng, _tb_t11(pt, q)))
+    return pt.replace(t=_tpick(rng, t_bound(pt, q)))
 
 
 # ---------------------------------------------------------------------------
 # q-Laguerre block
 # ---------------------------------------------------------------------------
-
-
-def _qlag_ok(names: tuple[str, ...], complex_gamma: bool = False):
-    def ok(pt: ParamPoint, q: float) -> bool:
-        if pt.real("x") < 0.0:
-            return False
-        for nm in names:
-            v = pt.get(nm)
-            if abs(v.imag) > 1e-14 or v.real <= -1.0:
-                return False
-        if complex_gamma:
-            v = pt.get("gamma")
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                return False
-        return True
-
-    return ok
 
 
 # The three q-Laguerre kernels are phi(num; q^(alpha+1), den; q, -x t q^(alpha+1))
@@ -517,7 +479,7 @@ def _pref_ql14(pt: ParamPoint, ctx: EvalContext) -> complex:
 
 
 def _pref_ql16(pt: ParamPoint, ctx: EvalContext) -> complex:
-    return _pinf(pt.get("gamma") * pt.get("t"), ctx) / _pinf_t(pt, ctx)
+    return poch_infinite(pt.get("gamma") * pt.get("t"), ctx.base) / _pinf_t(pt, ctx)
 
 
 def _inner_t13(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
@@ -542,11 +504,7 @@ def _inner_t15(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
     )
 
 
-def _tb_t13(pt: ParamPoint, q: float) -> float:
-    return (1.0 - q ** (pt.real("alpha") + 1.0)) * (1.0 - q)
-
-
-def _sample_ql(rng: Random, q: float, bound_fn, with_beta: bool,
+def _sample_ql(rng: Random, q: float, t_bound, with_beta: bool = False,
                complex_gamma: bool = False) -> ParamPoint:
     vals: dict[str, complex] = {"alpha": rng.uniform(-0.75, 2.5)}
     if with_beta:
@@ -556,7 +514,7 @@ def _sample_ql(rng: Random, q: float, bound_fn, with_beta: bool,
         ph = rng.uniform(0.0, 2.0 * math.pi)
         vals["gamma"] = mag * cmath.exp(1j * ph)
     pt = ParamPoint.of(x=rng.uniform(0.05, 2.0), t=0.0, **vals)
-    bound = bound_fn(pt, q)
+    bound = t_bound(pt, q)
     if with_beta:
         # The re-expanded series carries the coefficient q^(n(alpha-beta))
         # on its top entry, so it only converges for |t| < q^(beta-alpha)
@@ -573,8 +531,12 @@ def _sample_ql(rng: Random, q: float, bound_fn, with_beta: bool,
 # ---------------------------------------------------------------------------
 
 
-def _tb_const(c: float):
-    return lambda pt, q: c
+def _tb_one(pt: ParamPoint, q: float) -> float:
+    return 1.0
+
+
+def _tb_t2(pt: ParamPoint, q: float) -> float:
+    return (1.0 - q) ** 3
 
 
 def _tb_t4(pt: ParamPoint, q: float) -> float:
@@ -592,6 +554,15 @@ def _tb_t9(pt: ParamPoint, q: float) -> float:
     return min((1.0 - b * b) * (1.0 + math.sqrt(q) * b), 1.0)
 
 
+def _tb_t11(pt: ParamPoint, q: float) -> float:
+    a = pt.real("a")
+    return min((1.0 - q) * (1.0 - a * q) / a, 1.0)
+
+
+def _tb_t13(pt: ParamPoint, q: float) -> float:
+    return (1.0 - q ** (pt.real("alpha") + 1.0)) * (1.0 - q)
+
+
 def _tb_t15(pt: ParamPoint, q: float) -> float:
     return 1.0 - q
 
@@ -599,270 +570,206 @@ def _tb_t15(pt: ParamPoint, q: float) -> float:
 _CATALOG: dict[IdentityId, _Entry] = {}
 
 
-def _add(entry: _Entry) -> None:
-    _CATALOG[entry.tag] = entry
+def _source(tag: IdentityId, domain: DomainPredicate, kernel, coef, family: FamilyId,
+            names: tuple[str, ...], sample, describe: str, pref=None) -> None:
+    _CATALOG[tag] = _Entry(tag, None, domain, kernel, coef, None, family, names,
+                           sample, describe, pref, (names,))
+
+
+def _generalized(tag: IdentityId, source: IdentityId, domain: DomainPredicate, coef,
+                 inner, names: tuple[str, ...], sample, describe: str) -> None:
+    """A re-expansion of ``source``'s closed form: its kernel, prefactor and
+    family, over the family parameters of the point names ``names``."""
+    src = _CATALOG[source]
+    _CATALOG[tag] = _Entry(tag, source, domain, src.kernel, coef, inner, src.family,
+                           names, sample, describe, src.pref, (src.names, names))
 
 
 I = IdentityId
 F = FamilyId
 
-_add(_Entry(
-    I.SRC_AW_14113, None,
-    DomainPredicate(_tb_const(1.0), _aw_ok("abcd"),
-                    "|t| < 1, max(|a|,|b|,|c|,|d|) < 1, x in [-1,1]"),
+_source(
+    I.SRC_AW_14113,
+    DomainPredicate(_tb_one, "|t| < 1, max(|a|,|b|,|c|,|d|) < 1, x in [-1,1]"),
     _kernel_aw,
     _record("a b c d t", lambda a, b, c, d, t, q: (t, (), (q, a * b, c * d), 0)),
-    None, F.ASKEY_WILSON, ("a", "b", "c", "d"),
-    lambda rng, q: _sample_aw(rng, q, with_alpha=False),
+    F.ASKEY_WILSON, ("a", "b", "c", "d"), _sample_aw,
     "product of two 2phi1 factors = sum t^n p_n(x;a,b,c,d) / (q,ab,cd;q)_n",
-))
-_add(_Entry(
+)
+_generalized(
     I.T2, I.SRC_AW_14113,
-    DomainPredicate(
-        lambda pt, q: (1.0 - q) ** 3,
-        lambda pt, q: _aw_ok("abcd")(pt, q) and abs(pt.get("alpha")) < 1.0,
-        "|t| < (1-q)^3, max moduli < 1 including the free parameter",
-    ),
-    _kernel_aw,
+    DomainPredicate(_tb_t2, "|t| < (1-q)^3, max moduli < 1 including the free parameter"),
     _record("a b c d alpha t", lambda a, b, c, d, al, t, q: (
         t, (al * b * c * d / q,), (q, a * b, c * d, a * b * c * d / q), 0,
         _pairs(q, a * b * c * d / q), _pairs(q, al * b * c * d / q))),
-    _inner_t2, F.ASKEY_WILSON, ("alpha", "b", "c", "d"),
-    lambda rng, q: _sample_aw(rng, q, with_alpha=True),
+    _inner_t2, ("alpha", "b", "c", "d"), partial(_sample_aw, with_alpha=True),
     "re-expansion of the two-factor 2phi1 product over p_n(x;alpha,b,c,d)",
-))
+)
 
-_add(_Entry(
-    I.SRC_CQU_141027, None,
-    DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _kernel_t3, _record("t", lambda t, q: (t, (), (), 0)),
-    None, F.CONT_Q_ULTRA, ("beta",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
+# The five plain sources share their hypotheses, and so do T4/T5 and T7/T8.
+_CQU_SOURCE = DomainPredicate(_tb_one, "|t| < 1, beta in (-1,1)\\{0}")
+_CQU_T4 = DomainPredicate(_tb_t4, "|t| < 1 - beta^2, beta, gamma in (-1,1)\\{0}")
+_CQU_T7 = DomainPredicate(_tb_t7, "|t| < min{(1-b^2)(1+sqrt(q)|b|)(1-q|g|), 1}")
+_sample_cqu_source = partial(_sample_cqu, names=("beta",))
+
+_source(
+    I.SRC_CQU_141027, _CQU_SOURCE, _kernel_t3, _record("t", lambda t, q: (t, (), (), 0)),
+    F.CONT_Q_ULTRA, ("beta",), _sample_cqu_source,
     "(t beta e, t beta/e; q)_inf / (t e, t/e; q)_inf = sum C_n(x;beta) t^n",
-))
-_add(_Entry(
+)
+_generalized(
     I.T3, I.SRC_CQU_141027,
-    DomainPredicate(_tb_const(1.0), _cqu_ok("bg"),
-                    "|t| < 1, beta, gamma in (-1,1)\\{0}"),
-    _kernel_t3, _record("beta gamma t", lambda b, g, t, q: (t, (b,), (g,), 0)),
-    _inner_t3, F.CONT_Q_ULTRA, ("gamma",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0)),
+    DomainPredicate(_tb_one, "|t| < 1, beta, gamma in (-1,1)\\{0}"),
+    _record("beta gamma t", lambda b, g, t, q: (t, (b,), (g,), 0)),
+    _inner_t3, ("gamma",), _sample_cqu,
     "re-expansion of the Pochhammer-quotient generating function",
-))
-_add(_Entry(
-    I.SRC_CQU_141029, None,
-    DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _kernel_29, _record("beta t", lambda b, t, q: (-b * t, (), (b * b,), 1)),
-    None, F.CONT_Q_ULTRA, ("beta",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
+)
+_source(
+    I.SRC_CQU_141029, _CQU_SOURCE, _kernel_29,
+    _record("beta t", lambda b, t, q: (-b * t, (), (b * b,), 1)),
+    F.CONT_Q_ULTRA, ("beta",), _sample_cqu_source,
     "(t/e; q)_inf 2phi1(beta, beta e^2; beta^2; q, t/e) expansion",
-))
-_add(_Entry(
-    I.T4, I.SRC_CQU_141029,
-    DomainPredicate(_tb_t4, _cqu_ok("bg"),
-                    "|t| < 1 - beta^2, beta, gamma in (-1,1)\\{0}"),
-    _kernel_29,
+)
+_generalized(
+    I.T4, I.SRC_CQU_141029, _CQU_T4,
     _record("beta gamma t", lambda b, g, t, q: (-b * t, (b,), (b * b, g), 1)),
-    _inner_t4, F.CONT_Q_ULTRA, ("gamma",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_t4),
+    _inner_t4, ("gamma",), _sample_cqu,
     "re-expansion with a 2phi5 coefficient factor",
-))
-_add(_Entry(
-    I.SRC_CQU_141028, None,
-    DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _kernel_28, _record("beta t", lambda b, t, q: (t, (), (b * b,), 0)),
-    None, F.CONT_Q_ULTRA, ("beta",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
+)
+_source(
+    I.SRC_CQU_141028, _CQU_SOURCE, _kernel_28,
+    _record("beta t", lambda b, t, q: (t, (), (b * b,), 0)),
+    F.CONT_Q_ULTRA, ("beta",), _sample_cqu_source,
     "2phi1(beta, beta e^2; beta^2; q, t/e) / (t e; q)_inf expansion",
-))
-_add(_Entry(
-    I.T5, I.SRC_CQU_141028,
-    DomainPredicate(_tb_t4, _cqu_ok("bg"),
-                    "|t| < 1 - beta^2, beta, gamma in (-1,1)\\{0}"),
-    _kernel_28,
+)
+_generalized(
+    I.T5, I.SRC_CQU_141028, _CQU_T4,
     _record("beta gamma t", lambda b, g, t, q: (t, (b,), (b * b, g), 0)),
-    _inner_t5, F.CONT_Q_ULTRA, ("gamma",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_t4),
+    _inner_t5, ("gamma",), _sample_cqu,
     "re-expansion with a 6phi5 coefficient factor",
-))
-_add(_Entry(
-    I.SRC_CQU_141033, None,
-    DomainPredicate(_tb_const(1.0), _cqu_ok("b", "g"),
-                    "|t| < 1, beta in (-1,1)\\{0}, gamma complex"),
-    _kernel_33,
-    _record("beta gamma t", lambda b, g, t, q: (t, (g,), (b * b,), 0)),
-    None, F.CONT_Q_ULTRA, ("beta",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",),
-                               complex_gamma=True),
+)
+_source(
+    I.SRC_CQU_141033,
+    DomainPredicate(_tb_one, "|t| < 1, beta in (-1,1)\\{0}, gamma complex"),
+    _kernel_33, _record("beta gamma t", lambda b, g, t, q: (t, (g,), (b * b,), 0)),
+    F.CONT_Q_ULTRA, ("beta",), partial(_sample_cqu, names=("beta",), complex_gamma=True),
     "(gamma t e; q)_inf / (t e; q)_inf 3phi2 expansion",
-))
-_add(_Entry(
+)
+_generalized(
     I.T6, I.SRC_CQU_141033,
-    DomainPredicate(
-        _tb_t4,
-        lambda pt, q: _cqu_ok("b", "g")(pt, q)
-        and 0.0 < abs(pt.real("alpha")) < 1.0
-        and abs(pt.get("alpha").imag) <= 1e-14,
-        "|t| < 1 - beta^2, alpha, beta in (-1,1)\\{0}, gamma complex",
-    ),
-    _kernel_33,
+    DomainPredicate(_tb_t4, "|t| < 1 - beta^2, alpha, beta in (-1,1)\\{0}, gamma complex"),
     _record("beta gamma alpha t", lambda b, g, al, t, q: (t, (b, g), (b * b, al), 0)),
-    _inner_t6, F.CONT_Q_ULTRA, ("alpha",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_t4, names=("beta", "alpha"),
-                               complex_gamma=True),
+    _inner_t6, ("alpha",), partial(_sample_cqu, names=("beta", "alpha"), complex_gamma=True),
     "re-expansion with a 6phi5 coefficient factor, complex gamma allowed",
-))
-_add(_Entry(
-    I.SRC_CQU_141031, None,
-    DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _kernel_31,
+)
+_source(
+    I.SRC_CQU_141031, _CQU_SOURCE, _kernel_31,
     _record("beta t", lambda b, t, q: (
         t, (b * math.sqrt(q), -b * math.sqrt(q)), (b * b, -q * b), 0)),
-    None, F.CONT_Q_ULTRA, ("beta",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
+    F.CONT_Q_ULTRA, ("beta",), _sample_cqu_source,
     "square-root-parameter 2phi1 pair expansion (denominator -beta)",
-))
-_add(_Entry(
-    I.T7, I.SRC_CQU_141031,
-    DomainPredicate(_tb_t7, _cqu_ok("bg"),
-                    "|t| < min{(1-b^2)(1+sqrt(q)|b|)(1-q|g|), 1}"),
-    _kernel_31,
+)
+_generalized(
+    I.T7, I.SRC_CQU_141031, _CQU_T7,
     _record("beta gamma t", lambda b, g, t, q: (
         t, (b, b * math.sqrt(q), -b * math.sqrt(q)), (b * b, -q * b, g), 0)),
-    _inner_t7, F.CONT_Q_ULTRA, ("gamma",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_t7),
+    _inner_t7, ("gamma",), _sample_cqu,
     "re-expansion with a 10phi9 coefficient factor",
-))
-_add(_Entry(
-    I.SRC_CQU_141030, None,
-    DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _kernel_30,
+)
+_source(
+    I.SRC_CQU_141030, _CQU_SOURCE, _kernel_30,
     _record("beta t", lambda b, t, q: (
         t, (-b, -b * math.sqrt(q)), (b * b, b * math.sqrt(q)), 0)),
-    None, F.CONT_Q_ULTRA, ("beta",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
+    F.CONT_Q_ULTRA, ("beta",), _sample_cqu_source,
     "square-root-parameter 2phi1 pair expansion (denominator beta q^(1/2))",
-))
-_add(_Entry(
-    I.T8, I.SRC_CQU_141030,
-    DomainPredicate(_tb_t7, _cqu_ok("bg"),
-                    "|t| < min{(1-b^2)(1+sqrt(q)|b|)(1-q|g|), 1}"),
-    _kernel_30,
+)
+_generalized(
+    I.T8, I.SRC_CQU_141030, _CQU_T7,
     _record("beta gamma t", lambda b, g, t, q: (
         t, (b, -b, -b * math.sqrt(q)), (b * b, b * math.sqrt(q), g), 0)),
-    _inner_t8, F.CONT_Q_ULTRA, ("gamma",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_t7),
+    _inner_t8, ("gamma",), _sample_cqu,
     "re-expansion with a 10phi9 coefficient factor",
-))
-_add(_Entry(
-    I.SRC_CQU_141032, None,
-    DomainPredicate(_tb_const(1.0), _cqu_ok("b"), "|t| < 1, beta in (-1,1)\\{0}"),
-    _kernel_32,
+)
+_source(
+    I.SRC_CQU_141032, _CQU_SOURCE, _kernel_32,
     _record("beta t", lambda b, t, q: (
         t, (-b, b * math.sqrt(q)), (b * b, -b * math.sqrt(q)), 0)),
-    None, F.CONT_Q_ULTRA, ("beta",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_const(1.0), names=("beta",)),
+    F.CONT_Q_ULTRA, ("beta",), _sample_cqu_source,
     "square-root-parameter 2phi1 pair expansion (denominator -beta q^(1/2))",
-))
-_add(_Entry(
+)
+_generalized(
     I.T9, I.SRC_CQU_141032,
-    DomainPredicate(_tb_t9, _cqu_ok("bg"),
-                    "|t| < min{(1-b^2)(1+sqrt(q)|b|), 1}"),
-    _kernel_32,
+    DomainPredicate(_tb_t9, "|t| < min{(1-b^2)(1+sqrt(q)|b|), 1}"),
     _record("beta gamma t", lambda b, g, t, q: (
         t, (b, -b, b * math.sqrt(q)), (b * b, -b * math.sqrt(q), g), 0)),
-    _inner_t9, F.CONT_Q_ULTRA, ("gamma",),
-    lambda rng, q: _sample_cqu(rng, q, _tb_t9),
+    _inner_t9, ("gamma",), _sample_cqu,
     "re-expansion with a 10phi9 coefficient factor",
-))
-_add(_Entry(
-    I.SRC_LQL_142011, None,
-    DomainPredicate(_tb_t11, _lql_ok("a"),
-                    "|t| < min{(1-q)(1-aq)/a, 1}, 0 < aq < 1"),
+)
+
+_source(
+    I.SRC_LQL_142011,
+    DomainPredicate(_tb_t11, "|t| < min{(1-q)(1-aq)/a, 1}, 0 < aq < 1"),
     _kernel_lql, _record("t", lambda t, q: (-t, (), (q,), 1)),
-    None, F.LITTLE_Q_LAGUERRE, ("a",),
-    lambda rng, q: _sample_lql(rng, q, with_b=False),
+    F.LITTLE_Q_LAGUERRE, ("a",), _sample_lql,
     "(t;q)_inf/(xt;q)_inf 0phi1 = sum (-1)^n q^C(n,2) p_n(x;a) t^n / (q;q)_n",
     pref=_pinf_t,
-))
-_add(_Entry(
+)
+_generalized(
     I.T11, I.SRC_LQL_142011,
-    DomainPredicate(_tb_t11, _lql_ok("ab"),
-                    "|t| < min{(1-q)(1-aq)/a, 1}, a, b in (0, 1/q)"),
-    _kernel_lql, _record("a b t", lambda a, b, t, q: (-t, (b * q,), (q, a * q), 1)),
-    _inner_t11, F.LITTLE_Q_LAGUERRE, ("b",),
-    lambda rng, q: _sample_lql(rng, q, with_b=True),
+    DomainPredicate(_tb_t11, "|t| < min{(1-q)(1-aq)/a, 1}, a, b in (0, 1/q)"),
+    _record("a b t", lambda a, b, t, q: (-t, (b * q,), (q, a * q), 1)),
+    _inner_t11, ("b",), partial(_sample_lql, with_b=True),
     "re-expansion with a 1phi1 coefficient factor",
-    pref=_pinf_t,
-))
-_add(_Entry(
-    I.SRC_QL_142114, None,
-    DomainPredicate(_tb_t13, _qlag_ok(("alpha",)),
-                    "|t| < (1-q^(alpha+1))(1-q), alpha > -1"),
-    _kernel_ql14,
+)
+
+# SRC_QL_142114 and 142115 share their hypotheses, and so do T13 and T14.
+_QL_SOURCE = DomainPredicate(_tb_t13, "|t| < (1-q^(alpha+1))(1-q), alpha > -1")
+_QL_T13 = DomainPredicate(_tb_t13, "|t| < (1-q^(alpha+1))(1-q), alpha, beta > -1")
+_sample_ql_beta = partial(_sample_ql, with_beta=True)
+
+_source(
+    I.SRC_QL_142114, _QL_SOURCE, _kernel_ql14,
     _record("alpha t", lambda al, t, q: (t, (), (q ** (al.real + 1.0),), 0)),
-    None, F.Q_LAGUERRE, ("alpha",),
-    lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=False),
+    F.Q_LAGUERRE, ("alpha",), _sample_ql,
     "0phi1 / (t;q)_inf = sum L_n^(alpha)(x) t^n / (q^(alpha+1);q)_n",
     pref=_pref_ql14,
-))
-_add(_Entry(
-    I.T13, I.SRC_QL_142114,
-    DomainPredicate(_tb_t13, _qlag_ok(("alpha", "beta")),
-                    "|t| < (1-q^(alpha+1))(1-q), alpha, beta > -1"),
-    _kernel_ql14,
+)
+_generalized(
+    I.T13, I.SRC_QL_142114, _QL_T13,
     _record("alpha beta t", lambda al, be, t, q: (
         q ** (al.real - be.real) * t, (), (q ** (al.real + 1.0),), 0)),
-    _inner_t13, F.Q_LAGUERRE, ("beta",),
-    lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=True),
-    "re-expansion with a 2phi1 coefficient factor", pref=_pref_ql14,
-))
-_add(_Entry(
-    I.SRC_QL_142115, None,
-    DomainPredicate(_tb_t13, _qlag_ok(("alpha",)),
-                    "|t| < (1-q^(alpha+1))(1-q), alpha > -1"),
-    _kernel_ql15,
+    _inner_t13, ("beta",), _sample_ql_beta,
+    "re-expansion with a 2phi1 coefficient factor",
+)
+_source(
+    I.SRC_QL_142115, _QL_SOURCE, _kernel_ql15,
     _record("alpha t", lambda al, t, q: (-t, (), (q ** (al.real + 1.0),), 1)),
-    None, F.Q_LAGUERRE, ("alpha",),
-    lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=False),
+    F.Q_LAGUERRE, ("alpha",), _sample_ql,
     "(t;q)_inf 0phi2 = sum (-t)^n q^C(n,2) L_n^(alpha)(x) / (q^(alpha+1);q)_n",
     pref=_pinf_t,
-))
-_add(_Entry(
-    I.T14, I.SRC_QL_142115,
-    DomainPredicate(_tb_t13, _qlag_ok(("alpha", "beta")),
-                    "|t| < (1-q^(alpha+1))(1-q), alpha, beta > -1"),
-    _kernel_ql15,
+)
+_generalized(
+    I.T14, I.SRC_QL_142115, _QL_T13,
     _record("alpha beta t", lambda al, be, t, q: (
         -t * q ** (al.real - be.real), (), (q ** (al.real + 1.0),), 1)),
-    _inner_t14, F.Q_LAGUERRE, ("beta",),
-    lambda rng, q: _sample_ql(rng, q, _tb_t13, with_beta=True),
-    "re-expansion with a 1phi1 coefficient factor", pref=_pinf_t,
-))
-_add(_Entry(
-    I.SRC_QL_142116, None,
-    DomainPredicate(_tb_t15, _qlag_ok(("alpha",), complex_gamma=True),
-                    "|t| < 1-q, alpha > -1, gamma complex"),
+    _inner_t14, ("beta",), _sample_ql_beta,
+    "re-expansion with a 1phi1 coefficient factor",
+)
+_source(
+    I.SRC_QL_142116, DomainPredicate(_tb_t15, "|t| < 1-q, alpha > -1, gamma complex"),
     _kernel_ql16,
     _record("alpha gamma t", lambda al, g, t, q: (t, (g,), (q ** (al.real + 1.0),), 0)),
-    None, F.Q_LAGUERRE, ("alpha",),
-    lambda rng, q: _sample_ql(rng, q, _tb_t15, with_beta=False,
-                              complex_gamma=True),
+    F.Q_LAGUERRE, ("alpha",), partial(_sample_ql, complex_gamma=True),
     "(gamma t;q)_inf/(t;q)_inf 1phi2 expansion", pref=_pref_ql16,
-))
-_add(_Entry(
+)
+_generalized(
     I.T15, I.SRC_QL_142116,
-    DomainPredicate(_tb_t15, _qlag_ok(("alpha", "beta"), complex_gamma=True),
-                    "|t| < 1-q, alpha, beta > -1, gamma complex"),
-    _kernel_ql16,
+    DomainPredicate(_tb_t15, "|t| < 1-q, alpha, beta > -1, gamma complex"),
     _record("alpha beta gamma t", lambda al, be, g, t, q: (
         t * q ** (al.real - be.real), (g,), (q ** (al.real + 1.0),), 0)),
-    _inner_t15, F.Q_LAGUERRE, ("beta",),
-    lambda rng, q: _sample_ql(rng, q, _tb_t15, with_beta=True,
-                              complex_gamma=True),
+    _inner_t15, ("beta",), partial(_sample_ql, with_beta=True, complex_gamma=True),
     "re-expansion with a 2phi1 coefficient factor, complex gamma allowed",
-    pref=_pref_ql16,
-))
+)
 
 
 # ---------------------------------------------------------------------------
@@ -932,24 +839,21 @@ def list_identities() -> list[dict[str, str]]:
     out = []
     for tag in IdentityId:
         e = _CATALOG[tag]
-        out.append(
-            {
-                "tag": tag.value,
-                "kind": "source" if e.source is None else "generalized",
-                "source": e.source.value if e.source else "",
-                "domain": e.domain.describe,
-                "about": e.describe,
-            }
-        )
+        source = e.source.value if e.source else ""
+        out.append({"tag": tag.value, "kind": "generalized" if source else "source",
+                    "source": source, "domain": e.domain.describe, "about": e.describe})
     return out
 
 
 def in_domain(tag: IdentityId | str, point: ParamPoint, ctx: EvalContext) -> bool:
-    return entry_for(tag).domain.contains(point, ctx.q)
+    """Whether the point lies in the identity's domain (``_Entry.contains``)."""
+    return entry_for(tag).contains(point, ctx)
 
 
 def sample_point(tag: IdentityId | str, rng: Random, q: float) -> ParamPoint:
-    return entry_for(tag).sample(rng, q)
+    """A random point in the identity's domain at base q."""
+    entry = entry_for(tag)
+    return entry.sample(rng, q, entry.domain.t_bound)
 
 
 def outer_coefficient(
@@ -985,8 +889,8 @@ def eval_rhs(
     Raises InsufficientTruncation when the last retained term is still
     larger than the context tolerance times the partial sum.
     """
-    if n_outer < 1:
-        raise PreconditionViolation("n_outer must be >= 1")
+    if n_outer < 1 or not _finite(point):
+        raise PreconditionViolation("need n_outer >= 1 and finite point values")
     acc = _RhsAccumulator(entry_for(tag), point, ctx)
     value = acc.partial(n_outer)
     if acc.last > _TOL * (1.0 + abs(value)):
@@ -1010,7 +914,7 @@ def _verify(tag: IdentityId, point: ParamPoint, ctx: EvalContext) -> IdentityRep
             break
         rhs = nxt
     return IdentityReport.of(tag.value, ctx.q, point, lhs, rhs, n_outer,
-                             acc.max_inner, entry.domain.contains(point, ctx.q))
+                             acc.max_inner, entry.contains(point, ctx))
 
 
 def verify_identity(

@@ -49,6 +49,7 @@ from .genfun import (
     IdentityReport,
     entry_for,
     outer_coefficient,
+    sample_point,
 )
 from .polyfam import (
     FAMILIES,
@@ -69,6 +70,8 @@ _STREAK = 3
 # The trapezoid rule halves its step at most 8 times; an interval integral,
 # which starts from 8 panels, thus evaluates at most 2047 nodes.
 _HALVINGS = 8
+# The tail sums of one functional evaluate at most this many nodes in all.
+_MAX_NODES = 4000
 
 
 class FunctionalKind(Enum):
@@ -82,13 +85,11 @@ class FunctionalKind(Enum):
 @dataclass(frozen=True)
 class FunctionalSpec:
     """One orthogonality functional: its kind, the family parameters that
-    fix weight and norm, the lattice scale c (bilateral only) and the cap
-    on the nodes of the tail sums."""
+    fix weight and norm, and the lattice scale c (bilateral only)."""
 
     kind: FunctionalKind
     params: object
     c: float = 1.0
-    max_nodes: int = 4000
 
     def __post_init__(self) -> None:
         if (self.family, self.kind) not in _NORMS:
@@ -192,8 +193,8 @@ def _halfline(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
         return x * f(x) * g(x) * weight(x)
 
     # u = 0, -1, -2, ... toward x = 0, then u = 1, 2, ... toward infinity
-    total, down = _sum_tail(map(F, itertools.count(0, -1)), spec.max_nodes)
-    total, up = _sum_tail(map(F, itertools.count(1)), spec.max_nodes - down, total)
+    total, down = _sum_tail(map(F, itertools.count(0, -1)), _MAX_NODES)
+    total, up = _sum_tail(map(F, itertools.count(1)), _MAX_NODES - down, total)
     return _nested(F, 1.0 - down, up, down + up - 1, total, down + up)
 
 
@@ -201,7 +202,7 @@ def _walk(spec: FunctionalSpec, f, g, c: float, w0: float,
           ratio: Callable[[int], float], two_sided: bool) -> tuple[complex, int]:
     """sum w_k f(cq^k) g(cq^k) over k >= 0, and over k < 0 too if
     ``two_sided``, with w_(k+1) = w_k ratio(k) from w_0; each tail is cut
-    by _sum_tail, both within spec.max_nodes.  A weight that reached exact
+    by _sum_tail, both within _MAX_NODES.  A weight that reached exact
     zero makes every later term of its tail zero whatever f g is, so the
     rule could not tell a decayed tail from a lost one: TailNonConvergence."""
     q = spec.params.base.q
@@ -224,10 +225,10 @@ def _walk(spec: FunctionalSpec, f, g, c: float, w0: float,
             w /= ratio(k)
             yield term(w, k)
 
-    total, up = _sum_tail(upper(), spec.max_nodes)
+    total, up = _sum_tail(upper(), _MAX_NODES)
     if not two_sided:
         return total, up
-    total, down = _sum_tail(lower(), spec.max_nodes - up, total)
+    total, down = _sum_tail(lower(), _MAX_NODES - up, total)
     return total, up + down
 
 
@@ -372,8 +373,8 @@ def verify_corollary(
     kernel = entry_for(entry.theorem).kernel(point, ctx)
     lhs, count = _RULES[spec.kind](spec, kernel, _poly(spec, n))
     rhs, inner_terms = _closed_form(entry, n, point, ctx, spec)
-    # corollary points carry no x, and no t-bound reads x
-    in_domain = entry_for(entry.theorem).domain.contains(point.replace(x=0.5), ctx.q)
+    # corollary points carry no x: 0.5 is on every family's support, no t-bound reads x
+    in_domain = entry_for(entry.theorem).contains(point.replace(x=0.5), ctx)
     return IdentityReport.of(entry.cid.value, ctx.q, point, lhs, rhs, count,
                              inner_terms, in_domain)
 
@@ -411,7 +412,7 @@ def _with_n(rng: Random, pt: ParamPoint, nmax: int = 4) -> ParamPoint:
 
 def _sample_from_theorem(theorem: IdentityId):
     def sample(rng: Random, q: float) -> ParamPoint:
-        d = entry_for(theorem).sample(rng, q).as_dict()
+        d = sample_point(theorem, rng, q).as_dict()
         d.pop("x", None)
         return _with_n(rng, ParamPoint.of(**d))
 

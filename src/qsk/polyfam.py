@@ -560,6 +560,8 @@ class Family:
     steps     (x, params, degrees) -> recurrence coefficients at those
               degrees, x and params checked on the call; None for a
               family evaluated by series
+    x_range   (lo, hi): the closed range of x over which the generating
+              functions expanding in the family hold
     """
 
     params: type
@@ -568,6 +570,7 @@ class Family:
     weight: Callable[[object], Callable[[float], float]] | None
     support: Callable[[float, int], list[float]]
     steps: Callable[[float, object, Iterable[int]], Iterable[tuple]] | None
+    x_range: tuple[float, float]
 
     def cursor(self, x: float, params) -> Callable[[int], tuple[complex, float]]:
         """``at(n)`` -> (m, e) with p_n(x) = m * q**e, for nondecreasing n.
@@ -601,19 +604,19 @@ FAMILIES: dict[FamilyId, Family] = {
     FamilyId.ASKEY_WILSON: Family(
         AWParams, ("a", "b", "c", "d"),
         lambda n, x, p: askey_wilson(n, x, p),
-        _aw_weight, _chebyshev, _aw_steps),
+        _aw_weight, _chebyshev, _aw_steps, (-1.0, 1.0)),
     FamilyId.CONT_Q_ULTRA: Family(
         UltraParams, ("beta",),
         lambda n, x, p: complex(cont_q_ultra(n, x, p)),
-        _ultra_weight, _chebyshev, _cqu_steps),
+        _ultra_weight, _chebyshev, _cqu_steps, (-1.0, 1.0)),
     FamilyId.LITTLE_Q_LAGUERRE: Family(
         LqLParams, ("a",),
         lambda n, x, p: complex(little_q_laguerre(n, x, p)),
-        None, _lattice, None),
+        None, _lattice, None, (-math.inf, math.inf)),
     FamilyId.Q_LAGUERRE: Family(
         QLagParams, ("alpha",),
         lambda n, x, p: complex(q_laguerre(n, x, p)),
-        _qlag_weight, _two_sided, _qlag_steps),
+        _qlag_weight, _two_sided, _qlag_steps, (0.0, math.inf)),
 }
 _FAMILY_OF = {fam.params: fid for fid, fam in FAMILIES.items()}
 

@@ -21,10 +21,11 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import IllConditioned, NonConvergentTolerance, PreconditionViolation
+from .errors import IllConditioned, PreconditionViolation
 
-# Fraction of the requested tolerance allotted to the first term left out
-# of the truncated Euler series of an infinite product.
+# An infinite product is summed to this relative tolerance, and the first
+# term left out of its truncated Euler series is held to _TAIL_FRACTION of it.
+_TOL = 1e-15
 _TAIL_FRACTION = 2.0**-6
 
 # A scaled value is a pair (m, e) standing for m * q**e.  renorm keeps the
@@ -123,24 +124,16 @@ def poch_finite(a: complex, q: QLike, n: int) -> complex:
     return complex(out)
 
 
-def check_tol(tol) -> None:
-    """A stopping tolerance must be a finite number > 0; a bool is not one."""
-    if isinstance(tol, bool) or not (
-        isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0
-    ):
-        raise NonConvergentTolerance(f"tol must be finite and > 0, got {tol!r}")
-
-
 @functools.lru_cache(maxsize=64)
-def _euler_table(q: float, tol: float) -> tuple[float, ...]:
+def _euler_table(q: float) -> tuple[float, ...]:
     """Euler's coefficients c_k = (-1)^k q^C(k,2) / (q; q)_k of
     (t; q)_inf = sum_k c_k t^k (Gasper & Rahman, eq. 1.3.16), k = 0..K-1,
     highest first for Horner's rule.  K is the first k >= 1 at which
-    |c_k| r^k, r = (1-q)/4, drops to a fixed fraction of ``tol``; the terms
+    |c_k| r^k, r = (1-q)/4, drops to a fixed fraction of _TOL; the terms
     then shrink at least 4x each, so for |t| <= r the omitted ones sum to
     at most 4/3 of that."""
     r = 0.25 * (1.0 - q)
-    cut = _TAIL_FRACTION * tol
+    cut = _TAIL_FRACTION * _TOL
     coef, qk, rk = [1.0], 1.0, 1.0
     while True:
         nxt = coef[-1] * -qk / (1.0 - qk * q)
@@ -152,29 +145,28 @@ def _euler_table(q: float, tol: float) -> tuple[float, ...]:
 
 
 class ProductPlan:
-    """``(s u; q)_inf`` for one s at many u.  The base, the tolerance and the
-    powers q^j are settled once, the powers extended on demand.
+    """``(s u; q)_inf`` for one s at many u.  The base and the powers q^j
+    are settled once, the powers extended on demand.
 
     A call with a = s u takes the plain factors 1 - a q^j while
     |a q^j| > r = (1-q)/4: j < m, m in closed form, the powers from one
     ladder by repeated multiplication, so a = q^-k still gives an exact 0.
     It multiplies them by (t; q)_inf, t = a q^m, summed by Horner's rule
     over the Euler coefficients of ``_euler_table``: a fixed length
-    K(q, tol), at most 13 terms at tol = 1e-15 (9 at q = 0.5), where the
+    K(q), at most 13 terms (9 at q = 0.5), where the
     literal product took up to about 760 factors at q = 0.95.  The alternating Euler
     series has sum |terms| / |sum| about e^(2|t|/(1-q)), at most e^(1/2)
     for |t| <= r, which is why r shrinks with 1 - q.  The result is
     deterministic, and a real a stays float, so a real product beyond
     double range is +-inf; an infinite or NaN a raises IllConditioned."""
 
-    def __init__(self, s: complex, q: QLike, tol: float = 1e-15) -> None:
+    def __init__(self, s: complex, q: QLike) -> None:
         self._q = as_base(q)
-        check_tol(tol)
         self._s = scalar(s)
         self._lnq = math.log(self._q)
         self._r = 0.25 * (1.0 - self._q)
         self._lnr = math.log(self._r)
-        self._euler = _euler_table(self._q, tol)
+        self._euler = _euler_table(self._q)
         self._qj = [1.0]  # q^j by repeated multiplication, as poch_finite forms them
 
     def __call__(self, u: complex = 1.0) -> complex:
@@ -198,10 +190,10 @@ class ProductPlan:
         return complex(out * tail)
 
 
-def poch_infinite(a: complex, q: QLike, tol: float = 1e-15) -> complex:
-    """Infinite q-Pochhammer symbol ``(a; q)_inf``: the product plan of
-    ``a`` evaluated once, at u = 1."""
-    return ProductPlan(a, q, tol)()
+def poch_infinite(a: complex, q: QLike) -> complex:
+    """Infinite q-Pochhammer symbol ``(a; q)_inf`` to relative tolerance
+    1e-15: the product plan of ``a`` evaluated once, at u = 1."""
+    return ProductPlan(a, q)()
 
 
 def poch_all(params: Iterable[complex], q: QLike, n: int) -> complex:

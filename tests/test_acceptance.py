@@ -35,7 +35,6 @@ from qsk.context import EvalContext, ParamPoint
 from qsk.genfun import (
     GENERALIZED,
     SOURCES,
-    IdentityId,
     sample_point,
     verify_identity,
     verify_source,

@@ -13,7 +13,7 @@ from qsk.errors import (
     DivergentSeries,
     IllConditioned,
     NoConvergence,
-    NonConvergentTolerance,
+    PreconditionViolation,
     ZeroDenominator,
 )
 from qsk.qpoch import QBase, poch_finite, poch_infinite
@@ -134,23 +134,35 @@ def test_overflowing_terms_raise_rather_than_return_nan():
     assert cmath.isfinite(eval_phi(SeriesSpec((0.5**-6,), (), 1e40, QBase(0.5))).value)
 
 
+def test_non_finite_argument_is_refused():
+    """A NaN or infinite z is refused before any term is summed: a
+    non-terminating sum would otherwise run to its 10,000-term cap and
+    raise NoConvergence, a terminating one return NaN."""
+    for z in (math.nan, math.inf, -math.inf, complex(0.1, math.inf), complex(math.nan, 0.0)):
+        for num in ((0.3,), (0.5**-3,)):
+            with pytest.raises(PreconditionViolation):
+                SeriesPlan(num, (0.2,), QBase(0.5))(z)
+            with pytest.raises(PreconditionViolation):
+                eval_phi(SeriesSpec(num, (0.2,), z, QBase(0.5)))
+
+
 def test_monotone_tail_stopping():
     """Non-terminating 2phi1 with 0 < z < 1: term ratio tends to z, so the
     stopping rule fires and the tail estimate matches the truncation."""
     q = 0.6
     spec = SeriesSpec((0.5, 0.25), (0.4,), 0.7, QBase(q))
-    res = eval_phi(spec, tol=1e-14)
+    res = eval_phi(spec)
     long = direct_phi((0.5, 0.25), (0.4,), q, 0.7, res.terms_used + 200)
     assert res.value == pytest.approx(long, rel=1e-12)
     assert res.last_term_magnitude < 1e-12 * abs(res.value)
-    # the sum stops at the first three terms in a row at most tol * |sum|,
+    # the sum stops at the first three terms in a row at most 1e-15 |sum|,
     # counted here from the defining terms
     partial, streak, k = 1.0, 0, 0
     while streak < 3:
         k += 1
         term = direct_term((0.5, 0.25), (0.4,), q, 0.7, k)
         partial += term
-        streak = streak + 1 if abs(term) <= 1e-14 * abs(partial) else 0
+        streak = streak + 1 if abs(term) <= 1e-15 * abs(partial) else 0
     assert res.terms_used == k + 1
 
 
@@ -178,14 +190,6 @@ def test_qbinomial_random_grid():
         a = complex(rng.uniform(-1.2, 1.2), rng.uniform(-0.5, 0.5))
         z = complex(rng.uniform(-0.85, 0.85), 0.0)
         assert qbinomial_residual(a, z, q) < 1e-10
-
-
-def test_bool_tolerance_is_rejected():
-    spec = SeriesSpec((0.3, 0.4), (0.2,), 0.5, QBase(0.5))
-    with pytest.raises(NonConvergentTolerance):
-        eval_phi(spec, tol=True)
-    with pytest.raises(NonConvergentTolerance):
-        SeriesPlan((0.3,), (0.2,), QBase(0.5), tol=True)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qsk
-from qsk.cli import SuiteConfig, build_parser, main, report_to_json, run_suite
+from qsk.cli import SuiteConfig, main, report_to_json, run_suite
 from qsk.connect import (
     aw_connection,
     expansion_residual,

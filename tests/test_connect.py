@@ -18,18 +18,7 @@ from qsk.connect import (
     sample_points,
     ultra_connection,
 )
-from qsk.polyfam import (
-    AWParams,
-    FAMILIES,
-    FamilyId,
-    LqLParams,
-    QBase,
-    QLagParams,
-    UltraParams,
-    askey_wilson,
-    little_q_laguerre,
-    q_laguerre,
-)
+from qsk.polyfam import AWParams, FAMILIES, FamilyId, askey_wilson
 
 
 def assert_identity_collapse(exp):

@@ -20,6 +20,7 @@ from qsk.genfun import (
     eval_lhs,
     eval_rhs,
     in_domain,
+    lhs_integrand_factor,
     list_identities,
     outer_coefficient,
     sample_point,
@@ -131,8 +132,6 @@ def test_pinned_verification_points():
 def test_two_factor_lhs_against_double_truncation():
     """The product-of-two-series closed form at theta = 0, against an
     independent double truncation built from explicit Pochhammer terms."""
-    import math as _m
-
     from qsk.qpoch import poch_finite
 
     q, t = 0.5, 0.05
@@ -221,6 +220,58 @@ def test_in_domain_and_bounds():
     # T2 bound is (1-q)^3
     pt2 = ParamPoint.of(a=0.3, b=0.2, c=0.1, d=0.05, alpha=0.25, x=0.1, t=0.0)
     assert entry_for("T2").domain.t_bound(pt2, CTX.q) == pytest.approx(0.125)
+
+
+@pytest.mark.parametrize("q", (0.05, 0.5, 0.9, 0.95))
+def test_sampled_points_lie_in_their_domain(q):
+    ctx = EvalContext(q=q)
+    for tag in IdentityId:
+        rng = Random(f"domain:{tag.value}:{q}")
+        for _ in range(20):
+            pt = sample_point(tag, rng, q)
+            assert in_domain(tag, pt, ctx), (tag, pt.canonical())
+
+
+@pytest.mark.parametrize("tag", list(IdentityId))
+def test_non_finite_values_are_out_of_domain(tag):
+    """A NaN or infinite x or parameter puts the point outside the
+    domain, and both sides refuse it."""
+    base = sample_point(tag, Random(f"non-finite:{tag.value}"), 0.5)
+    for name, _ in base:
+        for bad in (math.nan, math.inf, -math.inf):
+            pt = base.replace(**{name: bad})
+            assert not in_domain(tag, pt, CTX), (name, bad)
+            with pytest.raises(PreconditionViolation):
+                eval_lhs(tag, pt, CTX)
+            with pytest.raises(PreconditionViolation):
+                eval_rhs(tag, pt, CTX, 16)
+
+
+@pytest.mark.parametrize("tag", list(IdentityId))
+def test_kernel_refuses_a_non_finite_x(tag):
+    """The interval kernels refuse x through the |x| <= 1 check, which a
+    NaN fails; the lattice and half-line kernels through their series,
+    whose argument is then not finite."""
+    pt = sample_point(tag, Random(f"kernel-x:{tag.value}"), 0.5)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionViolation):
+            lhs_integrand_factor(tag, x, pt, CTX)
+
+
+def test_domain_follows_the_family_records():
+    """Parameter ranges are those of the family records: a real
+    parameter with any imaginary part, or an infinite alpha, is out."""
+    ql = ParamPoint.of(alpha=0.5, x=1.0, t=0.1)
+    assert in_domain("SRC_QL_142114", ql, CTX)
+    assert not in_domain("SRC_QL_142114", ql.replace(alpha=math.inf), CTX)
+    assert not in_domain("SRC_QL_142114", ql.replace(x=-0.1), CTX)
+    cqu = ParamPoint.of(beta=0.4, gamma=0.6, x=0.3, t=0.5)
+    assert not in_domain("T3", cqu.replace(gamma=0.6 + 1e-15j), CTX)
+    assert not in_domain("T3", cqu.replace(x=1.5), CTX)
+    assert in_domain("SRC_LQL_142011", ParamPoint.of(a=0.7, t=0.1, x=-3.0), CTX)
+    aw = ParamPoint.of(a=0.3, b=0.2, c=0.1, d=0.05, alpha=0.25, x=0.1, t=0.1)
+    assert in_domain("T2", aw, CTX)
+    assert not in_domain("T2", aw.replace(alpha=1.2), CTX)  # its record is not orthogonal
 
 
 def test_eval_context_rejects_bool_caps():

@@ -7,10 +7,11 @@ from random import Random
 
 import pytest
 
-from qsk.bhs import SeriesSpec, eval_phi
+from qsk import orthofunc
+from qsk.bhs import eval_phi
 from qsk.context import EvalContext, ParamPoint
 from qsk.errors import PreconditionViolation, TailNonConvergence
-from qsk.genfun import IdentityId, entry_for, outer_coefficient
+from qsk.genfun import entry_for, outer_coefficient
 from qsk.orthofunc import (
     FLAGGED_COROLLARIES,
     CorollaryId,
@@ -36,7 +37,6 @@ from qsk.polyfam import (
     cont_q_ultra,
     poch_finite,
     q_laguerre,
-    qlag_bilateral_norm,
     ultra_norm,
 )
 from qsk.qpoch import poch_all_infinite, poch_infinite
@@ -204,7 +204,7 @@ def test_jackson_norm_matches_printed_form():
                     _printed_jackson_norm(n, p), rel=1e-13), (q, alpha, n)
 
 
-def test_tail_sums_stop_at_the_node_cap():
+def test_tail_sums_stop_at_the_node_cap(monkeypatch):
     """An integrand whose terms do not decay exhausts the node cap: on the
     lattice f = g = 1/x at a = q = 0.5 gives terms 1/(q; q)_k, which tend
     to 1/(q; q)_inf; at alpha = 1 the bilateral and q-integral terms tend
@@ -212,12 +212,13 @@ def test_tail_sums_stop_at_the_node_cap():
     zero first (after about 540 nodes), which must not pass for a
     converged tail."""
     inv = lambda x: 1.0 / x
-    for cap in ({"max_nodes": 200}, {}):
-        specs = (
-            FunctionalSpec(FunctionalKind.DISCRETE_LATTICE, LqLParams(0.5, B5), **cap),
-            FunctionalSpec(FunctionalKind.BILATERAL, QLagParams(1.0, B5), c=1.3, **cap),
-            FunctionalSpec(FunctionalKind.JACKSON, QLagParams(1.0, B5), **cap),
-        )
+    specs = (
+        FunctionalSpec(FunctionalKind.DISCRETE_LATTICE, LqLParams(0.5, B5)),
+        FunctionalSpec(FunctionalKind.BILATERAL, QLagParams(1.0, B5), c=1.3),
+        FunctionalSpec(FunctionalKind.JACKSON, QLagParams(1.0, B5)),
+    )
+    for cap in (200, orthofunc._MAX_NODES):
+        monkeypatch.setattr(orthofunc, "_MAX_NODES", cap)
         for spec in specs:
             with pytest.raises(TailNonConvergence):
                 inner_product(spec, inv, inv)
