@@ -75,13 +75,16 @@ class SeriesResult:
 
 
 def _termination_index(numerator, q: float, cap: int) -> float:
-    """Smallest m with some numerator parameter equal to q^(-m), else inf."""
+    """Smallest m with some numerator parameter equal to q^(-m), else inf.
+    A parameter that is not finite raises PreconditionViolation."""
     best = math.inf
     lnq = math.log(q)
     for a in numerator:
         mag = abs(a)
         if mag < 1.0 - _TERMINATION_SLACK:
             continue
+        if not mag < math.inf:  # NaN fails this test too
+            raise PreconditionViolation(f"numerator parameter must be finite, got {a!r}")
         m = round(-math.log(mag) / lnq)
         if m < 0 or m > cap:
             continue
@@ -131,8 +134,9 @@ class SeriesPlan:
         consecutive terms below 1e-15 times the partial sum, which guards
         against isolated near-zero terms when a numerator parameter sits
         close to q^(-m).  A z that is not finite raises PreconditionViolation
-        before any term is summed; a sum that is not finite raises
-        IllConditioned."""
+        before any term is summed, and so does a numerator parameter that
+        is not finite: a fixed one when the plan is built, u times a scaled
+        one at the call.  A sum that is not finite raises IllConditioned."""
         if not cmath.isfinite(z):
             raise PreconditionViolation(f"series argument must be finite, got {z!r}")
         q, num, den, num2, den2 = self._q, self._num, self._den, self._num2, self._den2

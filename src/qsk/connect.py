@@ -30,6 +30,7 @@ from .polyfam import (
     LqLParams,
     QLagParams,
     UltraParams,
+    unscaled,
 )
 from .qpoch import QBase, QLike, as_base, poch_finite, renorm, unscale
 
@@ -225,16 +226,19 @@ def prefix_residuals(
     The target polynomials come from one walk per point: a Family.cursor
     read at the expansion's degrees in ascending order, so degrees 0..n
     cost n recurrence steps, not n^2 / 2; the q-ultraspherical degrees
-    n, n-2, ... are then looked up.  Each value has the bits ``evaluate``
-    gives, so every residual does too, and a value out of double range
-    raises IllConditioned as ``evaluate`` would."""
+    n, n-2, ... are then looked up.  The cursors come from one
+    Family.cursors call, so little q-Laguerre's x-free powers are built
+    once per call, not once per point.  Each value has the bits
+    ``evaluate`` gives, so every residual does too, and a value out of
+    double range raises IllConditioned as ``evaluate`` would."""
     q = exp.source_params.base.q
     if points is None:
         points = sample_points(exp.family, q)
     family = FAMILIES[exp.family]
     rhs = [family.evaluate(exp.n, x, exp.source_params) for x in points]
-    cursors = [family.cursor(x, exp.target_params) for x in points]
-    values = {deg: [_value(*at(deg), q) for at in cursors]
+    target = family.cursors(exp.target_params)
+    cursors = [target(x) for x in points]
+    values = {deg: [unscaled(*at(deg), q) for at in cursors]
               for deg in sorted(deg for deg, _ in exp.coefficients)}
     lhs = [complex(0.0)] * len(points)
     peak = _nan_max([abs(v) for v in rhs])
@@ -244,13 +248,6 @@ def prefix_residuals(
             lhs[i] += v * p
         out.append(_nan_max([abs(t - s) for t, s in zip(lhs, rhs)]) / (1.0 + peak))
     return out
-
-
-def _value(m: complex, e: float, q: float) -> complex:
-    """A cursor's (m, e) as the complex ``evaluate`` returns: an unscaled
-    (p_n(x), 0) as it is, a scaled pair through unscale as little
-    q-Laguerre's evaluator does."""
-    return complex(m if e == 0 else unscale(m, e, q))
 
 
 def _nan_max(magnitudes: list[float]) -> float:

@@ -60,6 +60,7 @@ from .polyfam import (
     qlag_bilateral_norm,
     qlag_continuous_norm,
     ultra_norm,
+    unscaled,
 )
 from .qpoch import poch_infinite
 
@@ -272,9 +273,12 @@ def inner_product(spec: FunctionalSpec, f: Callable[[float], complex],
 # ---------------------------------------------------------------------------
 
 
-def _poly(spec: FunctionalSpec, n: int) -> Callable[[float], complex]:
-    evaluate = FAMILIES[spec.family].evaluate
-    return lambda x: evaluate(n, x, spec.params)
+def _polys(spec: FunctionalSpec) -> Callable[[int], Callable[[float], complex]]:
+    """n -> (x -> p_n(x)) with the bits of ``evaluate``, from one
+    Family.cursors call, so little q-Laguerre's x-free factors are built
+    once per functional, not once per node."""
+    cursor, q = FAMILIES[spec.family].cursors(spec.params), spec.params.base.q
+    return lambda n: lambda x: unscaled(*cursor(x)(n), q)
 
 
 def norm_constant(spec: FunctionalSpec, n: int) -> float:
@@ -290,7 +294,8 @@ def verify_orthogonality(
         raise PreconditionViolation("family does not match the functional's parameters")
     if m < 0 or n < 0:
         raise PreconditionViolation("m, n must be >= 0")
-    lhs, count = _RULES[spec.kind](spec, _poly(spec, m), _poly(spec, n))
+    poly = _polys(spec)
+    lhs, count = _RULES[spec.kind](spec, poly(m), poly(n))
     rhs = complex(norm_constant(spec, n)) if m == n else complex(0.0)
     return IdentityReport.of(f"ORTHO_{family.name}_{spec.kind.name}",
                              spec.params.base.q, ParamPoint.of(m=m, n=n),
@@ -371,7 +376,7 @@ def verify_corollary(
         raise PreconditionViolation("n must be >= 0")
     spec = _spec_for(entry, point, ctx)
     kernel = entry_for(entry.theorem).kernel(point, ctx)
-    lhs, count = _RULES[spec.kind](spec, kernel, _poly(spec, n))
+    lhs, count = _RULES[spec.kind](spec, kernel, _polys(spec)(n))
     rhs, inner_terms = _closed_form(entry, n, point, ctx, spec)
     # corollary points carry no x: 0.5 is on every family's support, no t-bound reads x
     in_domain = entry_for(entry.theorem).contains(point.replace(x=0.5), ctx)

@@ -37,6 +37,8 @@ from .bhs import SeriesSpec, eval_phi
 from .errors import PreconditionViolation, ZeroParameter, IllConditioned
 from .qpoch import (
     ProductPlan,
+    SCALE_HI,
+    SCALE_LO,
     QBase,
     poch_all_infinite,
     poch_finite,
@@ -82,7 +84,12 @@ class AWParams:
         return (self.a, self.b, self.c, self.d)
 
     def orthogonal(self) -> bool:
-        return max(abs(v) for v in self.as_tuple()) < 1.0
+        """Max modulus < 1, and each value occurs as often as its
+        conjugate, so every parameter is real or has its conjugate
+        among the four."""
+        vals = self.as_tuple()
+        return max(abs(v) for v in vals) < 1.0 and all(
+            vals.count(v) == vals.count(v.conjugate()) for v in vals)
 
 
 def _real(name: str, v) -> float:
@@ -275,6 +282,74 @@ def cont_q_ultra(n: int, x: float, p: UltraParams) -> float:
     return _recurrence(_cqu_steps(x, p, range(n)))[1]
 
 
+def _lql_row(p: LqLParams, k: int) -> tuple[float, float, float, float]:
+    """The x-free factors at index k of little q-Laguerre's scaled sum:
+    q^k, 1 - q^(k+1), 1 - q^-k and 1 - q^-k / a.  A q^-k beyond double
+    range raises OverflowError, as evaluating degree k always has."""
+    q = p.base.q
+    q_k = q ** -k
+    return q**k, 1.0 - q ** (k + 1), 1.0 - q_k, 1.0 - q_k / p.a
+
+
+def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
+    """x -> little q-Laguerre cursor, all over one table of the record's
+    x-free factors, the rows of ``_lql_row``.  For x > 0 a cursor sums the
+    scaled 2phi0 form of ``little_q_laguerre_scaled`` at each degree asked
+    for, adding only the factors 1 - q^k / x of its own point; for x <= 0
+    it gives (p_n(x), 0) from the defining 2phi1 sum."""
+    q = p.base.q
+    lnq = math.log(q)
+    # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a
+    qk, up, down, pdown = [], [], [], []
+
+    def cursor(x: float) -> Cursor:
+        if _finite(x) <= 0.0:
+            return lambda n: (little_q_laguerre(n, x, p), 0)
+        ratio = -x / p.a
+        xf: list[float] = []  # 1 - q^k / x
+
+        def at(n: int) -> tuple[float, float]:
+            if n < 0:
+                raise PreconditionViolation("n must be >= 0")
+            while len(qk) <= n:
+                for col, v in zip((qk, up, down, pdown), _lql_row(p, len(qk))):
+                    col.append(v)
+            xf.extend([1.0 - v / x for v in qk[len(xf):n]])
+            exp = math.exp
+            # series sum (sm, se) and running term (tm, te); renorm leaves a
+            # mantissa inside [SCALE_LO, SCALE_HI] as it is, so it is
+            # called only outside
+            tm, te = 1.0, 0.0
+            sm, se = 1.0, 0.0
+            for k in range(n):
+                # term ratio k -> k+1 of 2phi0(q^-n, 1/x; -; q, x/a)
+                tm *= down[n - k] * xf[k] / up[k]
+                tm *= ratio
+                te -= k
+                if tm == 0.0:
+                    break  # x sits on the lattice; all later terms vanish
+                if not SCALE_LO <= abs(tm) <= SCALE_HI:
+                    tm, te = renorm(tm, te, q)
+                if te < se:
+                    sm = sm * exp((se - te) * lnq) + tm
+                    se = te
+                else:
+                    sm += tm * exp((te - se) * lnq)
+                if not SCALE_LO <= abs(sm) <= SCALE_HI:
+                    sm, se = renorm(sm, se, q)
+            # prefactor (q^-n / a; q)_n
+            pm, pe = 1.0, 0.0
+            for f in pdown[n:0:-1]:
+                pm *= f
+                if not SCALE_LO <= abs(pm) <= SCALE_HI:
+                    pm, pe = renorm(pm, pe, q)
+            return renorm(sm / pm, se - pe, q)
+
+        return at
+
+    return cursor
+
+
 def little_q_laguerre_scaled(
     n: int, x: float, p: LqLParams
 ) -> tuple[float, float]:
@@ -293,30 +368,7 @@ def little_q_laguerre_scaled(
         raise PreconditionViolation("n must be >= 0")
     if not 0.0 < x < math.inf:
         raise PreconditionViolation(f"scaled evaluation needs a finite x > 0, got {x!r}")
-    q = p.base.q
-    lnq = math.log(q)
-    # series sum (sm, se) and running term (tm, te)
-    tm, te = 1.0, 0.0
-    sm, se = 1.0, 0.0
-    for k in range(n):
-        # term ratio k -> k+1 of 2phi0(q^-n, 1/x; -; q, x/a)
-        tm *= (1.0 - q ** (k - n)) * (1.0 - q**k / x) / (1.0 - q ** (k + 1))
-        tm *= -x / p.a
-        te -= k
-        if tm == 0.0:
-            break  # x sits on the lattice; all later terms vanish
-        tm, te = renorm(tm, te, q)
-        if te < se:
-            sm = sm * math.exp((se - te) * lnq) + tm
-            se = te
-        else:
-            sm += tm * math.exp((te - se) * lnq)
-        sm, se = renorm(sm, se, q)
-    # prefactor (q^-n / a; q)_n
-    pm, pe = 1.0, 0.0
-    for j in range(n):
-        pm, pe = renorm(pm * (1.0 - q ** (j - n) / p.a), pe, q)
-    return renorm(sm / pm, se - pe, q)
+    return _lql_cursors(p)(x)(n)
 
 
 def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
@@ -546,6 +598,9 @@ def _two_sided(q: float, count: int) -> list[float]:
     return pts[:count]
 
 
+Cursor = Callable[[int], tuple[complex, float]]
+
+
 @dataclass(frozen=True)
 class Family:
     """One family's entry in FAMILIES.
@@ -572,29 +627,50 @@ class Family:
     steps: Callable[[float, object, Iterable[int]], Iterable[tuple]] | None
     x_range: tuple[float, float]
 
-    def cursor(self, x: float, params) -> Callable[[int], tuple[complex, float]]:
-        """``at(n)`` -> (m, e) with p_n(x) = m * q**e, for nondecreasing n.
-        A recurrence family advances from the last degree reached, with the
-        arithmetic of ``evaluate``, so degrees 0..N take N steps in all,
-        and gives (p_n(x), 0).  Little q-Laguerre, the series family, is
-        evaluated per degree: scaled for x > 0, (p_n(x), 0) for x <= 0.
-        A cursor whose call raised is spent.  genfun's outer sum walks one
-        per point, and so does connect.prefix_residuals."""
+    def cursors(self, params) -> Callable[[float], Cursor]:
+        """x -> cursor over the record ``params``.
+
+        A cursor ``at(n)`` gives (m, e) with p_n(x) = m * q**e, for
+        nondecreasing n, and checks x when it is made.  A recurrence family
+        advances from the last degree reached, with the arithmetic of
+        ``evaluate``, so degrees 0..N take N steps in all, and gives
+        (p_n(x), 0).  Little q-Laguerre, the series family, sums each
+        degree on its own: scaled for x > 0 (the pair of
+        ``little_q_laguerre_scaled``), (p_n(x), 0) for x <= 0; the cursors
+        of one call share one table of the record's x-free factors, which
+        lives as long as they do.  A cursor whose call raised is spent.
+        genfun's outer sum walks one cursor per point,
+        connect.prefix_residuals one per point from one call for the
+        target record, and orthofunc one per node from one call per
+        functional."""
         if self.steps is None:
-            if _finite(x) > 0.0:
-                return lambda n: little_q_laguerre_scaled(n, x, params)
-            return lambda n: (little_q_laguerre(n, x, params), 0)
-        steps = self.steps(x, params, itertools.count())
-        k, prev, cur = 0, 0.0, 1.0  # p_(k-1), p_k
+            return _lql_cursors(params)
 
-        def at(n: int) -> complex:
-            nonlocal k, prev, cur
-            m, k = k, None  # after a raise, the next call fails on n - None
-            prev, cur = _recurrence(itertools.islice(steps, n - m), prev, cur)
-            k = n
-            return complex(cur), 0
+        def cursor(x: float) -> Cursor:
+            steps = self.steps(x, params, itertools.count())
+            k, prev, cur = 0, 0.0, 1.0  # p_(k-1), p_k
 
-        return at
+            def at(n: int) -> tuple[complex, float]:
+                nonlocal k, prev, cur
+                m, k = k, None  # after a raise, the next call fails on n - None
+                prev, cur = _recurrence(itertools.islice(steps, n - m), prev, cur)
+                k = n
+                return complex(cur), 0
+
+            return at
+
+        return cursor
+
+    def cursor(self, x: float, params) -> Cursor:
+        """The one-point case of ``cursors``."""
+        return self.cursors(params)(x)
+
+
+def unscaled(m: complex, e: float, q: float) -> complex:
+    """A cursor's (m, e) as the complex ``evaluate`` returns: an unscaled
+    (p_n(x), 0) as it is, a scaled pair through unscale as little
+    q-Laguerre's evaluator does."""
+    return complex(m if e == 0 else unscale(m, e, q))
 
 
 # The lambdas look evaluators up as module globals at call time and pass

@@ -29,10 +29,10 @@ _TOL = 1e-15
 _TAIL_FRACTION = 2.0**-6
 
 # A scaled value is a pair (m, e) standing for m * q**e.  renorm keeps the
-# mantissa m inside [_SCALE_LO, _SCALE_HI]; unscale turns the pair back into
+# mantissa m inside [SCALE_LO, SCALE_HI]; unscale turns the pair back into
 # a double when its natural log lies inside [_LOG_TINY, _LOG_HUGE].
-_SCALE_HI = 1e60
-_SCALE_LO = 1e-60
+SCALE_HI = 1e60
+SCALE_LO = 1e-60
 _LOG_HUGE = 709.0
 _LOG_TINY = -708.0
 
@@ -76,10 +76,10 @@ def scalar(v: complex) -> complex:
 
 def renorm(m: complex, e: float, q: float) -> tuple[complex, float]:
     """The scaled value (m, e) = m * q**e with the magnitude of m shifted
-    into the exponent whenever |m| leaves [_SCALE_LO, _SCALE_HI].  An
+    into the exponent whenever |m| leaves [SCALE_LO, SCALE_HI].  An
     infinite m raises IllConditioned; a NaN passes through."""
     am = abs(m)
-    if am > _SCALE_HI or 0.0 < am < _SCALE_LO:
+    if am > SCALE_HI or 0.0 < am < SCALE_LO:
         if am == math.inf:
             raise IllConditioned("scaled value overflows the double-precision range")
         lnq = math.log(q)

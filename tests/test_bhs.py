@@ -146,6 +146,23 @@ def test_non_finite_argument_is_refused():
                 eval_phi(SeriesSpec(num, (0.2,), z, QBase(0.5)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.inf)])
+def test_non_finite_numerator_parameters_and_node_values_are_refused(bad):
+    """A NaN or infinite numerator parameter, fixed, in base q^2 or scaled,
+    or node value u raises PreconditionViolation, never the bare
+    ValueError or OverflowError of the termination test's round()."""
+    with pytest.raises(PreconditionViolation):
+        eval_phi(SeriesSpec((bad,), (0.2,), 0.5, QBase(0.5)))
+    with pytest.raises(PreconditionViolation):
+        eval_phi(SeriesSpec((0.3,), (0.2,), 0.5, QBase(0.5), numerator2=(bad,)))
+    with pytest.raises(PreconditionViolation):
+        SeriesPlan((0.3,), (0.2,), QBase(0.5), scaled_num=(bad,))(0.5)
+    plan = SeriesPlan((), (0.2,), QBase(0.5), scaled_num=(0.3,))
+    with pytest.raises(PreconditionViolation):
+        plan(0.5, bad)
+    assert cmath.isfinite(plan(0.5, 0.7).value)
+
+
 def test_monotone_tail_stopping():
     """Non-terminating 2phi1 with 0 < z < 1: term ratio tends to z, so the
     stopping rule fires and the tail estimate matches the truncation."""

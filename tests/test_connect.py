@@ -1,7 +1,9 @@
 """Connection coefficients: identity collapse, pointwise exactness,
 parity, transitivity, and degenerate-input handling."""
 
+import hashlib
 import math
+from collections import Counter
 from random import Random
 
 import pytest
@@ -168,6 +170,19 @@ def test_prefix_residuals_are_the_residuals_of_each_leading_part(exp):
     assert table[0] > 1e-3 and table[-1] < 1e-9
 
 
+# SHA-256 of the float.hex of every prefix residual of the workload draws at
+# the default sample points, taken when every point built its own factors.
+PREFIX_BITS = "41320f657067490a8fe3594fd1855cb23a7ae5228424066fe3b13878ab9b9863"
+
+
+def test_prefix_residual_bits_are_pinned():
+    digest = hashlib.sha256()
+    for draw in _workload_draws():
+        table = prefix_residuals(draw.values[0])
+        digest.update((" ".join(r.hex() for r in table) + "\n").encode())
+    assert digest.hexdigest() == PREFIX_BITS
+
+
 def test_prefix_residuals_raise_where_the_formula_does():
     """alpha bcd = q makes the target recurrence's first denominator
     1 - abcd q^-1 vanish, which no connection denominator screens: the
@@ -187,13 +202,17 @@ def test_prefix_residuals_raise_where_the_formula_does():
 @pytest.mark.parametrize("exp", [
     aw_connection(16, 0.3, -0.2, 0.1, 0.05, 0.25, 0.5),
     ultra_connection(16, 0.3, -0.6, 0.7),
+    lql_connection(16, 0.5, 0.7, 0.5),
     qlag_connection(7, 0.5, 1.25, 0.6),
-], ids=["aw", "cqu", "qlag"])
+], ids=["aw", "cqu", "lql", "qlag"])
 def test_prefix_residuals_walk_each_recurrence_once_per_point(monkeypatch, exp):
     """Beyond the source evaluations, the table takes at most n + 1
     recurrence steps per point, where evaluating each target degree from
     degree 0 would take n (n + 1) / 2.  Both the evaluators and the cursors
-    advance through polyfam._recurrence, so counting its steps covers both."""
+    advance through polyfam._recurrence, so counting its steps covers both.
+    Little q-Laguerre has no recurrence; the target record's x-free powers
+    are built once per call, not once per point: each row 0..n of its
+    table exactly once, where each source evaluation builds its own."""
     taken = 0
     walk = polyfam._recurrence
 
@@ -210,8 +229,22 @@ def test_prefix_residuals_walk_each_recurrence_once_per_point(monkeypatch, exp):
     for x in pts:
         FAMILIES[exp.family].evaluate(exp.n, x, exp.source_params)
     source, taken = taken, 0
+    row, built = polyfam._lql_row, []
+
+    def counted_row(p, k):
+        built.append((p, k))
+        return row(p, k)
+
+    monkeypatch.setattr(polyfam, "_lql_row", counted_row)
     prefix_residuals(exp, pts)
-    assert source < taken <= source + len(pts) * (exp.n + 1)
+    if exp.family is FamilyId.LITTLE_Q_LAGUERRE:
+        assert taken == 0
+        assert Counter(built) == Counter(
+            {**{(exp.source_params, k): len(pts) for k in range(exp.n + 1)},
+             **{(exp.target_params, k): 1 for k in range(exp.n + 1)}})
+    else:
+        assert source < taken <= source + len(pts) * (exp.n + 1)
+        assert not built
 
 
 def test_nan_coefficient_scores_nan_not_zero():

@@ -272,6 +272,12 @@ def test_domain_follows_the_family_records():
     aw = ParamPoint.of(a=0.3, b=0.2, c=0.1, d=0.05, alpha=0.25, x=0.1, t=0.1)
     assert in_domain("T2", aw, CTX)
     assert not in_domain("T2", aw.replace(alpha=1.2), CTX)  # its record is not orthogonal
+    src = ParamPoint.of(a=0.3, b=0.2, c=0.1, d=0.05, x=0.1, t=0.1)
+    assert in_domain("SRC_AW_14113", src, CTX)
+    assert not in_domain("SRC_AW_14113", src.replace(a=0.3 + 0.1j), CTX)
+    assert in_domain("SRC_AW_14113", src.replace(a=0.3 + 0.1j, b=0.3 - 0.1j), CTX)
+    assert not in_domain("SRC_AW_14113", src.replace(a=0.3 + 0.1j, b=0.3 + 0.1j,
+                                                     c=0.3 - 0.1j), CTX)
 
 
 def test_eval_context_rejects_bool_caps():

@@ -707,6 +707,61 @@ def test_lql_cursor_is_the_scaled_evaluation(q):
                         assert at(n) == (want, 0), (p, x, n)
 
 
+# Two records per family; (q, family) -> digest of the pairs of degrees
+# 0..40 at the family's sample points, taken from ``evaluate`` and
+# ``little_q_laguerre_scaled`` before the cursors shared one table per record.
+_PIN_RECORDS = {
+    FamilyId.ASKEY_WILSON: [(0.3, -0.45, 0.2, 0.6), (0.3 + 0.2j, 0.3 - 0.2j, 0.4, -0.2)],
+    FamilyId.CONT_Q_ULTRA: [(0.4,), (-0.7,)],
+    FamilyId.LITTLE_Q_LAGUERRE: [(0.5,), (0.9,)],
+    FamilyId.Q_LAGUERRE: [(0.5,), (-0.4,)],
+}
+CURSOR_BITS = {
+    (0.05, "aw"): "3d19fb32e77f183a",
+    (0.05, "cqu"): "61a047581e3acab8",
+    (0.05, "lql"): "08fa36e5ba4857fd",
+    (0.05, "qlag"): "51a0dea3ff658a9e",
+    (0.5, "aw"): "064b30a97c550f99",
+    (0.5, "cqu"): "e34fda5fe08e84b5",
+    (0.5, "lql"): "891b1c8e8b53b905",
+    (0.5, "qlag"): "6fbfb55b7a7c1a05",
+    (0.95, "aw"): "41d170163dd8b633",
+    (0.95, "cqu"): "fe33daa10fb03d26",
+    (0.95, "lql"): "518027c357eb8c89",
+    (0.95, "qlag"): "3d9be99ac853a8e0",
+}
+
+
+def _pair_token(pair) -> str:
+    m, e = complex(pair[0]), float(pair[1])
+    return f"{m.real.hex()},{m.imag.hex()},{e.hex()}"
+
+
+@pytest.mark.parametrize("q,family", list(CURSOR_BITS))
+def test_shared_table_cursors_keep_the_bits(q, family):
+    """Cursors over one table per record, read at every degree 0..40 at
+    all sample points in turn, give the pairs of ``evaluate`` (and of
+    ``little_q_laguerre_scaled`` for x > 0) bit for bit, and those pairs
+    are the ones pinned."""
+    fid = FamilyId(family)
+    fam = FAMILIES[fid]
+    digest = hashlib.sha256()
+    for vals in _PIN_RECORDS[fid]:
+        p = fam.params(*vals, QBase(q))
+        xs = connect.sample_points(fid, q)
+        cursor = fam.cursors(p)
+        walks = [cursor(x) for x in xs]
+        for n in range(41):
+            for x, at in zip(xs, walks):
+                if fid is FamilyId.LITTLE_Q_LAGUERRE and x > 0.0:
+                    want = _pair_token(little_q_laguerre_scaled(n, x, p))
+                else:
+                    want = _pair_token((fam.evaluate(n, x, p), 0))
+                assert _pair_token(at(n)) == want, (vals, x, n)
+                digest.update((want + " ").encode())
+    assert digest.hexdigest()[:16] == CURSOR_BITS[q, family]
+
+
 def test_cursor_refuses_from_the_same_degree_as_single_degree_evaluation():
     """abcd q^5 = 1 + 1e-14: the recurrence step k = 3 divides by
     1 - abcd q^(2k-1), so both paths refuse every degree from 4 on."""
