@@ -122,6 +122,9 @@ class SeriesPlan:
         self._q, self._max_terms = q, max_terms
         self._num, self._den, self._snum, self._sden, self._num2, self._den2 = (
             num, den, snum, sden, num2, den2)
+        for b in den + sden + den2:
+            if not cmath.isfinite(b):
+                raise PreconditionViolation(f"denominator parameter must be finite, got {b!r}")
         self._stop = min(_termination_index(self._num, q, max_terms),
                          _termination_index(self._num2, q * q, max_terms))
         # c_k, and the scaled numerator and denominator powers, k = 0, 1, ...
@@ -134,9 +137,11 @@ class SeriesPlan:
         consecutive terms below 1e-15 times the partial sum, which guards
         against isolated near-zero terms when a numerator parameter sits
         close to q^(-m).  A z that is not finite raises PreconditionViolation
-        before any term is summed, and so does a numerator parameter that
-        is not finite: a fixed one when the plan is built, u times a scaled
-        one at the call.  A sum that is not finite raises IllConditioned."""
+        before any term is summed, and so does any parameter that is not
+        finite: a fixed numerator or any denominator one when the plan is
+        built; u times a scaled numerator one, and v when denominator
+        parameters are scaled, at the call.  A sum that is not finite
+        raises IllConditioned."""
         if not cmath.isfinite(z):
             raise PreconditionViolation(f"series argument must be finite, got {z!r}")
         q, num, den, num2, den2 = self._q, self._num, self._den, self._num2, self._den2
@@ -156,6 +161,8 @@ class SeriesPlan:
         end = min(stop_at, max_terms - 1)
         if v is None:
             v = u
+        if sden and not cmath.isfinite(v):
+            raise PreconditionViolation(f"node value v must be finite, got {v!r}")
         sign_exp = 1 + s - r
         c, pnum, pden, tol = self._c, self._pnum, self._pden, _TOL
         built = len(c)

@@ -227,10 +227,13 @@ def prefix_residuals(
     read at the expansion's degrees in ascending order, so degrees 0..n
     cost n recurrence steps, not n^2 / 2; the q-ultraspherical degrees
     n, n-2, ... are then looked up.  The cursors come from one
-    Family.cursors call, so little q-Laguerre's x-free powers are built
-    once per call, not once per point.  Each value has the bits
-    ``evaluate`` gives, so every residual does too, and a value out of
-    double range raises IllConditioned as ``evaluate`` would."""
+    Family.cursors call, so the target record's x-free factors (the
+    recurrence rows, or little q-Laguerre's powers and per-degree
+    prefactors) are built once per call, not once per point.  The source
+    polynomial is one ``evaluate`` call per point, which builds its own.
+    Each value has the bits ``evaluate`` gives, so every residual does
+    too, and a value out of double range raises IllConditioned as
+    ``evaluate`` would."""
     q = exp.source_params.base.q
     if points is None:
         points = sample_points(exp.family, q)

@@ -16,18 +16,17 @@ Families (all with base q in (0, 1)):
       * 1phi1(q^-n; q^(alpha+1); q, -q^(n+alpha+1) x)
 
 Askey-Wilson, continuous q-ultraspherical and q-Laguerre polynomials are
-evaluated by one forward three-term recurrence loop, each family supplying
-only its coefficients; none of them forms the q^-n scale of the series
-above.  Little q-Laguerre is evaluated by series: for x > 0 a scaled 2phi0
-form whose terms never cancel, for x <= 0 the defining 2phi1 sum.  The
-series definitions of the other three families serve as oracles in the
-tests.
+evaluated by their forward three-term recurrences, each stated once as
+rows of x-free coefficients and a short walk that forms the one term in
+x; none of them forms the q^-n scale of the series above.  Little
+q-Laguerre is evaluated by series: for x > 0 a scaled 2phi0 form whose
+terms never cancel, for x <= 0 the defining 2phi1 sum.  The series
+definitions of the other three families serve as oracles in the tests.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -167,30 +166,84 @@ def _finite(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _recurrence(steps: Iterable[tuple], prev=0.0, cur=1.0) -> tuple:
-    """(p_(k-1), p_k) advanced by the forward three-term recurrence
-
-        a_k p_(k+1) = b_k p_k - c_k p_(k-1),
-
-    once per (a_k, b_k, c_k) taken from ``steps``; from the defaults
-    p_(-1) = 0, p_0 = 1, n steps give (p_(n-1), p_n).  A polynomial
-    solution is never the minimal one, so forward recursion keeps it
-    (Gautschi, SIAM Review 9, 1967), and no intermediate carries the q^-n
-    scale of the series forms.  A p_n beyond double range (inf, or the
-    NaN of inf - inf) raises IllConditioned, and so does an a_k that
-    underflowed to 0 because the coefficients overflowed."""
-    try:
-        for a, b, c in steps:
-            prev, cur = cur, (b * cur - c * prev) / a
-    except ZeroDivisionError:
-        raise IllConditioned("recurrence coefficients leave the double-precision range") from None
-    if not cmath.isfinite(cur):
-        raise IllConditioned("recurrence value leaves the double-precision range")
-    return prev, cur
+Cursor = Callable[[int], tuple[complex, float]]
 
 
-def _aw_steps(x: float, p: AWParams, ks: Iterable[int]):
-    """Askey-Wilson recurrence coefficients for the degrees k in ``ks``.
+@dataclass(eq=False)
+class Recurrence:
+    """A family's forward three-term recurrence
+
+        a_k p_(k+1) = b_k(x) p_k - c_k p_(k-1),
+
+    split at x: only b_k depends on x, through one term per point.
+
+    rows   params -> row, where row(k) holds the x-free values of step k
+    start  (x, params) -> the point's term in x; checks x, and the record
+           where evaluation needs it
+    walk   (term, rows, p_(k-1), p_k) -> the pair advanced once per row,
+           forming b_k from the point's term and the row
+
+    From p_(-1) = 0, p_0 = 1, rows 0..n-1 give (p_(n-1), p_n).  A
+    polynomial solution is never the minimal one, so forward recursion
+    keeps it (Gautschi, SIAM Review 9, 1967), and no intermediate carries
+    the q^-n scale of the series forms.  A p_n beyond double range (inf,
+    or the NaN of inf - inf) raises IllConditioned, and so does an a_k
+    that underflowed to 0 because the coefficients overflowed.
+    """
+
+    rows: Callable[[object], Callable[[int], tuple]]
+    start: Callable[[float, object], complex]
+    walk: Callable[[complex, Iterable[tuple], complex, complex], tuple]
+
+    def value(self, n: int, x: float, params) -> complex:
+        """p_n(x), the rows streamed for this one point, without a table."""
+        if n < 0:
+            raise PreconditionViolation("n must be >= 0")
+        term = self.start(x, params)
+        try:
+            cur = self.walk(term, map(self.rows(params), range(n)), 0.0, 1.0)[1]
+        except ZeroDivisionError:
+            raise IllConditioned(_OUT_OF_RANGE) from None
+        if not cmath.isfinite(cur):
+            raise IllConditioned(_NOT_FINITE)
+        return cur
+
+    def cursors(self, params) -> Callable[[float], Cursor]:
+        """x -> cursor giving (p_n(x), 0), all over one table of the
+        record's rows (see ``Family.cursors``)."""
+        row, walk, table = self.rows(params), self.walk, []
+
+        def cursor(x: float) -> Cursor:
+            term = self.start(x, params)
+            k, prev, cur = 0, 0.0, 1.0  # p_(k-1), p_k
+
+            def at(n: int) -> tuple[complex, float]:
+                nonlocal k, prev, cur
+                m, k = k, None  # after a raise, the next call fails on m <= n
+                if not m <= n:
+                    raise PreconditionViolation("a cursor's degrees must not decrease")
+                try:
+                    while len(table) < n:
+                        table.append(row(len(table)))
+                    prev, cur = walk(term, table[m:n], prev, cur)
+                except ZeroDivisionError:
+                    raise IllConditioned(_OUT_OF_RANGE) from None
+                if not cmath.isfinite(cur):
+                    raise IllConditioned(_NOT_FINITE)
+                k = n
+                return complex(cur), 0
+
+            return at
+
+        return cursor
+
+
+_OUT_OF_RANGE = "recurrence coefficients leave the double-precision range"
+_NOT_FINITE = "recurrence value leaves the double-precision range"
+
+
+def _aw_rows(p: AWParams) -> Callable[[int], tuple]:
+    """Askey-Wilson recurrence rows (a_k, A_k, a C_k/a, c_k).
 
     The recurrence is written directly in the unnormalized polynomials,
 
@@ -198,109 +251,154 @@ def _aw_steps(x: float, p: AWParams, ks: Iterable[int]):
 
     where A_k, C_k are the classical normalized-recurrence coefficients and
     A'_k, C'_k absorb the a^-k (ab, ac, ad; q)_k prefactor, so no
-    intermediate carries the a^-k scale.
+    intermediate carries the a^-k scale.  A row whose denominator
+    1 - abcd q^m nearly vanishes raises IllConditioned when it is built.
     """
-    _theta(x)  # validates |x| <= 1
     q = p.base.q
     a, b, c, d = p.as_tuple()
-    if abs(a) == 0.0:
-        raise ZeroParameter("Askey-Wilson evaluation needs a != 0")
     abcd = a * b * c * d
 
-    def steps():
-        for k in ks:
-            qk, qk1 = q**k, q ** (k - 1)
-            d0 = 1.0 - abcd * q ** (2 * k - 1)
-            d1 = 1.0 - abcd * q ** (2 * k)
-            d2 = 1.0 - abcd * q ** (2 * k - 2)
-            if min(abs(d0), abs(d1), abs(d2)) < 1e-12:
-                raise IllConditioned(
-                    "recurrence denominator 1 - abcd q^m nearly vanishes"
-                )
-            A = (
-                (1.0 - a * b * qk) * (1.0 - a * c * qk) * (1.0 - a * d * qk)
-                * (1.0 - abcd * qk1) / (a * d0 * d1)
-            )
-            C_a = (
-                (1.0 - qk) * (1.0 - b * c * qk1) * (1.0 - b * d * qk1)
-                * (1.0 - c * d * qk1) / (d2 * d0)
-            )  # C_k / a
-            yield (
-                (1.0 - abcd * qk1) / (d0 * d1),
-                2.0 * x - a - 1.0 / a + A + a * C_a,
-                C_a * (1.0 - a * b * qk1) * (1.0 - a * c * qk1) * (1.0 - a * d * qk1),
-            )
+    def row(k: int) -> tuple:
+        qk, qk1 = q**k, q ** (k - 1)
+        d0 = 1.0 - abcd * q ** (2 * k - 1)
+        d1 = 1.0 - abcd * q ** (2 * k)
+        d2 = 1.0 - abcd * q ** (2 * k - 2)
+        if min(abs(d0), abs(d1), abs(d2)) < 1e-12:
+            raise IllConditioned("recurrence denominator 1 - abcd q^m nearly vanishes")
+        A = (
+            (1.0 - a * b * qk) * (1.0 - a * c * qk) * (1.0 - a * d * qk)
+            * (1.0 - abcd * qk1) / (a * d0 * d1)
+        )
+        C_a = (
+            (1.0 - qk) * (1.0 - b * c * qk1) * (1.0 - b * d * qk1)
+            * (1.0 - c * d * qk1) / (d2 * d0)
+        )  # C_k / a
+        return (
+            (1.0 - abcd * qk1) / (d0 * d1),
+            A,
+            a * C_a,
+            C_a * (1.0 - a * b * qk1) * (1.0 - a * c * qk1) * (1.0 - a * d * qk1),
+        )
 
-    return steps()
+    return row
 
 
-def _cqu_steps(x: float, p: UltraParams, ks: Iterable[int]):
-    """Continuous q-ultraspherical recurrence coefficients, from
+def _aw_start(x: float, p: AWParams) -> complex:
+    """(2x - a) - 1/a, the part of b_k shared by every step."""
+    _theta(x)  # validates |x| <= 1
+    a = p.a
+    if abs(a) == 0.0:
+        raise ZeroParameter("Askey-Wilson evaluation needs a != 0")
+    return 2.0 * x - a - 1.0 / a
+
+
+def _aw_walk(u, rows, prev, cur) -> tuple:
+    for a, A, aC, c in rows:  # b_k = ((2x - a) - 1/a) + A_k + a (C_k / a)
+        prev, cur = cur, ((u + A + aC) * cur - c * prev) / a
+    return prev, cur
+
+
+def _cqu_rows(p: UltraParams) -> Callable[[int], tuple]:
+    """Continuous q-ultraspherical recurrence rows
+    (1 - q^(k+1), 1 - beta q^k, 1 - beta^2 q^(k-1)), from
 
         2x (1 - beta q^k) C_k = (1 - q^(k+1)) C_(k+1)
                                 + (1 - beta^2 q^(k-1)) C_(k-1).
     """
-    _theta(x)  # validates |x| <= 1
     q, beta = p.base.q, p.beta
-    return (
-        (1.0 - q ** (k + 1), 2.0 * x * (1.0 - beta * q**k),
-         1.0 - beta * beta * q ** (k - 1))
-        for k in ks
-    )
+    return lambda k: (1.0 - q ** (k + 1), 1.0 - beta * q**k,
+                      1.0 - beta * beta * q ** (k - 1))
 
 
-def _qlag_steps(x: float, p: QLagParams, ks: Iterable[int]):
-    """q-Laguerre recurrence coefficients (Koekoek-Lesky-Swarttouw 14.21.3)
+def _cqu_start(x: float, p: UltraParams) -> float:
+    _theta(x)  # validates |x| <= 1
+    return 2.0 * x
+
+
+def _cqu_walk(x2, rows, prev, cur) -> tuple:
+    for a, s, c in rows:  # b_k = (2x)(1 - beta q^k)
+        prev, cur = cur, (x2 * s * cur - c * prev) / a
+    return prev, cur
+
+
+def _qlag_rows(p: QLagParams) -> Callable[[int], tuple]:
+    """q-Laguerre recurrence rows (a_k, a_k + c_k, q^(2k+alpha+1), c_k),
+    from Koekoek-Lesky-Swarttouw 14.21.3
 
         -q^(2k+alpha+1) x L_k = (1 - q^(k+1)) L_(k+1)
             - [(1 - q^(k+1)) + q (1 - q^(k+alpha))] L_k
             + q (1 - q^(k+alpha)) L_(k-1).
     """
-    _finite(x)
     q, al = p.base.q, p.alpha
 
-    def steps():
-        for k in ks:
-            a = 1.0 - q ** (k + 1)
-            c = q * (1.0 - q ** (k + al))
-            yield a, a + c - q ** (2 * k + al + 1.0) * x, c
+    def row(k: int) -> tuple:
+        a = 1.0 - q ** (k + 1)
+        c = q * (1.0 - q ** (k + al))
+        return a, a + c, q ** (2 * k + al + 1.0), c
 
-    return steps()
+    return row
+
+
+def _qlag_start(x: float, p: QLagParams) -> float:
+    return _finite(x)
+
+
+def _qlag_walk(x, rows, prev, cur) -> tuple:
+    for a, apc, w, c in rows:  # b_k = (a_k + c_k) - q^(2k+alpha+1) x
+        prev, cur = cur, ((apc - w * x) * cur - c * prev) / a
+    return prev, cur
+
+
+_AW = Recurrence(_aw_rows, _aw_start, _aw_walk)
+_CQU = Recurrence(_cqu_rows, _cqu_start, _cqu_walk)
+_QLAG = Recurrence(_qlag_rows, _qlag_start, _qlag_walk)
 
 
 def askey_wilson(n: int, x: float, p: AWParams) -> complex:
     """Askey-Wilson polynomial p_n(x; a,b,c,d | q) at x = cos(theta)."""
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
-    return complex(_recurrence(_aw_steps(x, p, range(n)))[1])
+    return complex(_AW.value(n, x, p))
 
 
 def cont_q_ultra(n: int, x: float, p: UltraParams) -> float:
     """Continuous q-ultraspherical (Rogers) polynomial C_n(x; beta | q)."""
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
-    return _recurrence(_cqu_steps(x, p, range(n)))[1]
+    return _CQU.value(n, x, p)
 
 
 def _lql_row(p: LqLParams, k: int) -> tuple[float, float, float, float]:
     """The x-free factors at index k of little q-Laguerre's scaled sum:
     q^k, 1 - q^(k+1), 1 - q^-k and 1 - q^-k / a.  A q^-k beyond double
-    range raises OverflowError, as evaluating degree k always has."""
+    range raises IllConditioned."""
     q = p.base.q
-    q_k = q ** -k
+    try:
+        q_k = q ** -k
+    except OverflowError:
+        raise IllConditioned("value exceeds the double-precision range") from None
     return q**k, 1.0 - q ** (k + 1), 1.0 - q_k, 1.0 - q_k / p.a
+
+
+def _lql_prefactor(pdown: list[float], n: int, q: float) -> tuple[float, float]:
+    """The prefactor (q^-n / a; q)_n in scaled form, its factors
+    ``pdown[k]`` = 1 - q^-k / a taken for k = n down to 1."""
+    pm, pe = 1.0, 0.0
+    for f in pdown[n:0:-1]:
+        pm *= f
+        if not SCALE_LO <= abs(pm) <= SCALE_HI:
+            pm, pe = renorm(pm, pe, q)
+    return pm, pe
 
 
 def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
     """x -> little q-Laguerre cursor, all over one table of the record's
-    x-free factors, the rows of ``_lql_row``.  For x > 0 a cursor sums the
-    scaled 2phi0 form of ``little_q_laguerre_scaled`` at each degree asked
-    for, adding only the factors 1 - q^k / x of its own point; for x <= 0
-    it gives (p_n(x), 0) from the defining 2phi1 sum."""
+    x-free factors: the rows of ``_lql_row``, and the scaled prefactor
+    of each degree asked for.  For x > 0 a cursor sums the scaled 2phi0
+    form of ``little_q_laguerre_scaled`` at each degree asked for, adding
+    only the factors 1 - q^k / x of its own point; for x <= 0 it gives
+    (p_n(x), 0) from the defining 2phi1 sum."""
     q = p.base.q
     lnq = math.log(q)
     # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a
     qk, up, down, pdown = [], [], [], []
+    prefactor: dict[int, tuple[float, float]] = {}  # n -> (q^-n / a; q)_n, scaled
 
     def cursor(x: float) -> Cursor:
         if _finite(x) <= 0.0:
@@ -337,12 +435,9 @@ def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
                     sm += tm * exp((te - se) * lnq)
                 if not SCALE_LO <= abs(sm) <= SCALE_HI:
                     sm, se = renorm(sm, se, q)
-            # prefactor (q^-n / a; q)_n
-            pm, pe = 1.0, 0.0
-            for f in pdown[n:0:-1]:
-                pm *= f
-                if not SCALE_LO <= abs(pm) <= SCALE_HI:
-                    pm, pe = renorm(pm, pe, q)
+            if n not in prefactor:
+                prefactor[n] = _lql_prefactor(pdown, n, q)
+            pm, pe = prefactor[n]
             return renorm(sm / pm, se - pe, q)
 
         return at
@@ -397,9 +492,7 @@ def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
 
 def q_laguerre(n: int, x: float, p: QLagParams) -> float:
     """q-Laguerre polynomial L_n^(alpha)(x; q)."""
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
-    return _recurrence(_qlag_steps(x, p, range(n)))[1]
+    return _QLAG.value(n, x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -598,25 +691,22 @@ def _two_sided(q: float, count: int) -> list[float]:
     return pts[:count]
 
 
-Cursor = Callable[[int], tuple[complex, float]]
-
-
 @dataclass(frozen=True)
 class Family:
     """One family's entry in FAMILIES.
 
-    params    parameter record class, built as params(*values, base)
-    names     its parameter names, in that order
-    evaluate  (n, x, params) -> p_n(x) as a complex, from degree 0
-    weight    params -> (x -> continuous weight w(x)), a factory that builds
-              the weight's product plans once per functional; None on a
-              lattice
-    support   (q, count) -> sample abscissas on the natural support
-    steps     (x, params, degrees) -> recurrence coefficients at those
-              degrees, x and params checked on the call; None for a
-              family evaluated by series
-    x_range   (lo, hi): the closed range of x over which the generating
-              functions expanding in the family hold
+    params      parameter record class, built as params(*values, base)
+    names       its parameter names, in that order
+    evaluate    (n, x, params) -> p_n(x) as a complex, from degree 0
+    weight      params -> (x -> continuous weight w(x)), a factory that
+                builds the weight's product plans once per functional;
+                None on a lattice
+    support     (q, count) -> sample abscissas on the natural support
+    recurrence  the family's recurrence, split at x (``Recurrence``), the
+                one source of its coefficients for ``evaluate`` and the
+                cursors; None for little q-Laguerre, evaluated by series
+    x_range     (lo, hi): the closed range of x over which the generating
+                functions expanding in the family hold
     """
 
     params: type
@@ -624,42 +714,32 @@ class Family:
     evaluate: Callable[[int, float, object], complex]
     weight: Callable[[object], Callable[[float], float]] | None
     support: Callable[[float, int], list[float]]
-    steps: Callable[[float, object, Iterable[int]], Iterable[tuple]] | None
+    recurrence: Recurrence | None
     x_range: tuple[float, float]
 
     def cursors(self, params) -> Callable[[float], Cursor]:
         """x -> cursor over the record ``params``.
 
         A cursor ``at(n)`` gives (m, e) with p_n(x) = m * q**e, for
-        nondecreasing n, and checks x when it is made.  A recurrence family
-        advances from the last degree reached, with the arithmetic of
+        nondecreasing n, and checks x when it is made.  The cursors of one
+        call share one table of the record's x-free factors, built once by
+        index as the cursors first need them, which lives as long as they
+        do.  A recurrence family's table holds the rows of its
+        ``Recurrence``: a cursor advances from the last degree reached,
+        forming only each step's term in x, with the arithmetic of
         ``evaluate``, so degrees 0..N take N steps in all, and gives
-        (p_n(x), 0).  Little q-Laguerre, the series family, sums each
-        degree on its own: scaled for x > 0 (the pair of
-        ``little_q_laguerre_scaled``), (p_n(x), 0) for x <= 0; the cursors
-        of one call share one table of the record's x-free factors, which
-        lives as long as they do.  A cursor whose call raised is spent.
-        genfun's outer sum walks one cursor per point,
+        (p_n(x), 0).  A row that cannot be built (AW's 1 - abcd q^m near
+        0) raises when a cursor first needs it.  Little q-Laguerre, the
+        series family, sums each degree on its own: scaled for x > 0 (the
+        pair of ``little_q_laguerre_scaled``), (p_n(x), 0) for x <= 0; its
+        table also keeps each degree's prefactor.  A cursor whose call
+        raised is spent.  genfun's outer sum walks one cursor per point,
         connect.prefix_residuals one per point from one call for the
         target record, and orthofunc one per node from one call per
         functional."""
-        if self.steps is None:
+        if self.recurrence is None:
             return _lql_cursors(params)
-
-        def cursor(x: float) -> Cursor:
-            steps = self.steps(x, params, itertools.count())
-            k, prev, cur = 0, 0.0, 1.0  # p_(k-1), p_k
-
-            def at(n: int) -> tuple[complex, float]:
-                nonlocal k, prev, cur
-                m, k = k, None  # after a raise, the next call fails on n - None
-                prev, cur = _recurrence(itertools.islice(steps, n - m), prev, cur)
-                k = n
-                return complex(cur), 0
-
-            return at
-
-        return cursor
+        return self.recurrence.cursors(params)
 
     def cursor(self, x: float, params) -> Cursor:
         """The one-point case of ``cursors``."""
@@ -680,11 +760,11 @@ FAMILIES: dict[FamilyId, Family] = {
     FamilyId.ASKEY_WILSON: Family(
         AWParams, ("a", "b", "c", "d"),
         lambda n, x, p: askey_wilson(n, x, p),
-        _aw_weight, _chebyshev, _aw_steps, (-1.0, 1.0)),
+        _aw_weight, _chebyshev, _AW, (-1.0, 1.0)),
     FamilyId.CONT_Q_ULTRA: Family(
         UltraParams, ("beta",),
         lambda n, x, p: complex(cont_q_ultra(n, x, p)),
-        _ultra_weight, _chebyshev, _cqu_steps, (-1.0, 1.0)),
+        _ultra_weight, _chebyshev, _CQU, (-1.0, 1.0)),
     FamilyId.LITTLE_Q_LAGUERRE: Family(
         LqLParams, ("a",),
         lambda n, x, p: complex(little_q_laguerre(n, x, p)),
@@ -692,7 +772,7 @@ FAMILIES: dict[FamilyId, Family] = {
     FamilyId.Q_LAGUERRE: Family(
         QLagParams, ("alpha",),
         lambda n, x, p: complex(q_laguerre(n, x, p)),
-        _qlag_weight, _two_sided, _qlag_steps, (0.0, math.inf)),
+        _qlag_weight, _two_sided, _QLAG, (0.0, math.inf)),
 }
 _FAMILY_OF = {fam.params: fid for fid, fam in FAMILIES.items()}
 

@@ -163,6 +163,27 @@ def test_non_finite_numerator_parameters_and_node_values_are_refused(bad):
     assert cmath.isfinite(plan(0.5, 0.7).value)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.inf)])
+def test_non_finite_denominator_parameters_and_node_values_are_refused(bad):
+    """A NaN or infinite denominator parameter, fixed, in base q^2 or
+    scaled, or node value v raises PreconditionViolation before any term
+    is summed: an infinite one would otherwise zero every term after the
+    first and return 1 silently, a NaN one run to the term cap and raise
+    NoConvergence."""
+    with pytest.raises(PreconditionViolation):
+        eval_phi(SeriesSpec((0.3,), (bad,), 0.5, QBase(0.5)))
+    with pytest.raises(PreconditionViolation):
+        eval_phi(SeriesSpec((0.3,), (0.2,), 0.5, QBase(0.5), denominator2=(bad,)))
+    with pytest.raises(PreconditionViolation):
+        SeriesPlan((0.3,), (0.2,), QBase(0.5), scaled_den=(bad,))
+    plan = SeriesPlan((0.3,), (0.2,), QBase(0.5), scaled_den=(0.4,))
+    with pytest.raises(PreconditionViolation):
+        plan(0.5, 1.0, bad)
+    with pytest.raises(PreconditionViolation):
+        plan(0.5, bad)  # v defaults to u
+    assert cmath.isfinite(plan(0.5, 1.0, 0.7).value)
+
+
 def test_monotone_tail_stopping():
     """Non-terminating 2phi1 with 0 < z < 1: term ratio tends to z, so the
     stopping rule fires and the tail estimate matches the truncation."""

@@ -57,7 +57,8 @@ def test_eval_invalid_parameters_exit_2(capsys):
 
 
 def test_out_of_range_values_exit_2(capsys):
-    for n, x, q in (("60", "0.7", "0.5"), ("250", "-0.5", "0.05"), ("60", "-0.5", "0.5")):
+    for n, x, q in (("60", "0.7", "0.5"), ("240", "0.5", "0.05"), ("250", "-0.5", "0.05"),
+                    ("60", "-0.5", "0.5")):
         code, _, err = run(capsys, "eval", "--family", "lql", "--n", n,
                            "--x", x, "--a", "0.5", "--q", q)
         assert code == 2 and "range" in err, (n, x, q)

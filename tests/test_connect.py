@@ -209,42 +209,51 @@ def test_prefix_residuals_walk_each_recurrence_once_per_point(monkeypatch, exp):
     """Beyond the source evaluations, the table takes at most n + 1
     recurrence steps per point, where evaluating each target degree from
     degree 0 would take n (n + 1) / 2.  Both the evaluators and the cursors
-    advance through polyfam._recurrence, so counting its steps covers both.
-    Little q-Laguerre has no recurrence; the target record's x-free powers
-    are built once per call, not once per point: each row 0..n of its
-    table exactly once, where each source evaluation builds its own."""
-    taken = 0
-    walk = polyfam._recurrence
+    walk their family's Recurrence, so counting the rows it walks covers
+    both.  Each row is built once per record: rows 0..n-1 of the target
+    record exactly once per call, where each source evaluation streams its
+    own.  Little q-Laguerre has no recurrence; its target table builds
+    each row 0..n once and each degree's prefactor once, where each source
+    evaluation builds its own."""
+    fid, rec = exp.family, FAMILIES[exp.family].recurrence
+    taken, built, prefactors = [0], [], []
+    if rec is not None:
+        walk, rows = rec.walk, rec.rows
 
-    def counted(steps, *state):
-        def each():
-            nonlocal taken
-            for step in steps:
-                taken += 1
-                yield step
-        return walk(each(), *state)
+        def counted_walk(term, steps, *state):
+            steps = list(steps)
+            taken[0] += len(steps)
+            return walk(term, steps, *state)
 
-    monkeypatch.setattr(polyfam, "_recurrence", counted)
-    pts = sample_points(exp.family, exp.source_params.base.q)
+        def counted_rows(p):
+            row = rows(p)
+            return lambda k: built.append((p, k)) or row(k)
+
+        monkeypatch.setattr(rec, "walk", counted_walk)
+        monkeypatch.setattr(rec, "rows", counted_rows)
+    lql_row, prefactor = polyfam._lql_row, polyfam._lql_prefactor
+    monkeypatch.setattr(polyfam, "_lql_row",
+                        lambda p, k: built.append((p, k)) or lql_row(p, k))
+    monkeypatch.setattr(polyfam, "_lql_prefactor",
+                        lambda pdown, n, q: prefactors.append(n) or prefactor(pdown, n, q))
+    pts = sample_points(fid, exp.source_params.base.q)
     for x in pts:
-        FAMILIES[exp.family].evaluate(exp.n, x, exp.source_params)
-    source, taken = taken, 0
-    row, built = polyfam._lql_row, []
-
-    def counted_row(p, k):
-        built.append((p, k))
-        return row(p, k)
-
-    monkeypatch.setattr(polyfam, "_lql_row", counted_row)
+        FAMILIES[fid].evaluate(exp.n, x, exp.source_params)
+    source = taken[0]
+    taken[0], built[:], prefactors[:] = 0, [], []
     prefix_residuals(exp, pts)
-    if exp.family is FamilyId.LITTLE_Q_LAGUERRE:
-        assert taken == 0
-        assert Counter(built) == Counter(
-            {**{(exp.source_params, k): len(pts) for k in range(exp.n + 1)},
-             **{(exp.target_params, k): 1 for k in range(exp.n + 1)}})
+    # rows per degree n: 0..n-1 for a recurrence, 0..n for the series
+    n_rows = exp.n if rec is not None else exp.n + 1
+    assert Counter(built) == Counter(
+        {**{(exp.source_params, k): len(pts) for k in range(n_rows)},
+         **{(exp.target_params, k): 1 for k in range(n_rows)}})
+    if rec is None:
+        assert taken[0] == 0
+        assert Counter(prefactors) == (Counter({exp.n: len(pts)})
+                                       + Counter(deg for deg, _ in exp.coefficients))
     else:
-        assert source < taken <= source + len(pts) * (exp.n + 1)
-        assert not built
+        assert source < taken[0] <= source + len(pts) * (exp.n + 1)
+        assert not prefactors
 
 
 def test_nan_coefficient_scores_nan_not_zero():

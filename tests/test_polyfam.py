@@ -317,6 +317,20 @@ def test_lql_scaled_values_at_the_edge_of_double_range():
         little_q_laguerre(60, 0.7, p)
 
 
+def test_lql_q_power_beyond_double_range_is_ill_conditioned():
+    """At q = 0.05 the factor q^-k leaves double range from k = 237 on.
+    Every path that builds it refuses with IllConditioned, for x > 0 as
+    for x <= 0, never with a bare OverflowError."""
+    p = LqLParams(0.5, QBase(0.05))
+    for x in (0.5, 0.05**3, -0.5):
+        with pytest.raises(IllConditioned):
+            little_q_laguerre(240, x, p)
+        with pytest.raises(IllConditioned):
+            FAMILIES[FamilyId.LITTLE_Q_LAGUERRE].cursor(x, p)(240)
+    with pytest.raises(IllConditioned):
+        little_q_laguerre_scaled(240, 0.5, p)
+
+
 # --- q-Laguerre ------------------------------------------------------------
 
 
@@ -779,6 +793,19 @@ def test_cursor_refuses_from_the_same_degree_as_single_degree_evaluation():
         at(5)  # spent: never a stale value
     with pytest.raises(IllConditioned):
         FAMILIES[FamilyId.ASKEY_WILSON].cursor(x, p)(9)
+
+
+@pytest.mark.parametrize("fid", list(_CURSOR_DRAWS), ids=lambda f: f.value)
+def test_recurrence_cursor_refuses_a_lower_degree(fid):
+    """A cursor walks forward only: asking for a degree below the last one
+    reached raises, and the cursor is spent, never a stale value."""
+    fam = FAMILIES[fid]
+    at = fam.cursor(fam.support(0.5, 3)[1], _PARAMS[fid])
+    at(5)
+    with pytest.raises(PreconditionViolation):
+        at(4)
+    with pytest.raises(TypeError):
+        at(6)
 
 
 def test_cursor_validates_before_the_first_degree():
