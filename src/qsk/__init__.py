@@ -21,8 +21,6 @@ from .context import EvalContext, ParamPoint
 from .genfun import (
     IdentityId,
     IdentityReport,
-    eval_lhs,
-    eval_rhs,
     in_domain,
     list_identities,
     sample_point,
@@ -70,9 +68,7 @@ __all__ = [
     "aw_norm",
     "aw_weight",
     "cont_q_ultra",
-    "eval_lhs",
     "eval_phi",
-    "eval_rhs",
     "expansion_residual",
     "in_domain",
     "list_identities",

@@ -13,7 +13,8 @@ Coefficients mixing large q^(+-binom) power factors with large-argument
 Pochhammer symbols are assembled as scaled values that shift magnitude
 into a running q-exponent, so intermediates stay inside double range well
 past n = 20; a coefficient whose value leaves double range raises
-IllConditioned.
+IllConditioned.  The target record is built first, so a bad target value
+is refused under the target's name before any coefficient is computed.
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ class ConnectionExpansion:
     target_params: object
     coefficients: tuple[tuple[int, complex], ...]
 
-    def coefficient(self, degree: int) -> complex:
-        for k, v in self.coefficients:
-            if k == degree:
-                return v
-        return complex(0.0)
-
 
 def aw_connection(
     n: int,
@@ -74,6 +69,9 @@ def aw_connection(
     qv = as_base(q)
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
+    base = QBase(qv)
+    tgt = AWParams(alpha, b, c, d, base, ("alpha", "b", "c", "d"))
+    src = AWParams(a, b, c, d, base)
     if abs(alpha) == 0.0:
         raise PreconditionViolation("free parameter alpha must be nonzero")
     a, b, c, d, alpha = (complex(v) for v in (a, b, c, d, alpha))
@@ -104,14 +102,7 @@ def aw_connection(
                 f"vanishing denominator Pochhammer at k={k}"
             )
         coeffs.append((k, num / den))
-    base = QBase(qv)
-    return ConnectionExpansion(
-        FamilyId.ASKEY_WILSON,
-        n,
-        AWParams(a, b, c, d, base),
-        AWParams(alpha, b, c, d, base),
-        tuple(coeffs),
-    )
+    return ConnectionExpansion(FamilyId.ASKEY_WILSON, n, src, tgt, tuple(coeffs))
 
 
 def ultra_connection(n: int, beta: float, gamma: float, q: QLike) -> ConnectionExpansion:
@@ -124,8 +115,8 @@ def ultra_connection(n: int, beta: float, gamma: float, q: QLike) -> ConnectionE
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
     base = QBase(qv)
+    tgt = UltraParams(gamma, base, ("gamma",))
     src = UltraParams(beta, base)
-    tgt = UltraParams(gamma, base)
     coeffs = []
     for k in range(n // 2 + 1):
         val = (
@@ -158,8 +149,8 @@ def lql_connection(n: int, a: float, b: float, q: QLike) -> ConnectionExpansion:
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
     base = QBase(qv)
+    tgt = LqLParams(b, base, ("b",))
     src = LqLParams(a, base)
-    tgt = LqLParams(b, base)
     den_n = poch_finite(qv * a, qv, n).real
     if abs(den_n) < 1e-280:
         raise DegenerateDenominator("(qa; q)_n vanishes")
@@ -190,8 +181,8 @@ def qlag_connection(n: int, alpha: float, beta: float, q: QLike) -> ConnectionEx
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
     base = QBase(qv)
+    tgt = QLagParams(beta, base, ("beta",))
     src = QLagParams(alpha, base)
-    tgt = QLagParams(beta, base)
     qq_n = poch_finite(qv, qv, n).real
     coeffs = []
     for j in range(n + 1):
@@ -211,12 +202,6 @@ def qlag_connection(n: int, alpha: float, beta: float, q: QLike) -> ConnectionEx
 # ---------------------------------------------------------------------------
 
 
-def sample_points(family: FamilyId, q: float, count: int = 20) -> list[float]:
-    """Sample abscissas matched to each family's natural support:
-    Chebyshev nodes on [-1, 1], the lattice q^k, or {0, q^k, q^-k}."""
-    return FAMILIES[family].support(q, count)
-
-
 def prefix_residuals(
     exp: ConnectionExpansion, points: Sequence[float] | None = None
 ) -> list[float]:
@@ -233,11 +218,12 @@ def prefix_residuals(
     polynomial is one ``evaluate`` call per point, which builds its own.
     Each value has the bits ``evaluate`` gives, so every residual does
     too, and a value out of double range raises IllConditioned as
-    ``evaluate`` would."""
+    ``evaluate`` would.  ``points`` defaults to 20 of the family's
+    ``support`` abscissas."""
     q = exp.source_params.base.q
-    if points is None:
-        points = sample_points(exp.family, q)
     family = FAMILIES[exp.family]
+    if points is None:
+        points = family.support(q, 20)
     rhs = [family.evaluate(exp.n, x, exp.source_params) for x in points]
     target = family.cursors(exp.target_params)
     cursors = [target(x) for x in points]

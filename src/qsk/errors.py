@@ -28,11 +28,6 @@ class NoConvergence(QskError):
     """The term cap was reached before the stopping rule fired."""
 
 
-class InsufficientTruncation(QskError):
-    """A truncated outer sum was requested with too few terms: the last
-    term is still large relative to the partial sum."""
-
-
 class ZeroParameter(QskError):
     """A family parameter that must be nonzero is zero."""
 

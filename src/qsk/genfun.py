@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .bhs import SeriesPlan, SeriesSpec, eval_phi
 from .context import EvalContext, ParamPoint
-from .errors import InsufficientTruncation, PreconditionViolation
+from .errors import PreconditionViolation
 from .polyfam import FAMILIES, FamilyId, _theta
 from .qpoch import ProductPlan, poch_all, poch_infinite, unscale
 
@@ -202,8 +202,10 @@ class _Entry:
         return value if self.pref is None else self.pref(pt, ctx) * value
 
     def family_params(self, pt: ParamPoint, ctx: EvalContext):
-        """The parameter record of the expansion family at this point."""
-        return FAMILIES[self.family].params(*(pt.get(nm) for nm in self.names), ctx.base)
+        """The parameter record of the expansion family at this point; a
+        refusal names the point's parameter."""
+        return FAMILIES[self.family].params(*(pt.get(nm) for nm in self.names), ctx.base,
+                                            self.names)
 
     def contains(self, pt: ParamPoint, ctx: EvalContext) -> bool:
         """Whether the point lies in the identity's domain: every value is
@@ -796,7 +798,6 @@ class _RhsAccumulator:
                                                    entry.family_params(point, ctx))
         self.count = 0  # terms summed
         self.total = complex(0.0)
-        self.last = 0.0  # magnitude of the last term summed
         self.max_inner = 0
         self.exhausted = False
         self._streak = 0
@@ -824,8 +825,7 @@ class _RhsAccumulator:
                     term = unscale(term, e, q)
             self.count += 1
             self.total += term
-            self.last = abs(term)
-            small = self.last <= _EXHAUSTED_TOL * (1.0 + abs(self.total))
+            small = abs(term) <= _EXHAUSTED_TOL * (1.0 + abs(self.total))
             self._streak = self._streak + 1 if small else 0
             self.exhausted = self._streak >= _EXHAUSTED_STREAK
         return self.total
@@ -864,11 +864,6 @@ def outer_coefficient(
     return value if c.k == 0 else value * ctx.q ** (c.k * math.comb(n, 2))
 
 
-def eval_lhs(tag: IdentityId | str, point: ParamPoint, ctx: EvalContext) -> complex:
-    """Closed-form side of the identity at the point (x comes from the point)."""
-    return entry_for(tag).lhs(point, ctx)
-
-
 def lhs_integrand_factor(
     tag: IdentityId | str, x: float, point: ParamPoint, ctx: EvalContext
 ) -> complex:
@@ -879,25 +874,6 @@ def lhs_integrand_factor(
     ``entry_for(tag).kernel(point, ctx)`` once and calls what it returns
     at every node."""
     return entry_for(tag).kernel(point, ctx)(x)
-
-
-def eval_rhs(
-    tag: IdentityId | str, point: ParamPoint, ctx: EvalContext, n_outer: int
-) -> complex:
-    """Series side truncated to ``n_outer`` terms.
-
-    Raises InsufficientTruncation when the last retained term is still
-    larger than the context tolerance times the partial sum.
-    """
-    if n_outer < 1 or not _finite(point):
-        raise PreconditionViolation("need n_outer >= 1 and finite point values")
-    acc = _RhsAccumulator(entry_for(tag), point, ctx)
-    value = acc.partial(n_outer)
-    if acc.last > _TOL * (1.0 + abs(value)):
-        raise InsufficientTruncation(
-            f"outer sum for {IdentityId(tag).value} not settled at {n_outer} terms"
-        )
-    return value
 
 
 def _verify(tag: IdentityId, point: ParamPoint, ctx: EvalContext) -> IdentityReport:

@@ -262,10 +262,10 @@ _RULES = {
 
 
 def inner_product(spec: FunctionalSpec, f: Callable[[float], complex],
-                  g: Callable[[float], complex]) -> complex:
-    """Apply the functional to the pair (f, g)."""
-    value, _ = _RULES[spec.kind](spec, f, g)
-    return value
+                  g: Callable[[float], complex]) -> tuple[complex, int]:
+    """The functional applied to the pair (f, g), and the number of nodes
+    at which it evaluated them."""
+    return _RULES[spec.kind](spec, f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def verify_orthogonality(
     if m < 0 or n < 0:
         raise PreconditionViolation("m, n must be >= 0")
     poly = _polys(spec)
-    lhs, count = _RULES[spec.kind](spec, poly(m), poly(n))
+    lhs, count = inner_product(spec, poly(m), poly(n))
     rhs = complex(norm_constant(spec, n)) if m == n else complex(0.0)
     return IdentityReport.of(f"ORTHO_{family.name}_{spec.kind.name}",
                              spec.params.base.q, ParamPoint.of(m=m, n=n),
@@ -376,7 +376,7 @@ def verify_corollary(
         raise PreconditionViolation("n must be >= 0")
     spec = _spec_for(entry, point, ctx)
     kernel = entry_for(entry.theorem).kernel(point, ctx)
-    lhs, count = _RULES[spec.kind](spec, kernel, _polys(spec)(n))
+    lhs, count = inner_product(spec, kernel, _polys(spec)(n))
     rhs, inner_terms = _closed_form(entry, n, point, ctx, spec)
     # corollary points carry no x: 0.5 is on every family's support, no t-bound reads x
     in_domain = entry_for(entry.theorem).contains(point.replace(x=0.5), ctx)

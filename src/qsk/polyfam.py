@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -62,20 +62,23 @@ class AWParams:
     evaluation accepts any finite values with a != 0.  A value with zero
     imaginary part is kept as a float (``qpoch.scalar``), so the
     recurrence, weight and norm run in float arithmetic at real
-    parameters."""
+    parameters.  Every record takes, after its base, the names its caller
+    gives its parameters (by default the field names), and a refusal
+    names the parameter by them."""
 
     a: complex
     b: complex
     c: complex
     d: complex
     base: QBase
+    names: InitVar[tuple[str, ...]] = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        for name in "abcd":
-            v = scalar(complex(getattr(self, name)))
+    def __post_init__(self, names: tuple[str, ...]) -> None:
+        for field, name in zip("abcd", names):
+            v = scalar(complex(getattr(self, field)))
             if not cmath.isfinite(v):
                 raise PreconditionViolation(f"parameter {name} must be finite")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, field, v)
         if not isinstance(self.base, QBase):
             object.__setattr__(self, "base", QBase(self.base))
 
@@ -105,12 +108,13 @@ class UltraParams:
 
     beta: float
     base: QBase
+    names: InitVar[tuple[str, ...]] = ("beta",)
 
-    def __post_init__(self) -> None:
-        b = _real("beta", self.beta)
+    def __post_init__(self, names: tuple[str, ...]) -> None:
+        b = _real(names[0], self.beta)
         if not (math.isfinite(b) and 0.0 < abs(b) < 1.0):
             raise PreconditionViolation(
-                f"beta must lie in (-1, 1) and be nonzero, got {b!r}"
+                f"{names[0]} must lie in (-1, 1) and be nonzero, got {b!r}"
             )
         object.__setattr__(self, "beta", b)
         if not isinstance(self.base, QBase):
@@ -123,13 +127,15 @@ class LqLParams:
 
     a: float
     base: QBase
+    names: InitVar[tuple[str, ...]] = ("a",)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, names: tuple[str, ...]) -> None:
         if not isinstance(self.base, QBase):
             object.__setattr__(self, "base", QBase(self.base))
-        a = _real("a", self.a)
+        name = names[0]
+        a = _real(name, self.a)
         if not (math.isfinite(a) and 0.0 < a * self.base.q < 1.0):
-            raise PreconditionViolation(f"need 0 < a*q < 1, got a={a!r}")
+            raise PreconditionViolation(f"need 0 < {name}*q < 1, got {name}={a!r}")
         object.__setattr__(self, "a", a)
 
 
@@ -139,11 +145,12 @@ class QLagParams:
 
     alpha: float
     base: QBase
+    names: InitVar[tuple[str, ...]] = ("alpha",)
 
-    def __post_init__(self) -> None:
-        al = _real("alpha", self.alpha)
+    def __post_init__(self, names: tuple[str, ...]) -> None:
+        al = _real(names[0], self.alpha)
         if not (math.isfinite(al) and al > -1.0):
-            raise PreconditionViolation(f"alpha must exceed -1, got {al!r}")
+            raise PreconditionViolation(f"{names[0]} must exceed -1, got {al!r}")
         object.__setattr__(self, "alpha", al)
         if not isinstance(self.base, QBase):
             object.__setattr__(self, "base", QBase(self.base))
@@ -695,7 +702,8 @@ def _two_sided(q: float, count: int) -> list[float]:
 class Family:
     """One family's entry in FAMILIES.
 
-    params      parameter record class, built as params(*values, base)
+    params      parameter record class, built as params(*values, base),
+                or with the caller's names for its refusals appended
     names       its parameter names, in that order
     evaluate    (n, x, params) -> p_n(x) as a complex, from degree 0
     weight      params -> (x -> continuous weight w(x)), a factory that

@@ -157,7 +157,7 @@ def test_criterion_4_connection_exactness():
             qlag_connection(n2, 1.1, 1.1, q),
         )
         for exp in collapses:
-            assert exp.coefficient(exp.n) == pytest.approx(1.0, rel=1e-12)
+            assert dict(exp.coefficients)[exp.n] == pytest.approx(1.0, rel=1e-12)
             for deg, v in exp.coefficients:
                 if deg != exp.n:
                     stray = max(stray, abs(v))

@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import qsk
-from qsk.cli import SuiteConfig, main, report_to_json, run_suite
+from qsk.cli import SuiteConfig, _point_hash, _record, main, report_to_json, run_suite
 from qsk.connect import (
     aw_connection,
     expansion_residual,
@@ -20,10 +22,12 @@ from qsk.connect import (
     qlag_connection,
     ultra_connection,
 )
-from qsk.genfun import IdentityId
-from qsk.orthofunc import CorollaryId
+from qsk.errors import QskError
+from qsk.genfun import SOURCES, IdentityId, sample_point, verify_identity, verify_source
+from qsk.orthofunc import CorollaryId, sample_corollary_point, verify_corollary
 
-ALL_TAGS = [t.value for t in IdentityId] + [c.value for c in CorollaryId]
+COROLLARY_TAGS = [c.value for c in CorollaryId]
+ALL_TAGS = [t.value for t in IdentityId] + COROLLARY_TAGS
 
 
 def run(capsys, *argv):
@@ -130,6 +134,16 @@ def test_connect_invalid_exit_2(capsys):
     code, _, err = run(capsys, "connect", "--family", "qlag", "--n", "2",
                        "--alpha", "0.5", "--q", "0.5")
     assert code == 2 and "beta" in err
+    # a bad target value is refused under the target's name, before any row
+    for family, flags, named, source in (
+            ("cqu", ("--beta", "0.3", "--gamma", "1.5"), "gamma must lie", "beta"),
+            ("qlag", ("--alpha", "0.5", "--beta", "nan"), "beta must exceed", "alpha"),
+            ("lql", ("--a", "0.5", "--b", "nan"), "got b=nan", "a="),
+            ("aw", ("--a", "0.3", "--b", "0.2", "--c", "0.1", "--d", "0.05",
+                    "--alpha", "nan"), "parameter alpha must be finite", "parameter a ")):
+        code, out, err = run(capsys, "connect", "--family", family, "--n", "3", *flags,
+                             "--q", "0.5")
+        assert code == 2 and out == "" and named in err and source not in err, (family, err)
 
 
 def test_list_identities(capsys):
@@ -319,6 +333,65 @@ def test_default_report_shape_is_pinned():
 @pytest.mark.parametrize("q", list(REPORT_SHAPE_AT_Q))
 def test_report_shape_is_pinned_off_the_default_q(q):
     assert _report_shape((q,)) == REPORT_SHAPE_AT_Q[q]
+
+
+# The same digest where the default sweep does not pass everywhere, with a
+# QskError captured per record as ("error", class name) in place of the
+# record run_suite would abort on, and the status counts and error
+# records it holds.  No point is re-seeded or dropped.
+SWEEP_SHAPE_AT_Q = {
+    0.9: "4b19d4a3620cc32cb125c4213c613a13cdfb92e459baa2b644e6872e66137fd9",
+    0.95: "029b221b4b7f6e26aa24741d98b0809bcc296049ad2ced29026d903f309553d0",
+}
+SWEEP_COUNTS_AT_Q = {
+    0.9: {"pass": 195, "fail": 3, "error": 2, "unresolved-in-paper": 5},
+    0.95: {"pass": 183, "fail": 12, "error": 5, "unresolved-in-paper": 5},
+}
+SWEEP_ERRORS_AT_Q = {
+    0.9: [("C_CQU_6", "846ac31ca4ef"), ("C_CQU_6", "9a1eb505721b")],
+    0.95: [("C_AW", "853a169d81f2"), ("C_AW", "ec7483f12b2b"), ("C_CQU_2", "d13590085943"),
+           ("C_CQU_6", "2e25acd4c2ef"), ("C_CQU_6", "c9d22345ea87")],
+}
+
+
+def _sweep(q: float) -> list[tuple]:
+    """The sorted (id, point_hash, status, n_terms_outer, n_terms_inner)
+    of run_suite's records at one q, an error record carrying
+    ("error", class name) as its status and no truncation orders."""
+    config = SuiteConfig(tags=tuple(ALL_TAGS), q_grid=(q,))
+    ctx = config.context(q)
+    shape = []
+    for tag in config.tags:
+        rng = Random(f"{config.seed}:{tag}:0")
+        for _ in range(config.points_per_identity):
+            if tag in COROLLARY_TAGS:
+                kind, point = "corollary", sample_corollary_point(tag, rng, q)
+                check = verify_corollary
+            else:
+                kind = "source" if IdentityId(tag) in SOURCES else "identity"
+                point = sample_point(tag, rng, q)
+                check = verify_source if kind == "source" else verify_identity
+            try:
+                r = _record(kind, check(tag, point, ctx), config.tolerance)
+            except QskError as exc:
+                shape.append((tag, _point_hash(tag, q, point),
+                              ("error", type(exc).__name__), None, None))
+            else:
+                shape.append((r["id"], r["point_hash"], r["status"],
+                              r["n_terms_outer"], r["n_terms_inner"]))
+    return sorted(shape)
+
+
+@pytest.mark.parametrize("q", list(SWEEP_SHAPE_AT_Q))
+def test_sweep_shape_and_statuses_are_pinned_near_q_one(q):
+    shape = _sweep(q)
+    assert len(shape) == 205
+    assert hashlib.sha256(repr(shape).encode()).hexdigest() == SWEEP_SHAPE_AT_Q[q]
+    counts = Counter(s if isinstance(s, str) else s[0] for _, _, s, _, _ in shape)
+    assert counts == SWEEP_COUNTS_AT_Q[q]
+    errors = [(t, h, s) for t, h, s, _, _ in shape if not isinstance(s, str)]
+    assert errors == [(t, h, ("error", "QuadratureNonConvergence"))
+                      for t, h in SWEEP_ERRORS_AT_Q[q]]
 
 
 def test_run_suite_python_api():

@@ -17,7 +17,6 @@ from qsk.connect import (
     lql_connection,
     prefix_residuals,
     qlag_connection,
-    sample_points,
     ultra_connection,
 )
 from qsk.polyfam import AWParams, FAMILIES, FamilyId, askey_wilson
@@ -25,7 +24,7 @@ from qsk.polyfam import AWParams, FAMILIES, FamilyId, askey_wilson
 
 def assert_identity_collapse(exp):
     """Source = target must give the single entry (n, 1)."""
-    lead = exp.coefficient(exp.n)
+    lead = dict(exp.coefficients)[exp.n]
     assert lead == pytest.approx(1.0, rel=1e-12)
     for deg, v in exp.coefficients:
         if deg != exp.n:
@@ -55,7 +54,7 @@ def test_ultra_n1_coefficient():
     beta, gamma = 0.3, 0.6
     exp = ultra_connection(1, beta, gamma, q)
     assert [deg for deg, _ in exp.coefficients] == [1]
-    assert exp.coefficient(1) == pytest.approx((1 - beta) / (1 - gamma), rel=1e-13)
+    assert dict(exp.coefficients)[1] == pytest.approx((1 - beta) / (1 - gamma), rel=1e-13)
     assert expansion_residual(exp) < 1e-12
 
 
@@ -162,7 +161,8 @@ def test_prefix_residuals_are_the_residuals_of_each_leading_part(exp):
     """Entry i of the one-pass table equals the residual formula applied to
     the first i coefficients, bit for bit, and the last entry is the
     expansion's own residual."""
-    pts = sample_points(exp.family, exp.source_params.base.q) + _EXTRA_POINTS.get(exp.family, [])
+    pts = (FAMILIES[exp.family].support(exp.source_params.base.q, 20)
+           + _EXTRA_POINTS.get(exp.family, []))
     table = prefix_residuals(exp, pts)
     assert len(table) == len(exp.coefficients) + 1
     assert table == [_residual_of_first(exp, i, pts) for i in range(len(table))]
@@ -189,7 +189,7 @@ def test_prefix_residuals_raise_where_the_formula_does():
     formula raises IllConditioned from the degree-1 target polynomial, and
     so does the table, while the source polynomial is fine."""
     exp = aw_connection(3, 0.3, 0.5, 0.5, 0.5, 4.0, 0.5)
-    pts = sample_points(exp.family, 0.5, 4)
+    pts = FAMILIES[exp.family].support(0.5, 4)
     for x in pts:
         FAMILIES[exp.family].evaluate(exp.n, x, exp.source_params)
     assert _residual_of_first(exp, 1, pts) > 0.0
@@ -236,7 +236,7 @@ def test_prefix_residuals_walk_each_recurrence_once_per_point(monkeypatch, exp):
                         lambda p, k: built.append((p, k)) or lql_row(p, k))
     monkeypatch.setattr(polyfam, "_lql_prefactor",
                         lambda pdown, n, q: prefactors.append(n) or prefactor(pdown, n, q))
-    pts = sample_points(fid, exp.source_params.base.q)
+    pts = FAMILIES[fid].support(exp.source_params.base.q, 20)
     for x in pts:
         FAMILIES[fid].evaluate(exp.n, x, exp.source_params)
     source = taken[0]
@@ -294,7 +294,7 @@ def test_ultra_transitivity():
         composed = compose_ultra(first, second)
         direct = ultra_connection(n, beta, delta, q)
         for deg, v in direct.coefficients:
-            assert composed.coefficient(deg) == pytest.approx(v, rel=1e-9, abs=1e-12)
+            assert dict(composed.coefficients).get(deg, 0.0) == pytest.approx(v, rel=1e-9, abs=1e-12)
 
 
 def test_aw_expansion_evaluates_correct_bases():
@@ -311,11 +311,11 @@ def test_aw_expansion_evaluates_correct_bases():
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
-def test_sample_points_shapes():
-    assert len(sample_points(FamilyId.CONT_Q_ULTRA, 0.5)) == 20
-    lat = sample_points(FamilyId.LITTLE_Q_LAGUERRE, 0.5, 6)
+def test_support_points_shapes():
+    assert len(FAMILIES[FamilyId.CONT_Q_ULTRA].support(0.5, 20)) == 20
+    lat = FAMILIES[FamilyId.LITTLE_Q_LAGUERRE].support(0.5, 6)
     assert lat == [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
-    ql = sample_points(FamilyId.Q_LAGUERRE, 0.5, 5)
+    ql = FAMILIES[FamilyId.Q_LAGUERRE].support(0.5, 5)
     assert ql[0] == 0.0 and max(ql) > 1.0
 
 

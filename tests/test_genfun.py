@@ -9,15 +9,14 @@ import pytest
 
 from qsk import polyfam
 from qsk.context import EvalContext, ParamPoint
-from qsk.errors import InsufficientTruncation, PreconditionViolation
+from qsk.errors import PreconditionViolation
 from qsk.genfun import (
     GENERALIZED,
     SOURCES,
     IdentityId,
     _coef,
+    _RhsAccumulator,
     entry_for,
-    eval_lhs,
-    eval_rhs,
     in_domain,
     lhs_integrand_factor,
     list_identities,
@@ -136,7 +135,7 @@ def test_two_factor_lhs_against_double_truncation():
     q, t = 0.5, 0.05
     a, b, c, d = 0.3, 0.2, 0.1, 0.05
     pt = ParamPoint.of(a=a, b=b, c=c, d=d, alpha=0.25, t=t, x=1.0)
-    got = eval_lhs("T2", pt, CTX)
+    got = entry_for("T2").lhs(pt, CTX)
 
     def phi_direct(u1, u2, den, z, kmax=60):
         total = 0.0 + 0.0j
@@ -193,21 +192,12 @@ def test_domain_monotonicity_along_ray():
     res = []
     for scale in (1.0, 0.5, 0.25, 0.1):
         pt = pt0.replace(t=0.8 * scale)
-        lhs = eval_lhs("T3", pt, CTX)
-        rhs = eval_rhs("T3", pt, CTX, 64) if scale < 1.0 else None
-        # at the largest |t| 64 terms may not satisfy the settledness
-        # check, so compare plain truncations
-        from qsk.genfun import _RhsAccumulator, entry_for as _ef  # noqa
-
-        acc = _RhsAccumulator(_ef("T3"), pt, CTX)
+        lhs = entry_for("T3").lhs(pt, CTX)
+        # plain 48-term truncations, which need not have settled at the
+        # largest |t|
+        acc = _RhsAccumulator(entry_for("T3"), pt, CTX)
         res.append(abs(lhs - acc.partial(48)) / (1.0 + abs(lhs)))
     assert all(res[i + 1] <= res[i] * 1.01 + 1e-15 for i in range(len(res) - 1))
-
-
-def test_eval_rhs_insufficient_truncation():
-    pt = ParamPoint.of(beta=0.4, gamma=0.6, x=0.3, t=0.85)
-    with pytest.raises(InsufficientTruncation):
-        eval_rhs("T3", pt, CTX, 4)
 
 
 def test_in_domain_and_bounds():
@@ -234,16 +224,17 @@ def test_sampled_points_lie_in_their_domain(q):
 @pytest.mark.parametrize("tag", list(IdentityId))
 def test_non_finite_values_are_out_of_domain(tag):
     """A NaN or infinite x or parameter puts the point outside the
-    domain, and both sides refuse it."""
+    domain, and the closed form and the verification refuse it."""
     base = sample_point(tag, Random(f"non-finite:{tag.value}"), 0.5)
+    verify = verify_source if tag in SOURCES else verify_identity
     for name, _ in base:
         for bad in (math.nan, math.inf, -math.inf):
             pt = base.replace(**{name: bad})
             assert not in_domain(tag, pt, CTX), (name, bad)
             with pytest.raises(PreconditionViolation):
-                eval_lhs(tag, pt, CTX)
+                entry_for(tag).lhs(pt, CTX)
             with pytest.raises(PreconditionViolation):
-                eval_rhs(tag, pt, CTX, 16)
+                verify(tag, pt, CTX)
 
 
 @pytest.mark.parametrize("tag", list(IdentityId))
@@ -259,7 +250,8 @@ def test_kernel_refuses_a_non_finite_x(tag):
 
 def test_domain_follows_the_family_records():
     """Parameter ranges are those of the family records: a real
-    parameter with any imaginary part, or an infinite alpha, is out."""
+    parameter with any imaginary part, or an infinite alpha, is out, and
+    a record's refusal names the point's parameter."""
     ql = ParamPoint.of(alpha=0.5, x=1.0, t=0.1)
     assert in_domain("SRC_QL_142114", ql, CTX)
     assert not in_domain("SRC_QL_142114", ql.replace(alpha=math.inf), CTX)
@@ -267,6 +259,8 @@ def test_domain_follows_the_family_records():
     cqu = ParamPoint.of(beta=0.4, gamma=0.6, x=0.3, t=0.5)
     assert not in_domain("T3", cqu.replace(gamma=0.6 + 1e-15j), CTX)
     assert not in_domain("T3", cqu.replace(x=1.5), CTX)
+    with pytest.raises(PreconditionViolation, match="^gamma must lie"):
+        verify_identity("T3", cqu.replace(gamma=1.5), CTX)
     assert in_domain("SRC_LQL_142011", ParamPoint.of(a=0.7, t=0.1, x=-3.0), CTX)
     aw = ParamPoint.of(a=0.3, b=0.2, c=0.1, d=0.05, alpha=0.25, x=0.1, t=0.1)
     assert in_domain("T2", aw, CTX)

@@ -22,7 +22,7 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
-from qsk import EvalContext, IdentityId, ParamPoint, eval_lhs, sample_point  # noqa: E402
+from qsk import EvalContext, IdentityId, ParamPoint, sample_point  # noqa: E402
 from qsk.bhs import eval_phi  # noqa: E402
 from qsk.genfun import (  # noqa: E402
     entry_for,
@@ -149,7 +149,7 @@ def _oracle(tag: IdentityId, point, q: float) -> complex:
 
 def _check(tag: IdentityId, point, q: float) -> None:
     want = _oracle(tag, point, q)
-    got = eval_lhs(tag, point, EvalContext(q=q))
+    got = entry_for(tag).lhs(point, EvalContext(q=q))
     assert abs(got - want) <= TOL * (1.0 + abs(want)), (point.canonical(), got, want)
 
 

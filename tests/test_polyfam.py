@@ -762,7 +762,7 @@ def test_shared_table_cursors_keep_the_bits(q, family):
     digest = hashlib.sha256()
     for vals in _PIN_RECORDS[fid]:
         p = fam.params(*vals, QBase(q))
-        xs = connect.sample_points(fid, q)
+        xs = fam.support(q, 20)
         cursor = fam.cursors(p)
         walks = [cursor(x) for x in xs]
         for n in range(41):
