@@ -21,7 +21,6 @@ from .context import EvalContext, ParamPoint
 from .genfun import (
     IdentityId,
     IdentityReport,
-    in_domain,
     list_identities,
     sample_point,
     verify_identity,
@@ -70,7 +69,6 @@ __all__ = [
     "cont_q_ultra",
     "eval_phi",
     "expansion_residual",
-    "in_domain",
     "list_identities",
     "little_q_laguerre",
     "lql_connection",

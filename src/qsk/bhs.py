@@ -48,30 +48,22 @@ DEFAULT_MAX_TERMS = 10000
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """An r_phi_s description: numerator and denominator parameter lists,
-    argument z, the base, and the base-q^2 parameter lists."""
+    """An r_phi_s description, its fields kept as given: numerator and
+    denominator parameter lists, argument z, the base (a QBase or a float),
+    and the base-q^2 parameter lists.  ``eval_phi`` builds its plan."""
 
     numerator: tuple[complex, ...]
     denominator: tuple[complex, ...]
     z: complex
-    base: QBase
+    base: QBase | float
     numerator2: tuple[complex, ...] = ()
     denominator2: tuple[complex, ...] = ()
-
-    def __post_init__(self) -> None:
-        for name in ("numerator", "denominator", "numerator2", "denominator2"):
-            object.__setattr__(self, name, tuple(map(scalar, getattr(self, name))))
-        object.__setattr__(self, "z", scalar(self.z))
-        if not isinstance(self.base, QBase):
-            object.__setattr__(self, "base", QBase(self.base))
 
 
 @dataclass(frozen=True)
 class SeriesResult:
     value: complex
     terms_used: int
-    terminated: bool
-    last_term_magnitude: float
 
 
 def _termination_index(numerator, q: float, cap: int) -> float:
@@ -114,19 +106,18 @@ class SeriesPlan:
     def __init__(self, numerator, denominator, base: QBase | float,
                  scaled_num=(), scaled_den=(), num2=(), den2=(),
                  max_terms: int = DEFAULT_MAX_TERMS) -> None:
-        params = (numerator, denominator, scaled_num, scaled_den, num2, den2)
-        self._setup(as_base(base), max_terms, *(tuple(map(scalar, p)) for p in params))
-
-    def _setup(self, q: float, max_terms: int, num, den, snum, sden, num2, den2) -> None:
-        """Bind the plan to parameter tuples already passed through ``scalar``."""
-        self._q, self._max_terms = q, max_terms
-        self._num, self._den, self._snum, self._sden, self._num2, self._den2 = (
-            num, den, snum, sden, num2, den2)
+        q = as_base(base)
+        num, den, snum, sden, num2, den2 = (
+            tuple(map(scalar, p))
+            for p in (numerator, denominator, scaled_num, scaled_den, num2, den2))
         for b in den + sden + den2:
             if not cmath.isfinite(b):
                 raise PreconditionViolation(f"denominator parameter must be finite, got {b!r}")
-        self._stop = min(_termination_index(self._num, q, max_terms),
-                         _termination_index(self._num2, q * q, max_terms))
+        self._q, self._max_terms = q, max_terms
+        self._num, self._den, self._snum, self._sden, self._num2, self._den2 = (
+            num, den, snum, sden, num2, den2)
+        self._stop = min(_termination_index(num, q, max_terms),
+                         _termination_index(num2, q * q, max_terms))
         # c_k, and the scaled numerator and denominator powers, k = 0, 1, ...
         self._c, self._pnum, self._pden = [], [], []
 
@@ -172,7 +163,6 @@ class SeriesPlan:
         term = total = 1.0  # complex only once a complex factor enters
         comp = 0.0  # Kahan compensation
         streak = 0
-        last_mag = 1.0
         for k in range(end):
             if k < built:
                 ratio = c[k]
@@ -221,10 +211,10 @@ class SeriesPlan:
             t = total + y
             comp = (t - total) - y
             total = t
-            last_mag = abs(term)
             if not terminates:
                 # |term| <= tol * max(|total|, 1e-300); as |total| <= mag_sum,
                 # a term above wide * mag_sum fails it without forming |total|
+                last_mag = abs(term)
                 mag_sum += last_mag
                 if last_mag > wide * mag_sum:
                     streak = 0
@@ -241,7 +231,7 @@ class SeriesPlan:
         if not cmath.isfinite(total):  # a term overflowed
             raise IllConditioned("series sum leaves the double-precision range")
         # terms summed: the leading 1 and one per ratio applied
-        return SeriesResult(complex(total), end + 1, terminates, last_mag)
+        return SeriesResult(complex(total), end + 1)
 
 
 def _zero_denominator(b: complex, k: int) -> ZeroDenominator:
@@ -251,7 +241,5 @@ def _zero_denominator(b: complex, k: int) -> ZeroDenominator:
 def eval_phi(spec: SeriesSpec, max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
     """Sum the series described by ``spec``: its plan, with no parameter
     scaled, evaluated once at its z."""
-    plan = SeriesPlan.__new__(SeriesPlan)  # the spec's tuples are normalised already
-    plan._setup(spec.base.q, max_terms, spec.numerator, spec.denominator, (), (),
-                spec.numerator2, spec.denominator2)
-    return plan(spec.z)
+    return SeriesPlan(spec.numerator, spec.denominator, spec.base, num2=spec.numerator2,
+                      den2=spec.denominator2, max_terms=max_terms)(scalar(spec.z))

@@ -208,7 +208,7 @@ def prefix_residuals(
     """Entry i is the expansion_residual of the first i terms of ``exp``,
     for i = 0 .. len(exp.coefficients), all built in one pass over them.
 
-    The target polynomials come from one walk per point: a Family.cursor
+    The target polynomials come from one walk per point: a family cursor
     read at the expansion's degrees in ascending order, so degrees 0..n
     cost n recurrence steps, not n^2 / 2; the q-ultraspherical degrees
     n, n-2, ... are then looked up.  The cursors come from one

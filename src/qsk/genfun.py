@@ -794,8 +794,8 @@ class _RhsAccumulator:
         self.point = point
         self.ctx = ctx
         self.coef = entry.coef(point, ctx)
-        self._poly = FAMILIES[entry.family].cursor(point.real("x"),
-                                                   entry.family_params(point, ctx))
+        self._poly = FAMILIES[entry.family].cursors(
+            entry.family_params(point, ctx))(point.real("x"))
         self.count = 0  # terms summed
         self.total = complex(0.0)
         self.max_inner = 0
@@ -843,11 +843,6 @@ def list_identities() -> list[dict[str, str]]:
         out.append({"tag": tag.value, "kind": "generalized" if source else "source",
                     "source": source, "domain": e.domain.describe, "about": e.describe})
     return out
-
-
-def in_domain(tag: IdentityId | str, point: ParamPoint, ctx: EvalContext) -> bool:
-    """Whether the point lies in the identity's domain (``_Entry.contains``)."""
-    return entry_for(tag).contains(point, ctx)
 
 
 def sample_point(tag: IdentityId | str, rng: Random, q: float) -> ParamPoint:

@@ -21,7 +21,11 @@ rows of x-free coefficients and a short walk that forms the one term in
 x; none of them forms the q^-n scale of the series above.  Little
 q-Laguerre is evaluated by series: for x > 0 a scaled 2phi0 form whose
 terms never cancel, for x <= 0 the defining 2phi1 sum.  The series
-definitions of the other three families serve as oracles in the tests.
+definitions of all four families serve as oracles in the tests.
+
+Each family's record in FAMILIES holds its cursor factory, params ->
+x -> cursor, the one way to walk a point over degrees; ``Family`` states
+the cursor contract.
 """
 
 from __future__ import annotations
@@ -216,8 +220,11 @@ class Recurrence:
         return cur
 
     def cursors(self, params) -> Callable[[float], Cursor]:
-        """x -> cursor giving (p_n(x), 0), all over one table of the
-        record's rows (see ``Family.cursors``)."""
+        """x -> cursor giving (p_n(x), 0) as ``Family.cursors`` states,
+        all over one table of the record's rows.  A cursor advances from
+        the last degree reached with the arithmetic of ``value``, so
+        degrees 0..N take N steps in all.  A row that cannot be built
+        (AW's 1 - abcd q^m near 0) raises when a cursor first needs it."""
         row, walk, table = self.rows(params), self.walk, []
 
         def cursor(x: float) -> Cursor:
@@ -226,9 +233,10 @@ class Recurrence:
 
             def at(n: int) -> tuple[complex, float]:
                 nonlocal k, prev, cur
-                m, k = k, None  # after a raise, the next call fails on m <= n
+                m, k = k, math.inf  # after a raise, every later call refuses
                 if not m <= n:
-                    raise PreconditionViolation("a cursor's degrees must not decrease")
+                    raise PreconditionViolation(
+                        "a cursor's degrees must not decrease, and a cursor that raised is spent")
                 try:
                     while len(table) < n:
                         table.append(row(len(table)))
@@ -399,8 +407,10 @@ def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
     x-free factors: the rows of ``_lql_row``, and the scaled prefactor
     of each degree asked for.  For x > 0 a cursor sums the scaled 2phi0
     form of ``little_q_laguerre_scaled`` at each degree asked for, adding
-    only the factors 1 - q^k / x of its own point; for x <= 0 it gives
-    (p_n(x), 0) from the defining 2phi1 sum."""
+    only the factors 1 - q^k / x of its own point.  For x <= 0 it gives
+    (p_n(x), 0) from the defining sum 2phi1(q^-n, 0; aq; q, qx), whose
+    terms all share one sign for x < 0: a term or sum leaving double
+    range means the value does, and that raises IllConditioned."""
     q = p.base.q
     lnq = math.log(q)
     # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a
@@ -409,7 +419,18 @@ def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
 
     def cursor(x: float) -> Cursor:
         if _finite(x) <= 0.0:
-            return lambda n: (little_q_laguerre(n, x, p), 0)
+            def defining_sum(n: int) -> tuple[float, float]:
+                if n < 0:
+                    raise PreconditionViolation("n must be >= 0")
+                if n == 0:
+                    return 1.0, 0
+                try:
+                    spec = SeriesSpec((q**-n, 0.0), (p.a * q,), q * x, p.base)
+                    return eval_phi(spec).value.real, 0
+                except OverflowError:  # q**-n itself
+                    raise IllConditioned("value exceeds the double-precision range") from None
+
+            return defining_sum
         ratio = -x / p.a
         xf: list[float] = []  # 1 - q^k / x
 
@@ -474,27 +495,14 @@ def little_q_laguerre_scaled(
 
 
 def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
-    """Little q-Laguerre / Wall polynomial p_n(x; a | q).
-
-    For x > 0 the value comes from the scaled 2phi0 form, whose terms
-    never cancel there; a value outside double range raises IllConditioned
-    (above) or is returned as 0 (below).  For x <= 0 it is the defining
-    sum 2phi1(q^-n, 0; aq; q, qx), whose terms all share one sign for x < 0:
-    a term or sum leaving double range means the value does, and that
-    raises IllConditioned too.
-    """
+    """Little q-Laguerre / Wall polynomial p_n(x; a | q), from a cursor of
+    ``_lql_cursors``: for x > 0 the scaled 2phi0 form, whose terms never
+    cancel there, with a value outside double range raising
+    IllConditioned (above) or returned as 0 (below); for x <= 0 the
+    defining 2phi1 sum."""
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
-    _finite(x)
-    if n == 0:
-        return 1.0
-    q = p.base.q
-    if x > 0.0:
-        return unscale(*little_q_laguerre_scaled(n, x, p), q)
-    try:
-        return eval_phi(SeriesSpec((q**-n, 0.0), (p.a * q,), q * x, p.base)).value.real
-    except OverflowError:  # q**-n itself
-        raise IllConditioned("value exceeds the double-precision range") from None
+    return unscaled(*_lql_cursors(p)(x)(n), p.base.q).real
 
 
 def q_laguerre(n: int, x: float, p: QLagParams) -> float:
@@ -710,9 +718,15 @@ class Family:
                 builds the weight's product plans once per functional;
                 None on a lattice
     support     (q, count) -> sample abscissas on the natural support
-    recurrence  the family's recurrence, split at x (``Recurrence``), the
-                one source of its coefficients for ``evaluate`` and the
-                cursors; None for little q-Laguerre, evaluated by series
+    cursors     params -> (x -> cursor), the one source of the family's
+                values for a walk over degrees: ``Recurrence.cursors``
+                for the recurrence families, ``_lql_cursors`` for little
+                q-Laguerre.  A cursor ``at(n)`` gives (m, e) with
+                p_n(x) = m * q**e (``unscaled``), for nondecreasing n, and
+                checks x when it is made.  The cursors of one call share
+                one table of the record's x-free factors, built once by
+                index as the cursors first need them, which lives as long
+                as they do.  A cursor whose call raised is spent.
     x_range     (lo, hi): the closed range of x over which the generating
                 functions expanding in the family hold
     """
@@ -722,36 +736,8 @@ class Family:
     evaluate: Callable[[int, float, object], complex]
     weight: Callable[[object], Callable[[float], float]] | None
     support: Callable[[float, int], list[float]]
-    recurrence: Recurrence | None
+    cursors: Callable[[object], Callable[[float], Cursor]]
     x_range: tuple[float, float]
-
-    def cursors(self, params) -> Callable[[float], Cursor]:
-        """x -> cursor over the record ``params``.
-
-        A cursor ``at(n)`` gives (m, e) with p_n(x) = m * q**e, for
-        nondecreasing n, and checks x when it is made.  The cursors of one
-        call share one table of the record's x-free factors, built once by
-        index as the cursors first need them, which lives as long as they
-        do.  A recurrence family's table holds the rows of its
-        ``Recurrence``: a cursor advances from the last degree reached,
-        forming only each step's term in x, with the arithmetic of
-        ``evaluate``, so degrees 0..N take N steps in all, and gives
-        (p_n(x), 0).  A row that cannot be built (AW's 1 - abcd q^m near
-        0) raises when a cursor first needs it.  Little q-Laguerre, the
-        series family, sums each degree on its own: scaled for x > 0 (the
-        pair of ``little_q_laguerre_scaled``), (p_n(x), 0) for x <= 0; its
-        table also keeps each degree's prefactor.  A cursor whose call
-        raised is spent.  genfun's outer sum walks one cursor per point,
-        connect.prefix_residuals one per point from one call for the
-        target record, and orthofunc one per node from one call per
-        functional."""
-        if self.recurrence is None:
-            return _lql_cursors(params)
-        return self.recurrence.cursors(params)
-
-    def cursor(self, x: float, params) -> Cursor:
-        """The one-point case of ``cursors``."""
-        return self.cursors(params)(x)
 
 
 def unscaled(m: complex, e: float, q: float) -> complex:
@@ -768,19 +754,19 @@ FAMILIES: dict[FamilyId, Family] = {
     FamilyId.ASKEY_WILSON: Family(
         AWParams, ("a", "b", "c", "d"),
         lambda n, x, p: askey_wilson(n, x, p),
-        _aw_weight, _chebyshev, _AW, (-1.0, 1.0)),
+        _aw_weight, _chebyshev, _AW.cursors, (-1.0, 1.0)),
     FamilyId.CONT_Q_ULTRA: Family(
         UltraParams, ("beta",),
         lambda n, x, p: complex(cont_q_ultra(n, x, p)),
-        _ultra_weight, _chebyshev, _CQU, (-1.0, 1.0)),
+        _ultra_weight, _chebyshev, _CQU.cursors, (-1.0, 1.0)),
     FamilyId.LITTLE_Q_LAGUERRE: Family(
         LqLParams, ("a",),
         lambda n, x, p: complex(little_q_laguerre(n, x, p)),
-        None, _lattice, None, (-math.inf, math.inf)),
+        None, _lattice, _lql_cursors, (-math.inf, math.inf)),
     FamilyId.Q_LAGUERRE: Family(
         QLagParams, ("alpha",),
         lambda n, x, p: complex(q_laguerre(n, x, p)),
-        _qlag_weight, _two_sided, _QLAG, (0.0, math.inf)),
+        _qlag_weight, _two_sided, _QLAG.cursors, (0.0, math.inf)),
 }
 _FAMILY_OF = {fam.params: fid for fid, fam in FAMILIES.items()}
 

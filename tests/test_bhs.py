@@ -40,7 +40,8 @@ def test_qbinomial_collapse_at_a_equals_q():
     # 1phi0(q; -; q, z) = (qz; q)_inf / (z; q)_inf = 1/(1-z)
     res = eval_phi(SeriesSpec((0.5,), (), 0.3, QBase(0.5)))
     assert res.value.real == pytest.approx(1.0 / 0.7, rel=1e-13)
-    assert not res.terminated
+    # not terminated: the sum runs until 0.3^k <= 1e-15 |sum| at k = 29, 30, 31
+    assert res.terms_used == 32
 
 
 def test_zero_argument_gives_one():
@@ -53,14 +54,14 @@ def test_terminating_three_term_sum():
     q = 0.5
     spec = SeriesSpec((q**-2, 0.3), (0.7,), 0.5, QBase(q))
     res = eval_phi(spec)
-    assert res.terminated and res.terms_used == 3
+    assert res.terms_used == 3
     assert res.value == pytest.approx(direct_phi((q**-2, 0.3), (0.7,), q, 0.5, 2),
                                       rel=1e-13)
 
 
 def test_termination_at_unit_parameter():
     res = eval_phi(SeriesSpec((1.0, 0.3), (0.7,), 0.5, QBase(0.5)))
-    assert res.terminated and res.terms_used == 1 and res.value == 1.0
+    assert res.terms_used == 1 and res.value == 1.0
 
 
 def test_sign_convention_against_direct_sum():
@@ -192,7 +193,8 @@ def test_monotone_tail_stopping():
     res = eval_phi(spec)
     long = direct_phi((0.5, 0.25), (0.4,), q, 0.7, res.terms_used + 200)
     assert res.value == pytest.approx(long, rel=1e-12)
-    assert res.last_term_magnitude < 1e-12 * abs(res.value)
+    last = direct_term((0.5, 0.25), (0.4,), q, 0.7, res.terms_used - 1)
+    assert abs(last) < 1e-12 * abs(res.value)
     # the sum stops at the first three terms in a row at most 1e-15 |sum|,
     # counted here from the defining terms
     partial, streak, k = 1.0, 0, 0
@@ -279,7 +281,6 @@ def test_plan_matches_unsplit_series_on_random_splits():
         got = plan(z, u, v)
         assert abs(got.value - want.value) <= 1e-14 * (1.0 + abs(want.value))
         assert got.terms_used == want.terms_used
-        assert got.terminated == want.terminated
         # the same plan at a second node reuses its degree factors
         again = plan(z * 0.5, u, v)
         assert again.value == pytest.approx(eval_phi(SeriesSpec(
@@ -305,7 +306,7 @@ def test_plan_raises_what_the_unsplit_series_raises():
     # a scaled numerator equal to q^-3 at the node terminates the series
     want = eval_phi(SeriesSpec((q**-3, 0.4), (0.2,), 1.5, QBase(q)))
     got = SeriesPlan((0.4,), (0.2,), QBase(q), scaled_num=(q**-3 / u,))(1.5, u)
-    assert want.terminated and got.terminated and got.terms_used == want.terms_used == 4
+    assert got.terms_used == want.terms_used == 4
     assert got.value == pytest.approx(want.value, rel=1e-14)
     # a scaled denominator equal to q^-2 at the node zeroes the k = 2 factor
     with pytest.raises(ZeroDenominator):
@@ -357,7 +358,6 @@ def test_base_q2_parameters_match_their_root_pairs():
         spec, ladder = _with_roots(num, den, num2, den2, z, q)
         got, want = eval_phi(spec), eval_phi(ladder)
         assert abs(got.value - want.value) <= 1e-13 * (1.0 + abs(want.value))
-        assert got.terminated == want.terminated
 
 
 def test_base_q2_numerator_terminates():
@@ -366,7 +366,7 @@ def test_base_q2_numerator_terminates():
     for m in range(4):
         spec, ladder = _with_roots((0.3,), (0.7,), (q ** (-2 * m),), (), 0.5, q)
         got, want = eval_phi(spec), eval_phi(ladder)
-        assert got.terminated and got.terms_used == m + 1
+        assert got.terms_used == m + 1
         assert got.value == pytest.approx(want.value, rel=1e-13)
     # the base-q^2 stop wins over a later base-q one, and the other way round
     assert eval_phi(SeriesSpec((q**-5,), (), 0.5, QBase(q), (q**-4,))).terms_used == 3
@@ -382,7 +382,7 @@ def test_base_q2_denominator_hitting_q_power_raises():
     with pytest.raises(ZeroDenominator):
         SeriesPlan((0.3,), (), QBase(q), den2=(q**-2,))(0.5)
     res = eval_phi(SeriesSpec((q**-1,), (), 0.5, QBase(q), (), (q**-4,)))
-    assert res.terminated and res.terms_used == 2
+    assert res.terms_used == 2
 
 
 def test_base_q2_balance_counts_each_parameter_twice():
@@ -443,9 +443,15 @@ def test_scaled_plan_node_bits_are_pinned(name):
 
 
 def test_spec_parameters_are_floats_when_real():
-    """SeriesSpec keeps a parameter with zero imaginary part as a float,
-    and a complex one as it is."""
-    spec = SeriesSpec((0.3 + 0j, 1), (0.2 - 0.1j,), 0.5 + 0j, QBase(0.5), (2,))
-    assert spec.numerator == (0.3, 1.0) and type(spec.numerator[1]) is float
-    assert spec.denominator == (0.2 - 0.1j,) and type(spec.z) is float
-    assert type(spec.numerator2[0]) is float
+    """SeriesSpec keeps its fields as given, and the sum takes a parameter
+    or z with zero imaginary part as a float, a complex one as it is: a
+    spec with 0j parts and int parameters sums to the bits and term count
+    of the same spec written in floats."""
+    spec = SeriesSpec((0.3 + 0j, -0.4), (0.2 - 0.1j,), 0.5 + 0j, 0.5, (0,), (0.7 + 0j,))
+    assert spec.numerator == (0.3 + 0j, -0.4) and type(spec.z) is complex
+    assert spec.base == 0.5 and spec.numerator2 == (0,)
+    want = eval_phi(SeriesSpec((0.3, -0.4), (0.2 - 0.1j,), 0.5, QBase(0.5), (0.0,), (0.7,)))
+    got = eval_phi(spec)
+    assert got.terms_used == want.terms_used > 1
+    assert (got.value.real.hex(), got.value.imag.hex()) == (
+        want.value.real.hex(), want.value.imag.hex())

@@ -215,7 +215,8 @@ def test_prefix_residuals_walk_each_recurrence_once_per_point(monkeypatch, exp):
     own.  Little q-Laguerre has no recurrence; its target table builds
     each row 0..n once and each degree's prefactor once, where each source
     evaluation builds its own."""
-    fid, rec = exp.family, FAMILIES[exp.family].recurrence
+    # the Recurrence whose cursors the record holds; None for little q-Laguerre
+    fid, rec = exp.family, getattr(FAMILIES[exp.family].cursors, "__self__", None)
     taken, built, prefactors = [0], [], []
     if rec is not None:
         walk, rows = rec.walk, rec.rows

@@ -17,7 +17,6 @@ from qsk.genfun import (
     _coef,
     _RhsAccumulator,
     entry_for,
-    in_domain,
     lhs_integrand_factor,
     list_identities,
     outer_coefficient,
@@ -203,9 +202,9 @@ def test_domain_monotonicity_along_ray():
 def test_in_domain_and_bounds():
     pt = ParamPoint.of(beta=0.4, gamma=0.6, x=0.3, t=0.5)
     assert entry_for("T3").domain.t_bound(pt, CTX.q) == 1.0
-    assert in_domain("T3", pt, CTX)
+    assert entry_for("T3").contains(pt, CTX)
     assert entry_for("T4").domain.t_bound(pt, CTX.q) == pytest.approx(1 - 0.16)
-    assert not in_domain("T4", pt.replace(t=0.9), CTX)
+    assert not entry_for("T4").contains(pt.replace(t=0.9), CTX)
     # T2 bound is (1-q)^3
     pt2 = ParamPoint.of(a=0.3, b=0.2, c=0.1, d=0.05, alpha=0.25, x=0.1, t=0.0)
     assert entry_for("T2").domain.t_bound(pt2, CTX.q) == pytest.approx(0.125)
@@ -218,7 +217,7 @@ def test_sampled_points_lie_in_their_domain(q):
         rng = Random(f"domain:{tag.value}:{q}")
         for _ in range(20):
             pt = sample_point(tag, rng, q)
-            assert in_domain(tag, pt, ctx), (tag, pt.canonical())
+            assert entry_for(tag).contains(pt, ctx), (tag, pt.canonical())
 
 
 @pytest.mark.parametrize("tag", list(IdentityId))
@@ -230,7 +229,7 @@ def test_non_finite_values_are_out_of_domain(tag):
     for name, _ in base:
         for bad in (math.nan, math.inf, -math.inf):
             pt = base.replace(**{name: bad})
-            assert not in_domain(tag, pt, CTX), (name, bad)
+            assert not entry_for(tag).contains(pt, CTX), (name, bad)
             with pytest.raises(PreconditionViolation):
                 entry_for(tag).lhs(pt, CTX)
             with pytest.raises(PreconditionViolation):
@@ -252,25 +251,27 @@ def test_domain_follows_the_family_records():
     """Parameter ranges are those of the family records: a real
     parameter with any imaginary part, or an infinite alpha, is out, and
     a record's refusal names the point's parameter."""
+    def inside(tag, pt):
+        return entry_for(tag).contains(pt, CTX)
+
     ql = ParamPoint.of(alpha=0.5, x=1.0, t=0.1)
-    assert in_domain("SRC_QL_142114", ql, CTX)
-    assert not in_domain("SRC_QL_142114", ql.replace(alpha=math.inf), CTX)
-    assert not in_domain("SRC_QL_142114", ql.replace(x=-0.1), CTX)
+    assert inside("SRC_QL_142114", ql)
+    assert not inside("SRC_QL_142114", ql.replace(alpha=math.inf))
+    assert not inside("SRC_QL_142114", ql.replace(x=-0.1))
     cqu = ParamPoint.of(beta=0.4, gamma=0.6, x=0.3, t=0.5)
-    assert not in_domain("T3", cqu.replace(gamma=0.6 + 1e-15j), CTX)
-    assert not in_domain("T3", cqu.replace(x=1.5), CTX)
+    assert not inside("T3", cqu.replace(gamma=0.6 + 1e-15j))
+    assert not inside("T3", cqu.replace(x=1.5))
     with pytest.raises(PreconditionViolation, match="^gamma must lie"):
         verify_identity("T3", cqu.replace(gamma=1.5), CTX)
-    assert in_domain("SRC_LQL_142011", ParamPoint.of(a=0.7, t=0.1, x=-3.0), CTX)
+    assert inside("SRC_LQL_142011", ParamPoint.of(a=0.7, t=0.1, x=-3.0))
     aw = ParamPoint.of(a=0.3, b=0.2, c=0.1, d=0.05, alpha=0.25, x=0.1, t=0.1)
-    assert in_domain("T2", aw, CTX)
-    assert not in_domain("T2", aw.replace(alpha=1.2), CTX)  # its record is not orthogonal
+    assert inside("T2", aw)
+    assert not inside("T2", aw.replace(alpha=1.2))  # its record is not orthogonal
     src = ParamPoint.of(a=0.3, b=0.2, c=0.1, d=0.05, x=0.1, t=0.1)
-    assert in_domain("SRC_AW_14113", src, CTX)
-    assert not in_domain("SRC_AW_14113", src.replace(a=0.3 + 0.1j), CTX)
-    assert in_domain("SRC_AW_14113", src.replace(a=0.3 + 0.1j, b=0.3 - 0.1j), CTX)
-    assert not in_domain("SRC_AW_14113", src.replace(a=0.3 + 0.1j, b=0.3 + 0.1j,
-                                                     c=0.3 - 0.1j), CTX)
+    assert inside("SRC_AW_14113", src)
+    assert not inside("SRC_AW_14113", src.replace(a=0.3 + 0.1j))
+    assert inside("SRC_AW_14113", src.replace(a=0.3 + 0.1j, b=0.3 - 0.1j))
+    assert not inside("SRC_AW_14113", src.replace(a=0.3 + 0.1j, b=0.3 + 0.1j, c=0.3 - 0.1j))
 
 
 def test_eval_context_rejects_bool_caps():
@@ -329,7 +330,7 @@ def test_values_stay_complex_at_real_points(tag):
 def test_outer_sum_walks_the_recurrence_once(monkeypatch, tag):
     """An outer sum of N terms draws at most N recurrence steps from its
     family; evaluating every degree from degree 0 would draw about N^2 / 2."""
-    rec = polyfam.FAMILIES[entry_for(tag).family].recurrence
+    rec = polyfam.FAMILIES[entry_for(tag).family].cursors.__self__  # its Recurrence
     walk, drawn = rec.walk, [0]
 
     def counted(term, rows, *state):

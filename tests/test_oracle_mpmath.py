@@ -459,8 +459,28 @@ KERNEL_THEOREMS = sorted({IdentityId(row["theorem"]) for row in list_corollaries
                          key=lambda t: t.value)
 
 
-@pytest.mark.parametrize("q", QS)
-@pytest.mark.parametrize("tag", KERNEL_THEOREMS, ids=lambda t: t.value)
+# Kernels that miss the oracle as q -> 1, by their worst node's error
+# relative to 1 + |value|: 2phi1-based kernels (T4, T5, T8) and the 3phi2 of
+# T6 cancel there, until each node sums its least-cancelling form.
+KERNEL_MISSES = {
+    ("T4", 0.9): "miss 3.2e-12 (ROADMAP item 15)",
+    ("T4", 0.95): "miss 1.4e-10 (ROADMAP item 15)",
+    ("T5", 0.95): "miss 5.7e-12 (ROADMAP item 15)",
+    ("T6", 0.95): "miss 3.1e-8 (ROADMAP item 15)",
+    ("T8", 0.95): "miss 5.2e-10 (ROADMAP item 15)",
+}
+
+
+def _kernel_cases():
+    for tag in KERNEL_THEOREMS:
+        for q in (*QS, 0.9, 0.95):
+            why = KERNEL_MISSES.get((tag.value, q))
+            marks = () if why is None else pytest.mark.xfail(
+                strict=True, raises=AssertionError, reason=why)
+            yield pytest.param(tag, q, marks=marks, id=f"{tag.value}-{q}")
+
+
+@pytest.mark.parametrize("tag, q", _kernel_cases())
 def test_integrand_kernel_at_nodes_against_mpmath(tag, q):
     """Each corollary's kernel, as a functional evaluates it node by node,
     against the closed form divided by its prefactor."""
