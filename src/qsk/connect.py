@@ -211,13 +211,13 @@ def prefix_residuals(
     The target polynomials come from one walk per point: a family cursor
     read at the expansion's degrees in ascending order, so degrees 0..n
     cost n recurrence steps, not n^2 / 2; the q-ultraspherical degrees
-    n, n-2, ... are then looked up.  The cursors come from one
-    Family.cursors call, so the target record's x-free factors (the
-    recurrence rows, or little q-Laguerre's powers and per-degree
-    prefactors) are built once per call, not once per point.  The source
-    polynomial is one ``evaluate`` call per point, which builds its own.
-    Each value has the bits ``evaluate`` gives, so every residual does
-    too, and a value out of double range raises IllConditioned as
+    n, n-2, ... are then looked up.  The source polynomial is one
+    ``evaluate`` call per point.  Every value of one record shares that
+    record's table of x-free factors (the recurrence rows, or little
+    q-Laguerre's powers and per-degree prefactors), which lives as long
+    as the record, so each record's factors are built once, not once per
+    point.  Each value has the bits ``evaluate`` gives, so every residual
+    does too, and a value out of double range raises IllConditioned as
     ``evaluate`` would.  ``points`` defaults to 20 of the family's
     ``support`` abscissas."""
     q = exp.source_params.base.q

@@ -274,9 +274,10 @@ def inner_product(spec: FunctionalSpec, f: Callable[[float], complex],
 
 
 def _polys(spec: FunctionalSpec) -> Callable[[int], Callable[[float], complex]]:
-    """n -> (x -> p_n(x)) with the bits of ``evaluate``, from one
-    Family.cursors call, so little q-Laguerre's x-free factors are built
-    once per functional, not once per node."""
+    """n -> (x -> p_n(x)) with the bits of ``evaluate``, from the
+    cursors of the functional's record, which share that record's table
+    of x-free factors, so little q-Laguerre's are built once per record,
+    not once per node."""
     cursor, q = FAMILIES[spec.family].cursors(spec.params), spec.params.base.q
     return lambda n: lambda x: unscaled(*cursor(x)(n), q)
 

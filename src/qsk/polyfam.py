@@ -207,12 +207,16 @@ class Recurrence:
     walk: Callable[[complex, Iterable[tuple], complex, complex], tuple]
 
     def value(self, n: int, x: float, params) -> complex:
-        """p_n(x), the rows streamed for this one point, without a table."""
+        """p_n(x), walked from degree 0 over the record's table, which
+        every ``value`` and cursor on the record reads and extends."""
         if n < 0:
             raise PreconditionViolation("n must be >= 0")
         term = self.start(x, params)
+        table = _table(params, list)
         try:
-            cur = self.walk(term, map(self.rows(params), range(n)), 0.0, 1.0)[1]
+            if len(table) < n:
+                table.extend(map(self.rows(params), range(len(table), n)))
+            cur = self.walk(term, table[:n], 0.0, 1.0)[1]
         except ZeroDivisionError:
             raise IllConditioned(_OUT_OF_RANGE) from None
         if not cmath.isfinite(cur):
@@ -221,11 +225,13 @@ class Recurrence:
 
     def cursors(self, params) -> Callable[[float], Cursor]:
         """x -> cursor giving (p_n(x), 0) as ``Family.cursors`` states,
-        all over one table of the record's rows.  A cursor advances from
-        the last degree reached with the arithmetic of ``value``, so
-        degrees 0..N take N steps in all.  A row that cannot be built
-        (AW's 1 - abcd q^m near 0) raises when a cursor first needs it."""
-        row, walk, table = self.rows(params), self.walk, []
+        over the record's table of rows, kept on the record (``_table``)
+        so each row is built once per record.  A cursor advances from the
+        last degree reached with the arithmetic of ``value``, so degrees
+        0..N take N steps in all.  A row that cannot be built (AW's
+        1 - abcd q^m near 0) is not kept, and raises at every call that
+        needs it."""
+        row, walk, table = self.rows(params), self.walk, _table(params, list)
 
         def cursor(x: float) -> Cursor:
             term = self.start(x, params)
@@ -251,6 +257,18 @@ class Recurrence:
             return at
 
         return cursor
+
+
+def _table(params, empty: Callable[[], object]):
+    """The x-free table kept on a parameter record, made by ``empty`` at
+    the first call that needs it.  It is plain data (rows, columns, a
+    dict), never a closure over the record, so it dies with the record.
+    It grows without a lock: use a record from one thread at a time."""
+    try:
+        return params._table
+    except AttributeError:
+        object.__setattr__(params, "_table", empty())
+        return params._table
 
 
 _OUT_OF_RANGE = "recurrence coefficients leave the double-precision range"
@@ -403,19 +421,20 @@ def _lql_prefactor(pdown: list[float], n: int, q: float) -> tuple[float, float]:
 
 
 def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
-    """x -> little q-Laguerre cursor, all over one table of the record's
-    x-free factors: the rows of ``_lql_row``, and the scaled prefactor
-    of each degree asked for.  For x > 0 a cursor sums the scaled 2phi0
-    form of ``little_q_laguerre_scaled`` at each degree asked for, adding
-    only the factors 1 - q^k / x of its own point.  For x <= 0 it gives
+    """x -> little q-Laguerre cursor, over the record's table of x-free
+    factors (``_table``): the rows of ``_lql_row``, and the scaled
+    prefactor of each degree asked for, each built once per record.  For
+    x > 0 a cursor sums the scaled 2phi0 form of
+    ``little_q_laguerre_scaled`` at each degree asked for, adding only
+    the factors 1 - q^k / x of its own point.  For x <= 0 it gives
     (p_n(x), 0) from the defining sum 2phi1(q^-n, 0; aq; q, qx), whose
     terms all share one sign for x < 0: a term or sum leaving double
     range means the value does, and that raises IllConditioned."""
     q = p.base.q
     lnq = math.log(q)
-    # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a
-    qk, up, down, pdown = [], [], [], []
-    prefactor: dict[int, tuple[float, float]] = {}  # n -> (q^-n / a; q)_n, scaled
+    # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a, and
+    # n -> (q^-n / a; q)_n, scaled
+    qk, up, down, pdown, prefactor = _table(p, lambda: ([], [], [], [], {}))
 
     def cursor(x: float) -> Cursor:
         if _finite(x) <= 0.0:
@@ -723,10 +742,11 @@ class Family:
                 for the recurrence families, ``_lql_cursors`` for little
                 q-Laguerre.  A cursor ``at(n)`` gives (m, e) with
                 p_n(x) = m * q**e (``unscaled``), for nondecreasing n, and
-                checks x when it is made.  The cursors of one call share
-                one table of the record's x-free factors, built once by
-                index as the cursors first need them, which lives as long
-                as they do.  A cursor whose call raised is spent.
+                checks x when it is made.  Every cursor and every
+                ``evaluate`` on one record share that record's table of
+                x-free factors, built once by index as a call first needs
+                them and kept on the record, so it lives as long as the
+                record does.  A cursor whose call raised is spent.
     x_range     (lo, hi): the closed range of x over which the generating
                 functions expanding in the family hold
     """

@@ -4,6 +4,7 @@ parity, transitivity, and degenerate-input handling."""
 import hashlib
 import math
 from collections import Counter
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -210,11 +211,10 @@ def test_prefix_residuals_walk_each_recurrence_once_per_point(monkeypatch, exp):
     recurrence steps per point, where evaluating each target degree from
     degree 0 would take n (n + 1) / 2.  Both the evaluators and the cursors
     walk their family's Recurrence, so counting the rows it walks covers
-    both.  Each row is built once per record: rows 0..n-1 of the target
-    record exactly once per call, where each source evaluation streams its
-    own.  Little q-Laguerre has no recurrence; its target table builds
-    each row 0..n once and each degree's prefactor once, where each source
-    evaluation builds its own."""
+    both.  Each row is built once per record, however many points and
+    calls read it: rows 0..n-1 of a recurrence, rows 0..n of little
+    q-Laguerre, which has no recurrence, plus each degree's prefactor
+    once.  The table outlives a call, so each phase takes fresh records."""
     # the Recurrence whose cursors the record holds; None for little q-Laguerre
     fid, rec = exp.family, getattr(FAMILIES[exp.family].cursors, "__self__", None)
     taken, built, prefactors = [0], [], []
@@ -237,24 +237,32 @@ def test_prefix_residuals_walk_each_recurrence_once_per_point(monkeypatch, exp):
                         lambda p, k: built.append((p, k)) or lql_row(p, k))
     monkeypatch.setattr(polyfam, "_lql_prefactor",
                         lambda pdown, n, q: prefactors.append(n) or prefactor(pdown, n, q))
-    pts = FAMILIES[fid].support(exp.source_params.base.q, 20)
-    for x in pts:
-        FAMILIES[fid].evaluate(exp.n, x, exp.source_params)
-    source = taken[0]
-    taken[0], built[:], prefactors[:] = 0, [], []
-    prefix_residuals(exp, pts)
     # rows per degree n: 0..n-1 for a recurrence, 0..n for the series
     n_rows = exp.n if rec is not None else exp.n + 1
-    assert Counter(built) == Counter(
-        {**{(exp.source_params, k): len(pts) for k in range(n_rows)},
-         **{(exp.target_params, k): 1 for k in range(n_rows)}})
+    once = Counter({(exp.source_params, k): 1 for k in range(n_rows)})
+    pts = FAMILIES[fid].support(exp.source_params.base.q, 20)
+    source_params = replace(exp.source_params)
+    for x in pts:
+        FAMILIES[fid].evaluate(exp.n, x, source_params)
+    assert Counter(built) == once
+    assert Counter(prefactors) == (Counter({exp.n: 1}) if rec is None else Counter())
+    source = taken[0]
+    taken[0], built[:], prefactors[:] = 0, [], []
+    fresh = replace(exp, source_params=replace(exp.source_params),
+                    target_params=replace(exp.target_params))
+    first = prefix_residuals(fresh, pts)
+    assert Counter(built) == once + Counter(
+        {(exp.target_params, k): 1 for k in range(n_rows)})
     if rec is None:
         assert taken[0] == 0
-        assert Counter(prefactors) == (Counter({exp.n: len(pts)})
+        assert Counter(prefactors) == (Counter({exp.n: 1})
                                        + Counter(deg for deg, _ in exp.coefficients))
     else:
         assert source < taken[0] <= source + len(pts) * (exp.n + 1)
         assert not prefactors
+    built[:], prefactors[:] = [], []
+    assert prefix_residuals(fresh, pts) == first
+    assert not built and not prefactors  # the tables outlived the first call
 
 
 def test_nan_coefficient_scores_nan_not_zero():

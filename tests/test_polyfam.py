@@ -1,9 +1,11 @@
 """Family evaluators against hand expansions, their defining series
 (summed here as oracles), mpmath, and their weight/norm closed forms."""
 
+import gc
 import hashlib
 import itertools
 import math
+import weakref
 from random import Random
 
 import pytest
@@ -849,6 +851,84 @@ def test_shared_table_cursors_keep_the_bits(q, family):
                 assert _pair_token(at(n)) == want, (vals, x, n)
                 digest.update((want + " ").encode())
     assert digest.hexdigest()[:16] == CURSOR_BITS[q, family]
+
+
+def _outcome(call) -> str:
+    """The float.hex of a value, or the class of its refusal."""
+    try:
+        v = complex(call())
+    except IllConditioned as exc:
+        return type(exc).__name__
+    return f"{v.real.hex()},{v.imag.hex()}"
+
+
+# Every record of _PIN_RECORDS at two q, and an AW record whose row 2
+# divides by 1 - abcd q^3 = 0.
+_ANY_ORDER = [(fid, q, vals) for q in (0.3, 0.75)
+              for fid, records in _PIN_RECORDS.items() for vals in records]
+_ANY_ORDER.append((FamilyId.ASKEY_WILSON, 0.5, (2, 2, 2, 1)))
+
+
+@pytest.mark.parametrize("fid,q,vals", _ANY_ORDER)
+def test_one_record_in_any_call_order_keeps_the_bits(fid, q, vals):
+    """Every value of one record reads and extends that record's table:
+    ``evaluate`` in a shuffled degree order, then cursors of the same
+    record, give at each (n, x) the bits, or the refusal, of a fresh
+    record."""
+    fam = FAMILIES[fid]
+    xs = fam.support(q, 20)
+    degrees = range(8 if fid is FamilyId.Q_LAGUERRE else 17)
+    p = fam.params(*vals, QBase(q))
+
+    def fresh(n, x):
+        return _outcome(lambda: fam.evaluate(n, x, fam.params(*vals, QBase(q))))
+
+    order = [(n, x) for n in degrees for x in xs]
+    Random(f"{fid.value}:{q}:{vals}").shuffle(order)
+    for n, x in order:
+        assert _outcome(lambda: fam.evaluate(n, x, p)) == fresh(n, x), (n, x)
+    for x in xs:
+        at = fam.cursors(p)(x)
+        for n in degrees:
+            got = _outcome(lambda: polyfam.unscaled(*at(n), q))
+            assert got == fresh(n, x), (n, x)
+            if got == "IllConditioned":
+                break  # the cursor is spent
+
+
+def test_a_row_that_cannot_be_built_refuses_on_every_call():
+    """Row 2 of this record divides by 1 - abcd q^3 = 0, so it is never
+    kept: every degree from 3 on refuses on every call, and degree 2,
+    which reads rows 0 and 1 only, keeps its bits before and after."""
+    p = AWParams(2, 2, 2, 1, B5)
+    assert askey_wilson(2, 0.3, p).real.hex() == "0x1.feb851eb851ebp+2"
+    for n in (3, 9, 3):
+        with pytest.raises(IllConditioned):
+            askey_wilson(n, 0.3, p)
+        assert askey_wilson(2, 0.3, p).real.hex() == "0x1.feb851eb851ebp+2"
+
+
+@pytest.mark.parametrize("make", [lambda: AWParams(0.3, 0.2, 0.1, 0.05, B5),
+                                  lambda: LqLParams(0.5, B5)], ids=["aw", "lql"])
+def test_a_record_table_dies_with_its_record(make):
+    """A record's table is plain data with no reference back to the
+    record, and nothing else keeps the record: once dropped it is freed
+    at once, with the cycle collector off."""
+    p = make()
+    fam = FAMILIES[polyfam.family_of(p)]
+    x = fam.support(0.5, 3)[1]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        fam.evaluate(6, x, p)
+        at = fam.cursors(p)(x)
+        at(8)
+        ref = weakref.ref(p)
+        del p, at
+        assert ref() is None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_cursor_refuses_from_the_same_degree_as_single_degree_evaluation():
