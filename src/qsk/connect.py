@@ -24,15 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateDenominator, PreconditionViolation
-from .polyfam import (
-    FAMILIES,
-    AWParams,
-    FamilyId,
-    LqLParams,
-    QLagParams,
-    UltraParams,
-    unscaled,
-)
+from .polyfam import FAMILIES, FamilyId, unscaled
 from .qpoch import QBase, QLike, as_base, poch_finite, renorm, unscale
 
 
@@ -48,6 +40,17 @@ class ConnectionExpansion:
     source_params: object
     target_params: object
     coefficients: tuple[tuple[int, complex], ...]
+
+
+def _records(fid: FamilyId, n: int, q: QLike, values: tuple, new, name: str) -> tuple:
+    """(q, source record of ``values``, target record with ``new`` as first value):
+    the target is built first, so a bad ``new`` is refused under ``name``."""
+    qv = as_base(q)
+    if n < 0:
+        raise PreconditionViolation("n must be >= 0")
+    family, base = FAMILIES[fid], QBase(qv)
+    tgt = family.params(new, *values[1:], base, (name, *family.names[1:]))
+    return qv, family.params(*values, base), tgt
 
 
 def aw_connection(
@@ -66,12 +69,7 @@ def aw_connection(
           / ((q, bc, bd, cd, alpha*bcd q^(k-1); q)_k
              (q, alpha*bcd q^(2k); q)_(n-k)),  k = 0..n.
     """
-    qv = as_base(q)
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
-    base = QBase(qv)
-    tgt = AWParams(alpha, b, c, d, base, ("alpha", "b", "c", "d"))
-    src = AWParams(a, b, c, d, base)
+    qv, src, tgt = _records(FamilyId.ASKEY_WILSON, n, q, (a, b, c, d), alpha, "alpha")
     if abs(alpha) == 0.0:
         raise PreconditionViolation("free parameter alpha must be nonzero")
     a, b, c, d, alpha = (complex(v) for v in (a, b, c, d, alpha))
@@ -111,12 +109,7 @@ def ultra_connection(n: int, beta: float, gamma: float, q: QLike) -> ConnectionE
         (1 - gamma q^(n-2k)) gamma^k (beta/gamma; q)_k (beta; q)_(n-k)
         / ((1 - gamma) (q; q)_k (q gamma; q)_(n-k)),  k = 0..floor(n/2).
     """
-    qv = as_base(q)
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
-    base = QBase(qv)
-    tgt = UltraParams(gamma, base, ("gamma",))
-    src = UltraParams(beta, base)
+    qv, src, tgt = _records(FamilyId.CONT_Q_ULTRA, n, q, (beta,), gamma, "gamma")
     coeffs = []
     for k in range(n // 2 + 1):
         val = (
@@ -145,12 +138,7 @@ def lql_connection(n: int, a: float, b: float, q: QLike) -> ConnectionExpansion:
     Pochhammer factor by factor: each paired term is q^m - bq/a, m = 1..n-j,
     so no intermediate ever leaves double range.
     """
-    qv = as_base(q)
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
-    base = QBase(qv)
-    tgt = LqLParams(b, base, ("b",))
-    src = LqLParams(a, base)
+    qv, src, tgt = _records(FamilyId.LITTLE_Q_LAGUERRE, n, q, (a,), b, "b")
     den_n = poch_finite(qv * a, qv, n).real
     if abs(den_n) < 1e-280:
         raise DegenerateDenominator("(qa; q)_n vanishes")
@@ -177,12 +165,7 @@ def qlag_connection(n: int, alpha: float, beta: float, q: QLike) -> ConnectionEx
         q^(n(alpha-beta)) (-1)^(n-j) q^C(n-j,2)
         (q^(n-j+1); q)_j (q^(j-n+beta-alpha+1); q)_(n-j) / (q; q)_n.
     """
-    qv = as_base(q)
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
-    base = QBase(qv)
-    tgt = QLagParams(beta, base, ("beta",))
-    src = QLagParams(alpha, base)
+    qv, src, tgt = _records(FamilyId.Q_LAGUERRE, n, q, (alpha,), beta, "beta")
     qq_n = poch_finite(qv, qv, n).real
     coeffs = []
     for j in range(n + 1):

@@ -60,7 +60,6 @@ from .polyfam import (
     qlag_bilateral_norm,
     qlag_continuous_norm,
     ultra_norm,
-    unscaled,
 )
 from .qpoch import poch_infinite
 
@@ -273,15 +272,6 @@ def inner_product(spec: FunctionalSpec, f: Callable[[float], complex],
 # ---------------------------------------------------------------------------
 
 
-def _polys(spec: FunctionalSpec) -> Callable[[int], Callable[[float], complex]]:
-    """n -> (x -> p_n(x)) with the bits of ``evaluate``, from the
-    cursors of the functional's record, which share that record's table
-    of x-free factors, so little q-Laguerre's are built once per record,
-    not once per node."""
-    cursor, q = FAMILIES[spec.family].cursors(spec.params), spec.params.base.q
-    return lambda n: lambda x: unscaled(*cursor(x)(n), q)
-
-
 def norm_constant(spec: FunctionalSpec, n: int) -> float:
     """The closed-form value of the functional applied to p_n^2."""
     return _NORMS[spec.family, spec.kind](n, spec)
@@ -295,8 +285,9 @@ def verify_orthogonality(
         raise PreconditionViolation("family does not match the functional's parameters")
     if m < 0 or n < 0:
         raise PreconditionViolation("m, n must be >= 0")
-    poly = _polys(spec)
-    lhs, count = inner_product(spec, poly(m), poly(n))
+    evaluate = FAMILIES[family].evaluate
+    lhs, count = inner_product(spec, lambda x: evaluate(m, x, spec.params),
+                               lambda x: evaluate(n, x, spec.params))
     rhs = complex(norm_constant(spec, n)) if m == n else complex(0.0)
     return IdentityReport.of(f"ORTHO_{family.name}_{spec.kind.name}",
                              spec.params.base.q, ParamPoint.of(m=m, n=n),
@@ -377,7 +368,8 @@ def verify_corollary(
         raise PreconditionViolation("n must be >= 0")
     spec = _spec_for(entry, point, ctx)
     kernel = entry_for(entry.theorem).kernel(point, ctx)
-    lhs, count = inner_product(spec, kernel, _polys(spec)(n))
+    evaluate = FAMILIES[spec.family].evaluate
+    lhs, count = inner_product(spec, kernel, lambda x: evaluate(n, x, spec.params))
     rhs, inner_terms = _closed_form(entry, n, point, ctx, spec)
     # corollary points carry no x: 0.5 is on every family's support, no t-bound reads x
     in_domain = entry_for(entry.theorem).contains(point.replace(x=0.5), ctx)

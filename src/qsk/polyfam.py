@@ -23,9 +23,9 @@ q-Laguerre is evaluated by series: for x > 0 a scaled 2phi0 form whose
 terms never cancel, for x <= 0 the defining 2phi1 sum.  The series
 definitions of all four families serve as oracles in the tests.
 
-Each family's record in FAMILIES holds its cursor factory, params ->
-x -> cursor, the one way to walk a point over degrees; ``Family`` states
-the cursor contract.
+Each family's record in FAMILIES holds its evaluator, the one way to read
+a single degree, and its cursor factory, params -> x -> cursor, the one
+way to walk a point over degrees; ``Family`` states the cursor contract.
 """
 
 from __future__ import annotations
@@ -242,6 +242,7 @@ class Recurrence:
                 m, k = k, math.inf  # after a raise, every later call refuses
                 if not m <= n:
                     raise PreconditionViolation(
+                        "n must be >= 0" if n < 0 else
                         "a cursor's degrees must not decrease, and a cursor that raised is spent")
                 try:
                     while len(table) < n:
@@ -429,7 +430,8 @@ def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
     the factors 1 - q^k / x of its own point.  For x <= 0 it gives
     (p_n(x), 0) from the defining sum 2phi1(q^-n, 0; aq; q, qx), whose
     terms all share one sign for x < 0: a term or sum leaving double
-    range means the value does, and that raises IllConditioned."""
+    range means the value does, and that raises IllConditioned.  Each
+    degree is summed afresh, so any order will do and a raise spends nothing."""
     q = p.base.q
     lnq = math.log(q)
     # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a, and
@@ -506,8 +508,6 @@ def little_q_laguerre_scaled(
     never overflow even though the value itself grows like
     q^(-n(n-1)/2) x^n between lattice points.
     """
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
     if not 0.0 < x < math.inf:
         raise PreconditionViolation(f"scaled evaluation needs a finite x > 0, got {x!r}")
     return _lql_cursors(p)(x)(n)
@@ -519,8 +519,6 @@ def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
     cancel there, with a value outside double range raising
     IllConditioned (above) or returned as 0 (below); for x <= 0 the
     defining 2phi1 sum."""
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
     return unscaled(*_lql_cursors(p)(x)(n), p.base.q).real
 
 
@@ -737,16 +735,17 @@ class Family:
                 builds the weight's product plans once per functional;
                 None on a lattice
     support     (q, count) -> sample abscissas on the natural support
-    cursors     params -> (x -> cursor), the one source of the family's
-                values for a walk over degrees: ``Recurrence.cursors``
-                for the recurrence families, ``_lql_cursors`` for little
+    cursors     params -> (x -> cursor): ``Recurrence.cursors`` for the
+                recurrence families, ``_lql_cursors`` for little
                 q-Laguerre.  A cursor ``at(n)`` gives (m, e) with
-                p_n(x) = m * q**e (``unscaled``), for nondecreasing n, and
-                checks x when it is made.  Every cursor and every
-                ``evaluate`` on one record share that record's table of
-                x-free factors, built once by index as a call first needs
-                them and kept on the record, so it lives as long as the
-                record does.  A cursor whose call raised is spent.
+                p_n(x) = m * q**e (``unscaled``), checks x when it is
+                made and refuses n < 0.  A recurrence cursor takes
+                nondecreasing n and is spent once a call has raised; a
+                little q-Laguerre cursor takes n in any order and a raise
+                leaves it usable.  Every cursor and every ``evaluate`` on
+                one record share that record's table of x-free factors,
+                built once by index as a call first needs them and kept
+                on the record, so it lives as long as the record does.
     x_range     (lo, hi): the closed range of x over which the generating
                 functions expanding in the family hold
     """

@@ -144,6 +144,11 @@ def test_connect_invalid_exit_2(capsys):
         code, out, err = run(capsys, "connect", "--family", family, "--n", "3", *flags,
                              "--q", "0.5")
         assert code == 2 and out == "" and named in err and source not in err, (family, err)
+    # alpha bcd = 1, so (alpha bcd; q)_2 = (1; q)_2 = 0 in the k = 0 denominator
+    code, out, err = run(capsys, "connect", "--family", "aw", "--n", "2", "--a", "0.3",
+                         "--b", "0.5", "--c", "0.5", "--d", "0.5", "--alpha", "8",
+                         "--q", "0.5")
+    assert (code, out, err) == (2, "", "error: vanishing denominator Pochhammer at k=0\n")
 
 
 def test_list_identities(capsys):

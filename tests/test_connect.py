@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 from qsk import polyfam
-from qsk.errors import IllConditioned
+from qsk.errors import DegenerateDenominator, IllConditioned
 from qsk.connect import (
     ConnectionExpansion,
     aw_connection,
@@ -334,6 +334,13 @@ def test_large_degree_coefficients_stay_finite():
     assert all(math.isfinite(abs(v)) for _, v in exp.coefficients)
     exp2 = lql_connection(24, 0.4, 2.2, 0.3)
     assert all(math.isfinite(abs(v)) for _, v in exp2.coefficients)
+
+
+def test_vanishing_denominator_raises():
+    # alpha bcd = 1, so (alpha bcd; q)_2 = (1; q)_2 = 0 in the k = 0 denominator
+    with pytest.raises(DegenerateDenominator,
+                       match="vanishing denominator Pochhammer at k=0"):
+        aw_connection(2, 0.3, 0.5, 0.5, 0.5, 8.0, 0.5)
 
 
 def test_out_of_range_coefficient_raises():

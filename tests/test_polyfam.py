@@ -10,7 +10,7 @@ from random import Random
 
 import pytest
 
-from qsk import connect, polyfam
+from qsk import connect, orthofunc, polyfam
 from qsk.bhs import SeriesSpec, eval_phi
 from qsk.errors import IllConditioned, PreconditionViolation, ZeroParameter
 from qsk.polyfam import (
@@ -717,10 +717,11 @@ def test_little_q_laguerre_against_mpmath(q, kind):
     (FamilyId.Q_LAGUERRE, "q_laguerre"),
 ])
 def test_family_table_reaches_rebound_evaluators(monkeypatch, fid, name):
-    """Rebinding a polyfam evaluator reaches both the table and connect's
-    source polynomial, which is how a tracer wrapping the module attribute
-    sees those calls.  connect's target polynomials come from one cursor
-    per point, which does not pass through the evaluator's name."""
+    """Rebinding a polyfam evaluator reaches the table, connect's source
+    polynomial and a functional's nodes, which is how a tracer wrapping the
+    module attribute sees those calls.  connect's target polynomials come
+    from one cursor per point, which does not pass through the evaluator's
+    name."""
     original = getattr(polyfam, name)
     calls = []
 
@@ -740,6 +741,16 @@ def test_family_table_reaches_rebound_evaluators(monkeypatch, fid, name):
     assert calls == [2]
     assert connect.expansion_residual(exp, [x]) < 1e-10
     assert calls[1:] == [exp.n]
+    kind = {
+        FamilyId.ASKEY_WILSON: orthofunc.FunctionalKind.CONT_INTERVAL,
+        FamilyId.CONT_Q_ULTRA: orthofunc.FunctionalKind.CONT_INTERVAL,
+        FamilyId.LITTLE_Q_LAGUERRE: orthofunc.FunctionalKind.DISCRETE_LATTICE,
+        FamilyId.Q_LAGUERRE: orthofunc.FunctionalKind.CONT_HALFLINE,
+    }[fid]
+    del calls[:]
+    orthofunc.verify_orthogonality(
+        fid, orthofunc.FunctionalSpec(kind, exp.source_params), 1, 2)
+    assert set(calls) == {1, 2}
 
 
 # --- cursors ----------------------------------------------------------------
@@ -978,6 +989,34 @@ _PARAMS = {
     FamilyId.LITTLE_Q_LAGUERRE: LqLParams(0.5, B5),
     FamilyId.Q_LAGUERRE: QLagParams(0.5, B5),
 }
+
+
+@pytest.mark.parametrize("fid,x", [
+    (FamilyId.ASKEY_WILSON, 0.3),
+    (FamilyId.CONT_Q_ULTRA, 0.3),
+    (FamilyId.LITTLE_Q_LAGUERRE, 0.5),
+    (FamilyId.LITTLE_Q_LAGUERRE, 0.0),
+    (FamilyId.LITTLE_Q_LAGUERRE, -0.5),
+    (FamilyId.Q_LAGUERRE, 1.5),
+], ids=str)
+def test_every_cursor_refuses_a_negative_degree(fid, x):
+    """A fresh cursor of each kind refuses n = -1 as a negative degree, as
+    ``evaluate`` does, not as a degree below the last one reached."""
+    at = FAMILIES[fid].cursors(_PARAMS[fid])(x)
+    with pytest.raises(PreconditionViolation, match="n must be >= 0"):
+        at(-1)
+
+
+def test_lql_cursor_takes_degrees_in_any_order():
+    """A little q-Laguerre cursor sums each degree afresh: after a degree
+    whose value leaves double range has raised, and after a higher degree,
+    it still gives every degree with the bits of ``evaluate``."""
+    fam, p, x = FAMILIES[FamilyId.LITTLE_Q_LAGUERRE], LqLParams(0.5, QBase(0.05)), 0.5
+    at = fam.cursors(p)(x)
+    with pytest.raises(IllConditioned):
+        at(300)
+    for n in (7, 3, 5, 0):
+        assert polyfam.unscaled(*at(n), 0.05) == fam.evaluate(n, x, p)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
