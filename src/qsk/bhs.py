@@ -43,7 +43,8 @@ _TERMINATION_SLACK = 1e-12
 _TOL = 1e-15
 _SMALL_STREAK = 3
 
-DEFAULT_MAX_TERMS = 10000
+# A non-terminating sum still unsettled after this many terms raises NoConvergence.
+MAX_TERMS = 10000
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class SeriesResult:
     terms_used: int
 
 
-def _termination_index(numerator, q: float, cap: int) -> float:
+def _termination_index(numerator, q: float) -> float:
     """Smallest m with some numerator parameter equal to q^(-m), else inf.
     A parameter that is not finite raises PreconditionViolation."""
     best = math.inf
@@ -78,7 +79,7 @@ def _termination_index(numerator, q: float, cap: int) -> float:
         if not mag < math.inf:  # NaN fails this test too
             raise PreconditionViolation(f"numerator parameter must be finite, got {a!r}")
         m = round(-math.log(mag) / lnq)
-        if m < 0 or m > cap:
+        if m < 0 or m > MAX_TERMS:
             continue
         if abs(a * q**m - 1.0) < _TERMINATION_SLACK:
             best = min(best, m)
@@ -101,11 +102,10 @@ class SeriesPlan:
     once, those of the scaled ones at every node."""
 
     __slots__ = ("_q", "_num", "_den", "_snum", "_sden", "_num2", "_den2",
-                 "_max_terms", "_stop", "_c", "_pnum", "_pden")
+                 "_stop", "_c", "_pnum", "_pden")
 
     def __init__(self, numerator, denominator, base: QBase | float,
-                 scaled_num=(), scaled_den=(), num2=(), den2=(),
-                 max_terms: int = DEFAULT_MAX_TERMS) -> None:
+                 scaled_num=(), scaled_den=(), num2=(), den2=()) -> None:
         q = as_base(base)
         num, den, snum, sden, num2, den2 = (
             tuple(map(scalar, p))
@@ -113,11 +113,10 @@ class SeriesPlan:
         for b in den + sden + den2:
             if not cmath.isfinite(b):
                 raise PreconditionViolation(f"denominator parameter must be finite, got {b!r}")
-        self._q, self._max_terms = q, max_terms
+        self._q = q
         self._num, self._den, self._snum, self._sden, self._num2, self._den2 = (
             num, den, snum, sden, num2, den2)
-        self._stop = min(_termination_index(num, q, max_terms),
-                         _termination_index(num2, q * q, max_terms))
+        self._stop = min(_termination_index(num, q), _termination_index(num2, q * q))
         # c_k, and the scaled numerator and denominator powers, k = 0, 1, ...
         self._c, self._pnum, self._pden = [], [], []
 
@@ -136,12 +135,12 @@ class SeriesPlan:
         if not cmath.isfinite(z):
             raise PreconditionViolation(f"series argument must be finite, got {z!r}")
         q, num, den, num2, den2 = self._q, self._num, self._den, self._num2, self._den2
-        snum, sden, max_terms = self._snum, self._sden, self._max_terms
+        snum, sden = self._snum, self._sden
         r = len(num) + len(snum) + 2 * len(num2)
         s = len(den) + len(sden) + 2 * len(den2)
         stop_at = self._stop
         if snum:
-            stop_at = min(stop_at, _termination_index([a * u for a in snum], q, max_terms))
+            stop_at = min(stop_at, _termination_index([a * u for a in snum], q))
         terminates = stop_at < math.inf
         if not terminates:
             if r > s + 1:
@@ -149,7 +148,7 @@ class SeriesPlan:
             if r == s + 1 and abs(z) >= 1.0:
                 raise DivergentSeries(f"non-terminating {r}phi{s} needs |z| < 1")
         # the sum ends at termination or the small-term streak, else raises at the cap
-        end = min(stop_at, max_terms - 1)
+        end = min(stop_at, MAX_TERMS - 1)
         if v is None:
             v = u
         if sden and not cmath.isfinite(v):
@@ -227,7 +226,7 @@ class SeriesPlan:
                     streak = 0
         else:
             if end < stop_at:
-                raise NoConvergence(f"no convergence within {max_terms} terms")
+                raise NoConvergence(f"no convergence within {MAX_TERMS} terms")
         if not cmath.isfinite(total):  # a term overflowed
             raise IllConditioned("series sum leaves the double-precision range")
         # terms summed: the leading 1 and one per ratio applied
@@ -238,8 +237,8 @@ def _zero_denominator(b: complex, k: int) -> ZeroDenominator:
     return ZeroDenominator(f"denominator parameter {b!r} hits q^-{k} before termination")
 
 
-def eval_phi(spec: SeriesSpec, max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
+def eval_phi(spec: SeriesSpec) -> SeriesResult:
     """Sum the series described by ``spec``: its plan, with no parameter
     scaled, evaluated once at its z."""
     return SeriesPlan(spec.numerator, spec.denominator, spec.base, num2=spec.numerator2,
-                      den2=spec.denominator2, max_terms=max_terms)(scalar(spec.z))
+                      den2=spec.denominator2)(scalar(spec.z))

@@ -27,15 +27,15 @@ import argparse
 import contextlib
 import hashlib
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import dataclass
 from random import Random
+from typing import ClassVar
 
 from . import genfun, orthofunc
-from .bhs import DEFAULT_MAX_TERMS
+from .bhs import MAX_TERMS
 from .connect import (
     aw_connection,
     lql_connection,
@@ -57,31 +57,26 @@ _COROLLARY_TAGS = [c.value for c in orthofunc.CorollaryId]
 class SuiteConfig:
     """Everything that determines a verification run.  The seed fully
     determines the sampled points, so identical configs produce
-    byte-identical reports modulo the timestamp."""
+    byte-identical reports modulo the timestamp.  A record passes at
+    relative residual ``tolerance``, the same for every run."""
 
     tags: tuple[str, ...]
     q_grid: tuple[float, ...] = (0.5,)
     seed: int = 1
     points_per_identity: int = 5
-    tolerance: float = 1e-7
-    outer_cap: int = 2048
-    max_terms: int = DEFAULT_MAX_TERMS
+    tolerance: ClassVar[float] = 1e-7
 
     def __post_init__(self) -> None:
         for q in self.q_grid:
             QBase(q)
         if self.points_per_identity < 1:
             raise ValueError("points-per-identity must be >= 1")
-        if not (0.0 < self.tolerance < math.inf):
-            raise ValueError("tolerance must be finite and > 0")
-        if self.max_terms < 1 or self.outer_cap < 1:
-            raise ValueError("max-terms and outer-cap must be >= 1")
         for tag in self.tags:
             if tag not in _IDENTITY_TAGS and tag not in _COROLLARY_TAGS:
                 raise ValueError(f"unknown tag {tag!r}")
 
     def context(self, q: float) -> EvalContext:
-        return EvalContext(q=q, outer_cap=self.outer_cap, max_terms=self.max_terms)
+        return EvalContext(q=q)
 
 
 def _c2pair(z: complex) -> list[float]:
@@ -97,13 +92,13 @@ def _point_hash(tag: str, q: float, point: ParamPoint) -> str:
     return hashlib.sha1(key.encode()).hexdigest()[:12]
 
 
-def _record(kind: str, rep, tolerance: float) -> dict:
+def _record(kind: str, rep) -> dict:
     flagged = kind == "corollary" and orthofunc.is_flagged(rep.id)
     if flagged:
         status = "unresolved-in-paper"
     elif not rep.in_domain:
         status = "flagged"
-    elif rep.rel_residual <= tolerance:
+    elif rep.rel_residual <= SuiteConfig.tolerance:
         status = "pass"
     else:
         status = "fail"
@@ -144,7 +139,7 @@ def run_suite(config: SuiteConfig) -> dict:
                     else:
                         rep = genfun.verify_identity(tag, point, ctx)
                         kind = "identity"
-                records.append(_record(kind, rep, config.tolerance))
+                records.append(_record(kind, rep))
     records.sort(key=lambda r: (r["id"], r["point_hash"]))
     counts = {"pass": 0, "fail": 0, "flagged": 0}
     worst: dict[str, float] = {}
@@ -164,9 +159,9 @@ def run_suite(config: SuiteConfig) -> dict:
             "q_grid": list(config.q_grid),
             "seed": config.seed,
             "points_per_identity": config.points_per_identity,
-            "tolerance": _sci(config.tolerance),
-            "outer_cap": config.outer_cap,
-            "max_terms": config.max_terms,
+            "tolerance": _sci(SuiteConfig.tolerance),
+            "outer_cap": genfun.OUTER_CAP,
+            "max_terms": MAX_TERMS,
         },
         "records": records,
         "summary": {
@@ -246,9 +241,6 @@ def _cmd_verify(args) -> int:
         q_grid=tuple(float(s) for s in args.q_grid.split(",") if s.strip()),
         seed=args.seed,
         points_per_identity=args.points,
-        tolerance=args.tolerance,
-        outer_cap=args.outer_cap,
-        max_terms=args.max_terms,
     )
     try:
         report = run_suite(config)
@@ -312,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=1)
     pv.add_argument("--points", type=int, default=5,
                     help="points per (tag, q) pair")
-    pv.add_argument("--tolerance", type=float, default=1e-7)
-    pv.add_argument("--outer-cap", dest="outer_cap", type=int, default=2048)
-    pv.add_argument("--max-terms", dest="max_terms", type=int,
-                    default=DEFAULT_MAX_TERMS)
     pv.add_argument("--out", default=None, help="report path (default stdout)")
     pv.set_defaults(fn=_cmd_verify)
 

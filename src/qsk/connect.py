@@ -185,11 +185,11 @@ def qlag_connection(n: int, alpha: float, beta: float, q: QLike) -> ConnectionEx
 # ---------------------------------------------------------------------------
 
 
-def prefix_residuals(
-    exp: ConnectionExpansion, points: Sequence[float] | None = None
-) -> list[float]:
-    """Entry i is the expansion_residual of the first i terms of ``exp``,
-    for i = 0 .. len(exp.coefficients), all built in one pass over them.
+def _partial_sums(exp: ConnectionExpansion, points: Sequence[float] | None):
+    """The source polynomial at the sample points, 1 + its largest
+    magnitude there, and an iterator over the expansion's sum at the
+    points before its first term and after each term: one list, updated
+    in place.
 
     The target polynomials come from one walk per point: a family cursor
     read at the expansion's degrees in ascending order, so degrees 0..n
@@ -213,19 +213,34 @@ def prefix_residuals(
     values = {deg: [unscaled(*at(deg), q) for at in cursors]
               for deg in sorted(deg for deg, _ in exp.coefficients)}
     lhs = [complex(0.0)] * len(points)
-    peak = _nan_max([abs(v) for v in rhs])
-    out = [peak / (1.0 + peak)]
-    for deg, v in exp.coefficients:
-        for i, p in enumerate(values[deg]):
-            lhs[i] += v * p
-        out.append(_nan_max([abs(t - s) for t, s in zip(lhs, rhs)]) / (1.0 + peak))
-    return out
+
+    def sums():
+        yield lhs
+        for deg, v in exp.coefficients:
+            for i, p in enumerate(values[deg]):
+                lhs[i] += v * p
+            yield lhs
+
+    return rhs, 1.0 + _nan_max([abs(v) for v in rhs]), sums()
+
+
+def _gap(lhs: list[complex], rhs: list[complex]) -> float:
+    return _nan_max([abs(t - s) for t, s in zip(lhs, rhs)])
 
 
 def _nan_max(magnitudes: list[float]) -> float:
     """The largest magnitude (0.0 for none), or NaN when one is NaN, which
     is exactly when their sum is: a plain max may keep a number over a NaN."""
     return max(magnitudes, default=0.0) if sum(magnitudes) >= 0.0 else math.nan
+
+
+def prefix_residuals(
+    exp: ConnectionExpansion, points: Sequence[float] | None = None
+) -> list[float]:
+    """Entry i is the expansion_residual of the first i terms of ``exp``,
+    for i = 0 .. len(exp.coefficients), all built in one pass over them."""
+    rhs, scale, sums = _partial_sums(exp, points)
+    return [_gap(lhs, rhs) / scale for lhs in sums]
 
 
 def expansion_residual(
@@ -235,4 +250,6 @@ def expansion_residual(
 
         |sum_k c_k p_k(x; target) - p_n(x; source)| / (1 + max |p_n|).
     """
-    return prefix_residuals(exp, points)[-1]
+    rhs, scale, sums = _partial_sums(exp, points)
+    *_, lhs = sums
+    return _gap(lhs, rhs) / scale

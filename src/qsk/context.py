@@ -1,39 +1,31 @@
-"""Shared plumbing: the caps of a verification run and named parameter points."""
+"""Shared plumbing: the base of a verification run and named parameter points."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .bhs import DEFAULT_MAX_TERMS
 from .errors import PreconditionViolation
 from .qpoch import QBase
 
 
 @dataclass(frozen=True)
 class EvalContext:
-    """The settings of one verification run.
+    """The base q of one verification run, real in (0, 1), and ``base``,
+    its validated QBase, built once.
 
-    q              base, real in (0, 1)
-    max_terms      cap on the terms of each r_phi_s series
-    outer_cap      cap on the outer truncation order of a series side
-
-    ``base`` is the validated QBase of q, built once.  The tolerances are
-    fixed: outer truncations agree to 1e-9 (``genfun``), functionals to
-    1e-10 (``orthofunc``), series and infinite products stop at 1e-15
-    (``bhs`` and ``qpoch``).
+    Everything else is fixed.  Outer truncations agree to 1e-9 and stop at
+    order ``genfun.OUTER_CAP`` (2048); functionals agree to 1e-10
+    (``orthofunc``); series and infinite products stop at 1e-15 (``bhs``
+    and ``qpoch``), a series after at most ``bhs.MAX_TERMS`` (10000)
+    terms; a record passes at relative residual ``cli.SuiteConfig.tolerance``
+    (1e-7).
     """
 
     q: float
-    max_terms: int = DEFAULT_MAX_TERMS
-    outer_cap: int = 2048
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", QBase(self.q))
-        for name in ("max_terms", "outer_cap"):
-            cap = getattr(self, name)
-            if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-                raise PreconditionViolation(f"{name} must be an integer >= 1, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +59,10 @@ class ParamPoint:
         return self.get(name).real
 
     def intval(self, name: str) -> int:
-        return int(round(self.get(name).real))
+        v = self.get(name)
+        if v.imag != 0.0 or not v.real.is_integer():
+            raise PreconditionViolation(f"{name} must be an integer, got {v!r}")
+        return int(v.real)
 
     def as_dict(self) -> dict[str, complex]:
         return dict(self.values)

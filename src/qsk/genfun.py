@@ -58,10 +58,11 @@ from .polyfam import FAMILIES, FamilyId, _theta
 from .qpoch import ProductPlan, poch_all, poch_infinite, unscale
 
 # Two outer truncations agreeing to this, relative to 1 + |sum|, settle
-# the series side; escalation starts at _OUTER_START terms (or the outer
-# cap, if lower) and doubles.
+# the series side; escalation starts at _OUTER_START terms and doubles
+# while the order stays at most OUTER_CAP.
 _TOL = 1e-9
 _OUTER_START = 16
+OUTER_CAP = 2048
 
 # Terms this small relative to the partial sum, six in a row, end the
 # outer accumulation early: everything past them is numerically zero.
@@ -232,8 +233,7 @@ def _expi(x: float) -> complex:
 
 
 def _series(num, den, ctx: EvalContext, scaled_num=(), scaled_den=()) -> SeriesPlan:
-    return SeriesPlan(num, den, ctx.base, scaled_num, scaled_den,
-                      max_terms=ctx.max_terms)
+    return SeriesPlan(num, den, ctx.base, scaled_num, scaled_den)
 
 
 def _at_e(f: Callable[[complex], complex]) -> Callable[[float], complex]:
@@ -803,8 +803,7 @@ class _RhsAccumulator:
         self._streak = 0
 
     def _inner(self, n: int) -> complex:
-        res = eval_phi(self.entry.inner(n, self.point, self.ctx),
-                       max_terms=self.ctx.max_terms)
+        res = eval_phi(self.entry.inner(n, self.point, self.ctx))
         self.max_inner = max(self.max_inner, res.terms_used)
         return res.value
 
@@ -875,9 +874,9 @@ def _verify(tag: IdentityId, point: ParamPoint, ctx: EvalContext) -> IdentityRep
     entry = _CATALOG[tag]
     lhs = entry.lhs(point, ctx)
     acc = _RhsAccumulator(entry, point, ctx)
-    n_outer = min(_OUTER_START, ctx.outer_cap)
+    n_outer = _OUTER_START
     rhs = acc.partial(n_outer)
-    while n_outer * 2 <= ctx.outer_cap:
+    while n_outer * 2 <= OUTER_CAP:
         nxt = acc.partial(n_outer * 2)
         n_outer *= 2
         if abs(nxt - rhs) <= _TOL * (1.0 + abs(nxt)):

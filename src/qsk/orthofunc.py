@@ -268,30 +268,13 @@ def inner_product(spec: FunctionalSpec, f: Callable[[float], complex],
 
 
 # ---------------------------------------------------------------------------
-# orthogonality of the families themselves
+# the norms of the families
 # ---------------------------------------------------------------------------
 
 
 def norm_constant(spec: FunctionalSpec, n: int) -> float:
     """The closed-form value of the functional applied to p_n^2."""
     return _NORMS[spec.family, spec.kind](n, spec)
-
-
-def verify_orthogonality(
-    family: FamilyId, spec: FunctionalSpec, m: int, n: int
-) -> IdentityReport:
-    """Compare <p_m, p_n> under the functional with norm * delta_mn."""
-    if spec.family is not family:
-        raise PreconditionViolation("family does not match the functional's parameters")
-    if m < 0 or n < 0:
-        raise PreconditionViolation("m, n must be >= 0")
-    evaluate = FAMILIES[family].evaluate
-    lhs, count = inner_product(spec, lambda x: evaluate(m, x, spec.params),
-                               lambda x: evaluate(n, x, spec.params))
-    rhs = complex(norm_constant(spec, n)) if m == n else complex(0.0)
-    return IdentityReport.of(f"ORTHO_{family.name}_{spec.kind.name}",
-                             spec.params.base.q, ParamPoint.of(m=m, n=n),
-                             lhs, rhs, count, 0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +333,7 @@ def _closed_form(entry: _CorEntry, n: int, point: ParamPoint, ctx: EvalContext,
     the definite-integral display C27 omits in print: a transcription slip,
     since the parallel series and q-integral displays retain it."""
     thm = entry_for(entry.theorem)
-    inner = eval_phi(thm.inner(n, point, ctx), max_terms=ctx.max_terms)
+    inner = eval_phi(thm.inner(n, point, ctx))
     value = (outer_coefficient(entry.theorem, n, point, ctx) * inner.value
              * norm_constant(spec, n))
     if thm.pref is not None:

@@ -23,6 +23,7 @@ from random import Random
 
 import pytest
 
+from oracles import verify_orthogonality
 from qsk.cli import SuiteConfig, run_suite
 from qsk.connect import (
     aw_connection,
@@ -47,7 +48,6 @@ from qsk.orthofunc import (
     norm_constant,
     sample_corollary_point,
     verify_corollary,
-    verify_orthogonality,
 )
 from qsk.polyfam import (
     AWParams,

@@ -120,8 +120,10 @@ def test_zero_denominator_detection():
 
 
 def test_no_convergence_cap():
-    with pytest.raises(NoConvergence):
-        eval_phi(SeriesSpec((0.9,), (0.3,), 0.99, QBase(0.9)), max_terms=8)
+    # 1phi0(0.5; -; 0.5, z) has the terms z^k exactly: 0.9999^k is still
+    # above 1e-15 times the sum after MAX_TERMS of them
+    with pytest.raises(NoConvergence, match="within 10000 terms"):
+        eval_phi(SeriesSpec((0.5,), (), 0.9999, QBase(0.5)))
 
 
 def test_overflowing_terms_raise_rather_than_return_nan():

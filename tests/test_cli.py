@@ -219,24 +219,16 @@ def test_verify_default_t3_passes_at_1e7(tmp_path, capsys):
         assert float(rec["rel_residual"]) < 1e-7
 
 
-def test_verify_outer_cap_bounds_the_truncation(tmp_path, capsys):
-    for cap in (16, 4):
-        out_path = tmp_path / f"cap{cap}.json"
-        code, _, _ = run(capsys, "verify", "--tags", "T3", "--outer-cap", str(cap),
-                         "--out", str(out_path))
-        report = json.loads(out_path.read_text())
-        assert code in (0, 1)
-        assert report["config"]["outer_cap"] == cap
-        assert report["records"]
-        assert all(r["n_terms_outer"] <= cap for r in report["records"]), cap
-
-
 def test_verify_echoes_max_terms(tmp_path, capsys):
+    """The record tolerance and both caps are constants, echoed as they
+    were when they were settings."""
     out_path = tmp_path / "terms.json"
     code, _, _ = run(capsys, "verify", "--tags", "T3", "--points", "1",
-                     "--max-terms", "500", "--out", str(out_path))
+                     "--out", str(out_path))
     assert code == 0
-    assert json.loads(out_path.read_text())["config"]["max_terms"] == 500
+    config = json.loads(out_path.read_text())["config"]
+    assert (config["tolerance"], config["outer_cap"], config["max_terms"]) == (
+        "1.000000e-07", 2048, 10000)
 
 
 def test_verify_c29_flagged_never_fails(tmp_path, capsys):
@@ -268,12 +260,13 @@ def test_verify_unknown_tag_exit_2(capsys):
 
 
 def test_verify_caps_below_one_exit_2(capsys):
-    for flag, value, msg in (("--max-terms", "-5", "must be >= 1"),
-                             ("--outer-cap", "0", "must be >= 1"),
-                             ("--max-terms", "0", "must be >= 1"),
-                             ("--tolerance", "inf", "must be finite")):
-        code, _, err = run(capsys, "verify", "--tags", "T3", flag, value)
-        assert code == 2 and msg in err, (flag, value)
+    """The removed settings are refused as unknown flags."""
+    for flag, value in (("--max-terms", "500"), ("--outer-cap", "4"),
+                        ("--tolerance", "1e-7")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tags", "T3", flag, value])
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_record_schema(tmp_path, capsys):
@@ -301,13 +294,6 @@ def test_suite_config_validation():
         SuiteConfig(tags=("NOPE",))
     with pytest.raises(ValueError):
         SuiteConfig(tags=("T3",), points_per_identity=0)
-    with pytest.raises(ValueError):
-        SuiteConfig(tags=("T3",), max_terms=0)
-    with pytest.raises(ValueError):
-        SuiteConfig(tags=("T3",), outer_cap=0)
-    for tol in (float("inf"), float("nan"), 0.0):
-        with pytest.raises(ValueError):
-            SuiteConfig(tags=("T3",), tolerance=tol)
 
 
 # sha256 of the sorted (id, point_hash, status, n_terms_outer, n_terms_inner)
@@ -321,23 +307,37 @@ REPORT_SHAPE_AT_Q = {
     0.05: "0e30f4f2fd654a8b36c64229755e1ee034cbbc8a7bcf15bfd852453d8dd16bb7",
     0.8: "ee23dfb426395812fc7ff3279fd4ff1cac5e9735788170f5b71c619f05980a4c",
 }
+# sha256 of the sorted (id, point_hash, float.hex of lhs [re, im], float.hex
+# of rhs [re, im]) tuples of the default report: every bit of every value.
+DEFAULT_REPORT_VALUES = "3d2eb9028e6c8c0134580cc1dc378fae6fc7852efa1b7ac36bd9b328cf40d0f5"
 
 
-def _report_shape(q_grid=(0.5,)) -> str:
+def _digest(rows) -> str:
+    return hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
+
+
+def _records(q_grid=(0.5,)) -> list[dict]:
     records = run_suite(SuiteConfig(tags=tuple(ALL_TAGS), q_grid=q_grid))["records"]
-    shape = sorted((r["id"], r["point_hash"], r["status"], r["n_terms_outer"],
+    assert len(records) == 205
+    return records
+
+
+def _report_shape(records) -> str:
+    return _digest((r["id"], r["point_hash"], r["status"], r["n_terms_outer"],
                     r["n_terms_inner"]) for r in records)
-    assert len(shape) == 205
-    return hashlib.sha256(repr(shape).encode()).hexdigest()
 
 
 def test_default_report_shape_is_pinned():
-    assert _report_shape() == DEFAULT_REPORT_SHAPE
+    records = _records()
+    assert _report_shape(records) == DEFAULT_REPORT_SHAPE
+    bits = lambda pair: tuple(float.hex(v) for v in pair)
+    assert _digest((r["id"], r["point_hash"], bits(r["lhs"]), bits(r["rhs"]))
+                   for r in records) == DEFAULT_REPORT_VALUES
 
 
 @pytest.mark.parametrize("q", list(REPORT_SHAPE_AT_Q))
 def test_report_shape_is_pinned_off_the_default_q(q):
-    assert _report_shape((q,)) == REPORT_SHAPE_AT_Q[q]
+    assert _report_shape(_records((q,))) == REPORT_SHAPE_AT_Q[q]
 
 
 # The same digest where the default sweep does not pass everywhere, with a
@@ -377,7 +377,7 @@ def _sweep(q: float) -> list[tuple]:
                 point = sample_point(tag, rng, q)
                 check = verify_source if kind == "source" else verify_identity
             try:
-                r = _record(kind, check(tag, point, ctx), config.tolerance)
+                r = _record(kind, check(tag, point, ctx))
             except QskError as exc:
                 shape.append((tag, _point_hash(tag, q, point),
                               ("error", type(exc).__name__), None, None))

@@ -274,15 +274,6 @@ def test_domain_follows_the_family_records():
     assert not inside("SRC_AW_14113", src.replace(a=0.3 + 0.1j, b=0.3 + 0.1j, c=0.3 - 0.1j))
 
 
-def test_eval_context_rejects_bool_caps():
-    # isinstance(True, int) holds, so a bool would pass as the cap 1; a
-    # float cap would reach range() in the series loop as a bare TypeError
-    for caps in (dict(max_terms=True), dict(outer_cap=True),
-                 dict(max_terms=2.5), dict(outer_cap=20.5)):
-        with pytest.raises(PreconditionViolation, match="must be an integer"):
-            EvalContext(q=0.5, **caps)
-
-
 def test_verify_identity_rejects_source_tags():
     pt = ParamPoint.of(beta=0.4, x=0.3, t=0.5)
     with pytest.raises(PreconditionViolation):

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from oracles import verify_orthogonality
 from qsk import orthofunc
 from qsk.bhs import eval_phi
 from qsk.context import EvalContext, ParamPoint
@@ -24,7 +25,6 @@ from qsk.orthofunc import (
     norm_constant,
     sample_corollary_point,
     verify_corollary,
-    verify_orthogonality,
 )
 from qsk.polyfam import (
     AWParams,
@@ -264,6 +264,15 @@ def test_corollary_catalog():
     rows = list_corollaries()
     assert len(rows) == 17
     assert any(r["flagged"] == "unresolved-in-paper" for r in rows)
+
+
+@pytest.mark.parametrize("n", [2.4, 2 + 0.5j, math.nan, -1])
+def test_corollary_degree_must_be_a_nonnegative_integer(n):
+    """A degree is never rounded: 2.4 or 2 + 0.5j would check p_2 and
+    report the point as given, and NaN has no integer to round to."""
+    point = sample_corollary_point("C26", Random(1), 0.5).replace(n=n)
+    with pytest.raises(PreconditionViolation, match="^n must be"):
+        verify_corollary("C26", point, CTX)
 
 
 @pytest.mark.parametrize("cid", sorted(CorollaryId, key=lambda c: c.value))

@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 
+from oracles import verify_orthogonality
 from qsk import connect, orthofunc, polyfam
 from qsk.bhs import SeriesSpec, eval_phi
 from qsk.errors import IllConditioned, PreconditionViolation, ZeroParameter
@@ -748,7 +749,7 @@ def test_family_table_reaches_rebound_evaluators(monkeypatch, fid, name):
         FamilyId.Q_LAGUERRE: orthofunc.FunctionalKind.CONT_HALFLINE,
     }[fid]
     del calls[:]
-    orthofunc.verify_orthogonality(
+    verify_orthogonality(
         fid, orthofunc.FunctionalSpec(kind, exp.source_params), 1, 2)
     assert set(calls) == {1, 2}
 
