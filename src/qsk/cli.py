@@ -43,7 +43,7 @@ from .connect import (
     qlag_connection,
     ultra_connection,
 )
-from .context import EvalContext, ParamPoint
+from .context import ParamPoint
 from .errors import QskError
 from .polyfam import FAMILIES, FamilyId, QBase
 
@@ -75,8 +75,15 @@ class SuiteConfig:
             if tag not in _IDENTITY_TAGS and tag not in _COROLLARY_TAGS:
                 raise ValueError(f"unknown tag {tag!r}")
 
-    def context(self, q: float) -> EvalContext:
-        return EvalContext(q=q)
+    def context(self, q: float) -> QBase:
+        """The base of the run at q: the one input of every check besides
+        its point.  Everything else is fixed.  Outer truncations agree to
+        1e-9 and stop at order ``genfun.OUTER_CAP`` (2048); functionals
+        agree to 1e-10 (``orthofunc``); series and infinite products stop
+        at 1e-15 (``bhs`` and ``qpoch``), a series after at most
+        ``bhs.MAX_TERMS`` (10000) terms; a record passes at relative
+        residual ``tolerance`` (1e-7)."""
+        return QBase(q)
 
 
 def _c2pair(z: complex) -> list[float]:

@@ -202,11 +202,14 @@ def _partial_sums(exp: ConnectionExpansion, points: Sequence[float] | None):
     point.  Each value has the bits ``evaluate`` gives, so every residual
     does too, and a value out of double range raises IllConditioned as
     ``evaluate`` would.  ``points`` defaults to 20 of the family's
-    ``support`` abscissas."""
+    ``support`` abscissas; none at all would certify any expansion, and
+    is refused."""
     q = exp.source_params.base.q
     family = FAMILIES[exp.family]
     if points is None:
         points = family.support(q, 20)
+    if len(points) == 0:
+        raise PreconditionViolation("a residual needs at least one sample point")
     rhs = [family.evaluate(exp.n, x, exp.source_params) for x in points]
     target = family.cursors(exp.target_params)
     cursors = [target(x) for x in points]
@@ -229,9 +232,9 @@ def _gap(lhs: list[complex], rhs: list[complex]) -> float:
 
 
 def _nan_max(magnitudes: list[float]) -> float:
-    """The largest magnitude (0.0 for none), or NaN when one is NaN, which
-    is exactly when their sum is: a plain max may keep a number over a NaN."""
-    return max(magnitudes, default=0.0) if sum(magnitudes) >= 0.0 else math.nan
+    """The largest magnitude, or NaN when one is NaN, which is exactly
+    when their sum is: a plain max may keep a number over a NaN."""
+    return max(magnitudes) if sum(magnitudes) >= 0.0 else math.nan
 
 
 def prefix_residuals(

@@ -1,4 +1,5 @@
-"""Shared plumbing: the base of a verification run and named parameter points."""
+"""Named parameter points: the values one identity, corollary or family
+record is evaluated at."""
 
 from __future__ import annotations
 
@@ -6,26 +7,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import PreconditionViolation
-from .qpoch import QBase
-
-
-@dataclass(frozen=True)
-class EvalContext:
-    """The base q of one verification run, real in (0, 1), and ``base``,
-    its validated QBase, built once.
-
-    Everything else is fixed.  Outer truncations agree to 1e-9 and stop at
-    order ``genfun.OUTER_CAP`` (2048); functionals agree to 1e-10
-    (``orthofunc``); series and infinite products stop at 1e-15 (``bhs``
-    and ``qpoch``), a series after at most ``bhs.MAX_TERMS`` (10000)
-    terms; a record passes at relative residual ``cli.SuiteConfig.tolerance``
-    (1e-7).
-    """
-
-    q: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", QBase(self.q))
 
 
 @dataclass(frozen=True)
@@ -33,7 +14,8 @@ class ParamPoint:
     """A named set of (complex or real) parameters for one identity or
     family: entries like a, b, c, d, alpha, beta, gamma, t, x, n.
 
-    The base q is not part of a point; it lives in the EvalContext.
+    The base q is not part of a point: a verification run takes it as a
+    ``QBase`` next to the point.
     """
 
     values: tuple[tuple[str, complex], ...] = field(default_factory=tuple)

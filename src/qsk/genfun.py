@@ -52,10 +52,10 @@ from random import Random
 from typing import Callable, NamedTuple, Optional
 
 from .bhs import SeriesPlan, SeriesSpec, eval_phi
-from .context import EvalContext, ParamPoint
+from .context import ParamPoint
 from .errors import PreconditionViolation
 from .polyfam import FAMILIES, FamilyId, _theta
-from .qpoch import ProductPlan, poch_all, poch_infinite, unscale
+from .qpoch import ProductPlan, QBase, poch_all, poch_infinite, unscale
 
 # Two outer truncations agreeing to this, relative to 1 + |sum|, settle
 # the series side; escalation starts at _OUTER_START terms and doubles
@@ -163,7 +163,7 @@ def _coef(c: Coef, q: float, n: int) -> complex:
 
 
 def _record(names: str,
-            build: Callable[..., tuple]) -> Callable[[ParamPoint, EvalContext], Coef]:
+            build: Callable[..., tuple]) -> Callable[[ParamPoint, QBase], Coef]:
     """An entry's coefficient record: ``build`` takes the point values
     named in ``names``, then q, and returns the fields of a ``Coef``."""
     return lambda pt, ctx: Coef(*build(*(pt.get(nm) for nm in names.split()), ctx.q))
@@ -180,35 +180,35 @@ class _Entry:
     domain: DomainPredicate
     # The kernel factory: (point, ctx) -> (x -> kernel(x, point)), which
     # builds the plans of the kernel's series and products once.
-    kernel: Callable[[ParamPoint, EvalContext], Callable[[float], complex]]
+    kernel: Callable[[ParamPoint, QBase], Callable[[float], complex]]
     # The outer coefficient's record at the point; see Coef and _coef.
-    coef: Callable[[ParamPoint, EvalContext], Coef]
-    inner: Optional[Callable[[int, ParamPoint, EvalContext], SeriesSpec]]
+    coef: Callable[[ParamPoint, QBase], Coef]
+    inner: Optional[Callable[[int, ParamPoint, QBase], SeriesSpec]]
     family: FamilyId  # the series side expands over this family ...
     names: tuple[str, ...]  # ... with the parameters of these point names
     # (rng, q, t_bound) -> a point inside the domain whose |t| bound is given
     sample: Callable[[Random, float, Callable[[ParamPoint, float], float]], ParamPoint]
     describe: str
     # The x-independent factor of the closed form, None when it is 1.
-    pref: Optional[Callable[[ParamPoint, EvalContext], complex]]
+    pref: Optional[Callable[[ParamPoint, QBase], complex]]
     # The point names of each family record the domain requires: the
     # source's parameters, then (for a generalized entry) its own.
     domain_names: tuple[tuple[str, ...], ...]
 
-    def lhs(self, pt: ParamPoint, ctx: EvalContext) -> complex:
+    def lhs(self, pt: ParamPoint, ctx: QBase) -> complex:
         """The closed form at the point: prefactor times kernel at its x."""
         if not _finite(pt):
             raise PreconditionViolation(f"point values must be finite: {pt.canonical()}")
         value = self.kernel(pt, ctx)(pt.real("x"))
         return value if self.pref is None else self.pref(pt, ctx) * value
 
-    def family_params(self, pt: ParamPoint, ctx: EvalContext):
+    def family_params(self, pt: ParamPoint, ctx: QBase):
         """The parameter record of the expansion family at this point; a
         refusal names the point's parameter."""
-        return FAMILIES[self.family].params(*(pt.get(nm) for nm in self.names), ctx.base,
+        return FAMILIES[self.family].params(*(pt.get(nm) for nm in self.names), ctx,
                                             self.names)
 
-    def contains(self, pt: ParamPoint, ctx: EvalContext) -> bool:
+    def contains(self, pt: ParamPoint, ctx: QBase) -> bool:
         """Whether the point lies in the identity's domain: every value is
         finite, x is on the family's support, the family records of
         ``domain_names`` construct (Askey-Wilson ones are orthogonal, too) and
@@ -219,7 +219,7 @@ class _Entry:
             return False
         for names in self.domain_names:
             try:
-                rec = fam.params(*(pt.get(nm) for nm in names), ctx.base)
+                rec = fam.params(*(pt.get(nm) for nm in names), ctx)
             except PreconditionViolation:
                 return False
             if self.family is FamilyId.ASKEY_WILSON and not rec.orthogonal():
@@ -232,18 +232,14 @@ def _expi(x: float) -> complex:
     return cmath.exp(1j * _theta(x))
 
 
-def _series(num, den, ctx: EvalContext, scaled_num=(), scaled_den=()) -> SeriesPlan:
-    return SeriesPlan(num, den, ctx.base, scaled_num, scaled_den)
-
-
 def _at_e(f: Callable[[complex], complex]) -> Callable[[float], complex]:
     """The kernel x -> f(e) of an interval family, e = e^(i theta), x = cos(theta)."""
     return lambda x: f(_expi(x))
 
 
-def _phi_pair(t: complex, num1, den1, num2, den2, ctx: EvalContext):
+def _phi_pair(t: complex, num1, den1, num2, den2, ctx: QBase):
     """The kernel 2phi1(num1 e; den1; q, t/e) 2phi1(num2 / e; den2; q, t e)."""
-    f1, f2 = _series((), den1, ctx, num1), _series((), den2, ctx, num2)
+    f1, f2 = SeriesPlan((), den1, ctx, num1), SeriesPlan((), den2, ctx, num2)
     return _at_e(lambda e: f1(t / e, e).value * f2(t * e, 1.0 / e).value)
 
 
@@ -254,6 +250,12 @@ def _pairs(q: float, *ws: complex) -> tuple[complex, ...]:
 
 def _tpick(rng: Random, bound: float) -> float:
     return rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 0.9) * bound
+
+
+def _complex_gamma(rng: Random) -> complex:
+    """Modulus in [0.1, 0.8], then any phase."""
+    mag = rng.uniform(0.1, 0.8)
+    return mag * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
 
 
 def _xcos(rng: Random) -> float:
@@ -269,12 +271,12 @@ def _signed(rng: Random, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_aw(pt: ParamPoint, ctx: EvalContext):
+def _kernel_aw(pt: ParamPoint, ctx: QBase):
     a, b, c, d, t = (pt.get(n) for n in "abcdt")
     return _phi_pair(t, (a, b), (a * b,), (c, d), (c * d,), ctx)
 
 
-def _inner_t2(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
+def _inner_t2(n: int, pt: ParamPoint, ctx: QBase) -> SeriesSpec:
     q = ctx.q
     a, b, c, d, al, t = (pt.get(nm) for nm in ("a", "b", "c", "d", "alpha", "t"))
     abcd = a * b * c * d
@@ -283,7 +285,7 @@ def _inner_t2(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
         (a / al, b * c * qn, b * d * qn, abcd * q ** (2 * n - 1)),
         (a * b * qn, abcd * q ** (n - 1), al * b * c * d * q ** (2 * n)),
         al * t,
-        ctx.base,
+        ctx,
     )
 
 
@@ -300,29 +302,29 @@ def _sample_aw(rng: Random, q: float, t_bound, with_alpha: bool = False) -> Para
 # ---------------------------------------------------------------------------
 
 
-def _kernel_t3(pt: ParamPoint, ctx: EvalContext):
+def _kernel_t3(pt: ParamPoint, ctx: QBase):
     # (t beta e, t beta / e; q)_inf / (t e, t / e; q)_inf
     t, beta = pt.get("t"), pt.get("beta")
-    tb, tt = ProductPlan(t * beta, ctx.base), ProductPlan(t, ctx.base)
+    tb, tt = ProductPlan(t * beta, ctx), ProductPlan(t, ctx)
     return _at_e(lambda e: tb(e) * tb(1.0 / e) / (tt(e) * tt(1.0 / e)))
 
 
-def _inner_t3(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
+def _inner_t3(n: int, pt: ParamPoint, ctx: QBase) -> SeriesSpec:
     q = ctx.q
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
     return SeriesSpec(
-        (beta / gamma, beta * q**n), (gamma * q ** (n + 1),), gamma * t * t, ctx.base
+        (beta / gamma, beta * q**n), (gamma * q ** (n + 1),), gamma * t * t, ctx
     )
 
 
-def _kernel_29(pt: ParamPoint, ctx: EvalContext):
+def _kernel_29(pt: ParamPoint, ctx: QBase):
     # (t/e; q)_inf * 2phi1(beta, beta e^2; beta^2; q, t/e)
     t, beta = pt.get("t"), pt.get("beta")
-    tt, phi = ProductPlan(t, ctx.base), _series((beta,), (beta * beta,), ctx, (beta,))
+    tt, phi = ProductPlan(t, ctx), SeriesPlan((beta,), (beta * beta,), ctx, (beta,))
     return _at_e(lambda e: tt(1.0 / e) * phi(t / e, e * e).value)
 
 
-def _inner_cqu(n: int, beta: complex, c: complex, z: complex, ctx: EvalContext,
+def _inner_cqu(n: int, beta: complex, c: complex, z: complex, ctx: QBase,
                num2=lambda b, h: (), den2=lambda b, h: (), zeros: int = 0) -> SeriesSpec:
     """The inner series of T4-T9 at argument z:
 
@@ -334,55 +336,55 @@ def _inner_cqu(n: int, beta: complex, c: complex, z: complex, ctx: EvalContext,
     q = ctx.q
     b = beta * q**n
     h = b * math.sqrt(q)
-    return SeriesSpec((beta / c, b) + (0.0,) * zeros, (c * q ** (n + 1),), z, ctx.base,
+    return SeriesSpec((beta / c, b) + (0.0,) * zeros, (c * q ** (n + 1),), z, ctx,
                       _pairs(q, *num2(b, h)), _pairs(q, beta * b, *den2(b, h)))
 
 
-def _inner_t4(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
+def _inner_t4(n: int, pt: ParamPoint, ctx: QBase) -> SeriesSpec:
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
     return _inner_cqu(n, beta, gamma, gamma * (beta * t) ** 2 * ctx.q ** (2 * n + 1), ctx)
 
 
-def _kernel_28(pt: ParamPoint, ctx: EvalContext):
+def _kernel_28(pt: ParamPoint, ctx: QBase):
     # 2phi1(beta, beta e^2; beta^2; q, t/e) / (t e; q)_inf
     t, beta = pt.get("t"), pt.get("beta")
-    tt, phi = ProductPlan(t, ctx.base), _series((beta,), (beta * beta,), ctx, (beta,))
+    tt, phi = ProductPlan(t, ctx), SeriesPlan((beta,), (beta * beta,), ctx, (beta,))
     return _at_e(lambda e: phi(t / e, e * e).value / tt(e))
 
 
-def _inner_t5(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
+def _inner_t5(n: int, pt: ParamPoint, ctx: QBase) -> SeriesSpec:
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
     return _inner_cqu(n, beta, gamma, gamma * t * t, ctx, zeros=4)
 
 
-def _kernel_33(pt: ParamPoint, ctx: EvalContext):
+def _kernel_33(pt: ParamPoint, ctx: QBase):
     # (gamma t e; q)_inf / (t e; q)_inf * 3phi2(gamma, beta, beta e^2;
     #                                           beta^2, gamma t e; q, t/e)
     t, beta, gamma = pt.get("t"), pt.get("beta"), pt.get("gamma")
-    gt, tt = ProductPlan(gamma * t, ctx.base), ProductPlan(t, ctx.base)
-    phi = _series((gamma, beta), (beta * beta,), ctx, (beta,), (gamma * t,))
+    gt, tt = ProductPlan(gamma * t, ctx), ProductPlan(t, ctx)
+    phi = SeriesPlan((gamma, beta), (beta * beta,), ctx, (beta,), (gamma * t,))
     return _at_e(lambda e: gt(e) / tt(e) * phi(t / e, e * e, e).value)
 
 
-def _inner_t6(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
+def _inner_t6(n: int, pt: ParamPoint, ctx: QBase) -> SeriesSpec:
     beta, gamma, al, t = (pt.get(nm) for nm in ("beta", "gamma", "alpha", "t"))
     return _inner_cqu(n, beta, al, al * t * t, ctx, lambda b, h: (gamma * ctx.q**n,))
 
 
-def _kernel_31(pt: ParamPoint, ctx: EvalContext):
+def _kernel_31(pt: ParamPoint, ctx: QBase):
     t, beta = pt.get("t"), pt.get("beta")
     r = cmath.sqrt(beta)
     rq = r * math.sqrt(ctx.q)
     return _phi_pair(t, (r, -r), (-beta,), (rq, -rq), (-ctx.q * beta,), ctx)
 
 
-def _inner_t7(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
+def _inner_t7(n: int, pt: ParamPoint, ctx: QBase) -> SeriesSpec:
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
     return _inner_cqu(n, beta, gamma, gamma * t * t, ctx,
                       lambda b, h: (h, -h), lambda b, h: (-b * ctx.q,))
 
 
-def _kernel_30(pt: ParamPoint, ctx: EvalContext):
+def _kernel_30(pt: ParamPoint, ctx: QBase):
     t, beta = pt.get("t"), pt.get("beta")
     r = cmath.sqrt(beta)
     rq = r * math.sqrt(ctx.q)
@@ -390,13 +392,13 @@ def _kernel_30(pt: ParamPoint, ctx: EvalContext):
     return _phi_pair(t, (r, rq), (brq,), (-r, -rq), (brq,), ctx)
 
 
-def _inner_t8(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
+def _inner_t8(n: int, pt: ParamPoint, ctx: QBase) -> SeriesSpec:
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
     return _inner_cqu(n, beta, gamma, gamma * t * t, ctx,
                       lambda b, h: (-b, -h), lambda b, h: (h,))
 
 
-def _kernel_32(pt: ParamPoint, ctx: EvalContext):
+def _kernel_32(pt: ParamPoint, ctx: QBase):
     t, beta = pt.get("t"), pt.get("beta")
     r = cmath.sqrt(beta)
     rq = r * math.sqrt(ctx.q)
@@ -404,7 +406,7 @@ def _kernel_32(pt: ParamPoint, ctx: EvalContext):
     return _phi_pair(t, (r, -rq), (-brq,), (rq, -r), (-brq,), ctx)
 
 
-def _inner_t9(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
+def _inner_t9(n: int, pt: ParamPoint, ctx: QBase) -> SeriesSpec:
     beta, gamma, t = pt.get("beta"), pt.get("gamma"), pt.get("t")
     return _inner_cqu(n, beta, gamma, gamma * t * t, ctx,
                       lambda b, h: (-b, h), lambda b, h: (-h,))
@@ -416,9 +418,7 @@ def _sample_cqu(rng: Random, q: float, t_bound, names=("beta", "gamma"),
     for nm in names:
         vals[nm] = _signed(rng, 0.1, 0.8)
     if complex_gamma:
-        mag = rng.uniform(0.1, 0.8)
-        ph = rng.uniform(0.0, 2.0 * math.pi)
-        vals["gamma"] = mag * cmath.exp(1j * ph)
+        vals["gamma"] = _complex_gamma(rng)
     pt = ParamPoint.of(x=_xcos(rng), t=0.0, **vals)
     return pt.replace(t=_tpick(rng, t_bound(pt, q)))
 
@@ -428,21 +428,21 @@ def _sample_cqu(rng: Random, q: float, t_bound, names=("beta", "gamma"),
 # ---------------------------------------------------------------------------
 
 
-def _kernel_lql(pt: ParamPoint, ctx: EvalContext):
+def _kernel_lql(pt: ParamPoint, ctx: QBase):
     # 0phi1(-; aq; q, aqxt) / (xt; q)_inf, times the prefactor (t; q)_inf
     t, aq = pt.get("t"), pt.get("a") * ctx.q
-    phi, tt = _series((), (aq,), ctx), ProductPlan(t, ctx.base)
+    phi, tt = SeriesPlan((), (aq,), ctx), ProductPlan(t, ctx)
     return lambda x: phi(aq * x * t).value / tt(x)
 
 
-def _pinf_t(pt: ParamPoint, ctx: EvalContext) -> complex:
-    return poch_infinite(pt.get("t"), ctx.base)
+def _pinf_t(pt: ParamPoint, ctx: QBase) -> complex:
+    return poch_infinite(pt.get("t"), ctx)
 
 
-def _inner_t11(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
+def _inner_t11(n: int, pt: ParamPoint, ctx: QBase) -> SeriesSpec:
     q = ctx.q
     a, b, t = pt.get("a"), pt.get("b"), pt.get("t")
-    return SeriesSpec((a / b,), (a * q ** (n + 1),), b * q ** (n + 1) * t, ctx.base)
+    return SeriesSpec((a / b,), (a * q ** (n + 1),), b * q ** (n + 1) * t, ctx)
 
 
 def _sample_lql(rng: Random, q: float, t_bound, with_b: bool = False) -> ParamPoint:
@@ -462,47 +462,47 @@ def _sample_lql(rng: Random, q: float, t_bound, with_b: bool = False) -> ParamPo
 # The three q-Laguerre kernels are phi(num; q^(alpha+1), den; q, -x t q^(alpha+1))
 # with no parameter depending on x, and with the prefactors 1/(t; q)_inf,
 # (t; q)_inf and (gamma t; q)_inf / (t; q)_inf.
-def _kernel_ql14(pt: ParamPoint, ctx: EvalContext, num=(), den=()):
+def _kernel_ql14(pt: ParamPoint, ctx: QBase, num=(), den=()):
     t, qa1 = pt.get("t"), ctx.q ** (pt.real("alpha") + 1.0)
-    phi = _series(num, (qa1, *den), ctx)
+    phi = SeriesPlan(num, (qa1, *den), ctx)
     return lambda x: phi(-x * t * qa1).value
 
 
-def _kernel_ql15(pt: ParamPoint, ctx: EvalContext):
+def _kernel_ql15(pt: ParamPoint, ctx: QBase):
     return _kernel_ql14(pt, ctx, den=(pt.get("t"),))
 
 
-def _kernel_ql16(pt: ParamPoint, ctx: EvalContext):
+def _kernel_ql16(pt: ParamPoint, ctx: QBase):
     return _kernel_ql14(pt, ctx, (pt.get("gamma"),), (pt.get("gamma") * pt.get("t"),))
 
 
-def _pref_ql14(pt: ParamPoint, ctx: EvalContext) -> complex:
+def _pref_ql14(pt: ParamPoint, ctx: QBase) -> complex:
     return 1.0 / _pinf_t(pt, ctx)
 
 
-def _pref_ql16(pt: ParamPoint, ctx: EvalContext) -> complex:
-    return poch_infinite(pt.get("gamma") * pt.get("t"), ctx.base) / _pinf_t(pt, ctx)
+def _pref_ql16(pt: ParamPoint, ctx: QBase) -> complex:
+    return poch_infinite(pt.get("gamma") * pt.get("t"), ctx) / _pinf_t(pt, ctx)
 
 
-def _inner_t13(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
+def _inner_t13(n: int, pt: ParamPoint, ctx: QBase) -> SeriesSpec:
     q = ctx.q
     al, be, t = pt.real("alpha"), pt.real("beta"), pt.get("t")
     return SeriesSpec(
-        (q ** (al - be), 0.0), (q ** (al + n + 1.0),), t, ctx.base
+        (q ** (al - be), 0.0), (q ** (al + n + 1.0),), t, ctx
     )
 
 
-def _inner_t14(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
+def _inner_t14(n: int, pt: ParamPoint, ctx: QBase) -> SeriesSpec:
     q = ctx.q
     al, be, t = pt.real("alpha"), pt.real("beta"), pt.get("t")
-    return SeriesSpec((q ** (al - be),), (q ** (al + n + 1.0),), t * q**n, ctx.base)
+    return SeriesSpec((q ** (al - be),), (q ** (al + n + 1.0),), t * q**n, ctx)
 
 
-def _inner_t15(n: int, pt: ParamPoint, ctx: EvalContext) -> SeriesSpec:
+def _inner_t15(n: int, pt: ParamPoint, ctx: QBase) -> SeriesSpec:
     q = ctx.q
     al, be, t, gamma = pt.real("alpha"), pt.real("beta"), pt.get("t"), pt.get("gamma")
     return SeriesSpec(
-        (q ** (al - be), gamma * q**n), (q ** (al + n + 1.0),), t, ctx.base
+        (q ** (al - be), gamma * q**n), (q ** (al + n + 1.0),), t, ctx
     )
 
 
@@ -512,9 +512,7 @@ def _sample_ql(rng: Random, q: float, t_bound, with_beta: bool = False,
     if with_beta:
         vals["beta"] = rng.uniform(-0.75, 2.5)
     if complex_gamma:
-        mag = rng.uniform(0.1, 0.8)
-        ph = rng.uniform(0.0, 2.0 * math.pi)
-        vals["gamma"] = mag * cmath.exp(1j * ph)
+        vals["gamma"] = _complex_gamma(rng)
     pt = ParamPoint.of(x=rng.uniform(0.05, 2.0), t=0.0, **vals)
     bound = t_bound(pt, q)
     if with_beta:
@@ -789,7 +787,7 @@ class _RhsAccumulator:
     The cursor advances only at nonzero coefficients: a recurrence is
     walked once over the whole sum."""
 
-    def __init__(self, entry: _Entry, point: ParamPoint, ctx: EvalContext) -> None:
+    def __init__(self, entry: _Entry, point: ParamPoint, ctx: QBase) -> None:
         self.entry = entry
         self.point = point
         self.ctx = ctx
@@ -851,7 +849,7 @@ def sample_point(tag: IdentityId | str, rng: Random, q: float) -> ParamPoint:
 
 
 def outer_coefficient(
-    tag: IdentityId | str, n: int, point: ParamPoint, ctx: EvalContext
+    tag: IdentityId | str, n: int, point: ParamPoint, ctx: QBase
 ) -> complex:
     c = entry_for(tag).coef(point, ctx)
     value = _coef(c, ctx.q, n)
@@ -859,7 +857,7 @@ def outer_coefficient(
 
 
 def lhs_integrand_factor(
-    tag: IdentityId | str, x: float, point: ParamPoint, ctx: EvalContext
+    tag: IdentityId | str, x: float, point: ParamPoint, ctx: QBase
 ) -> complex:
     """The x-dependent factor of the identity's closed form, which a
     corollary's functional takes against p_n; the x-independent prefactor
@@ -870,7 +868,7 @@ def lhs_integrand_factor(
     return entry_for(tag).kernel(point, ctx)(x)
 
 
-def _verify(tag: IdentityId, point: ParamPoint, ctx: EvalContext) -> IdentityReport:
+def _verify(tag: IdentityId, point: ParamPoint, ctx: QBase) -> IdentityReport:
     entry = _CATALOG[tag]
     lhs = entry.lhs(point, ctx)
     acc = _RhsAccumulator(entry, point, ctx)
@@ -888,7 +886,7 @@ def _verify(tag: IdentityId, point: ParamPoint, ctx: EvalContext) -> IdentityRep
 
 
 def verify_identity(
-    tag: IdentityId | str, point: ParamPoint, ctx: EvalContext
+    tag: IdentityId | str, point: ParamPoint, ctx: QBase
 ) -> IdentityReport:
     """Verify a generalized identity (T tags) at one parameter point."""
     t = IdentityId(tag)
@@ -898,7 +896,7 @@ def verify_identity(
 
 
 def verify_source(
-    tag: IdentityId | str, point: ParamPoint, ctx: EvalContext
+    tag: IdentityId | str, point: ParamPoint, ctx: QBase
 ) -> IdentityReport:
     """Verify a source generating function (SRC tags) at one parameter point."""
     t = IdentityId(tag)

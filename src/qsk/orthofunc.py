@@ -29,7 +29,6 @@ form, which the kernel leaves out.  Every functional stops at agreement
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -38,7 +37,7 @@ from random import Random
 from typing import Callable, Iterable
 
 from .bhs import eval_phi
-from .context import EvalContext, ParamPoint
+from .context import ParamPoint
 from .errors import (
     PreconditionViolation,
     QuadratureNonConvergence,
@@ -47,6 +46,8 @@ from .errors import (
 from .genfun import (
     IdentityId,
     IdentityReport,
+    _complex_gamma,
+    _tpick,
     entry_for,
     outer_coefficient,
     sample_point,
@@ -61,7 +62,7 @@ from .polyfam import (
     qlag_continuous_norm,
     ultra_norm,
 )
-from .qpoch import poch_infinite
+from .qpoch import QBase, poch_infinite
 
 # A functional has converged once successive terms (tail sums, three in a
 # row) or successive trapezoid values are within this of 1 + |value|.
@@ -318,7 +319,7 @@ class _CorEntry:
     describe: str
 
 
-def _spec_for(entry: _CorEntry, point: ParamPoint, ctx: EvalContext) -> FunctionalSpec:
+def _spec_for(entry: _CorEntry, point: ParamPoint, ctx: QBase) -> FunctionalSpec:
     """The functional of the family the theorem expands over, whose
     parameters carry the weight and the norm."""
     params = entry_for(entry.theorem).family_params(point, ctx)
@@ -326,7 +327,7 @@ def _spec_for(entry: _CorEntry, point: ParamPoint, ctx: EvalContext) -> Function
     return FunctionalSpec(entry.kind, params, c=c)
 
 
-def _closed_form(entry: _CorEntry, n: int, point: ParamPoint, ctx: EvalContext,
+def _closed_form(entry: _CorEntry, n: int, point: ParamPoint, ctx: QBase,
                  spec: FunctionalSpec) -> tuple[complex, int]:
     """Coefficient x inner factor x norm / prefactor, and the inner
     series' term count.  The coefficient keeps its q^C(n,2) factor, which
@@ -342,7 +343,7 @@ def _closed_form(entry: _CorEntry, n: int, point: ParamPoint, ctx: EvalContext,
 
 
 def verify_corollary(
-    cid: CorollaryId | str, point: ParamPoint, ctx: EvalContext
+    cid: CorollaryId | str, point: ParamPoint, ctx: QBase
 ) -> IdentityReport:
     """Functional applied to (kernel, p_n) against the displayed closed form."""
     entry = _COR[CorollaryId(cid)]
@@ -414,14 +415,11 @@ def _sample_ql_corollary(kind: FunctionalKind, theorem: IdentityId,
                 beta = rng.uniform(-0.6, 2.2)
         vals: dict[str, complex] = {"alpha": alpha, "beta": beta}
         if complex_gamma:
-            vals["gamma"] = rng.uniform(0.1, 0.8) * cmath.exp(
-                1j * rng.uniform(0.0, 2.0 * math.pi)
-            )
+            vals["gamma"] = _complex_gamma(rng)
         if with_c:
             vals["c"] = rng.uniform(0.5, 2.0)
         pt = ParamPoint.of(**vals)
-        bound = entry_for(theorem).domain.t_bound(pt, q)
-        t = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 0.9) * bound
+        t = _tpick(rng, entry_for(theorem).domain.t_bound(pt, q))
         return _with_n(rng, pt.replace(t=t))
 
     return sample

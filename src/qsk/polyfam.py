@@ -227,32 +227,32 @@ class Recurrence:
         """x -> cursor giving (p_n(x), 0) as ``Family.cursors`` states,
         over the record's table of rows, kept on the record (``_table``)
         so each row is built once per record.  A cursor advances from the
-        last degree reached with the arithmetic of ``value``, so degrees
-        0..N take N steps in all.  A row that cannot be built (AW's
-        1 - abcd q^m near 0) is not kept, and raises at every call that
-        needs it."""
+        last degree it returned with the arithmetic of ``value``, so
+        degrees 0..N take N steps in all; a lower degree walks again from
+        degree 0.  A row that cannot be built (AW's 1 - abcd q^m near 0)
+        is not kept, and raises at every call that needs it."""
         row, walk, table = self.rows(params), self.walk, _table(params, list)
 
         def cursor(x: float) -> Cursor:
             term = self.start(x, params)
-            k, prev, cur = 0, 0.0, 1.0  # p_(k-1), p_k
+            state = 0, 0.0, 1.0  # the last degree k returned, p_(k-1), p_k
 
             def at(n: int) -> tuple[complex, float]:
-                nonlocal k, prev, cur
-                m, k = k, math.inf  # after a raise, every later call refuses
-                if not m <= n:
-                    raise PreconditionViolation(
-                        "n must be >= 0" if n < 0 else
-                        "a cursor's degrees must not decrease, and a cursor that raised is spent")
+                nonlocal state
+                k, prev, cur = state
+                if n < k:
+                    if n < 0:
+                        raise PreconditionViolation("n must be >= 0")
+                    k, prev, cur = 0, 0.0, 1.0
                 try:
                     while len(table) < n:
                         table.append(row(len(table)))
-                    prev, cur = walk(term, table[m:n], prev, cur)
+                    prev, cur = walk(term, table[k:n], prev, cur)
                 except ZeroDivisionError:
                     raise IllConditioned(_OUT_OF_RANGE) from None
                 if not cmath.isfinite(cur):
                     raise IllConditioned(_NOT_FINITE)
-                k = n
+                state = n, prev, cur  # only a finite value moves the cursor
                 return complex(cur), 0
 
             return at
@@ -431,7 +431,7 @@ def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
     (p_n(x), 0) from the defining sum 2phi1(q^-n, 0; aq; q, qx), whose
     terms all share one sign for x < 0: a term or sum leaving double
     range means the value does, and that raises IllConditioned.  Each
-    degree is summed afresh, so any order will do and a raise spends nothing."""
+    degree is summed afresh, which keeps ``Family``'s cursor contract."""
     q = p.base.q
     lnq = math.log(q)
     # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a, and
@@ -738,14 +738,13 @@ class Family:
     cursors     params -> (x -> cursor): ``Recurrence.cursors`` for the
                 recurrence families, ``_lql_cursors`` for little
                 q-Laguerre.  A cursor ``at(n)`` gives (m, e) with
-                p_n(x) = m * q**e (``unscaled``), checks x when it is
-                made and refuses n < 0.  A recurrence cursor takes
-                nondecreasing n and is spent once a call has raised; a
-                little q-Laguerre cursor takes n in any order and a raise
-                leaves it usable.  Every cursor and every ``evaluate`` on
-                one record share that record's table of x-free factors,
-                built once by index as a call first needs them and kept
-                on the record, so it lives as long as the record does.
+                p_n(x) = m * q**e (``unscaled``), the bits of
+                ``evaluate``; it checks x when it is made, refuses n < 0,
+                takes n in any order, and a call that raises leaves it
+                usable.  Every cursor and every ``evaluate`` on one
+                record share that record's table of x-free factors, built
+                once by index as a call first needs them and kept on the
+                record, so it lives as long as the record does.
     x_range     (lo, hi): the closed range of x over which the generating
                 functions expanding in the family hold
     """

@@ -32,7 +32,7 @@ from qsk.connect import (
     qlag_connection,
     ultra_connection,
 )
-from qsk.context import EvalContext, ParamPoint
+from qsk.context import ParamPoint
 from qsk.genfun import (
     GENERALIZED,
     SOURCES,
@@ -172,7 +172,7 @@ def test_criterion_5_source_generating_functions():
     worst = 0.0
     for tag in SOURCES:
         for q in (0.4, 0.65):
-            ctx = EvalContext(q=q)
+            ctx = QBase(q)
             rng = Random(f"acc5:{tag.value}:{q}")
             for _ in range(10):
                 pt = sample_point(tag, rng, q)
@@ -189,7 +189,7 @@ def test_criterion_6_generalized_generating_functions():
     worst = 0.0
     for tag in GENERALIZED:
         for q in (0.4, 0.65):
-            ctx = EvalContext(q=q)
+            ctx = QBase(q)
             rng = Random(f"acc6:{tag.value}:{q}")
             for _ in range(10):
                 pt = sample_point(tag, rng, q)
@@ -199,7 +199,7 @@ def test_criterion_6_generalized_generating_functions():
                 assert rep.rel_residual < 1e-7, (tag, pt)
     # complex gamma is exercised by the T6/T15 samplers above; pin the
     # stated value too
-    ctx = EvalContext(q=0.5)
+    ctx = QBase(0.5)
     g = 0.3 + 0.4j
     assert verify_identity(
         "T6", ParamPoint.of(beta=0.3, alpha=0.5, gamma=g, x=0.2, t=0.08), ctx
@@ -277,7 +277,7 @@ def test_criterion_7_gram_matrices():
 def test_criterion_8_corollary_suite():
     t0 = time.time()
     worst = 0.0
-    ctx = EvalContext(q=0.5)
+    ctx = QBase(0.5)
     passing = [c for c in CorollaryId if not is_flagged(c)]
     for cid in passing:
         rng = Random(f"acc8:{cid.value}")

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 from qsk import polyfam
-from qsk.errors import DegenerateDenominator, IllConditioned
+from qsk.errors import DegenerateDenominator, IllConditioned, PreconditionViolation
 from qsk.connect import (
     ConnectionExpansion,
     aw_connection,
@@ -198,6 +198,14 @@ def test_prefix_residuals_raise_where_the_formula_does():
         _residual_of_first(exp, 2, pts)
     with pytest.raises(IllConditioned):
         prefix_residuals(exp, pts)
+
+
+@pytest.mark.parametrize("residual", [expansion_residual, prefix_residuals])
+def test_a_residual_over_no_points_is_refused(residual):
+    """An empty sample would read 0 and certify any expansion."""
+    exp = replace(lql_connection(3, 0.5, 0.25, 0.3), coefficients=((0, 1.0),))
+    with pytest.raises(PreconditionViolation, match="at least one sample point"):
+        residual(exp, [])
 
 
 @pytest.mark.parametrize("exp", [

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from qsk import polyfam
-from qsk.context import EvalContext, ParamPoint
+from qsk.context import ParamPoint
 from qsk.errors import PreconditionViolation
 from qsk.genfun import (
     GENERALIZED,
@@ -24,8 +24,9 @@ from qsk.genfun import (
     verify_identity,
     verify_source,
 )
+from qsk.qpoch import QBase
 
-CTX = EvalContext(q=0.5)
+CTX = QBase(0.5)
 
 
 def test_catalog_structure():
@@ -92,7 +93,7 @@ def test_collapse_onto_source(tag):
 @pytest.mark.parametrize("tag", sorted(GENERALIZED, key=lambda t: t.value))
 def test_generalized_random_points(tag):
     for q in (0.4, 0.65):
-        ctx = EvalContext(q=q)
+        ctx = QBase(q)
         rng = Random(f"gen:{tag}:{q}")
         for _ in range(3):
             pt = sample_point(tag, rng, q)
@@ -104,7 +105,7 @@ def test_generalized_random_points(tag):
 @pytest.mark.parametrize("tag", sorted(SOURCES, key=lambda t: t.value))
 def test_source_random_points(tag):
     for q in (0.4, 0.65):
-        ctx = EvalContext(q=q)
+        ctx = QBase(q)
         rng = Random(f"src:{tag}:{q}")
         for _ in range(3):
             pt = sample_point(tag, rng, q)
@@ -212,7 +213,7 @@ def test_in_domain_and_bounds():
 
 @pytest.mark.parametrize("q", (0.05, 0.5, 0.9, 0.95))
 def test_sampled_points_lie_in_their_domain(q):
-    ctx = EvalContext(q=q)
+    ctx = QBase(q)
     for tag in IdentityId:
         rng = Random(f"domain:{tag.value}:{q}")
         for _ in range(20):
@@ -342,7 +343,7 @@ Q_POWER_TAGS = [*LATTICE, "SRC_CQU_141029", "T4", "SRC_QL_142115", "T14"]
 
 
 def test_q_power_tags_are_the_k1_records():
-    ctx = EvalContext(q=0.5)
+    ctx = QBase(0.5)
     k1 = [t.value for t in IdentityId
           if entry_for(t).coef(sample_point(t, Random(0), 0.5), ctx).k == 1]
     assert sorted(k1) == sorted(Q_POWER_TAGS)
@@ -353,7 +354,7 @@ def test_scaled_coefficient_drops_only_the_q_power(tag):
     """``_coef`` leaves out q^(k C(n,2)), which the outer sum carries as an
     exponent; ``outer_coefficient`` multiplies it back, bit for bit."""
     for q in (0.05, 0.4, 0.9):
-        ctx = EvalContext(q=q)
+        ctx = QBase(q)
         rng = Random(f"scaled:{tag}:{q}")
         for _ in range(3):
             pt = sample_point(tag, rng, q)
@@ -381,7 +382,7 @@ def test_lattice_sum_past_the_q_power_underflow(tag, seed):
     1e-310), while these points need 256 and 128 outer terms: they pass
     because the lattice terms are combined in exponent space.  Taken as
     doubles, p_n leaves double range and the sum raises IllConditioned."""
-    ctx = EvalContext(q=0.4)
+    ctx = QBase(0.4)
     pt = sample_point(tag, Random(seed), 0.4)
     assert outer_coefficient(tag, 48, pt, ctx) == 0.0
     rep = LATTICE[tag](tag, pt, ctx)
@@ -394,7 +395,7 @@ def test_t2_coefficient_is_exactly_real(q):
     """T2's (w; q)_(2n) factors are products of real factors (w, wq in base
     q^2), so at real parameters its coefficient has no imaginary part at
     all; square roots of negative w would leave rounding residue there."""
-    ctx = EvalContext(q=q)
+    ctx = QBase(q)
     rng = Random(f"t2-real:{q}")
     for _ in range(14):
         pt = sample_point("T2", rng, q)

@@ -22,7 +22,7 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
-from qsk import EvalContext, IdentityId, ParamPoint, sample_point  # noqa: E402
+from qsk import IdentityId, ParamPoint, sample_point  # noqa: E402
 from qsk.bhs import eval_phi  # noqa: E402
 from qsk.genfun import (  # noqa: E402
     entry_for,
@@ -149,7 +149,7 @@ def _oracle(tag: IdentityId, point, q: float) -> complex:
 
 def _check(tag: IdentityId, point, q: float) -> None:
     want = _oracle(tag, point, q)
-    got = entry_for(tag).lhs(point, EvalContext(q=q))
+    got = entry_for(tag).lhs(point, QBase(q))
     assert abs(got - want) <= TOL * (1.0 + abs(want)), (point.canonical(), got, want)
 
 
@@ -321,7 +321,7 @@ COEF_FLOOR = 1e-280
 @pytest.mark.parametrize("q", COEF_QS)
 @pytest.mark.parametrize("tag", list(IdentityId), ids=lambda t: t.value)
 def test_outer_coefficient_against_mpmath(tag, q):
-    ctx = EvalContext(q=q)
+    ctx = QBase(q)
     for draw in range(DRAWS):
         point = sample_point(tag, Random(f"coef:{tag.value}:{q}:{draw}"), q)
         with mp.workdps(40):
@@ -401,7 +401,7 @@ INNER_DEGREES = (0, 1, 5, 17, 40)
 @pytest.mark.parametrize("q", INNER_QS)
 @pytest.mark.parametrize("tag", list(INNER), ids=lambda t: t.value)
 def test_inner_series_against_mpmath(tag, q):
-    ctx = EvalContext(q=q)
+    ctx = QBase(q)
     point = sample_point(tag, Random(f"inner:{tag.value}:{q}"), q)
     with mp.workdps(40):
         v = SimpleNamespace(**{k: mp.mpc(val) for k, val in point})
@@ -486,7 +486,7 @@ def test_integrand_kernel_at_nodes_against_mpmath(tag, q):
     against the closed form divided by its prefactor."""
     point = sample_point(tag, Random(f"kernel:{tag.value}:{q}"), q)
     source = entry_for(tag).source or tag
-    ctx = EvalContext(q=q)
+    ctx = QBase(q)
     for theta in THETAS:
         x = _node_x(entry_for(tag).family, theta)
         pt = point.replace(x=x)

@@ -10,7 +10,7 @@ import pytest
 from oracles import verify_orthogonality
 from qsk import orthofunc
 from qsk.bhs import eval_phi
-from qsk.context import EvalContext, ParamPoint
+from qsk.context import ParamPoint
 from qsk.errors import PreconditionViolation, TailNonConvergence
 from qsk.genfun import entry_for, outer_coefficient
 from qsk.orthofunc import (
@@ -42,7 +42,6 @@ from qsk.polyfam import (
 from qsk.qpoch import poch_all_infinite, poch_infinite
 
 B5 = QBase(0.5)
-CTX = EvalContext(q=0.5)
 ONE = lambda x: 1.0
 
 
@@ -272,14 +271,14 @@ def test_corollary_degree_must_be_a_nonnegative_integer(n):
     report the point as given, and NaN has no integer to round to."""
     point = sample_corollary_point("C26", Random(1), 0.5).replace(n=n)
     with pytest.raises(PreconditionViolation, match="^n must be"):
-        verify_corollary("C26", point, CTX)
+        verify_corollary("C26", point, B5)
 
 
 @pytest.mark.parametrize("cid", sorted(CorollaryId, key=lambda c: c.value))
 def test_corollary_random_points(cid):
     rng = Random(f"cor:{cid}")
     for q in (0.5,):
-        ctx = EvalContext(q=q)
+        ctx = QBase(q)
         for _ in range(2):
             pt = sample_corollary_point(cid, rng, q)
             rep = verify_corollary(cid, pt, ctx)
@@ -290,7 +289,7 @@ def test_c26_t_zero_collapse():
     """At t = 0, n = 0 the left side is the degree-zero norm integral and
     the right side collapses to the half-line norm constant."""
     pt = ParamPoint.of(alpha=0.5, beta=0.5, t=0.0, n=0)
-    rep = verify_corollary("C26", pt, CTX)
+    rep = verify_corollary("C26", pt, B5)
     from qsk.polyfam import qlag_continuous_norm
 
     assert rep.rhs.real == pytest.approx(
@@ -301,13 +300,13 @@ def test_c26_t_zero_collapse():
 
 def test_c33_pinned_point():
     pt = ParamPoint.of(alpha=0.5, beta=1.0, t=0.05, n=1)
-    rep = verify_corollary("C33", pt, CTX)
+    rep = verify_corollary("C33", pt, B5)
     assert rep.rel_residual < 1e-7
 
 
 def test_c_aw_pinned_point():
     pt = ParamPoint.of(a=0.3, b=0.2, c=0.1, d=0.05, alpha=0.25, t=0.01, n=0)
-    rep = verify_corollary("C_AW", pt, CTX)
+    rep = verify_corollary("C_AW", pt, B5)
     assert rep.in_domain and rep.rel_residual < 1e-6
 
 
@@ -317,7 +316,7 @@ def test_c29_formula_verifies_despite_flag():
     rng = Random("c29")
     for _ in range(3):
         pt = sample_corollary_point("C29", rng, 0.5)
-        rep = verify_corollary("C29", pt, CTX)
+        rep = verify_corollary("C29", pt, B5)
         assert rep.rel_residual < 1e-7
     assert is_flagged("C29")
 
@@ -326,10 +325,10 @@ def test_t9_derived_integral_extra():
     """The display-order catalog covers six interval corollaries; the one
     built on the last 10phi9 expansion is checked here the same way."""
     q = 0.5
-    ctx = EvalContext(q=q)
+    ctx = QBase(q)
     point = ParamPoint.of(beta=0.35, gamma=0.45, t=0.15, n=2)
     n = 2
-    tgt = UltraParams(point.real("gamma"), ctx.base)
+    tgt = UltraParams(point.real("gamma"), ctx)
     spec = FunctionalSpec(FunctionalKind.CONT_INTERVAL, tgt)
     from qsk.genfun import lhs_integrand_factor
 
@@ -346,7 +345,7 @@ def test_t9_derived_integral_extra():
 
 def test_corollary_reports_carry_counts():
     pt = ParamPoint.of(alpha=0.5, beta=0.9, t=0.05, n=1)
-    rep = verify_corollary("C30", pt.replace(c=1.0), CTX)
+    rep = verify_corollary("C30", pt.replace(c=1.0), B5)
     assert rep.n_terms_outer > 10
     assert rep.n_terms_inner >= 1
     assert rep.id == "C30"
@@ -365,8 +364,8 @@ def test_corollary_tracks_theorem_residual():
         pt = sample_point(thm, rng, 0.5)
         if min(abs(pt.real("beta") - k) for k in range(-1, 4)) < 1e-6:
             pt = pt.replace(beta=pt.real("beta") + 0.01)
-        rep_t = verify_identity(thm, pt, CTX)
-        rep_c = verify_corollary(cid, pt.replace(n=rng.randint(0, 3)), CTX)
+        rep_t = verify_identity(thm, pt, B5)
+        rep_c = verify_corollary(cid, pt.replace(n=rng.randint(0, 3)), B5)
         assert rep_c.rel_residual < 1e-7
         assert rep_t.rel_residual < 1e-7
 
@@ -401,7 +400,7 @@ _Q09_HALFLINE_POINTS = (
 
 @pytest.mark.parametrize("cid,values", _Q09_HALFLINE_POINTS)
 def test_halfline_corollaries_at_q09(cid, values):
-    rep = verify_corollary(cid, ParamPoint.of(**values), EvalContext(q=0.9))
+    rep = verify_corollary(cid, ParamPoint.of(**values), QBase(0.9))
     assert rep.rel_residual < 1e-7
 
 

@@ -902,10 +902,7 @@ def test_one_record_in_any_call_order_keeps_the_bits(fid, q, vals):
     for x in xs:
         at = fam.cursors(p)(x)
         for n in degrees:
-            got = _outcome(lambda: polyfam.unscaled(*at(n), q))
-            assert got == fresh(n, x), (n, x)
-            if got == "IllConditioned":
-                break  # the cursor is spent
+            assert _outcome(lambda: polyfam.unscaled(*at(n), q)) == fresh(n, x), (n, x)
 
 
 def test_a_row_that_cannot_be_built_refuses_on_every_call():
@@ -943,9 +940,11 @@ def test_a_record_table_dies_with_its_record(make):
             gc.enable()
 
 
-def test_cursor_refuses_from_the_same_degree_as_single_degree_evaluation():
+def test_cursor_refuses_the_degrees_single_degree_evaluation_refuses():
     """abcd q^5 = 1 + 1e-14: the recurrence step k = 3 divides by
-    1 - abcd q^(2k-1), so both paths refuse every degree from 4 on."""
+    1 - abcd q^(2k-1), so both paths refuse every degree from 4 on.  A
+    raise leaves the cursor usable: a higher degree raises again, a lower
+    one reads the value of ``evaluate``."""
     p = AWParams(2.0, 2.0, 2.0, 4.0 * (1.0 + 1e-14), B5)
     x = 0.3
     at = FAMILIES[FamilyId.ASKEY_WILSON].cursors(p)(x)
@@ -956,23 +955,23 @@ def test_cursor_refuses_from_the_same_degree_as_single_degree_evaluation():
             askey_wilson(n, x, p)
     with pytest.raises(IllConditioned):
         at(4)
-    with pytest.raises(PreconditionViolation):
-        at(5)  # spent: never a stale value
+    with pytest.raises(IllConditioned):
+        at(5)  # never a stale value
+    assert at(2) == (askey_wilson(2, x, p), 0)
     with pytest.raises(IllConditioned):
         FAMILIES[FamilyId.ASKEY_WILSON].cursors(p)(x)(9)
 
 
 @pytest.mark.parametrize("fid", list(_CURSOR_DRAWS), ids=lambda f: f.value)
-def test_recurrence_cursor_refuses_a_lower_degree(fid):
-    """A cursor walks forward only: asking for a degree below the last one
-    reached raises, and the cursor is spent, never a stale value."""
+def test_recurrence_cursor_restarts_for_a_lower_degree(fid):
+    """A degree below the last one returned walks again from degree 0, so
+    after at(5) the cursor gives degrees 4, 6 and 0 as ``evaluate`` does."""
     fam = FAMILIES[fid]
-    at = fam.cursors(_PARAMS[fid])(fam.support(0.5, 3)[1])
+    p, x = _PARAMS[fid], fam.support(0.5, 3)[1]
+    at = fam.cursors(p)(x)
     at(5)
-    with pytest.raises(PreconditionViolation):
-        at(4)
-    with pytest.raises(PreconditionViolation):
-        at(6)
+    for n in (4, 6, 0):
+        assert at(n) == (fam.evaluate(n, x, p), 0), n
 
 
 def test_cursor_validates_before_the_first_degree():
