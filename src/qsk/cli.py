@@ -67,6 +67,8 @@ class SuiteConfig:
     tolerance: ClassVar[float] = 1e-7
 
     def __post_init__(self) -> None:
+        if not self.q_grid:  # a run over no q certifies nothing
+            raise ValueError("q-grid must name at least one q")
         for q in self.q_grid:
             QBase(q)
         if self.points_per_identity < 1:

@@ -13,8 +13,11 @@ Coefficients mixing large q^(+-binom) power factors with large-argument
 Pochhammer symbols are assembled as scaled values that shift magnitude
 into a running q-exponent, so intermediates stay inside double range well
 past n = 20; a coefficient whose value leaves double range raises
-IllConditioned.  The target record is built first, so a bad target value
-is refused under the target's name before any coefficient is computed.
+IllConditioned.  A Pochhammer symbol whose parameter is fixed over a
+coefficient loop is built once, as the prefix table of ``poch_prefix``,
+with the bits of building each (a; q)_m afresh.  The target record is
+built first, so a bad target value is refused under the target's name
+before any coefficient is computed.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateDenominator, PreconditionViolation
-from .polyfam import FAMILIES, FamilyId, unscaled
-from .qpoch import QBase, QLike, as_base, poch_finite, renorm, unscale
+from .polyfam import FAMILIES, FamilyId
+from .qpoch import QBase, QLike, as_base, poch_finite, poch_prefix, renorm, unscale
 
 
 @dataclass(frozen=True)
@@ -75,24 +78,18 @@ def aw_connection(
     a, b, c, d, alpha = (complex(v) for v in (a, b, c, d, alpha))
     bcd = b * c * d
     abcd = a * bcd
-    shared = poch_finite(qv, qv, n) * poch_finite(b * c, qv, n) * poch_finite(
-        b * d, qv, n
-    ) * poch_finite(c * d, qv, n)
+    # (p; q)_0 .. (p; q)_n of each symbol whose parameter p is fixed over k
+    qq, pbc, pbd, pcd, pa, pabcd = (
+        poch_prefix(p, qv, n)
+        for p in (qv, b * c, b * d, c * d, a / alpha, abcd * qv ** (n - 1)))
+    shared = qq[n] * pbc[n] * pbd[n] * pcd[n]
     coeffs = []
     for k in range(n + 1):
-        num = (
-            alpha ** (n - k)
-            * poch_finite(a / alpha, qv, n - k)
-            * poch_finite(abcd * qv ** (n - 1), qv, k)
-            * shared
-        )
+        num = alpha ** (n - k) * pa[n - k] * pabcd[k] * shared
         den = (
-            poch_finite(qv, qv, k)
-            * poch_finite(b * c, qv, k)
-            * poch_finite(b * d, qv, k)
-            * poch_finite(c * d, qv, k)
+            qq[k] * pbc[k] * pbd[k] * pcd[k]
             * poch_finite(alpha * bcd * qv ** (k - 1), qv, k)
-            * poch_finite(qv, qv, n - k)
+            * qq[n - k]
             * poch_finite(alpha * bcd * qv ** (2 * k), qv, n - k)
         )
         if abs(den) < 1e-280:
@@ -110,18 +107,16 @@ def ultra_connection(n: int, beta: float, gamma: float, q: QLike) -> ConnectionE
         / ((1 - gamma) (q; q)_k (q gamma; q)_(n-k)),  k = 0..floor(n/2).
     """
     qv, src, tgt = _records(FamilyId.CONT_Q_ULTRA, n, q, (beta,), gamma, "gamma")
+    pbg, qq = poch_prefix(beta / gamma, qv, n // 2), poch_prefix(qv, qv, n // 2)
+    pb, pqg = poch_prefix(beta, qv, n), poch_prefix(qv * gamma, qv, n)
     coeffs = []
     for k in range(n // 2 + 1):
         val = (
             (1.0 - gamma * qv ** (n - 2 * k))
             * gamma**k
-            * poch_finite(beta / gamma, qv, k)
-            * poch_finite(beta, qv, n - k)
-            / (
-                (1.0 - gamma)
-                * poch_finite(qv, qv, k)
-                * poch_finite(qv * gamma, qv, n - k)
-            )
+            * pbg[k]
+            * pb[n - k]
+            / ((1.0 - gamma) * qq[k] * pqg[n - k])
         )
         coeffs.append((n - 2 * k, val))
     return ConnectionExpansion(FamilyId.CONT_Q_ULTRA, n, src, tgt, tuple(coeffs))
@@ -143,17 +138,18 @@ def lql_connection(n: int, a: float, b: float, q: QLike) -> ConnectionExpansion:
     if abs(den_n) < 1e-280:
         raise DegenerateDenominator("(qa; q)_n vanishes")
     ratio = b * qv / a
+    qq, pqb = poch_prefix(qv, qv, n), poch_prefix(qv * b, qv, n)
+    paired = [1.0]  # entry i: (q^1 - bq/a) ... (q^i - bq/a)
+    for m in range(1, n + 1):
+        paired.append(paired[-1] * (qv**m - ratio))
     coeffs = []
     for j in range(n + 1):
-        paired = 1.0
-        for m in range(1, n - j + 1):
-            paired *= qv**m - ratio
         val = (
             (-a) ** (n - j)
             * poch_finite(qv ** (n - j + 1), qv, j).real
-            * poch_finite(qv * b, qv, j).real
-            * paired
-            / (den_n * poch_finite(qv, qv, j).real)
+            * pqb[j].real
+            * paired[n - j]
+            / (den_n * qq[j].real)
         )
         coeffs.append((j, complex(val)))
     return ConnectionExpansion(FamilyId.LITTLE_Q_LAGUERRE, n, src, tgt, tuple(coeffs))
@@ -191,36 +187,34 @@ def _partial_sums(exp: ConnectionExpansion, points: Sequence[float] | None):
     points before its first term and after each term: one list, updated
     in place.
 
-    The target polynomials come from one walk per point: a family cursor
-    read at the expansion's degrees in ascending order, so degrees 0..n
-    cost n recurrence steps, not n^2 / 2; the q-ultraspherical degrees
-    n, n-2, ... are then looked up.  The source polynomial is one
-    ``evaluate`` call per point.  Every value of one record shares that
-    record's table of x-free factors (the recurrence rows, or little
-    q-Laguerre's powers and per-degree prefactors), which lives as long
-    as the record, so each record's factors are built once, not once per
-    point.  Each value has the bits ``evaluate`` gives, so every residual
-    does too, and a value out of double range raises IllConditioned as
-    ``evaluate`` would.  ``points`` defaults to 20 of the family's
-    ``support`` abscissas; none at all would certify any expansion, and
-    is refused."""
-    q = exp.source_params.base.q
+    Each point's target polynomials at all the expansion's degrees come
+    from one ``Family.values`` call: for the recurrence families one walk
+    of the point up to degree n, so degrees 0..n cost n recurrence steps,
+    not n^2 / 2, and the q-ultraspherical degrees n, n-2, ... are read off
+    that walk; little q-Laguerre sums each degree on its own.  The source
+    polynomial is one ``evaluate`` call per point.  Every value of one
+    record shares that record's table of x-free factors (the recurrence
+    rows, or little q-Laguerre's powers and per-degree prefactors), which
+    lives as long as the record, so each record's factors are built once,
+    not once per point.  Each value has the bits ``evaluate`` gives, so
+    every residual does too, and a value out of double range raises
+    IllConditioned as ``evaluate`` would.  ``points`` defaults to 20 of
+    the family's ``support`` abscissas; none at all would certify any
+    expansion, and is refused."""
     family = FAMILIES[exp.family]
     if points is None:
-        points = family.support(q, 20)
+        points = family.support(exp.source_params.base.q, 20)
     if len(points) == 0:
         raise PreconditionViolation("a residual needs at least one sample point")
     rhs = [family.evaluate(exp.n, x, exp.source_params) for x in points]
-    target = family.cursors(exp.target_params)
-    cursors = [target(x) for x in points]
-    values = {deg: [unscaled(*at(deg), q) for at in cursors]
-              for deg in sorted(deg for deg, _ in exp.coefficients)}
+    degrees = [deg for deg, _ in exp.coefficients]
+    read = [family.values(degrees, x, exp.target_params) for x in points]
     lhs = [complex(0.0)] * len(points)
 
     def sums():
         yield lhs
-        for deg, v in exp.coefficients:
-            for i, p in enumerate(values[deg]):
+        for (_, v), column in zip(exp.coefficients, zip(*read)):
+            for i, p in enumerate(column):
                 lhs[i] += v * p
             yield lhs
 

@@ -24,8 +24,10 @@ terms never cancel, for x <= 0 the defining 2phi1 sum.  The series
 definitions of all four families serve as oracles in the tests.
 
 Each family's record in FAMILIES holds its evaluator, the one way to read
-a single degree, and its cursor factory, params -> x -> cursor, the one
-way to walk a point over degrees; ``Family`` states the cursor contract.
+a single degree; its per-point read, the one way to read a known set of
+degrees at a point; and its cursor factory, params -> x -> cursor, the
+one way to walk a point over degrees whose last one is not known in
+advance; ``Family`` states their contracts.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import cmath
 import math
 from dataclasses import InitVar, dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .bhs import SeriesSpec, eval_phi
 from .errors import PreconditionViolation, ZeroParameter, IllConditioned
@@ -191,10 +193,12 @@ class Recurrence:
     rows   params -> row, where row(k) holds the x-free values of step k
     start  (x, params) -> the point's term in x; checks x, and the record
            where evaluation needs it
-    walk   (term, rows, p_(k-1), p_k) -> the pair advanced once per row,
-           forming b_k from the point's term and the row
+    walk   (term, rows, p_(k-1), p_k) -> [p_(k-1), p_k, and the value
+           after each row], forming b_k from the point's term and the row:
+           the one statement of the step, which ``value``, the cursors
+           and ``values`` all walk
 
-    From p_(-1) = 0, p_0 = 1, rows 0..n-1 give (p_(n-1), p_n).  A
+    From p_(-1) = 0, p_0 = 1, rows 0..n-1 give p_0..p_n.  A
     polynomial solution is never the minimal one, so forward recursion
     keeps it (Gautschi, SIAM Review 9, 1967), and no intermediate carries
     the q^-n scale of the series forms.  A p_n beyond double range (inf,
@@ -204,24 +208,40 @@ class Recurrence:
 
     rows: Callable[[object], Callable[[int], tuple]]
     start: Callable[[float, object], complex]
-    walk: Callable[[complex, Iterable[tuple], complex, complex], tuple]
+    walk: Callable[[complex, Iterable[tuple], complex, complex], list]
 
-    def value(self, n: int, x: float, params) -> complex:
-        """p_n(x), walked from degree 0 over the record's table, which
-        every ``value`` and cursor on the record reads and extends."""
-        if n < 0:
-            raise PreconditionViolation("n must be >= 0")
-        term = self.start(x, params)
+    def _from_zero(self, term: complex, n: int, params) -> list:
+        """[p_(-1), p_0, ..., p_n] at the point's term: one walk from
+        degree 0 over the record's table, which every ``value``, cursor
+        and ``values`` call on the record reads and extends."""
         table = _table(params, list)
         try:
             if len(table) < n:
                 table.extend(map(self.rows(params), range(len(table), n)))
-            cur = self.walk(term, table[:n], 0.0, 1.0)[1]
+            return self.walk(term, table[:n], 0.0, 1.0)
         except ZeroDivisionError:
             raise IllConditioned(_OUT_OF_RANGE) from None
+
+    def value(self, n: int, x: float, params) -> complex:
+        """p_n(x), walked from degree 0 over the record's table."""
+        if n < 0:
+            raise PreconditionViolation("n must be >= 0")
+        cur = self._from_zero(self.start(x, params), n, params)[-1]
         if not cmath.isfinite(cur):
             raise IllConditioned(_NOT_FINITE)
         return cur
+
+    def values(self, degrees: Sequence[int], x: float, params) -> list[complex]:
+        """[p_n(x) for n in degrees] as ``Family.values`` states: one walk
+        of the point up to the highest degree, each value with the bits
+        of ``value`` and refused where ``value`` refuses it."""
+        if min(degrees, default=0) < 0:
+            raise PreconditionViolation("n must be >= 0")
+        seq = self._from_zero(self.start(x, params), max(degrees, default=0), params)
+        out = [complex(seq[n + 1]) for n in degrees]
+        if not all(map(cmath.isfinite, out)):
+            raise IllConditioned(_NOT_FINITE)
+        return out
 
     def cursors(self, params) -> Callable[[float], Cursor]:
         """x -> cursor giving (p_n(x), 0) as ``Family.cursors`` states,
@@ -247,7 +267,7 @@ class Recurrence:
                 try:
                     while len(table) < n:
                         table.append(row(len(table)))
-                    prev, cur = walk(term, table[k:n], prev, cur)
+                    prev, cur = walk(term, table[k:n], prev, cur)[-2:]
                 except ZeroDivisionError:
                     raise IllConditioned(_OUT_OF_RANGE) from None
                 if not cmath.isfinite(cur):
@@ -326,10 +346,12 @@ def _aw_start(x: float, p: AWParams) -> complex:
     return 2.0 * x - a - 1.0 / a
 
 
-def _aw_walk(u, rows, prev, cur) -> tuple:
+def _aw_walk(u, rows, prev, cur) -> list:
+    seq = [prev, cur]
     for a, A, aC, c in rows:  # b_k = ((2x - a) - 1/a) + A_k + a (C_k / a)
         prev, cur = cur, ((u + A + aC) * cur - c * prev) / a
-    return prev, cur
+        seq.append(cur)
+    return seq
 
 
 def _cqu_rows(p: UltraParams) -> Callable[[int], tuple]:
@@ -349,10 +371,12 @@ def _cqu_start(x: float, p: UltraParams) -> float:
     return 2.0 * x
 
 
-def _cqu_walk(x2, rows, prev, cur) -> tuple:
+def _cqu_walk(x2, rows, prev, cur) -> list:
+    seq = [prev, cur]
     for a, s, c in rows:  # b_k = (2x)(1 - beta q^k)
         prev, cur = cur, (x2 * s * cur - c * prev) / a
-    return prev, cur
+        seq.append(cur)
+    return seq
 
 
 def _qlag_rows(p: QLagParams) -> Callable[[int], tuple]:
@@ -377,10 +401,12 @@ def _qlag_start(x: float, p: QLagParams) -> float:
     return _finite(x)
 
 
-def _qlag_walk(x, rows, prev, cur) -> tuple:
+def _qlag_walk(x, rows, prev, cur) -> list:
+    seq = [prev, cur]
     for a, apc, w, c in rows:  # b_k = (a_k + c_k) - q^(2k+alpha+1) x
         prev, cur = cur, ((apc - w * x) * cur - c * prev) / a
-    return prev, cur
+        seq.append(cur)
+    return seq
 
 
 _AW = Recurrence(_aw_rows, _aw_start, _aw_walk)
@@ -492,6 +518,13 @@ def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
         return at
 
     return cursor
+
+
+def _lql_values(degrees: Sequence[int], x: float, p: LqLParams) -> list[complex]:
+    """[p_n(x) for n in degrees] from one cursor of ``_lql_cursors``, which
+    sums each degree on its own."""
+    at, q = _lql_cursors(p)(x), p.base.q
+    return [unscaled(*at(n), q) for n in degrees]
 
 
 def little_q_laguerre_scaled(
@@ -731,6 +764,14 @@ class Family:
                 or with the caller's names for its refusals appended
     names       its parameter names, in that order
     evaluate    (n, x, params) -> p_n(x) as a complex, from degree 0
+    values      (degrees, x, params) -> [p_n(x) for n in degrees], the
+                per-point read of a known set of degrees (connection
+                residuals): ``Recurrence.values``, one walk up to the
+                highest degree, for the recurrence families;
+                ``_lql_values``, one sum per degree, for little
+                q-Laguerre.  Each value has the bits of ``evaluate``, and
+                the read refuses, with the class a cursor read of the same
+                degrees would raise, if any of them is refused.
     weight      params -> (x -> continuous weight w(x)), a factory that
                 builds the weight's product plans once per functional;
                 None on a lattice
@@ -741,8 +782,10 @@ class Family:
                 p_n(x) = m * q**e (``unscaled``), the bits of
                 ``evaluate``; it checks x when it is made, refuses n < 0,
                 takes n in any order, and a call that raises leaves it
-                usable.  Every cursor and every ``evaluate`` on one
-                record share that record's table of x-free factors, built
+                usable: the streaming read of a generating function's
+                outer sum, which cannot know its last degree.  Every
+                cursor, ``values`` and ``evaluate`` call on one record
+                shares that record's table of x-free factors, built
                 once by index as a call first needs them and kept on the
                 record, so it lives as long as the record does.
     x_range     (lo, hi): the closed range of x over which the generating
@@ -752,6 +795,7 @@ class Family:
     params: type
     names: tuple[str, ...]
     evaluate: Callable[[int, float, object], complex]
+    values: Callable[[Sequence[int], float, object], list[complex]]
     weight: Callable[[object], Callable[[float], float]] | None
     support: Callable[[float, int], list[float]]
     cursors: Callable[[object], Callable[[float], Cursor]]
@@ -771,19 +815,19 @@ def unscaled(m: complex, e: float, q: float) -> complex:
 FAMILIES: dict[FamilyId, Family] = {
     FamilyId.ASKEY_WILSON: Family(
         AWParams, ("a", "b", "c", "d"),
-        lambda n, x, p: askey_wilson(n, x, p),
+        lambda n, x, p: askey_wilson(n, x, p), _AW.values,
         _aw_weight, _chebyshev, _AW.cursors, (-1.0, 1.0)),
     FamilyId.CONT_Q_ULTRA: Family(
         UltraParams, ("beta",),
-        lambda n, x, p: complex(cont_q_ultra(n, x, p)),
+        lambda n, x, p: complex(cont_q_ultra(n, x, p)), _CQU.values,
         _ultra_weight, _chebyshev, _CQU.cursors, (-1.0, 1.0)),
     FamilyId.LITTLE_Q_LAGUERRE: Family(
         LqLParams, ("a",),
-        lambda n, x, p: complex(little_q_laguerre(n, x, p)),
+        lambda n, x, p: complex(little_q_laguerre(n, x, p)), _lql_values,
         None, _lattice, _lql_cursors, (-math.inf, math.inf)),
     FamilyId.Q_LAGUERRE: Family(
         QLagParams, ("alpha",),
-        lambda n, x, p: complex(q_laguerre(n, x, p)),
+        lambda n, x, p: complex(q_laguerre(n, x, p)), _QLAG.values,
         _qlag_weight, _two_sided, _QLAG.cursors, (0.0, math.inf)),
 }
 _FAMILY_OF = {fam.params: fid for fid, fam in FAMILIES.items()}

@@ -2,7 +2,8 @@
 
 Conventions
 -----------
-* ``(a; q)_0 = 1`` and ``(a; q)_n = (1-a)(1-aq)...(1-aq^(n-1))``.
+* ``(a; q)_0 = 1`` and ``(a; q)_n = (1-a)(1-aq)...(1-aq^(n-1))``;
+  ``poch_prefix`` gives (a; q)_0 .. (a; q)_n from one product.
 * ``(a; q)_inf`` is the infinite product, absolutely convergent for |q| < 1.
   It is evaluated as the plain factors 1 - a q^j while |a q^j| > r =
   (1 - q)/4, then Euler's series for the rest (see ``ProductPlan``).
@@ -122,6 +123,24 @@ def poch_finite(a: complex, q: QLike, n: int) -> complex:
         out *= 1.0 - av * t
         t *= qv
     return complex(out)
+
+
+def poch_prefix(a: complex, q: QLike, n: int) -> list[complex]:
+    """``[(a; q)_0, (a; q)_1, ..., (a; q)_n]``: ``poch_finite``'s product
+    with every partial product kept, so entry m has the bits of
+    ``poch_finite(a, q, m)``."""
+    qv = as_base(q)
+    if n < 0:
+        raise PreconditionViolation("n must be >= 0")
+    av = scalar(a)
+    out = 1.0
+    t = 1.0
+    table = [complex(out)]
+    for _ in range(n):
+        out *= 1.0 - av * t
+        t *= qv
+        table.append(complex(out))
+    return table
 
 
 @functools.lru_cache(maxsize=64)

@@ -206,6 +206,21 @@ def test_verify_empty_tags(tmp_path, capsys):
     assert report["summary"]["total"] == 0
 
 
+def test_verify_empty_q_grid_exit_2(tmp_path, capsys):
+    """A grid with no q would write a report with no records and exit 0,
+    certifying nothing; it is refused as --points 0 is, and no report is
+    written.  An empty tag list stays allowed (above)."""
+    out_path = tmp_path / "r.json"
+    for grid in ("", " , "):
+        code, _, err = run(capsys, "verify", "--tags", "T3", "--q-grid", grid,
+                           "--out", str(out_path))
+        assert code == 2 and "q-grid must name at least one q" in err
+    assert not out_path.exists()
+    with pytest.raises(ValueError, match="q-grid"):
+        SuiteConfig(tags=(), q_grid=())
+    assert SuiteConfig(tags=()).q_grid == (0.5,)
+
+
 def test_verify_default_t3_passes_at_1e7(tmp_path, capsys):
     out_path = tmp_path / "t3.json"
     code, _, _ = run(capsys, "verify", "--tags", "T3", "--q-grid", "0.4,0.65",

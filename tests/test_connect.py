@@ -184,6 +184,30 @@ def test_prefix_residual_bits_are_pinned():
     assert digest.hexdigest() == PREFIX_BITS
 
 
+# SHA-256 of the float.hex of every coefficient, real and imaginary parts,
+# of the workload draws and of the expansions the CI console-script step
+# prints, taken when each coefficient built every Pochhammer symbol from
+# scratch.  PREFIX_BITS pins only the residuals, which can hide a move of
+# less than their own rounding.
+COEFFICIENT_BITS = "7c60ca626bd9f91d526df8095fc246101bf03c6e6d38384258793cc86c2c8ddf"
+_CLI_EXPANSIONS = [
+    lambda: aw_connection(8, 0.3, 0.2, 0.1, 0.05, 0.25, 0.5),
+    lambda: ultra_connection(9, 0.3, 0.6, 0.5),
+    lambda: lql_connection(12, 0.5, 0.7, 0.5),
+    lambda: lql_connection(16, 0.5, 0.7, 0.5),
+    lambda: qlag_connection(7, 0.3, 0.8, 0.5),
+]
+
+
+def test_coefficient_bits_are_pinned():
+    digest = hashlib.sha256()
+    exps = [draw.values[0] for draw in _workload_draws()] + [make() for make in _CLI_EXPANSIONS]
+    for exp in exps:
+        digest.update((" ".join(f"{d}:{complex(v).real.hex()}:{complex(v).imag.hex()}"
+                                for d, v in exp.coefficients) + "\n").encode())
+    assert digest.hexdigest() == COEFFICIENT_BITS
+
+
 def test_prefix_residuals_raise_where_the_formula_does():
     """alpha bcd = q makes the target recurrence's first denominator
     1 - abcd q^-1 vanish, which no connection denominator screens: the
@@ -217,9 +241,9 @@ def test_a_residual_over_no_points_is_refused(residual):
 def test_prefix_residuals_walk_each_recurrence_once_per_point(monkeypatch, exp):
     """Beyond the source evaluations, the table takes at most n + 1
     recurrence steps per point, where evaluating each target degree from
-    degree 0 would take n (n + 1) / 2.  Both the evaluators and the cursors
-    walk their family's Recurrence, so counting the rows it walks covers
-    both.  Each row is built once per record, however many points and
+    degree 0 would take n (n + 1) / 2.  The evaluators and the per-point
+    read (``Family.values``) both walk their family's Recurrence, so
+    counting the rows it walks covers both.  Each row is built once per record, however many points and
     calls read it: rows 0..n-1 of a recurrence, rows 0..n of little
     q-Laguerre, which has no recurrence, plus each degree's prefactor
     once.  The table outlives a call, so each phase takes fresh records."""

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import weakref
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from oracles import verify_orthogonality
 from qsk import connect, orthofunc, polyfam
 from qsk.bhs import SeriesSpec, eval_phi
-from qsk.errors import IllConditioned, PreconditionViolation, ZeroParameter
+from qsk.errors import IllConditioned, PreconditionViolation, QskError, ZeroParameter
 from qsk.polyfam import (
     FAMILIES,
     AWParams,
@@ -989,6 +990,61 @@ _PARAMS = {
     FamilyId.LITTLE_Q_LAGUERRE: LqLParams(0.5, B5),
     FamilyId.Q_LAGUERRE: QLagParams(0.5, B5),
 }
+
+
+def _read(call) -> list[str] | str:
+    """The float.hex of each value of a list, or the class of its refusal."""
+    try:
+        vals = [complex(v) for v in call()]
+    except QskError as exc:
+        return type(exc).__name__
+    return [f"{v.real.hex()},{v.imag.hex()}" for v in vals]
+
+
+def _cursor_read(fam, degrees, x, p):
+    """Each degree from one cursor, in the given order, as ``evaluate``
+    gives it: the read ``connect`` made before ``Family.values``."""
+    at = fam.cursors(p)(x)
+    return [polyfam.unscaled(*at(n), p.base.q) for n in degrees]
+
+
+# (family, parameter record, points, degrees): every record of _PIN_RECORDS
+# at two q, read at degrees 0..16 (C_16, C_14, ..., C_0 for q-ultraspherical),
+# then records, points and degrees that refuse for each reason a read can.
+_PER_POINT_CASES = [
+    *((fid, fam.params(*vals, QBase(q)),
+       fam.support(q, 5) + ([0.0, -0.5] if fid is FamilyId.LITTLE_Q_LAGUERRE else []),
+       range(0, 17, 2) if fid is FamilyId.CONT_Q_ULTRA else range(17))
+      for q in (0.3, 0.75) for fid, records in _PIN_RECORDS.items()
+      for vals in records for fam in [FAMILIES[fid]]),
+    (FamilyId.ASKEY_WILSON, AWParams(2, 2, 2, 1, B5), [0.3], range(5)),
+    (FamilyId.ASKEY_WILSON, AWParams(2.0, 2.0, 2.0, 4.0 * (1.0 + 1e-14), B5), [0.3], range(6)),
+    (FamilyId.ASKEY_WILSON, AWParams(1e100, 0.3, 0.1, 0.4, B5), [0.3], [0, 150, 300]),
+    (FamilyId.ASKEY_WILSON, AWParams(1e100j, -1e100j, 0.1, 0.4, B5), [0.3], [2, 100]),
+    (FamilyId.ASKEY_WILSON, AWParams(0.0, 0.2, 0.1, 0.05, B5), [0.3], [1, 2]),
+    (FamilyId.ASKEY_WILSON, _PARAMS[FamilyId.ASKEY_WILSON], [1.5], [1, 2]),
+    (FamilyId.ASKEY_WILSON, _PARAMS[FamilyId.ASKEY_WILSON], [0.3], [-1, 2]),
+    (FamilyId.CONT_Q_ULTRA, _PARAMS[FamilyId.CONT_Q_ULTRA], [math.nan], [0]),
+    (FamilyId.Q_LAGUERRE, QLagParams(0.5, B5), [1e200], [3, 60]),
+    (FamilyId.Q_LAGUERRE, _PARAMS[FamilyId.Q_LAGUERRE], [math.inf], [0]),
+    (FamilyId.LITTLE_Q_LAGUERRE, LqLParams(0.5, QBase(0.05)), [0.5], [0, 7, 300]),
+    (FamilyId.LITTLE_Q_LAGUERRE, _PARAMS[FamilyId.LITTLE_Q_LAGUERRE], [0.5], [-1, 2]),
+    (FamilyId.LITTLE_Q_LAGUERRE, _PARAMS[FamilyId.LITTLE_Q_LAGUERRE], [math.nan], [0]),
+]
+
+
+@pytest.mark.parametrize("fid,p,xs,degrees", _PER_POINT_CASES)
+def test_per_point_read_is_the_cursor_read(fid, p, xs, degrees):
+    """``Family.values`` at a point gives each degree with the bits of the
+    cursor, and so of ``evaluate``, and refuses with the class the cursor
+    read refuses with, on fresh records for each read."""
+    fam = FAMILIES[fid]
+    degrees = list(degrees)
+    for x in xs:
+        want = _read(lambda: _cursor_read(fam, degrees, x, replace(p)))
+        assert _read(lambda: fam.values(degrees, x, replace(p))) == want, x
+        if isinstance(want, list):
+            assert want == _read(lambda: [fam.evaluate(n, x, replace(p)) for n in degrees])
 
 
 @pytest.mark.parametrize("fid,x", [

@@ -5,6 +5,7 @@ import cmath
 import itertools
 import math
 import operator
+import re
 from random import Random
 
 import pytest
@@ -19,6 +20,7 @@ from qsk.qpoch import (
     as_base,
     poch_finite,
     poch_infinite,
+    poch_prefix,
     renorm,
     scalar,
     unscale,
@@ -172,6 +174,29 @@ def test_poch_finite_bits_are_pinned(args):
     v = poch_finite(*args)
     assert type(v) is complex
     assert (v.real.hex(), v.imag.hex()) == POCH_FINITE_BITS[args]
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+def test_poch_prefix_is_poch_finite_entry_by_entry(q):
+    """Entry m of the prefix table has the bits of poch_finite(a, q, m) for
+    every m <= 64, at real, complex and terminating (a = q^-k) parameters."""
+    for a in (0.37, -2.5, 0.3 - 0.8j, 1.5j, *(q**-k for k in (0, 3, 17))):
+        table = poch_prefix(a, q, 64)
+        assert len(table) == 65
+        for m, v in enumerate(table):
+            want = poch_finite(a, q, m)
+            assert type(v) is complex
+            assert (v.real.hex(), v.imag.hex()) == (want.real.hex(), want.imag.hex()), (a, m)
+
+
+@pytest.mark.parametrize("args", [(0.3, 0.5, -1), (0.3, 1.5, 3), (0.3, 0.5 + 0.1j, 3),
+                                  (0.3, math.nan, 3), (0.3, 0.0, 3)], ids=str)
+def test_poch_prefix_refuses_what_poch_finite_refuses(args):
+    """A negative n or an invalid base is refused with poch_finite's message."""
+    with pytest.raises(PreconditionViolation) as want:
+        poch_finite(*args)
+    with pytest.raises(PreconditionViolation, match=re.escape(str(want.value))):
+        poch_prefix(*args)
 
 
 def test_real_products_stay_complex_values():
