@@ -36,7 +36,7 @@ import cmath
 import math
 from dataclasses import InitVar, dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .bhs import SeriesSpec, eval_phi
 from .errors import PreconditionViolation, ZeroParameter, IllConditioned
@@ -193,12 +193,13 @@ class Recurrence:
     rows   params -> row, where row(k) holds the x-free values of step k
     start  (x, params) -> the point's term in x; checks x, and the record
            where evaluation needs it
-    walk   (term, rows, p_(k-1), p_k) -> [p_(k-1), p_k, and the value
-           after each row], forming b_k from the point's term and the row:
-           the one statement of the step, which ``value``, the cursors
-           and ``values`` all walk
+    walk   (term, rows, p_(k-1), p_k[, trail]) -> the pair advanced once
+           per row, forming b_k from the point's term and the row, and
+           appending each new value to ``trail`` when one is given: the
+           one statement of the step, which ``value``, ``values`` and the
+           cursors all walk
 
-    From p_(-1) = 0, p_0 = 1, rows 0..n-1 give p_0..p_n.  A
+    From p_(-1) = 0, p_0 = 1, rows 0..n-1 give (p_(n-1), p_n).  A
     polynomial solution is never the minimal one, so forward recursion
     keeps it (Gautschi, SIAM Review 9, 1967), and no intermediate carries
     the q^-n scale of the series forms.  A p_n beyond double range (inf,
@@ -208,37 +209,44 @@ class Recurrence:
 
     rows: Callable[[object], Callable[[int], tuple]]
     start: Callable[[float, object], complex]
-    walk: Callable[[complex, Iterable[tuple], complex, complex], list]
+    walk: Callable[..., tuple]
 
-    def _from_zero(self, term: complex, n: int, params) -> list:
-        """[p_(-1), p_0, ..., p_n] at the point's term: one walk from
-        degree 0 over the record's table, which every ``value``, cursor
-        and ``values`` call on the record reads and extends."""
+    def value(self, n: int, x: float, params) -> complex:
+        """p_n(x), walked from degree 0 over the record's table, which
+        every ``value``, ``values`` and cursor on the record reads and
+        extends."""
+        if n < 0:
+            raise PreconditionViolation("n must be >= 0")
+        term = self.start(x, params)
         table = _table(params, list)
         try:
             if len(table) < n:
                 table.extend(map(self.rows(params), range(len(table), n)))
-            return self.walk(term, table[:n], 0.0, 1.0)
+            cur = self.walk(term, table[:n], 0.0, 1.0)[1]
         except ZeroDivisionError:
             raise IllConditioned(_OUT_OF_RANGE) from None
-
-    def value(self, n: int, x: float, params) -> complex:
-        """p_n(x), walked from degree 0 over the record's table."""
-        if n < 0:
-            raise PreconditionViolation("n must be >= 0")
-        cur = self._from_zero(self.start(x, params), n, params)[-1]
         if not cmath.isfinite(cur):
             raise IllConditioned(_NOT_FINITE)
         return cur
 
     def values(self, degrees: Sequence[int], x: float, params) -> list[complex]:
         """[p_n(x) for n in degrees] as ``Family.values`` states: one walk
-        of the point up to the highest degree, each value with the bits
-        of ``value`` and refused where ``value`` refuses it."""
+        of the point from degree 0 up to the highest degree, keeping each
+        value it passes, so each has the bits of ``value``; refused if
+        ``value`` refuses any of them."""
         if min(degrees, default=0) < 0:
             raise PreconditionViolation("n must be >= 0")
-        seq = self._from_zero(self.start(x, params), max(degrees, default=0), params)
-        out = [complex(seq[n + 1]) for n in degrees]
+        term = self.start(x, params)
+        top = max(degrees, default=0)
+        table = _table(params, list)
+        trail = [1.0]  # p_0, then p_1 .. p_top as the walk appends them
+        try:
+            if len(table) < top:
+                table.extend(map(self.rows(params), range(len(table), top)))
+            self.walk(term, table[:top], 0.0, 1.0, trail)
+        except ZeroDivisionError:
+            raise IllConditioned(_OUT_OF_RANGE) from None
+        out = [complex(trail[n]) for n in degrees]
         if not all(map(cmath.isfinite, out)):
             raise IllConditioned(_NOT_FINITE)
         return out
@@ -267,7 +275,7 @@ class Recurrence:
                 try:
                     while len(table) < n:
                         table.append(row(len(table)))
-                    prev, cur = walk(term, table[k:n], prev, cur)[-2:]
+                    prev, cur = walk(term, table[k:n], prev, cur)
                 except ZeroDivisionError:
                     raise IllConditioned(_OUT_OF_RANGE) from None
                 if not cmath.isfinite(cur):
@@ -346,12 +354,12 @@ def _aw_start(x: float, p: AWParams) -> complex:
     return 2.0 * x - a - 1.0 / a
 
 
-def _aw_walk(u, rows, prev, cur) -> list:
-    seq = [prev, cur]
+def _aw_walk(u, rows, prev, cur, trail=None) -> tuple:
     for a, A, aC, c in rows:  # b_k = ((2x - a) - 1/a) + A_k + a (C_k / a)
         prev, cur = cur, ((u + A + aC) * cur - c * prev) / a
-        seq.append(cur)
-    return seq
+        if trail is not None:
+            trail.append(cur)
+    return prev, cur
 
 
 def _cqu_rows(p: UltraParams) -> Callable[[int], tuple]:
@@ -371,12 +379,12 @@ def _cqu_start(x: float, p: UltraParams) -> float:
     return 2.0 * x
 
 
-def _cqu_walk(x2, rows, prev, cur) -> list:
-    seq = [prev, cur]
+def _cqu_walk(x2, rows, prev, cur, trail=None) -> tuple:
     for a, s, c in rows:  # b_k = (2x)(1 - beta q^k)
         prev, cur = cur, (x2 * s * cur - c * prev) / a
-        seq.append(cur)
-    return seq
+        if trail is not None:
+            trail.append(cur)
+    return prev, cur
 
 
 def _qlag_rows(p: QLagParams) -> Callable[[int], tuple]:
@@ -401,12 +409,12 @@ def _qlag_start(x: float, p: QLagParams) -> float:
     return _finite(x)
 
 
-def _qlag_walk(x, rows, prev, cur) -> list:
-    seq = [prev, cur]
+def _qlag_walk(x, rows, prev, cur, trail=None) -> tuple:
     for a, apc, w, c in rows:  # b_k = (a_k + c_k) - q^(2k+alpha+1) x
         prev, cur = cur, ((apc - w * x) * cur - c * prev) / a
-        seq.append(cur)
-    return seq
+        if trail is not None:
+            trail.append(cur)
+    return prev, cur
 
 
 _AW = Recurrence(_aw_rows, _aw_start, _aw_walk)

@@ -108,11 +108,11 @@ def unscale(m: complex, e: float, q: float) -> complex:
     return m * math.exp(arg / 2.0) * math.exp(arg / 2.0)  # q**e alone leaves range
 
 
-def poch_finite(a: complex, q: QLike, n: int) -> complex:
-    """Finite q-Pochhammer symbol ``(a; q)_n`` as a literal n-factor product.
-
-    Returns exactly 1 for n = 0 (empty product); at real ``a`` a product
-    beyond double range is +-inf (see ``scalar``)."""
+def _product(a: complex, q: QLike, n: int, table: list | None) -> complex:
+    """(1-a)(1-aq)...(1-aq^(n-1)), the powers q^j by repeated
+    multiplication, with the partial product after each factor appended
+    to ``table`` unless it is None: the one loop of ``poch_finite`` and
+    ``poch_prefix``."""
     qv = as_base(q)
     if n < 0:
         raise PreconditionViolation("n must be >= 0")
@@ -122,24 +122,25 @@ def poch_finite(a: complex, q: QLike, n: int) -> complex:
     for _ in range(n):
         out *= 1.0 - av * t
         t *= qv
-    return complex(out)
+        if table is not None:
+            table.append(complex(out))
+    return out
+
+
+def poch_finite(a: complex, q: QLike, n: int) -> complex:
+    """Finite q-Pochhammer symbol ``(a; q)_n`` as a literal n-factor product.
+
+    Returns exactly 1 for n = 0 (empty product); at real ``a`` a product
+    beyond double range is +-inf (see ``scalar``)."""
+    return complex(_product(a, q, n, None))
 
 
 def poch_prefix(a: complex, q: QLike, n: int) -> list[complex]:
     """``[(a; q)_0, (a; q)_1, ..., (a; q)_n]``: ``poch_finite``'s product
     with every partial product kept, so entry m has the bits of
     ``poch_finite(a, q, m)``."""
-    qv = as_base(q)
-    if n < 0:
-        raise PreconditionViolation("n must be >= 0")
-    av = scalar(a)
-    out = 1.0
-    t = 1.0
-    table = [complex(out)]
-    for _ in range(n):
-        out *= 1.0 - av * t
-        t *= qv
-        table.append(complex(out))
+    table = [complex(1.0)]
+    _product(a, q, n, table)
     return table
 
 

@@ -243,10 +243,11 @@ def test_prefix_residuals_walk_each_recurrence_once_per_point(monkeypatch, exp):
     recurrence steps per point, where evaluating each target degree from
     degree 0 would take n (n + 1) / 2.  The evaluators and the per-point
     read (``Family.values``) both walk their family's Recurrence, so
-    counting the rows it walks covers both.  Each row is built once per record, however many points and
-    calls read it: rows 0..n-1 of a recurrence, rows 0..n of little
-    q-Laguerre, which has no recurrence, plus each degree's prefactor
-    once.  The table outlives a call, so each phase takes fresh records."""
+    counting the rows it walks covers both.  Each row is built once per
+    record, however many points and calls read it: rows 0..n-1 of a
+    recurrence, rows 0..n of little q-Laguerre, which has no recurrence,
+    plus each degree's prefactor once.  The table outlives a call, so
+    each phase takes fresh records."""
     # the Recurrence whose cursors the record holds; None for little q-Laguerre
     fid, rec = exp.family, getattr(FAMILIES[exp.family].cursors, "__self__", None)
     taken, built, prefactors = [0], [], []
