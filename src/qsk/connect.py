@@ -187,12 +187,13 @@ def _partial_sums(exp: ConnectionExpansion, points: Sequence[float] | None):
     points before its first term and after each term: one list, updated
     in place.
 
-    Each point's target polynomials at all the expansion's degrees come
-    from one ``Family.values`` call: for the recurrence families one walk
-    of the point up to degree n, so degrees 0..n cost n recurrence steps,
-    not n^2 / 2, and the q-ultraspherical degrees n, n-2, ... are read off
-    that walk; little q-Laguerre sums each degree on its own.  The source
-    polynomial is one ``evaluate`` call per point.  Every value of one
+    The target polynomials at all the expansion's degrees and points come
+    from one ``Family.values`` call, which looks the target record's
+    factors up once: for the recurrence families one walk per point up to
+    degree n, so degrees 0..n cost n recurrence steps, not n^2 / 2, and
+    the q-ultraspherical degrees n, n-2, ... are read off that walk; for
+    little q-Laguerre one loop summing each degree at each point.  The
+    source polynomial is one ``evaluate`` call per point.  Every value of one
     record shares that record's table of x-free factors (the recurrence
     rows, or little q-Laguerre's powers and per-degree prefactors), which
     lives as long as the record, so each record's factors are built once,
@@ -208,7 +209,7 @@ def _partial_sums(exp: ConnectionExpansion, points: Sequence[float] | None):
         raise PreconditionViolation("a residual needs at least one sample point")
     rhs = [family.evaluate(exp.n, x, exp.source_params) for x in points]
     degrees = [deg for deg, _ in exp.coefficients]
-    read = [family.values(degrees, x, exp.target_params) for x in points]
+    read = family.values(degrees, points, exp.target_params)
     lhs = [complex(0.0)] * len(points)
 
     def sums():

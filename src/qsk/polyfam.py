@@ -24,10 +24,10 @@ terms never cancel, for x <= 0 the defining 2phi1 sum.  The series
 definitions of all four families serve as oracles in the tests.
 
 Each family's record in FAMILIES holds its evaluator, the one way to read
-a single degree; its per-point read, the one way to read a known set of
-degrees at a point; and its cursor factory, params -> x -> cursor, the
-one way to walk a point over degrees whose last one is not known in
-advance; ``Family`` states their contracts.
+a single degree; its per-record read, the one way to read a known set of
+degrees at a known set of points; and its cursor factory, params -> x ->
+cursor, the one way to walk a point over degrees whose last one is not
+known in advance; ``Family`` states their contracts.
 """
 
 from __future__ import annotations
@@ -229,26 +229,37 @@ class Recurrence:
             raise IllConditioned(_NOT_FINITE)
         return cur
 
-    def values(self, degrees: Sequence[int], x: float, params) -> list[complex]:
-        """[p_n(x) for n in degrees] as ``Family.values`` states: one walk
-        of the point from degree 0 up to the highest degree, keeping each
-        value it passes, so each has the bits of ``value``; refused if
-        ``value`` refuses any of them."""
-        if min(degrees, default=0) < 0:
-            raise PreconditionViolation("n must be >= 0")
-        term = self.start(x, params)
-        top = max(degrees, default=0)
-        table = _table(params, list)
-        trail = [1.0]  # p_0, then p_1 .. p_top as the walk appends them
+    def values(self, degrees: Sequence[int], points: Sequence[float],
+               params) -> list[list[complex]]:
+        """[[p_n(x) for n in degrees] for x in points] as ``Family.values``
+        states.  The degrees are checked, and the rows up to the highest
+        degree built and sliced, once per call, after the first point's
+        ``start`` has checked its x as a cursor would; each point then
+        forms its term and walks from degree 0 up to the highest degree,
+        keeping each value it passes, so each has the bits of ``value``.
+        Points are read in order, and the first one ``value`` refuses at
+        any of the degrees refuses the call."""
+        out: list[list[complex]] = []
+        steps = None
         try:
-            if len(table) < top:
-                table.extend(map(self.rows(params), range(len(table), top)))
-            self.walk(term, table[:top], 0.0, 1.0, trail)
+            for x in points:
+                term = self.start(x, params)
+                if steps is None:
+                    if min(degrees, default=0) < 0:
+                        raise PreconditionViolation("n must be >= 0")
+                    top = max(degrees, default=0)
+                    table = _table(params, list)
+                    if len(table) < top:
+                        table.extend(map(self.rows(params), range(len(table), top)))
+                    steps = table[:top]
+                trail = [1.0]  # p_0, then p_1 .. p_top as the walk appends them
+                self.walk(term, steps, 0.0, 1.0, trail)
+                row = [complex(trail[n]) for n in degrees]
+                if not all(map(cmath.isfinite, row)):
+                    raise IllConditioned(_NOT_FINITE)
+                out.append(row)
         except ZeroDivisionError:
             raise IllConditioned(_OUT_OF_RANGE) from None
-        out = [complex(trail[n]) for n in degrees]
-        if not all(map(cmath.isfinite, out)):
-            raise IllConditioned(_NOT_FINITE)
         return out
 
     def cursors(self, params) -> Callable[[float], Cursor]:
@@ -455,84 +466,107 @@ def _lql_prefactor(pdown: list[float], n: int, q: float) -> tuple[float, float]:
     return pm, pe
 
 
-def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
-    """x -> little q-Laguerre cursor, over the record's table of x-free
-    factors (``_table``): the rows of ``_lql_row``, and the scaled
-    prefactor of each degree asked for, each built once per record.  For
-    x > 0 a cursor sums the scaled 2phi0 form of
-    ``little_q_laguerre_scaled`` at each degree asked for, adding only
-    the factors 1 - q^k / x of its own point.  For x <= 0 it gives
-    (p_n(x), 0) from the defining sum 2phi1(q^-n, 0; aq; q, qx), whose
-    terms all share one sign for x < 0: a term or sum leaving double
-    range means the value does, and that raises IllConditioned.  Each
-    degree is summed afresh, which keeps ``Family``'s cursor contract."""
-    q = p.base.q
-    lnq = math.log(q)
-    # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a, and
-    # n -> (q^-n / a; q)_n, scaled
-    qk, up, down, pdown, prefactor = _table(p, lambda: ([], [], [], [], {}))
+def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]],
+              p: LqLParams) -> list[list[tuple[float, float]]]:
+    """The one little q-Laguerre loop: for each point, in order, the pair
+    (m, e) with p_n(x) = m * q**e at each degree.  ``points`` holds
+    (x, xf) pairs, xf the factors 1 - q^k / x of the point built so far,
+    which the call extends in place, so a caller that keeps the pair (a
+    cursor) builds each of them once.
 
-    def cursor(x: float) -> Cursor:
+    For x > 0 each degree is the scaled 2phi0 form of
+    ``little_q_laguerre_scaled``, over the record's table of x-free
+    factors (``_table``): the rows of ``_lql_row`` up to the highest
+    degree, and each degree's run of factors 1 - q^-(n-k) and scaled
+    prefactor, each built once per record and looked up once per call,
+    not once per point.  For x <= 0 it is (p_n(x), 0) from the defining
+    sum 2phi1(q^-n, 0; aq; q, qx), whose terms all share one sign for
+    x < 0: a term or sum leaving double range means the value does, and
+    that raises IllConditioned."""
+    if degrees and min(degrees) < 0:
+        raise PreconditionViolation("n must be >= 0")
+    q, top = p.base.q, max(degrees) if degrees else 0
+    lnq, exp, lo, hi = math.log(q), math.exp, SCALE_LO, SCALE_HI
+    # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a, and n -> its
+    # steps, 1 - q^-(n-k) for k = 0..n-1 and (q^-n / a; q)_n, scaled
+    qk, up, down, pdown, plans = _table(p, lambda: ([], [], [], [], {}))
+    plan = None
+    out = []
+    for x, xf in points:
         if _finite(x) <= 0.0:
-            def defining_sum(n: int) -> tuple[float, float]:
-                if n < 0:
-                    raise PreconditionViolation("n must be >= 0")
-                if n == 0:
-                    return 1.0, 0
-                try:
-                    spec = SeriesSpec((q**-n, 0.0), (p.a * q,), q * x, p.base)
-                    return eval_phi(spec).value.real, 0
-                except OverflowError:  # q**-n itself
-                    raise IllConditioned("value exceeds the double-precision range") from None
-
-            return defining_sum
-        ratio = -x / p.a
-        xf: list[float] = []  # 1 - q^k / x
-
-        def at(n: int) -> tuple[float, float]:
-            if n < 0:
-                raise PreconditionViolation("n must be >= 0")
-            while len(qk) <= n:
+            out.append([(_lql_defining_sum(n, x, p), 0) for n in degrees])
+            continue
+        if plan is None:
+            while len(qk) <= top:
                 for col, v in zip((qk, up, down, pdown), _lql_row(p, len(qk))):
                     col.append(v)
-            xf.extend([1.0 - v / x for v in qk[len(xf):n]])
-            exp = math.exp
+            for n in degrees:
+                if n not in plans:
+                    plans[n] = (range(n), down[n:0:-1], *_lql_prefactor(pdown, n, q))
+            plan = [plans[n] for n in degrees]
+        xf.extend([1.0 - v / x for v in qk[len(xf):top]])
+        ratio = -x / p.a
+        row = []
+        for steps, dn, pm, pe in plan:
             # series sum (sm, se) and running term (tm, te); renorm leaves a
-            # mantissa inside [SCALE_LO, SCALE_HI] as it is, so it is
-            # called only outside
+            # mantissa whose magnitude lies inside [SCALE_LO, SCALE_HI] as
+            # it is, so it is called only outside (tested without abs,
+            # which costs a call per test)
             tm, te = 1.0, 0.0
             sm, se = 1.0, 0.0
-            for k in range(n):
+            for k, d, f, u in zip(steps, dn, xf, up):
                 # term ratio k -> k+1 of 2phi0(q^-n, 1/x; -; q, x/a)
-                tm *= down[n - k] * xf[k] / up[k]
+                tm *= d * f / u
                 tm *= ratio
                 te -= k
                 if tm == 0.0:
                     break  # x sits on the lattice; all later terms vanish
-                if not SCALE_LO <= abs(tm) <= SCALE_HI:
+                if not (lo <= tm <= hi or -hi <= tm <= -lo):
                     tm, te = renorm(tm, te, q)
                 if te < se:
                     sm = sm * exp((se - te) * lnq) + tm
                     se = te
                 else:
                     sm += tm * exp((te - se) * lnq)
-                if not SCALE_LO <= abs(sm) <= SCALE_HI:
+                if not (lo <= sm <= hi or -hi <= sm <= -lo):
                     sm, se = renorm(sm, se, q)
-            if n not in prefactor:
-                prefactor[n] = _lql_prefactor(pdown, n, q)
-            pm, pe = prefactor[n]
-            return renorm(sm / pm, se - pe, q)
+            row.append(renorm(sm / pm, se - pe, q))
+        out.append(row)
+    return out
 
-        return at
+
+def _lql_defining_sum(n: int, x: float, p: LqLParams) -> float:
+    """p_n(x) for x <= 0 from 2phi1(q^-n, 0; aq; q, qx); a q^-n beyond
+    double range raises IllConditioned."""
+    if n == 0:
+        return 1.0
+    q = p.base.q
+    try:
+        return eval_phi(SeriesSpec((q**-n, 0.0), (p.a * q,), q * x, p.base)).value.real
+    except OverflowError:  # q**-n itself
+        raise IllConditioned("value exceeds the double-precision range") from None
+
+
+def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
+    """x -> little q-Laguerre cursor: each call reads its degree with one
+    ``_lql_sums`` call, which keeps the point's factors 1 - q^k / x for
+    the next.  Each degree is summed afresh, which keeps ``Family``'s
+    cursor contract."""
+    def cursor(x: float) -> Cursor:
+        point = [(_finite(x), [])]
+        return lambda n: _lql_sums((n,), point, p)[0][0]
 
     return cursor
 
 
-def _lql_values(degrees: Sequence[int], x: float, p: LqLParams) -> list[complex]:
-    """[p_n(x) for n in degrees] from one cursor of ``_lql_cursors``, which
-    sums each degree on its own."""
-    at, q = _lql_cursors(p)(x), p.base.q
-    return [unscaled(*at(n), q) for n in degrees]
+def _lql_values(degrees: Sequence[int], points: Sequence[float],
+                p: LqLParams) -> list[list[complex]]:
+    """``Family.values`` for little q-Laguerre: one ``_lql_sums`` call over
+    every point and degree, which looks the record's factors up once and
+    builds each point's factors 1 - q^k / x once."""
+    q = p.base.q
+    return [[unscaled(m, e, q) for m, e in row]
+            for row in _lql_sums(degrees, [(x, []) for x in points], p)]
 
 
 def little_q_laguerre_scaled(
@@ -547,20 +581,21 @@ def little_q_laguerre_scaled(
     stable at every lattice point.  It is summed upward with the magnitude
     continually shifted into the q-exponent, so arbitrarily large degrees
     never overflow even though the value itself grows like
-    q^(-n(n-1)/2) x^n between lattice points.
+    q^(-n(n-1)/2) x^n between lattice points.  It is ``_lql_sums``' loop,
+    which every little q-Laguerre read runs.
     """
     if not 0.0 < x < math.inf:
         raise PreconditionViolation(f"scaled evaluation needs a finite x > 0, got {x!r}")
-    return _lql_cursors(p)(x)(n)
+    return _lql_sums((n,), [(x, [])], p)[0][0]
 
 
 def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
-    """Little q-Laguerre / Wall polynomial p_n(x; a | q), from a cursor of
-    ``_lql_cursors``: for x > 0 the scaled 2phi0 form, whose terms never
-    cancel there, with a value outside double range raising
-    IllConditioned (above) or returned as 0 (below); for x <= 0 the
-    defining 2phi1 sum."""
-    return unscaled(*_lql_cursors(p)(x)(n), p.base.q).real
+    """Little q-Laguerre / Wall polynomial p_n(x; a | q), the one-point,
+    one-degree read of ``_lql_values``: for x > 0 the scaled 2phi0 form,
+    whose terms never cancel there, with a value outside double range
+    raising IllConditioned (above) or returned as 0 (below); for x <= 0
+    the defining 2phi1 sum."""
+    return _lql_values((n,), (x,), p)[0][0].real
 
 
 def q_laguerre(n: int, x: float, p: QLagParams) -> float:
@@ -772,14 +807,18 @@ class Family:
                 or with the caller's names for its refusals appended
     names       its parameter names, in that order
     evaluate    (n, x, params) -> p_n(x) as a complex, from degree 0
-    values      (degrees, x, params) -> [p_n(x) for n in degrees], the
-                per-point read of a known set of degrees (connection
-                residuals): ``Recurrence.values``, one walk up to the
+    values      (degrees, points, params) -> [[p_n(x) for n in degrees]
+                for x in points], the per-record read of a known set of
+                degrees over a connection's sample points:
+                ``Recurrence.values``, one walk per point up to the
                 highest degree, for the recurrence families;
-                ``_lql_values``, one sum per degree, for little
-                q-Laguerre.  Each value has the bits of ``evaluate``, and
-                the read refuses, with the class a cursor read of the same
-                degrees would raise, if any of them is refused.
+                ``_lql_values``, one ``_lql_sums`` loop over every point
+                and degree, for little q-Laguerre.  The record's factors
+                are looked up once per call, not once per point.  Each
+                value has the bits of ``evaluate``; points are read in
+                order, and the read refuses, with the class a cursor read
+                of the same degrees at the first refused point would
+                raise, if any value is refused.
     weight      params -> (x -> continuous weight w(x)), a factory that
                 builds the weight's product plans once per functional;
                 None on a lattice
@@ -803,7 +842,7 @@ class Family:
     params: type
     names: tuple[str, ...]
     evaluate: Callable[[int, float, object], complex]
-    values: Callable[[Sequence[int], float, object], list[complex]]
+    values: Callable[[Sequence[int], Sequence[float], object], list[list[complex]]]
     weight: Callable[[object], Callable[[float], float]] | None
     support: Callable[[float, int], list[float]]
     cursors: Callable[[object], Callable[[float], Cursor]]

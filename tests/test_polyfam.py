@@ -1001,6 +1001,15 @@ def _read(call) -> list[str] | str:
     return [f"{v.real.hex()},{v.imag.hex()}" for v in vals]
 
 
+def _read_rows(call) -> list[list[str]] | str:
+    """``_read`` of each row of a list of rows, or the class of its refusal."""
+    try:
+        rows = call()
+    except QskError as exc:
+        return type(exc).__name__
+    return [_read(lambda: row) for row in rows]
+
+
 def _cursor_read(fam, degrees, x, p):
     """Each degree from one cursor, in the given order, as ``evaluate``
     gives it: the read ``connect`` made before ``Family.values``."""
@@ -1030,6 +1039,7 @@ _PER_POINT_CASES = [
     (FamilyId.LITTLE_Q_LAGUERRE, LqLParams(0.5, QBase(0.05)), [0.5], [0, 7, 300]),
     (FamilyId.LITTLE_Q_LAGUERRE, _PARAMS[FamilyId.LITTLE_Q_LAGUERRE], [0.5], [-1, 2]),
     (FamilyId.LITTLE_Q_LAGUERRE, _PARAMS[FamilyId.LITTLE_Q_LAGUERRE], [math.nan], [0]),
+    (FamilyId.ASKEY_WILSON, _PARAMS[FamilyId.ASKEY_WILSON], [0.3, 1.5, 0.2], range(17)),
 ]
 
 
@@ -1037,14 +1047,56 @@ _PER_POINT_CASES = [
 def test_per_point_read_is_the_cursor_read(fid, p, xs, degrees):
     """``Family.values`` at a point gives each degree with the bits of the
     cursor, and so of ``evaluate``, and refuses with the class the cursor
-    read refuses with, on fresh records for each read."""
+    read refuses with, on fresh records for each read.  One call over all
+    of the points, on one fresh record, gives each point's row with the
+    same bits, or refuses with the class of the first point whose cursor
+    read refuses."""
     fam = FAMILIES[fid]
     degrees = list(degrees)
+    wants = []
     for x in xs:
         want = _read(lambda: _cursor_read(fam, degrees, x, replace(p)))
-        assert _read(lambda: fam.values(degrees, x, replace(p))) == want, x
+        assert _read(lambda: fam.values(degrees, [x], replace(p))[0]) == want, x
         if isinstance(want, list):
             assert want == _read(lambda: [fam.evaluate(n, x, replace(p)) for n in degrees])
+        wants.append(want)
+    refusals = [want for want in wants if isinstance(want, str)]
+    assert _read_rows(lambda: fam.values(degrees, xs, replace(p))) == (
+        refusals[0] if refusals else wants)
+
+
+def test_lql_record_read_builds_each_factor_once(monkeypatch):
+    """One little q-Laguerre read over the 20 lattice points ``connect``
+    samples, at degrees 0..16, builds each ``_lql_row`` index once and
+    each degree's prefactor once, however many points share them, and a
+    second read on the record builds none; the values have the bits of
+    ``evaluate`` on a fresh record."""
+    rows, prefactors = [], []
+    lql_row, prefactor = polyfam._lql_row, polyfam._lql_prefactor
+    monkeypatch.setattr(polyfam, "_lql_row",
+                        lambda p, k: rows.append(k) or lql_row(p, k))
+    monkeypatch.setattr(polyfam, "_lql_prefactor",
+                        lambda pdown, n, q: prefactors.append(n) or prefactor(pdown, n, q))
+    fam, p = FAMILIES[FamilyId.LITTLE_Q_LAGUERRE], LqLParams(0.7, B5)
+    pts = fam.support(0.5, 20)
+    got = _read_rows(lambda: fam.values(range(17), pts, p))
+    assert sorted(rows) == list(range(17))
+    assert sorted(prefactors) == list(range(17))
+    rows[:], prefactors[:] = [], []
+    assert _read_rows(lambda: fam.values(range(17), pts, p)) == got
+    assert not rows and not prefactors
+    assert got == [_read(lambda: [fam.evaluate(n, x, replace(p)) for n in range(17)])
+                   for x in pts]
+
+
+@pytest.mark.xfail(strict=True, raises=IllConditioned, reason=(
+    "the scaled 2phi0's factor 1 - q^k / x overflows before the term ratio "
+    "-x / a shrinks the term again, so its running term leaves double range"))
+@pytest.mark.parametrize("n,x", [(10, 1e-300), (1, 1e-310), (3, 5e-324)])
+def test_lql_at_tiny_positive_x_is_one(n, x):
+    """At q = a = 0.5 and x this close to 0, p_n(x) =
+    2phi1(q^-n, 0; aq; q, qx) = 1 + O(q^-n x) is 1 in double precision."""
+    assert little_q_laguerre(n, x, LqLParams(0.5, B5)) == 1.0
 
 
 @pytest.mark.parametrize("fid,x", [
