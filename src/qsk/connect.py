@@ -187,19 +187,13 @@ def _partial_sums(exp: ConnectionExpansion, points: Sequence[float] | None):
     points before its first term and after each term: one list, updated
     in place.
 
-    The target polynomials at all the expansion's degrees and points come
-    from one ``Family.values`` call, which looks the target record's
-    factors up once: for the recurrence families one walk per point up to
-    degree n, so degrees 0..n cost n recurrence steps, not n^2 / 2, and
-    the q-ultraspherical degrees n, n-2, ... are read off that walk; for
-    little q-Laguerre one loop summing each degree at each point.  The
-    source polynomial is one ``evaluate`` call per point.  Every value of one
-    record shares that record's table of x-free factors (the recurrence
-    rows, or little q-Laguerre's powers and per-degree prefactors), which
-    lives as long as the record, so each record's factors are built once,
-    not once per point.  Each value has the bits ``evaluate`` gives, so
-    every residual does too, and a value out of double range raises
-    IllConditioned as ``evaluate`` would.  ``points`` defaults to 20 of
+    Each polynomial is read with one ``Family.values`` call over all the
+    points: the source at degree n, the target at every degree of the
+    expansion.  For the recurrence families that is one walk per point up
+    to the highest degree, so degrees 0..n cost n steps, not n^2 / 2; for
+    little q-Laguerre one loop over each degree at each point.  Each
+    record's x-free factors are built once, not once per point, and each
+    value has the bits ``evaluate`` gives.  ``points`` defaults to 20 of
     the family's ``support`` abscissas; none at all would certify any
     expansion, and is refused."""
     family = FAMILIES[exp.family]
@@ -207,7 +201,7 @@ def _partial_sums(exp: ConnectionExpansion, points: Sequence[float] | None):
         points = family.support(exp.source_params.base.q, 20)
     if len(points) == 0:
         raise PreconditionViolation("a residual needs at least one sample point")
-    rhs = [family.evaluate(exp.n, x, exp.source_params) for x in points]
+    rhs = [row[0] for row in family.values((exp.n,), points, exp.source_params)]
     degrees = [deg for deg, _ in exp.coefficients]
     read = family.values(degrees, points, exp.target_params)
     lhs = [complex(0.0)] * len(points)

@@ -20,20 +20,23 @@ evaluated by their forward three-term recurrences, each stated once as
 rows of x-free coefficients and a short walk that forms the one term in
 x; none of them forms the q^-n scale of the series above.  Little
 q-Laguerre is evaluated by series: for x > 0 a scaled 2phi0 form whose
-terms never cancel, for x <= 0 the defining 2phi1 sum.  The series
-definitions of all four families serve as oracles in the tests.
+terms never cancel, for x <= 0 (and for x > 0 too small for that form,
+where p_n(x) is 1) the defining 2phi1 sum.  The series definitions of all
+four families serve as oracles in the tests.
 
-Each family's record in FAMILIES holds its evaluator, the one way to read
-a single degree; its per-record read, the one way to read a known set of
-degrees at a known set of points; and its cursor factory, params -> x ->
-cursor, the one way to walk a point over degrees whose last one is not
-known in advance; ``Family`` states their contracts.
+Each family has two reads, and its record in FAMILIES holds both: the
+per-record read ``values``, the one way to read a known set of degrees at
+a known set of points, and the cursor factory, params -> x -> cursor, the
+one way to walk a point over degrees whose last one is not known in
+advance.  Its evaluator, one degree at one point, is ``values`` at that
+degree and point.  ``Family`` states their contracts.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import InitVar, dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -196,81 +199,43 @@ class Recurrence:
     walk   (term, rows, p_(k-1), p_k[, trail]) -> the pair advanced once
            per row, forming b_k from the point's term and the row, and
            appending each new value to ``trail`` when one is given: the
-           one statement of the step, which ``value``, ``values`` and the
-           cursors all walk
+           one statement of the step
 
-    From p_(-1) = 0, p_0 = 1, rows 0..n-1 give (p_(n-1), p_n).  A
-    polynomial solution is never the minimal one, so forward recursion
-    keeps it (Gautschi, SIAM Review 9, 1967), and no intermediate carries
-    the q^-n scale of the series forms.  A p_n beyond double range (inf,
-    or the NaN of inf - inf) raises IllConditioned, and so does an a_k
-    that underflowed to 0 because the coefficients overflowed.
+    Its two reads, ``values`` and the cursors, both step through
+    ``_advance``.  From p_(-1) = 0, p_0 = 1, rows 0..n-1 give (p_(n-1),
+    p_n).  A polynomial solution is never the minimal one, so forward
+    recursion keeps it (Gautschi, SIAM Review 9, 1967), and no
+    intermediate carries the q^-n scale of the series forms.  A p_n beyond
+    double range (inf, or the NaN of inf - inf) raises IllConditioned, and
+    so does an a_k that underflowed to 0 because the coefficients
+    overflowed.
     """
 
     rows: Callable[[object], Callable[[int], tuple]]
     start: Callable[[float, object], complex]
     walk: Callable[..., tuple]
 
-    def value(self, n: int, x: float, params) -> complex:
-        """p_n(x), walked from degree 0 over the record's table, which
-        every ``value``, ``values`` and cursor on the record reads and
-        extends."""
-        if n < 0:
-            raise PreconditionViolation("n must be >= 0")
-        term = self.start(x, params)
-        table = _table(params, list)
-        try:
-            if len(table) < n:
-                table.extend(map(self.rows(params), range(len(table), n)))
-            cur = self.walk(term, table[:n], 0.0, 1.0)[1]
-        except ZeroDivisionError:
-            raise IllConditioned(_OUT_OF_RANGE) from None
-        if not cmath.isfinite(cur):
-            raise IllConditioned(_NOT_FINITE)
-        return cur
-
     def values(self, degrees: Sequence[int], points: Sequence[float],
                params) -> list[list[complex]]:
         """[[p_n(x) for n in degrees] for x in points] as ``Family.values``
-        states.  The degrees are checked, and the rows up to the highest
-        degree built and sliced, once per call, after the first point's
-        ``start`` has checked its x as a cursor would; each point then
-        forms its term and walks from degree 0 up to the highest degree,
-        keeping each value it passes, so each has the bits of ``value``.
-        Points are read in order, and the first one ``value`` refuses at
-        any of the degrees refuses the call."""
+        states: each point, in order, forms its term (``start`` checks x
+        before the degrees are checked) and walks from degree 0 up to the
+        highest degree, keeping each value it passes."""
+        low, top = (min(degrees), max(degrees)) if degrees else (0, 0)
         out: list[list[complex]] = []
-        steps = None
-        try:
-            for x in points:
-                term = self.start(x, params)
-                if steps is None:
-                    if min(degrees, default=0) < 0:
-                        raise PreconditionViolation("n must be >= 0")
-                    top = max(degrees, default=0)
-                    table = _table(params, list)
-                    if len(table) < top:
-                        table.extend(map(self.rows(params), range(len(table), top)))
-                    steps = table[:top]
-                trail = [1.0]  # p_0, then p_1 .. p_top as the walk appends them
-                self.walk(term, steps, 0.0, 1.0, trail)
-                row = [complex(trail[n]) for n in degrees]
-                if not all(map(cmath.isfinite, row)):
-                    raise IllConditioned(_NOT_FINITE)
-                out.append(row)
-        except ZeroDivisionError:
-            raise IllConditioned(_OUT_OF_RANGE) from None
+        for x in points:
+            term = self.start(x, params)
+            if low < 0:
+                raise PreconditionViolation("n must be >= 0")
+            trail = [1.0]  # p_0, then p_1 .. p_top as the walk appends them
+            self._advance(term, params, 0, top, 0.0, 1.0, trail)
+            out.append([complex(trail[n]) for n in degrees])
         return out
 
     def cursors(self, params) -> Callable[[float], Cursor]:
-        """x -> cursor giving (p_n(x), 0) as ``Family.cursors`` states,
-        over the record's table of rows, kept on the record (``_table``)
-        so each row is built once per record.  A cursor advances from the
-        last degree it returned with the arithmetic of ``value``, so
-        degrees 0..N take N steps in all; a lower degree walks again from
-        degree 0.  A row that cannot be built (AW's 1 - abcd q^m near 0)
-        is not kept, and raises at every call that needs it."""
-        row, walk, table = self.rows(params), self.walk, _table(params, list)
+        """x -> cursor giving (p_n(x), 0) as ``Family.cursors`` states.  A
+        cursor advances from the last degree it returned, so degrees 0..N
+        take N steps in all; a lower degree walks again from degree 0."""
 
         def cursor(x: float) -> Cursor:
             term = self.start(x, params)
@@ -283,20 +248,29 @@ class Recurrence:
                     if n < 0:
                         raise PreconditionViolation("n must be >= 0")
                     k, prev, cur = 0, 0.0, 1.0
-                try:
-                    while len(table) < n:
-                        table.append(row(len(table)))
-                    prev, cur = walk(term, table[k:n], prev, cur)
-                except ZeroDivisionError:
-                    raise IllConditioned(_OUT_OF_RANGE) from None
-                if not cmath.isfinite(cur):
-                    raise IllConditioned(_NOT_FINITE)
-                state = n, prev, cur  # only a finite value moves the cursor
-                return complex(cur), 0
+                state = n, *self._advance(term, params, k, n, prev, cur)
+                return complex(state[2]), 0
 
             return at
 
         return cursor
+
+    def _advance(self, term, params, k: int, n: int, prev, cur, trail=None) -> tuple:
+        """(p_(n-1), p_n) from (p_(k-1), p_k) at the point's ``term``, over
+        rows k..n-1 of the record's table (``_table``), each built once
+        per record as a read first needs it; a row that cannot be built
+        (AW's 1 - abcd q^m near 0) is not kept, and raises at every read
+        that needs it."""
+        table = _table(params, list)
+        try:
+            if len(table) < n:
+                table.extend(map(self.rows(params), range(len(table), n)))
+            prev, cur = self.walk(term, table[k:n], prev, cur, trail)
+        except ZeroDivisionError:
+            raise IllConditioned(_OUT_OF_RANGE) from None
+        if not cmath.isfinite(cur):
+            raise IllConditioned(_NOT_FINITE)
+        return prev, cur
 
 
 def _table(params, empty: Callable[[], object]):
@@ -434,13 +408,14 @@ _QLAG = Recurrence(_qlag_rows, _qlag_start, _qlag_walk)
 
 
 def askey_wilson(n: int, x: float, p: AWParams) -> complex:
-    """Askey-Wilson polynomial p_n(x; a,b,c,d | q) at x = cos(theta)."""
-    return complex(_AW.value(n, x, p))
+    """Askey-Wilson polynomial p_n(x; a,b,c,d | q) at x = cos(theta), the
+    one-point, one-degree read of ``Recurrence.values``."""
+    return _AW.values((n,), (x,), p)[0][0]
 
 
 def cont_q_ultra(n: int, x: float, p: UltraParams) -> float:
     """Continuous q-ultraspherical (Rogers) polynomial C_n(x; beta | q)."""
-    return _CQU.value(n, x, p)
+    return _CQU.values((n,), (x,), p)[0][0].real
 
 
 def _lql_row(p: LqLParams, k: int) -> tuple[float, float, float, float]:
@@ -472,7 +447,8 @@ def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]
     (m, e) with p_n(x) = m * q**e at each degree.  ``points`` holds
     (x, xf) pairs, xf the factors 1 - q^k / x of the point built so far,
     which the call extends in place, so a caller that keeps the pair (a
-    cursor) builds each of them once.
+    cursor) builds each of them once.  Each point's x is checked before
+    the degrees are.
 
     For x > 0 each degree is the scaled 2phi0 form of
     ``little_q_laguerre_scaled``, over the record's table of x-free
@@ -480,20 +456,21 @@ def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]
     degree, and each degree's run of factors 1 - q^-(n-k) and scaled
     prefactor, each built once per record and looked up once per call,
     not once per point.  For x <= 0 it is (p_n(x), 0) from the defining
-    sum 2phi1(q^-n, 0; aq; q, qx), whose terms all share one sign for
-    x < 0: a term or sum leaving double range means the value does, and
-    that raises IllConditioned."""
-    if degrees and min(degrees) < 0:
-        raise PreconditionViolation("n must be >= 0")
-    q, top = p.base.q, max(degrees) if degrees else 0
+    sum, and so it is at an x > 0 so small that p_n(x) is 1 and the 2phi0
+    would overflow (``_lql_overflows_below``): tested before summing."""
+    q, (low, top) = p.base.q, (min(degrees), max(degrees)) if degrees else (0, 0)
     lnq, exp, lo, hi = math.log(q), math.exp, SCALE_LO, SCALE_HI
-    # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a, and n -> its
-    # steps, 1 - q^-(n-k) for k = 0..n-1 and (q^-n / a; q)_n, scaled
+    # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a, and n -> n, its steps,
+    # 1 - q^-(n-k) for k = 0..n-1, (q^-n / a; q)_n scaled, and the x below which
+    # the defining sum's first term q x (1 - q^-n) / ((1 - q)(1 - aq)) is < 2^-54
     qk, up, down, pdown, plans = _table(p, lambda: ([], [], [], [], {}))
     plan = None
     out = []
     for x, xf in points:
-        if _finite(x) <= 0.0:
+        x = _finite(x)
+        if low < 0:
+            raise PreconditionViolation("n must be >= 0")
+        if x <= 0.0:
             out.append([(_lql_defining_sum(n, x, p), 0) for n in degrees])
             continue
         if plan is None:
@@ -502,12 +479,17 @@ def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]
                     col.append(v)
             for n in degrees:
                 if n not in plans:
-                    plans[n] = (range(n), down[n:0:-1], *_lql_prefactor(pdown, n, q))
+                    small = n and 2.0**-54 * (1.0 - q) * (1.0 - p.a * q) / (q * -down[n])
+                    plans[n] = (n, range(n), down[n:0:-1],
+                                *_lql_prefactor(pdown, n, q), small)
             plan = [plans[n] for n in degrees]
         xf.extend([1.0 - v / x for v in qk[len(xf):top]])
         ratio = -x / p.a
         row = []
-        for steps, dn, pm, pe in plan:
+        for n, steps, dn, pm, pe, small in plan:
+            if x < small and x < _lql_overflows_below(dn, qk, up, p):
+                row.append((_lql_defining_sum(n, x, p), 0))
+                continue
             # series sum (sm, se) and running term (tm, te); renorm leaves a
             # mantissa whose magnitude lies inside [SCALE_LO, SCALE_HI] as
             # it is, so it is called only outside (tested without abs,
@@ -535,9 +517,30 @@ def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]
     return out
 
 
+def _lql_overflows_below(dn: list[float], qk: list[float], up: list[float],
+                         p: LqLParams) -> float:
+    """The x below which the scaled 2phi0 of degree n = len(dn) overflows,
+    for x so small that x / q^k < 2^-54 at every step k: each step then
+    multiplies the running term by d f / u, f within 2^-54 of -q^k / x,
+    and by -x / a, so the term's renormed magnitudes (followed here as
+    logs) do not depend on x, and step k overflows once max(1, |term|)
+    |d| q^k / (u x) passes DBL_MAX.  It errs 1e-9 towards the 2phi0."""
+    lnq, lna = math.log(p.base.q), math.log(p.a)
+    hi, lo = math.log(SCALE_HI), math.log(SCALE_LO)
+    big, term = -math.inf, 0.0  # logs of the largest product and of |term|
+    for d, v, u in zip(dn, qk, up):
+        step = math.log(abs(d) * v / u)
+        big = max(big, max(0.0, term) + step)
+        term += step - lna
+        if not lo <= term <= hi:
+            term -= round(term / lnq) * lnq
+    return math.exp(big - math.log(sys.float_info.max) - 1e-9)
+
+
 def _lql_defining_sum(n: int, x: float, p: LqLParams) -> float:
-    """p_n(x) for x <= 0 from 2phi1(q^-n, 0; aq; q, qx); a q^-n beyond
-    double range raises IllConditioned."""
+    """p_n(x) from 2phi1(q^-n, 0; aq; q, qx), whose terms share one sign
+    at x < 0 (a sum out of double range raises IllConditioned, as does a
+    q^-n) and are below rounding after the first at the tiny x > 0 read."""
     if n == 0:
         return 1.0
     q = p.base.q
@@ -548,10 +551,9 @@ def _lql_defining_sum(n: int, x: float, p: LqLParams) -> float:
 
 
 def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
-    """x -> little q-Laguerre cursor: each call reads its degree with one
-    ``_lql_sums`` call, which keeps the point's factors 1 - q^k / x for
-    the next.  Each degree is summed afresh, which keeps ``Family``'s
-    cursor contract."""
+    """x -> little q-Laguerre cursor: each call sums its degree afresh with
+    one ``_lql_sums`` call, which keeps the point's factors 1 - q^k / x
+    for the next."""
     def cursor(x: float) -> Cursor:
         point = [(_finite(x), [])]
         return lambda n: _lql_sums((n,), point, p)[0][0]
@@ -562,8 +564,7 @@ def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
 def _lql_values(degrees: Sequence[int], points: Sequence[float],
                 p: LqLParams) -> list[list[complex]]:
     """``Family.values`` for little q-Laguerre: one ``_lql_sums`` call over
-    every point and degree, which looks the record's factors up once and
-    builds each point's factors 1 - q^k / x once."""
+    every point and degree."""
     q = p.base.q
     return [[unscaled(m, e, q) for m, e in row]
             for row in _lql_sums(degrees, [(x, []) for x in points], p)]
@@ -579,10 +580,9 @@ def little_q_laguerre_scaled(
 
     For x > 0 the last retained term dominates the sum, so this form is
     stable at every lattice point.  It is summed upward with the magnitude
-    continually shifted into the q-exponent, so arbitrarily large degrees
-    never overflow even though the value itself grows like
-    q^(-n(n-1)/2) x^n between lattice points.  It is ``_lql_sums``' loop,
-    which every little q-Laguerre read runs.
+    shifted into the q-exponent, so large degrees never overflow although
+    the value grows like q^(-n(n-1)/2) x^n between lattice points.  It is
+    ``_lql_sums``' loop, which every little q-Laguerre read runs.
     """
     if not 0.0 < x < math.inf:
         raise PreconditionViolation(f"scaled evaluation needs a finite x > 0, got {x!r}")
@@ -593,14 +593,14 @@ def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
     """Little q-Laguerre / Wall polynomial p_n(x; a | q), the one-point,
     one-degree read of ``_lql_values``: for x > 0 the scaled 2phi0 form,
     whose terms never cancel there, with a value outside double range
-    raising IllConditioned (above) or returned as 0 (below); for x <= 0
-    the defining 2phi1 sum."""
+    raising IllConditioned (above) or returned as 0 (below); for x <= 0,
+    and for x > 0 too small for that form, the defining 2phi1 sum."""
     return _lql_values((n,), (x,), p)[0][0].real
 
 
 def q_laguerre(n: int, x: float, p: QLagParams) -> float:
     """q-Laguerre polynomial L_n^(alpha)(x; q)."""
-    return _QLAG.value(n, x, p)
+    return _QLAG.values((n,), (x,), p)[0][0].real
 
 
 # ---------------------------------------------------------------------------
@@ -806,17 +806,20 @@ class Family:
     params      parameter record class, built as params(*values, base),
                 or with the caller's names for its refusals appended
     names       its parameter names, in that order
-    evaluate    (n, x, params) -> p_n(x) as a complex, from degree 0
+    evaluate    (n, x, params) -> p_n(x) as a complex: ``values`` at
+                one degree and point, through ``askey_wilson`` and the rest
     values      (degrees, points, params) -> [[p_n(x) for n in degrees]
                 for x in points], the per-record read of a known set of
-                degrees over a connection's sample points:
-                ``Recurrence.values``, one walk per point up to the
-                highest degree, for the recurrence families;
+                degrees at a known set of points, such as both
+                polynomials of a connection residual over its sample
+                points: ``Recurrence.values``, one walk per point up to
+                the highest degree, for the recurrence families;
                 ``_lql_values``, one ``_lql_sums`` loop over every point
                 and degree, for little q-Laguerre.  The record's factors
-                are looked up once per call, not once per point.  Each
-                value has the bits of ``evaluate``; points are read in
-                order, and the read refuses, with the class a cursor read
+                are looked up once per call, not once per point, so a
+                degree has the same bits in every read.  Points are read
+                in order, each checked before the degrees are, and the
+                read refuses, with the class and message a cursor read
                 of the same degrees at the first refused point would
                 raise, if any value is refused.
     weight      params -> (x -> continuous weight w(x)), a factory that
@@ -827,12 +830,12 @@ class Family:
                 recurrence families, ``_lql_cursors`` for little
                 q-Laguerre.  A cursor ``at(n)`` gives (m, e) with
                 p_n(x) = m * q**e (``unscaled``), the bits of
-                ``evaluate``; it checks x when it is made, refuses n < 0,
+                ``values``; it checks x when it is made, refuses n < 0,
                 takes n in any order, and a call that raises leaves it
                 usable: the streaming read of a generating function's
                 outer sum, which cannot know its last degree.  Every
-                cursor, ``values`` and ``evaluate`` call on one record
-                shares that record's table of x-free factors, built
+                cursor and ``values`` call on one record shares that
+                record's table of x-free factors, built
                 once by index as a call first needs them and kept on the
                 record, so it lives as long as the record does.
     x_range     (lo, hi): the closed range of x over which the generating

@@ -66,10 +66,11 @@ def test_out_of_range_values_exit_2(capsys):
         code, _, err = run(capsys, "eval", "--family", "lql", "--n", n,
                            "--x", x, "--a", "0.5", "--q", q)
         assert code == 2 and "range" in err, (n, x, q)
-    # 1/x overflows the first term of the scaled 2phi0
-    code, _, err = run(capsys, "eval", "--family", "lql", "--n", "5",
+    # 1/x would overflow the first term of the scaled 2phi0, but p_5(x) is
+    # 1 in double precision, and the defining sum reads it
+    code, out, _ = run(capsys, "eval", "--family", "lql", "--n", "5",
                        "--x", "5e-324", "--a", "0.5", "--q", "0.5")
-    assert code == 2 and "range" in err
+    assert code == 0 and out.splitlines()[-1] == "value = 1"
     code, _, err = run(capsys, "connect", "--family", "qlag", "--n", "100",
                        "--alpha", "-0.9", "--beta", "2.5", "--q", "0.05")
     assert code == 2 and "range" in err

@@ -7,7 +7,8 @@ from random import Random
 
 import pytest
 
-from qsk import polyfam
+from qsk import connect, polyfam
+from qsk.bhs import eval_phi
 from qsk.context import ParamPoint
 from qsk.errors import PreconditionViolation
 from qsk.genfun import (
@@ -401,3 +402,67 @@ def test_t2_coefficient_is_exactly_real(q):
         pt = sample_point("T2", rng, q)
         for n in range(41):
             assert outer_coefficient("T2", n, pt, ctx).imag == 0.0, (pt.canonical(), n)
+
+
+# --- generalized identities in coefficient space ----------------------------
+
+_CONNECTIONS = {
+    polyfam.FamilyId.ASKEY_WILSON: connect.aw_connection,
+    polyfam.FamilyId.CONT_Q_ULTRA: connect.ultra_connection,
+    polyfam.FamilyId.LITTLE_Q_LAGUERRE: connect.lql_connection,
+    polyfam.FamilyId.Q_LAGUERRE: connect.qlag_connection,
+}
+_U = 2.0**-53
+# Each term of a connection sum carries the rounding of its own products,
+# up to about a hundred factors deep; C allows it a few ulps.
+_C = 16.0
+
+
+def _connected_coefficients(tag, pt, ctx, degrees):
+    """For each n in ``degrees``, the sum over m of the source's outer
+    coefficient of degree m times the connection coefficient c_(m -> n)
+    that carries p_m(x; source) onto p_n(x; identity's parameters), and
+    that sum's condition number sum |t| / |sum t|.  m runs until two
+    successive degrees (both parities of q-ultraspherical's n, n - 2, ...)
+    add terms below 1e-18 of every sum."""
+    entry = entry_for(tag)
+    source = entry_for(entry.source)
+    args = [v.real if v.imag == 0.0 else v
+            for v in [pt.get(nm) for nm in source.names] + [pt.get(entry.names[0])]]
+    sums, mags = [0j] * len(degrees), [0.0] * len(degrees)
+    quiet = 0
+    for m in range(400):
+        cm = outer_coefficient(entry.source, m, pt, ctx)
+        c = dict(_CONNECTIONS[entry.family](m, *args, ctx.q).coefficients)
+        small = m >= max(degrees)
+        for i, n in enumerate(degrees):
+            t = cm * c.get(n, 0.0)
+            sums[i] += t
+            mags[i] += abs(t)
+            small = small and abs(t) <= 1e-18 * abs(sums[i])
+        quiet = quiet + 1 if small else 0
+        if quiet == 2:
+            return [(s, k / abs(s)) for s, k in zip(sums, mags)]
+    raise AssertionError(f"{tag}: the connection sum has not settled at m = 400")
+
+
+@pytest.mark.parametrize("q", (0.05, 0.5, 0.8, 0.9, 0.95))
+@pytest.mark.parametrize("tag", [t.value for t in GENERALIZED])
+def test_generalized_identity_in_coefficient_space(tag, q):
+    """The paper derives each T identity by substituting a connection
+    relation into its source generating function, so at degrees 0..5
+    outer_coefficient(T, n) x inner_n equals sum_m
+    outer_coefficient(source, m) x c_(m -> n) from the family's
+    ``*_connection``.  Checked at the 5 points ``qsk verify --q-grid q``
+    draws (seed 1), to max(1e-13, C u kappa) relative, kappa the
+    connection sum's sum |t| / |sum t|: at q >= 0.9 the pointwise check
+    cannot certify some of these points, whose outer sums cancel."""
+    entry, ctx, rng = entry_for(tag), QBase(q), Random(f"1:{tag}:0")
+    degrees = range(6)
+    for _ in range(5):
+        pt = sample_point(tag, rng, q)
+        for n, (want, kappa) in zip(degrees, _connected_coefficients(tag, pt, ctx, degrees)):
+            got = outer_coefficient(tag, n, pt, ctx) * eval_phi(entry.inner(n, pt, ctx)).value
+            err = abs(got - want) / abs(want)
+            assert err <= max(1e-13, _C * _U * kappa), (
+                f"n={n} {pt.canonical()}: error {err:.2g}, kappa {kappa:.2g}")
