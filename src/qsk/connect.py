@@ -187,21 +187,19 @@ def _partial_sums(exp: ConnectionExpansion, points: Sequence[float] | None):
     points before its first term and after each term: one list, updated
     in place.
 
-    Each polynomial is read with one ``Family.values`` call over all the
-    points: the source at degree n, the target at every degree of the
-    expansion.  For the recurrence families that is one walk per point up
-    to the highest degree, so degrees 0..n cost n steps, not n^2 / 2; for
-    little q-Laguerre one loop over each degree at each point.  Each
-    record's x-free factors are built once, not once per point, and each
-    value has the bits ``evaluate`` gives.  ``points`` defaults to 20 of
-    the family's ``support`` abscissas; none at all would certify any
-    expansion, and is refused."""
+    The source polynomial is one ``evaluate`` call per point, which a
+    tracer wrapping the family's evaluator sees; the target polynomials at
+    every degree and point are one ``Family.values`` call, which builds
+    each record's x-free factors once and walks each point once up to the
+    highest degree.  Each value has the bits ``evaluate`` gives.
+    ``points`` defaults to 20 of the family's ``support`` abscissas; none
+    at all would certify any expansion, and is refused."""
     family = FAMILIES[exp.family]
     if points is None:
         points = family.support(exp.source_params.base.q, 20)
     if len(points) == 0:
         raise PreconditionViolation("a residual needs at least one sample point")
-    rhs = [row[0] for row in family.values((exp.n,), points, exp.source_params)]
+    rhs = [family.evaluate(exp.n, x, exp.source_params) for x in points]
     degrees = [deg for deg, _ in exp.coefficients]
     read = family.values(degrees, points, exp.target_params)
     lhs = [complex(0.0)] * len(points)

@@ -28,8 +28,8 @@ Each family has two reads, and its record in FAMILIES holds both: the
 per-record read ``values``, the one way to read a known set of degrees at
 a known set of points, and the cursor factory, params -> x -> cursor, the
 one way to walk a point over degrees whose last one is not known in
-advance.  Its evaluator, one degree at one point, is ``values`` at that
-degree and point.  ``Family`` states their contracts.
+advance.  Its evaluator reads one degree at one point with the step those
+two share, and so with their bits.  ``Family`` states their contracts.
 """
 
 from __future__ import annotations
@@ -201,9 +201,9 @@ class Recurrence:
            appending each new value to ``trail`` when one is given: the
            one statement of the step
 
-    Its two reads, ``values`` and the cursors, both step through
-    ``_advance``.  From p_(-1) = 0, p_0 = 1, rows 0..n-1 give (p_(n-1),
-    p_n).  A polynomial solution is never the minimal one, so forward
+    Its two reads, ``values`` and the cursors, and a one-point read
+    (``_one``) all step through ``_advance``.  From p_(-1) = 0, p_0 = 1,
+    rows 0..n-1 give (p_(n-1), p_n).  A polynomial solution is never the minimal one, so forward
     recursion keeps it (Gautschi, SIAM Review 9, 1967), and no
     intermediate carries the q^-n scale of the series forms.  A p_n beyond
     double range (inf, or the NaN of inf - inf) raises IllConditioned, and
@@ -217,18 +217,17 @@ class Recurrence:
 
     def values(self, degrees: Sequence[int], points: Sequence[float],
                params) -> list[list[complex]]:
-        """[[p_n(x) for n in degrees] for x in points] as ``Family.values``
-        states: each point, in order, forms its term (``start`` checks x
-        before the degrees are checked) and walks from degree 0 up to the
-        highest degree, keeping each value it passes."""
+        """``Family.values``: each point, in order, forms its term (``start``
+        checks x before the degrees are checked) and walks from degree 0 up
+        to the highest degree, keeping each value it passes."""
         low, top = (min(degrees), max(degrees)) if degrees else (0, 0)
-        out: list[list[complex]] = []
+        table, out = _table(params, list), []
         for x in points:
             term = self.start(x, params)
             if low < 0:
                 raise PreconditionViolation("n must be >= 0")
             trail = [1.0]  # p_0, then p_1 .. p_top as the walk appends them
-            self._advance(term, params, 0, top, 0.0, 1.0, trail)
+            self._advance(term, params, table, 0, top, 0.0, 1.0, trail)
             out.append([complex(trail[n]) for n in degrees])
         return out
 
@@ -236,6 +235,7 @@ class Recurrence:
         """x -> cursor giving (p_n(x), 0) as ``Family.cursors`` states.  A
         cursor advances from the last degree it returned, so degrees 0..N
         take N steps in all; a lower degree walks again from degree 0."""
+        advance, table = self._advance, _table(params, list)
 
         def cursor(x: float) -> Cursor:
             term = self.start(x, params)
@@ -248,20 +248,20 @@ class Recurrence:
                     if n < 0:
                         raise PreconditionViolation("n must be >= 0")
                     k, prev, cur = 0, 0.0, 1.0
-                state = n, *self._advance(term, params, k, n, prev, cur)
-                return complex(state[2]), 0
+                prev, cur = advance(term, params, table, k, n, prev, cur)
+                state = n, prev, cur
+                return complex(cur), 0
 
             return at
 
         return cursor
 
-    def _advance(self, term, params, k: int, n: int, prev, cur, trail=None) -> tuple:
+    def _advance(self, term, params, table, k: int, n: int, prev, cur, trail=None):
         """(p_(n-1), p_n) from (p_(k-1), p_k) at the point's ``term``, over
-        rows k..n-1 of the record's table (``_table``), each built once
+        rows k..n-1 of the record's ``table`` (``_table``), each built once
         per record as a read first needs it; a row that cannot be built
         (AW's 1 - abcd q^m near 0) is not kept, and raises at every read
         that needs it."""
-        table = _table(params, list)
         try:
             if len(table) < n:
                 table.extend(map(self.rows(params), range(len(table), n)))
@@ -407,15 +407,22 @@ _CQU = Recurrence(_cqu_rows, _cqu_start, _cqu_walk)
 _QLAG = Recurrence(_qlag_rows, _qlag_start, _qlag_walk)
 
 
+def _one(rec: Recurrence, n: int, x: float, params):
+    """p_n(x) by ``rec._advance``, x checked before n as every read does."""
+    term = rec.start(x, params)
+    if n < 0:
+        raise PreconditionViolation("n must be >= 0")
+    return rec._advance(term, params, _table(params, list), 0, n, 0.0, 1.0)[1]
+
+
 def askey_wilson(n: int, x: float, p: AWParams) -> complex:
-    """Askey-Wilson polynomial p_n(x; a,b,c,d | q) at x = cos(theta), the
-    one-point, one-degree read of ``Recurrence.values``."""
-    return _AW.values((n,), (x,), p)[0][0]
+    """Askey-Wilson polynomial p_n(x; a,b,c,d | q) at x = cos(theta)."""
+    return complex(_one(_AW, n, x, p))
 
 
 def cont_q_ultra(n: int, x: float, p: UltraParams) -> float:
     """Continuous q-ultraspherical (Rogers) polynomial C_n(x; beta | q)."""
-    return _CQU.values((n,), (x,), p)[0][0].real
+    return _one(_CQU, n, x, p)
 
 
 def _lql_row(p: LqLParams, k: int) -> tuple[float, float, float, float]:
@@ -451,18 +458,18 @@ def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]
     the degrees are.
 
     For x > 0 each degree is the scaled 2phi0 form of
-    ``little_q_laguerre_scaled``, over the record's table of x-free
-    factors (``_table``): the rows of ``_lql_row`` up to the highest
-    degree, and each degree's run of factors 1 - q^-(n-k) and scaled
-    prefactor, each built once per record and looked up once per call,
-    not once per point.  For x <= 0 it is (p_n(x), 0) from the defining
-    sum, and so it is at an x > 0 so small that p_n(x) is 1 and the 2phi0
-    would overflow (``_lql_overflows_below``): tested before summing."""
+    ``little_q_laguerre_scaled`` over the record's x-free factors
+    (``_table``), built once per record and looked up once per call.
+    For x <= 0, and at an x > 0 so small that p_n(x) is 1 and the 2phi0
+    would overflow (tested before summing), it is (p_n(x), 0) from the
+    defining sum."""
     q, (low, top) = p.base.q, (min(degrees), max(degrees)) if degrees else (0, 0)
     lnq, exp, lo, hi = math.log(q), math.exp, SCALE_LO, SCALE_HI
     # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a, and n -> n, its steps,
-    # 1 - q^-(n-k) for k = 0..n-1, (q^-n / a; q)_n scaled, and the x below which
-    # the defining sum's first term q x (1 - q^-n) / ((1 - q)(1 - aq)) is < 2^-54
+    # 1 - q^-(n-k) for k = 0..n-1, (q^-n / a; q)_n scaled, the x below which
+    # the defining sum reads degree n (where its first term falls below 2^-54,
+    # lowered at the first such x to where the 2phi0 overflows) and whether it
+    # is lowered yet
     qk, up, down, pdown, plans = _table(p, lambda: ([], [], [], [], {}))
     plan = None
     out = []
@@ -481,15 +488,19 @@ def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]
                 if n not in plans:
                     small = n and 2.0**-54 * (1.0 - q) * (1.0 - p.a * q) / (q * -down[n])
                     plans[n] = (n, range(n), down[n:0:-1],
-                                *_lql_prefactor(pdown, n, q), small)
+                                *_lql_prefactor(pdown, n, q), small, False)
             plan = [plans[n] for n in degrees]
         xf.extend([1.0 - v / x for v in qk[len(xf):top]])
         ratio = -x / p.a
         row = []
-        for n, steps, dn, pm, pe, small in plan:
-            if x < small and x < _lql_overflows_below(dn, qk, up, p):
-                row.append((_lql_defining_sum(n, x, p), 0))
-                continue
+        for i, (n, steps, dn, pm, pe, switch, exact) in enumerate(plan):
+            if x < switch:
+                if not exact:
+                    switch = min(switch, _lql_overflows_below(dn, qk, up, p))
+                    plans[n] = plan[i] = (n, steps, dn, pm, pe, switch, True)
+                if x < switch:
+                    row.append((_lql_defining_sum(n, x, p), 0))
+                    continue
             # series sum (sm, se) and running term (tm, te); renorm leaves a
             # mantissa whose magnitude lies inside [SCALE_LO, SCALE_HI] as
             # it is, so it is called only outside (tested without abs,
@@ -519,12 +530,12 @@ def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]
 
 def _lql_overflows_below(dn: list[float], qk: list[float], up: list[float],
                          p: LqLParams) -> float:
-    """The x below which the scaled 2phi0 of degree n = len(dn) overflows,
-    for x so small that x / q^k < 2^-54 at every step k: each step then
-    multiplies the running term by d f / u, f within 2^-54 of -q^k / x,
-    and by -x / a, so the term's renormed magnitudes (followed here as
-    logs) do not depend on x, and step k overflows once max(1, |term|)
-    |d| q^k / (u x) passes DBL_MAX.  It errs 1e-9 towards the 2phi0."""
+    """The x below which the scaled 2phi0 of degree n = len(dn) overflows.
+    For x / q^k < 2^-54 at every step k, each step multiplies the running
+    term by d f / u, f within 2^-54 of -q^k / x, and by -x / a, so its
+    renormed magnitudes (followed as logs, mirroring ``qpoch.renorm``) do
+    not depend on x, and step k overflows once max(1, |term|) |d| q^k /
+    (u x) passes DBL_MAX.  It errs 1e-9 towards the 2phi0."""
     lnq, lna = math.log(p.base.q), math.log(p.a)
     hi, lo = math.log(SCALE_HI), math.log(SCALE_LO)
     big, term = -math.inf, 0.0  # logs of the largest product and of |term|
@@ -600,7 +611,7 @@ def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
 
 def q_laguerre(n: int, x: float, p: QLagParams) -> float:
     """q-Laguerre polynomial L_n^(alpha)(x; q)."""
-    return _QLAG.values((n,), (x,), p)[0][0].real
+    return _one(_QLAG, n, x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -806,38 +817,28 @@ class Family:
     params      parameter record class, built as params(*values, base),
                 or with the caller's names for its refusals appended
     names       its parameter names, in that order
-    evaluate    (n, x, params) -> p_n(x) as a complex: ``values`` at
-                one degree and point, through ``askey_wilson`` and the rest
+    evaluate    (n, x, params) -> p_n(x) as a complex, the bits of
+                ``values``, through ``askey_wilson`` and the rest
     values      (degrees, points, params) -> [[p_n(x) for n in degrees]
-                for x in points], the per-record read of a known set of
-                degrees at a known set of points, such as both
-                polynomials of a connection residual over its sample
-                points: ``Recurrence.values``, one walk per point up to
-                the highest degree, for the recurrence families;
-                ``_lql_values``, one ``_lql_sums`` loop over every point
-                and degree, for little q-Laguerre.  The record's factors
-                are looked up once per call, not once per point, so a
-                degree has the same bits in every read.  Points are read
-                in order, each checked before the degrees are, and the
-                read refuses, with the class and message a cursor read
-                of the same degrees at the first refused point would
-                raise, if any value is refused.
+                for x in points]: a known set of degrees at a known set
+                of points, such as a connection residual's targets.
+                ``Recurrence.values`` walks each point once up to the
+                highest degree; ``_lql_values`` runs one ``_lql_sums``
+                loop.  Points are read in order, each checked before the
+                degrees, and a refusal has the class and message a cursor
+                read at the first refused point would raise.
     weight      params -> (x -> continuous weight w(x)), a factory that
                 builds the weight's product plans once per functional;
                 None on a lattice
     support     (q, count) -> sample abscissas on the natural support
-    cursors     params -> (x -> cursor): ``Recurrence.cursors`` for the
-                recurrence families, ``_lql_cursors`` for little
-                q-Laguerre.  A cursor ``at(n)`` gives (m, e) with
-                p_n(x) = m * q**e (``unscaled``), the bits of
-                ``values``; it checks x when it is made, refuses n < 0,
-                takes n in any order, and a call that raises leaves it
-                usable: the streaming read of a generating function's
-                outer sum, which cannot know its last degree.  Every
-                cursor and ``values`` call on one record shares that
-                record's table of x-free factors, built
-                once by index as a call first needs them and kept on the
-                record, so it lives as long as the record does.
+    cursors     params -> (x -> cursor): ``Recurrence.cursors`` or
+                ``_lql_cursors``.  A cursor ``at(n)`` gives (m, e) with
+                p_n(x) = m * q**e (``unscaled``), the bits of ``values``;
+                it checks x when it is made, refuses n < 0, takes n in
+                any order, and a call that raises leaves it usable: the
+                streaming read of a generating function's outer sum.
+                All reads of one record share its table of x-free
+                factors (``_table``), built as reads first need them.
     x_range     (lo, hi): the closed range of x over which the generating
                 functions expanding in the family hold
     """

@@ -719,10 +719,10 @@ def test_little_q_laguerre_against_mpmath(q, kind):
     (FamilyId.Q_LAGUERRE, "q_laguerre"),
 ])
 def test_family_table_reaches_rebound_evaluators(monkeypatch, fid, name):
-    """Rebinding a polyfam evaluator reaches the table and a functional's
-    nodes, which is how a tracer wrapping the module attribute sees those
-    calls.  connect reads its source and target polynomials with one
-    ``Family.values`` call each, which does not pass through the
+    """Rebinding a polyfam evaluator reaches the table, connect's source
+    polynomial and a functional's nodes, which is how a tracer wrapping the
+    module attribute sees those calls.  connect's target polynomials come
+    from one ``Family.values`` call, which does not pass through the
     evaluator's name."""
     original = getattr(polyfam, name)
     calls = []
@@ -742,7 +742,7 @@ def test_family_table_reaches_rebound_evaluators(monkeypatch, fid, name):
     FAMILIES[fid].evaluate(2, x, exp.source_params)
     assert calls == [2]
     assert connect.expansion_residual(exp, [x]) < 1e-10
-    assert calls == [2]
+    assert calls[1:] == [exp.n]
     kind = {
         FamilyId.ASKEY_WILSON: orthofunc.FunctionalKind.CONT_INTERVAL,
         FamilyId.CONT_Q_ULTRA: orthofunc.FunctionalKind.CONT_INTERVAL,
@@ -1113,6 +1113,23 @@ def test_lql_tiny_x_switch_against_mpmath(monkeypatch, x, defining):
     with mp.workdps(60):
         ref = _mp_lql(mp, 10, mp.mpf(x), [mp.mpf(0.5)], mp.mpf(0.5))
     assert abs(got - ref) <= 1e-15 * abs(ref), got
+
+
+def test_lql_tiny_x_switch_is_found_once_per_degree(monkeypatch):
+    """A degree's overflow bound is computed at the record's first point
+    below its first-term bound and kept on the record: later tiny points,
+    in the same call or another, do not compute it again."""
+    calls = []
+    bound = polyfam._lql_overflows_below
+    monkeypatch.setattr(polyfam, "_lql_overflows_below",
+                        lambda dn, *rest: calls.append(len(dn)) or bound(dn, *rest))
+    p = LqLParams(0.5, B5)
+    read = FAMILIES[FamilyId.LITTLE_Q_LAGUERRE].values
+    read([3, 10], [1e-300, 5e-324, 0.3], p)
+    assert calls == [3, 10]
+    assert read([10], [1e-310], p) == [[1.0]]
+    assert little_q_laguerre(3, 5e-324, p) == 1.0
+    assert calls == [3, 10]
 
 
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
