@@ -19,10 +19,12 @@ Askey-Wilson, continuous q-ultraspherical and q-Laguerre polynomials are
 evaluated by their forward three-term recurrences, each stated once as
 rows of x-free coefficients and a short walk that forms the one term in
 x; none of them forms the q^-n scale of the series above.  Little
-q-Laguerre is evaluated by series: for x > 0 a scaled 2phi0 form whose
-terms never cancel, for x <= 0 (and for x > 0 too small for that form,
-where p_n(x) is 1) the defining 2phi1 sum.  The series definitions of all
-four families serve as oracles in the tests.
+q-Laguerre is evaluated by series, the form picked per degree by the
+defining 2phi1's first term ratio c_n x: that sum where c_n x >= -1/2
+(every x <= 0, and x > 0 up to 1 / (2 |c_n|), where its terms' magnitudes
+add to at most 4 |p_n(x)|), a scaled 2phi0 form at every other x > 0.
+The series definitions of all four families serve as oracles in the
+tests.
 
 Each family has two reads, and its record in FAMILIES holds both: the
 per-record read ``values``, the one way to read a known set of degrees at
@@ -36,12 +38,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import InitVar, dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .bhs import SeriesSpec, eval_phi
 from .errors import PreconditionViolation, ZeroParameter, IllConditioned
 from .qpoch import (
     ProductPlan,
@@ -425,16 +425,16 @@ def cont_q_ultra(n: int, x: float, p: UltraParams) -> float:
     return _one(_CQU, n, x, p)
 
 
-def _lql_row(p: LqLParams, k: int) -> tuple[float, float, float, float]:
-    """The x-free factors at index k of little q-Laguerre's scaled sum:
-    q^k, 1 - q^(k+1), 1 - q^-k and 1 - q^-k / a.  A q^-k beyond double
-    range raises IllConditioned."""
+def _lql_row(p: LqLParams, k: int) -> tuple[float, float, float, float, float]:
+    """The x-free factors at index k of little q-Laguerre's two sums: q^k,
+    1 - q^(k+1), 1 - q^-k, 1 - q^-k / a and 1 - a q^(k+1).  A q^-k beyond
+    double range raises IllConditioned."""
     q = p.base.q
     try:
         q_k = q ** -k
     except OverflowError:
         raise IllConditioned("value exceeds the double-precision range") from None
-    return q**k, 1.0 - q ** (k + 1), 1.0 - q_k, 1.0 - q_k / p.a
+    return q**k, 1.0 - q ** (k + 1), 1.0 - q_k, 1.0 - q_k / p.a, 1.0 - p.a * q * q**k
 
 
 def _lql_prefactor(pdown: list[float], n: int, q: float) -> tuple[float, float]:
@@ -457,50 +457,65 @@ def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]
     cursor) builds each of them once.  Each point's x is checked before
     the degrees are.
 
-    For x > 0 each degree is the scaled 2phi0 form of
-    ``little_q_laguerre_scaled`` over the record's x-free factors
-    (``_table``), built once per record and looked up once per call.
-    For x <= 0, and at an x > 0 so small that p_n(x) is 1 and the 2phi0
-    would overflow (tested before summing), it is (p_n(x), 0) from the
-    defining sum."""
+    One constant per degree picks the form: c_n = q (1 - q^-n) / ((1 - q)
+    (1 - aq)), the first term ratio c_n x of the defining sum
+    2phi1(q^-n, 0; aq; q, qx).  Where c_n x >= -1/2, that is for x <= 0
+    (whose terms share one sign) and for x > 0 with |c_n x| <= 1/2 (whose
+    later ratios are smaller still, so the sum of the terms' magnitudes is
+    at most 4 |p_n(x)|), it is (p_n(x), 0) from the defining sum, summed
+    with ``bhs.SeriesPlan``'s operations and compensation and stopped at
+    the first term below 2^-54 of the sum.  Every other x > 0 is
+    the scaled 2phi0 form of ``little_q_laguerre_scaled``.  Both run over
+    the record's x-free columns (``_table``), built once per record and
+    looked up once per call."""
     q, (low, top) = p.base.q, (min(degrees), max(degrees)) if degrees else (0, 0)
-    lnq, exp, lo, hi = math.log(q), math.exp, SCALE_LO, SCALE_HI
-    # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a, and n -> n, its steps,
-    # 1 - q^-(n-k) for k = 0..n-1, (q^-n / a; q)_n scaled, the x below which
-    # the defining sum reads degree n (where its first term falls below 2^-54,
-    # lowered at the first such x to where the 2phi0 overflows) and whether it
-    # is lowered yet
-    qk, up, down, pdown, plans = _table(p, lambda: ([], [], [], [], {}))
+    lnq, exp, lo, hi, tail = math.log(q), math.exp, SCALE_LO, SCALE_HI, 2.0**-54
+    # columns q^k, 1 - q^(k+1), 1 - q^-k, 1 - q^-k / a, 1 - a q^(k+1), and
+    # n -> [n, its steps, 1 - q^-(n-k) for k = 0..n-1, q^-n, c_n, and
+    # (q^-n / a; q)_n scaled, built at the degree's first 2phi0 read]
+    qk, up, down, pdown, aup, plans = _table(p, lambda: ([], [], [], [], [], {}))
     plan = None
     out = []
     for x, xf in points:
         x = _finite(x)
         if low < 0:
             raise PreconditionViolation("n must be >= 0")
-        if x <= 0.0:
-            out.append([(_lql_defining_sum(n, x, p), 0) for n in degrees])
-            continue
         if plan is None:
             while len(qk) <= top:
-                for col, v in zip((qk, up, down, pdown), _lql_row(p, len(qk))):
+                for col, v in zip((qk, up, down, pdown, aup), _lql_row(p, len(qk))):
                     col.append(v)
             for n in degrees:
                 if n not in plans:
-                    small = n and 2.0**-54 * (1.0 - q) * (1.0 - p.a * q) / (q * -down[n])
-                    plans[n] = (n, range(n), down[n:0:-1],
-                                *_lql_prefactor(pdown, n, q), small, False)
+                    qn = q**-n
+                    plans[n] = [n, range(n), down[n:0:-1], qn,
+                                q * (1.0 - qn) / (up[0] * aup[0]), None]
             plan = [plans[n] for n in degrees]
-        xf.extend([1.0 - v / x for v in qk[len(xf):top]])
-        ratio = -x / p.a
+        if x > 0.0:
+            xf.extend([1.0 - v / x for v in qk[len(xf):top]])
+        z, ratio = q * x, -x / p.a
         row = []
-        for i, (n, steps, dn, pm, pe, switch, exact) in enumerate(plan):
-            if x < switch:
-                if not exact:
-                    switch = min(switch, _lql_overflows_below(dn, qk, up, p))
-                    plans[n] = plan[i] = (n, steps, dn, pm, pe, switch, True)
-                if x < switch:
-                    row.append((_lql_defining_sum(n, x, p), 0))
-                    continue
+        for entry in plan:
+            n, steps, dn, qn, c, pre = entry
+            if not x * c < -0.5:  # so also NaN, from x = 0 with c = -inf
+                # the defining sum, compensated; term ratio k -> k+1
+                # (1 - q^-n q^k) qx / ((1 - q^(k+1)) (1 - a q^(k+1)))
+                tm = sm = 1.0
+                comp = 0.0
+                for _, v, u, w in zip(steps, qk, up, aup):
+                    tm *= (1.0 - qn * v) / (u * w) * z
+                    y = tm - comp
+                    t = sm + y
+                    comp = (t - sm) - y
+                    sm = t
+                    if -tail * sm < tm < tail * sm:  # the sum is positive
+                        break
+                if not sm < math.inf:
+                    raise IllConditioned("value exceeds the double-precision range")
+                row.append((sm, 0))
+                continue
+            if pre is None:
+                pre = entry[5] = _lql_prefactor(pdown, n, q)
+            pm, pe = pre
             # series sum (sm, se) and running term (tm, te); renorm leaves a
             # mantissa whose magnitude lies inside [SCALE_LO, SCALE_HI] as
             # it is, so it is called only outside (tested without abs,
@@ -528,39 +543,6 @@ def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]
     return out
 
 
-def _lql_overflows_below(dn: list[float], qk: list[float], up: list[float],
-                         p: LqLParams) -> float:
-    """The x below which the scaled 2phi0 of degree n = len(dn) overflows.
-    For x / q^k < 2^-54 at every step k, each step multiplies the running
-    term by d f / u, f within 2^-54 of -q^k / x, and by -x / a, so its
-    renormed magnitudes (followed as logs, mirroring ``qpoch.renorm``) do
-    not depend on x, and step k overflows once max(1, |term|) |d| q^k /
-    (u x) passes DBL_MAX.  It errs 1e-9 towards the 2phi0."""
-    lnq, lna = math.log(p.base.q), math.log(p.a)
-    hi, lo = math.log(SCALE_HI), math.log(SCALE_LO)
-    big, term = -math.inf, 0.0  # logs of the largest product and of |term|
-    for d, v, u in zip(dn, qk, up):
-        step = math.log(abs(d) * v / u)
-        big = max(big, max(0.0, term) + step)
-        term += step - lna
-        if not lo <= term <= hi:
-            term -= round(term / lnq) * lnq
-    return math.exp(big - math.log(sys.float_info.max) - 1e-9)
-
-
-def _lql_defining_sum(n: int, x: float, p: LqLParams) -> float:
-    """p_n(x) from 2phi1(q^-n, 0; aq; q, qx), whose terms share one sign
-    at x < 0 (a sum out of double range raises IllConditioned, as does a
-    q^-n) and are below rounding after the first at the tiny x > 0 read."""
-    if n == 0:
-        return 1.0
-    q = p.base.q
-    try:
-        return eval_phi(SeriesSpec((q**-n, 0.0), (p.a * q,), q * x, p.base)).value.real
-    except OverflowError:  # q**-n itself
-        raise IllConditioned("value exceeds the double-precision range") from None
-
-
 def _lql_cursors(p: LqLParams) -> Callable[[float], Cursor]:
     """x -> little q-Laguerre cursor: each call sums its degree afresh with
     one ``_lql_sums`` call, which keeps the point's factors 1 - q^k / x
@@ -585,15 +567,16 @@ def little_q_laguerre_scaled(
     n: int, x: float, p: LqLParams
 ) -> tuple[float, float]:
     """Little q-Laguerre value in scaled form ``(mantissa, e)`` with
-    p_n(x; a | q) = mantissa * q**e, for x > 0, from the 2phi0 form
+    p_n(x; a | q) = mantissa * q**e, for x > 0: ``_lql_sums``' loop, which
+    every little q-Laguerre read runs.  Where |c_n x| <= 1/2 it is
+    (p_n(x), 0) from the defining sum; elsewhere it is the 2phi0 form
 
-        p_n(x; a | q) = 2phi0(q^-n, 1/x; -; q, x/a) / (q^-n / a; q)_n.
+        p_n(x; a | q) = 2phi0(q^-n, 1/x; -; q, x/a) / (q^-n / a; q)_n,
 
-    For x > 0 the last retained term dominates the sum, so this form is
-    stable at every lattice point.  It is summed upward with the magnitude
-    shifted into the q-exponent, so large degrees never overflow although
-    the value grows like q^(-n(n-1)/2) x^n between lattice points.  It is
-    ``_lql_sums``' loop, which every little q-Laguerre read runs.
+    which terminates at every lattice point x = q^k.  It is summed upward
+    with the magnitude shifted into the q-exponent, so large degrees never
+    overflow although the value grows like q^(-n(n-1)/2) x^n between
+    lattice points.
     """
     if not 0.0 < x < math.inf:
         raise PreconditionViolation(f"scaled evaluation needs a finite x > 0, got {x!r}")
@@ -602,10 +585,10 @@ def little_q_laguerre_scaled(
 
 def little_q_laguerre(n: int, x: float, p: LqLParams) -> float:
     """Little q-Laguerre / Wall polynomial p_n(x; a | q), the one-point,
-    one-degree read of ``_lql_values``: for x > 0 the scaled 2phi0 form,
-    whose terms never cancel there, with a value outside double range
-    raising IllConditioned (above) or returned as 0 (below); for x <= 0,
-    and for x > 0 too small for that form, the defining 2phi1 sum."""
+    one-degree read of ``_lql_values``: the defining 2phi1 sum where its
+    first term ratio c_n x >= -1/2 (every x <= 0, and small x > 0), the
+    scaled 2phi0 form at every other x > 0, with a value outside double
+    range raising IllConditioned (above) or returned as 0 (below)."""
     return _lql_values((n,), (x,), p)[0][0].real
 
 

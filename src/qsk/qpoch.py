@@ -32,7 +32,6 @@ _TAIL_FRACTION = 2.0**-6
 # A scaled value is a pair (m, e) standing for m * q**e.  renorm keeps the
 # mantissa m inside [SCALE_LO, SCALE_HI]; unscale turns the pair back into
 # a double when its natural log lies inside [_LOG_TINY, _LOG_HUGE].
-# polyfam._lql_overflows_below mirrors renorm and these bounds in log form.
 SCALE_HI = 1e60
 SCALE_LO = 1e-60
 _LOG_HUGE = 709.0

@@ -325,7 +325,7 @@ REPORT_SHAPE_AT_Q = {
 }
 # sha256 of the sorted (id, point_hash, float.hex of lhs [re, im], float.hex
 # of rhs [re, im]) tuples of the default report: every bit of every value.
-DEFAULT_REPORT_VALUES = "3d2eb9028e6c8c0134580cc1dc378fae6fc7852efa1b7ac36bd9b328cf40d0f5"
+DEFAULT_REPORT_VALUES = "f0af94d9f3ad8c899c494ff3cdbcaf50f7262398f815b80be57cc2f89471e76c"
 
 
 def _digest(rows) -> str:
