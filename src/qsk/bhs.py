@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .errors import (DivergentSeries, IllConditioned, NoConvergence,
                      PreconditionViolation, ZeroDenominator)
@@ -38,13 +39,45 @@ from .qpoch import QBase, as_base, scalar
 # A numerator parameter a counts as q^(-m) when |a q^m - 1| < this.
 _TERMINATION_SLACK = 1e-12
 
-# A non-terminating sum stops after _SMALL_STREAK consecutive terms at
-# most _TOL times the partial sum.
-_TOL = 1e-15
-_SMALL_STREAK = 3
 
-# A non-terminating sum still unsettled after this many terms raises NoConvergence.
-MAX_TERMS = 10000
+class Stop(NamedTuple):
+    """The stop rule of one layer of qsk.  A sum stops after ``run`` terms
+    in a row with |t| <= tol (unit + |S|), S the partial sum with t added.
+    A refinement stops once two successive estimates agree, |new - old| <=
+    tol (unit + |new|): their difference is such a term, with run 1 and
+    unit 1.  ``cap`` bounds the terms or steps (None: the caller does)."""
+
+    tol: float
+    run: int
+    unit: float
+    cap: int | None
+
+    def add(self, terms: Iterable[complex], total: complex,
+            streak: int = 0) -> tuple[complex, int, int]:
+        """Add ``terms`` to ``total`` until the run, ``streak`` terms long so
+        far, is complete or they run out: the new total, the number added and
+        the run, which a sum resumed later passes back."""
+        tol, run, unit, _ = self
+        count = 0
+        for term in terms if streak < run else ():
+            total += term
+            count += 1
+            streak = streak + 1 if abs(term) <= tol * (unit + abs(total)) else 0
+            if streak >= run:
+                break
+        return total, count, streak
+
+    def agree(self, new: complex, old: complex) -> bool:
+        return abs(new - old) <= self.tol * (self.unit + abs(new))
+
+
+# Each layer's rule (README, "Stop rules").  SERIES's test is inline in
+# ``SeriesPlan.__call__``, where a call per term costs more than the spread.
+SERIES = Stop(1e-15, 3, 0.0, 10000)  # terms, then NoConvergence
+TAIL = Stop(1e-10, 3, 1.0, 4000)  # nodes of one functional's tails, then TailNonConvergence
+OUTER = Stop(1e-17, 6, 1.0, None)  # the outer sum, within OUTER_DOUBLING's cap
+OUTER_DOUBLING = Stop(1e-9, 1, 1.0, 2048)  # outer orders 16, 32, ..., at most cap
+HALVING = Stop(1e-10, 1, 1.0, 8)  # trapezoid halvings, then QuadratureNonConvergence
 
 
 @dataclass(frozen=True)
@@ -79,7 +112,7 @@ def _termination_index(numerator, q: float) -> float:
         if not mag < math.inf:  # NaN fails this test too
             raise PreconditionViolation(f"numerator parameter must be finite, got {a!r}")
         m = round(-math.log(mag) / lnq)
-        if m < 0 or m > MAX_TERMS:
+        if m < 0 or m > SERIES.cap:
             continue
         if abs(a * q**m - 1.0) < _TERMINATION_SLACK:
             best = min(best, m)
@@ -123,11 +156,10 @@ class SeriesPlan:
     def __call__(self, z: complex, u: complex = 1.0,
                  v: complex | None = None) -> SeriesResult:
         """Sum the series at the node.  Non-terminating series require
-        r <= s + 1, and |z| < 1 when r = s + 1.  The sum stops after three
-        consecutive terms below 1e-15 times the partial sum, which guards
-        against isolated near-zero terms when a numerator parameter sits
-        close to q^(-m).  A z that is not finite raises PreconditionViolation
-        before any term is summed, and so does any parameter that is not
+        r <= s + 1, and |z| < 1 when r = s + 1.  The sum stops by ``SERIES``,
+        whose run guards against isolated near-zero terms when a numerator
+        parameter sits close to q^(-m).  A z that is not finite raises
+        PreconditionViolation before any term is summed, and so does any parameter that is not
         finite: a fixed numerator or any denominator one when the plan is
         built; u times a scaled numerator one, and v when denominator
         parameters are scaled, at the call.  A sum that is not finite
@@ -148,17 +180,18 @@ class SeriesPlan:
             if r == s + 1 and abs(z) >= 1.0:
                 raise DivergentSeries(f"non-terminating {r}phi{s} needs |z| < 1")
         # the sum ends at termination or the small-term streak, else raises at the cap
-        end = min(stop_at, MAX_TERMS - 1)
+        tol, run, unit, cap = SERIES
+        end = min(stop_at, cap - 1)
         if v is None:
             v = u
         if sden and not cmath.isfinite(v):
             raise PreconditionViolation(f"node value v must be finite, got {v!r}")
         sign_exp = 1 + s - r
-        c, pnum, pden, tol = self._c, self._pnum, self._pden, _TOL
+        c, pnum, pden = self._c, self._pnum, self._pden
         built = len(c)
         qk1 = q**built  # q^k of the first degree to build
-        small, wide = tol * 1e-300, tol * (1.0 + 1e-9)
-        mag_sum = 1.0
+        wide = tol * (1.0 + 1e-9)
+        mag_sum = unit + 1.0
         term = total = 1.0  # complex only once a complex factor enters
         comp = 0.0  # Kahan compensation
         streak = 0
@@ -211,22 +244,21 @@ class SeriesPlan:
             comp = (t - total) - y
             total = t
             if not terminates:
-                # |term| <= tol * max(|total|, 1e-300); as |total| <= mag_sum,
-                # a term above wide * mag_sum fails it without forming |total|
+                # SERIES: |term| <= tol * (unit + |total|); as |total| is at
+                # most mag_sum - unit, a term above wide * mag_sum fails it
+                # without forming |total|
                 last_mag = abs(term)
                 mag_sum += last_mag
-                if last_mag > wide * mag_sum:
-                    streak = 0
-                elif last_mag <= tol * abs(total) or last_mag <= small:
+                if last_mag <= wide * mag_sum and last_mag <= tol * (unit + abs(total)):
                     streak += 1
-                    if streak >= _SMALL_STREAK:
+                    if streak >= run:
                         end = k + 1
                         break
                 else:
                     streak = 0
         else:
             if end < stop_at:
-                raise NoConvergence(f"no convergence within {MAX_TERMS} terms")
+                raise NoConvergence(f"no convergence within {cap} terms")
         if not cmath.isfinite(total):  # a term overflowed
             raise IllConditioned("series sum leaves the double-precision range")
         # terms summed: the leading 1 and one per ratio applied

@@ -35,7 +35,7 @@ from random import Random
 from typing import ClassVar
 
 from . import genfun, orthofunc
-from .bhs import MAX_TERMS
+from .bhs import OUTER_DOUBLING, SERIES
 from .connect import (
     aw_connection,
     lql_connection,
@@ -79,12 +79,10 @@ class SuiteConfig:
 
     def context(self, q: float) -> QBase:
         """The base of the run at q: the one input of every check besides
-        its point.  Everything else is fixed.  Outer truncations agree to
-        1e-9 and stop at order ``genfun.OUTER_CAP`` (2048); functionals
-        agree to 1e-10 (``orthofunc``); series and infinite products stop
-        at 1e-15 (``bhs`` and ``qpoch``), a series after at most
-        ``bhs.MAX_TERMS`` (10000) terms; a record passes at relative
-        residual ``tolerance`` (1e-7)."""
+        its point.  Everything else is fixed: every sum and refinement
+        stops by the rules in ``bhs`` (README, "Stop rules"), infinite
+        products are held to 1e-15 (``qpoch``), and a record passes at
+        relative residual ``tolerance`` (1e-7)."""
         return QBase(q)
 
 
@@ -169,8 +167,8 @@ def run_suite(config: SuiteConfig) -> dict:
             "seed": config.seed,
             "points_per_identity": config.points_per_identity,
             "tolerance": _sci(SuiteConfig.tolerance),
-            "outer_cap": genfun.OUTER_CAP,
-            "max_terms": MAX_TERMS,
+            "outer_cap": OUTER_DOUBLING.cap,
+            "max_terms": SERIES.cap,
         },
         "records": records,
         "summary": {

@@ -31,9 +31,9 @@ The inner series of T4-T9 write their (a; q)_(2k) factors the same way,
 as base-q^2 parameters of the ``SeriesSpec``.
 
 ``verify_identity`` evaluates the closed-form side once, assembles the
-series side with outer truncation escalated 16, 32, 64, ... (starting
-lower when the outer cap is below 16) until two successive truncations
-agree to 1e-9 relative to 1 + |sum|, and reports the residual.
+series side with outer truncation escalated 16, 32, 64, ... until two
+successive truncations agree (``bhs.OUTER_DOUBLING``), and reports the
+residual.
 A point is in an identity's domain when its values are finite, x is on
 the family's support (``Family.x_range``), the family records of the
 source's and the identity's parameters construct (Askey-Wilson ones
@@ -51,23 +51,11 @@ from functools import partial
 from random import Random
 from typing import Callable, NamedTuple, Optional
 
-from .bhs import SeriesPlan, SeriesSpec, eval_phi
+from .bhs import OUTER, OUTER_DOUBLING, SeriesPlan, SeriesSpec, eval_phi
 from .context import ParamPoint
 from .errors import PreconditionViolation
 from .polyfam import FAMILIES, FamilyId, _theta
 from .qpoch import ProductPlan, QBase, poch_all, poch_infinite, unscale
-
-# Two outer truncations agreeing to this, relative to 1 + |sum|, settle
-# the series side; escalation starts at _OUTER_START terms and doubles
-# while the order stays at most OUTER_CAP.
-_TOL = 1e-9
-_OUTER_START = 16
-OUTER_CAP = 2048
-
-# Terms this small relative to the partial sum, six in a row, end the
-# outer accumulation early: everything past them is numerically zero.
-_EXHAUSTED_TOL = 1e-17
-_EXHAUSTED_STREAK = 6
 
 
 class IdentityId(str, Enum):
@@ -780,8 +768,9 @@ _generalized(
 class _RhsAccumulator:
     """The running sum of the outer terms coef_n p_n(x) inner_n, so that
     truncation escalation reuses lower orders; it stops once terms are
-    numerically exhausted.  Every term is built one way: ``_coef`` (no
-    q^(k C(n,2))) times the mantissa m of the cursor's p_n(x) = m q^e times
+    numerically exhausted (``OUTER``), its run carried across ``partial``
+    calls.  Every term is built one way (``_term``): ``_coef`` (no q^(k
+    C(n,2))) times the mantissa m of the cursor's p_n(x) = m q^e times
     inner_n, put through ``unscale`` with exponent k C(n,2) + e when that
     is nonzero, so lattice terms never form their huge canceling scales.
     The cursor advances only at nonzero coefficients: a recurrence is
@@ -797,7 +786,6 @@ class _RhsAccumulator:
         self.count = 0  # terms summed
         self.total = complex(0.0)
         self.max_inner = 0
-        self.exhausted = False
         self._streak = 0
 
     def _inner(self, n: int) -> complex:
@@ -805,26 +793,25 @@ class _RhsAccumulator:
         self.max_inner = max(self.max_inner, res.terms_used)
         return res.value
 
+    def _term(self, n: int) -> complex:
+        q = self.ctx.q
+        term = _coef(self.coef, q, n)
+        if term != 0.0:
+            m, e = self._poly(n)
+            term *= m
+            if term != 0.0 and self.entry.inner is not None:
+                term *= self._inner(n)
+            e += self.coef.k * math.comb(n, 2)
+            if e:
+                term = unscale(term, e, q)
+        return term
+
     def partial(self, n_terms: int) -> complex:
         """The sum of the first ``n_terms`` terms, or of all of them once
         exhausted earlier; ``n_terms`` never decreases between calls."""
-        entry, q, k = self.entry, self.ctx.q, self.coef.k
-        while self.count < n_terms and not self.exhausted:
-            n = self.count
-            term = _coef(self.coef, q, n)
-            if term != 0.0:
-                m, e = self._poly(n)
-                term *= m
-                if term != 0.0 and entry.inner is not None:
-                    term *= self._inner(n)
-                e += k * math.comb(n, 2)
-                if e:
-                    term = unscale(term, e, q)
-            self.count += 1
-            self.total += term
-            small = abs(term) <= _EXHAUSTED_TOL * (1.0 + abs(self.total))
-            self._streak = self._streak + 1 if small else 0
-            self.exhausted = self._streak >= _EXHAUSTED_STREAK
+        self.total, added, self._streak = OUTER.add(
+            map(self._term, range(self.count, n_terms)), self.total, self._streak)
+        self.count += added
         return self.total
 
 
@@ -872,15 +859,13 @@ def _verify(tag: IdentityId, point: ParamPoint, ctx: QBase) -> IdentityReport:
     entry = _CATALOG[tag]
     lhs = entry.lhs(point, ctx)
     acc = _RhsAccumulator(entry, point, ctx)
-    n_outer = _OUTER_START
+    n_outer = 16  # the first order that OUTER_DOUBLING doubles
     rhs = acc.partial(n_outer)
-    while n_outer * 2 <= OUTER_CAP:
-        nxt = acc.partial(n_outer * 2)
+    while n_outer * 2 <= OUTER_DOUBLING.cap:
         n_outer *= 2
-        if abs(nxt - rhs) <= _TOL * (1.0 + abs(nxt)):
-            rhs = nxt
+        prev, rhs = rhs, acc.partial(n_outer)
+        if OUTER_DOUBLING.agree(rhs, prev):
             break
-        rhs = nxt
     return IdentityReport.of(tag.value, ctx.q, point, lhs, rhs, n_outer,
                              acc.max_inner, entry.contains(point, ctx))
 

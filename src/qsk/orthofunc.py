@@ -23,8 +23,8 @@ The three discrete kinds share one geometric-lattice walk, ``_walk``.
 closed form on the right, coefficient x inner factor x norm / prefactor:
 the identity's outer coefficient, its inner r_phi_s factor, the family's
 norm constant, and the x-independent prefactor of the identity's closed
-form, which the kernel leaves out.  Every functional stops at agreement
-1e-10 relative to 1 + |value|.
+form, which the kernel leaves out.  Every functional stops by the rules
+``bhs.TAIL`` and ``bhs.HALVING``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from enum import Enum
 from random import Random
 from typing import Callable, Iterable
 
-from .bhs import eval_phi
+from .bhs import HALVING, TAIL, eval_phi
 from .context import ParamPoint
 from .errors import (
     PreconditionViolation,
@@ -63,16 +63,6 @@ from .polyfam import (
     ultra_norm,
 )
 from .qpoch import QBase, poch_infinite
-
-# A functional has converged once successive terms (tail sums, three in a
-# row) or successive trapezoid values are within this of 1 + |value|.
-_TOL = 1e-10
-_STREAK = 3
-# The trapezoid rule halves its step at most 8 times; an interval integral,
-# which starts from 8 panels, thus evaluates at most 2047 nodes.
-_HALVINGS = 8
-# The tail sums of one functional evaluate at most this many nodes in all.
-_MAX_NODES = 4000
 
 
 class FunctionalKind(Enum):
@@ -125,22 +115,12 @@ _NORMS: dict[tuple[FamilyId, FunctionalKind], Callable[[int, FunctionalSpec], fl
 
 def _sum_tail(terms: Iterable[complex], cap: int,
               total: complex = 0j) -> tuple[complex, int]:
-    """Add ``terms`` to ``total`` until three in a row are at most
-    _TOL * (1 + |total|), or the terms run out.  Returns the new total and
-    the number of terms added; raises TailNonConvergence once ``cap``
-    terms have been added without the run of three."""
-    streak = count = 0
-    for term in terms:
-        total += term
-        count += 1
-        if abs(term) <= _TOL * (1.0 + abs(total)):
-            streak += 1
-            if streak >= _STREAK:
-                break
-        else:
-            streak = 0
-        if count >= cap:
-            raise TailNonConvergence(f"functional sum hit its cap of {cap} nodes")
+    """Add ``terms`` to ``total`` by the rule ``TAIL``, or until they run
+    out.  Returns the new total and the number of terms added; raises
+    TailNonConvergence once ``cap`` terms have been added without the run."""
+    total, count, streak = TAIL.add(itertools.islice(terms, cap), total)
+    if count >= cap and streak < TAIL.run:
+        raise TailNonConvergence(f"functional sum hit its cap of {cap} nodes")
     return total, count
 
 
@@ -150,17 +130,17 @@ def _nested(F: Callable[[float], complex], lo: float, hi: float, n: int,
     halving the step.  ``s`` is the sum of F over the nodes of the n-panel
     grid, already evaluated (``count`` of them); each halving evaluates the
     new midpoints only.  F must be negligible at lo and hi, so the grid's
-    end nodes take whole weight or none.  Stops when two successive values
-    agree to _TOL * (1 + |value|); returns the value and the node count."""
+    end nodes take whole weight or none.  Stops by the rule ``HALVING``;
+    returns the value and the node count."""
     h = (hi - lo) / n
     value = h * s
-    for _ in range(_HALVINGS):
+    for _ in range(HALVING.cap):
         s += sum(F(lo + (j + 0.5) * h) for j in range(n))
         count += n
         n *= 2
         h /= 2.0
         prev, value = value, h * s
-        if abs(value - prev) <= _TOL * (1.0 + abs(value)):
+        if HALVING.agree(value, prev):
             return value, count
     raise QuadratureNonConvergence(f"trapezoid rule not settled at {n} panels")
 
@@ -194,8 +174,8 @@ def _halfline(spec: FunctionalSpec, f, g) -> tuple[complex, int]:
         return x * f(x) * g(x) * weight(x)
 
     # u = 0, -1, -2, ... toward x = 0, then u = 1, 2, ... toward infinity
-    total, down = _sum_tail(map(F, itertools.count(0, -1)), _MAX_NODES)
-    total, up = _sum_tail(map(F, itertools.count(1)), _MAX_NODES - down, total)
+    total, down = _sum_tail(map(F, itertools.count(0, -1)), TAIL.cap)
+    total, up = _sum_tail(map(F, itertools.count(1)), TAIL.cap - down, total)
     return _nested(F, 1.0 - down, up, down + up - 1, total, down + up)
 
 
@@ -203,7 +183,7 @@ def _walk(spec: FunctionalSpec, f, g, c: float, w0: float,
           ratio: Callable[[int], float], two_sided: bool) -> tuple[complex, int]:
     """sum w_k f(cq^k) g(cq^k) over k >= 0, and over k < 0 too if
     ``two_sided``, with w_(k+1) = w_k ratio(k) from w_0; each tail is cut
-    by _sum_tail, both within _MAX_NODES.  A weight that reached exact
+    by _sum_tail, both within ``TAIL.cap`` nodes.  A weight that reached exact
     zero makes every later term of its tail zero whatever f g is, so the
     rule could not tell a decayed tail from a lost one: TailNonConvergence."""
     q = spec.params.base.q
@@ -226,10 +206,10 @@ def _walk(spec: FunctionalSpec, f, g, c: float, w0: float,
             w /= ratio(k)
             yield term(w, k)
 
-    total, up = _sum_tail(upper(), _MAX_NODES)
+    total, up = _sum_tail(upper(), TAIL.cap)
     if not two_sided:
         return total, up
-    total, down = _sum_tail(lower(), _MAX_NODES - up, total)
+    total, down = _sum_tail(lower(), TAIL.cap - up, total)
     return total, up + down
 
 

@@ -455,7 +455,7 @@ def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]
     (x, xf) pairs, xf the factors 1 - q^k / x of the point built so far,
     which the call extends in place, so a caller that keeps the pair (a
     cursor) builds each of them once.  Each point's x is checked before
-    the degrees are.
+    the degrees are; x = 0 reads (1, 0) at every degree.
 
     One constant per degree picks the form: c_n = q (1 - q^-n) / ((1 - q)
     (1 - aq)), the first term ratio c_n x of the defining sum
@@ -464,7 +464,8 @@ def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]
     later ratios are smaller still, so the sum of the terms' magnitudes is
     at most 4 |p_n(x)|), it is (p_n(x), 0) from the defining sum, summed
     with ``bhs.SeriesPlan``'s operations and compensation and stopped at
-    the first term below 2^-54 of the sum.  Every other x > 0 is
+    the first term below 2^-54 of the sum: an a-priori bound on the rest,
+    not a streak (``bhs.Stop``).  Every other x > 0 is
     the scaled 2phi0 form of ``little_q_laguerre_scaled``.  Both run over
     the record's x-free columns (``_table``), built once per record and
     looked up once per call."""
@@ -480,6 +481,9 @@ def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]
         x = _finite(x)
         if low < 0:
             raise PreconditionViolation("n must be >= 0")
+        if x == 0.0:  # c_n may overflow to -inf, and -inf * 0 is NaN
+            out.append([(1.0, 0)] * len(degrees))
+            continue
         if plan is None:
             while len(qk) <= top:
                 for col, v in zip((qk, up, down, pdown, aup), _lql_row(p, len(qk))):
@@ -496,7 +500,7 @@ def _lql_sums(degrees: Sequence[int], points: Sequence[tuple[float, list[float]]
         row = []
         for entry in plan:
             n, steps, dn, qn, c, pre = entry
-            if not x * c < -0.5:  # so also NaN, from x = 0 with c = -inf
+            if x * c >= -0.5:
                 # the defining sum, compensated; term ratio k -> k+1
                 # (1 - q^-n q^k) qx / ((1 - q^(k+1)) (1 - a q^(k+1)))
                 tm = sm = 1.0

@@ -151,7 +151,7 @@ def _euler_table(q: float) -> tuple[float, ...]:
     highest first for Horner's rule.  K is the first k >= 1 at which
     |c_k| r^k, r = (1-q)/4, drops to a fixed fraction of _TOL; the terms
     then shrink at least 4x each, so for |t| <= r the omitted ones sum to
-    at most 4/3 of that."""
+    at most 4/3 of that: an a-priori bound, not a streak (``bhs.Stop``)."""
     r = 0.25 * (1.0 - q)
     cut = _TAIL_FRACTION * _TOL
     coef, qk, rk = [1.0], 1.0, 1.0

@@ -4,11 +4,14 @@ against the unsplit series."""
 
 import cmath
 import math
+import re
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from qsk.bhs import SeriesPlan, SeriesSpec, eval_phi
+from qsk.bhs import (HALVING, OUTER, OUTER_DOUBLING, SERIES, TAIL, SeriesPlan,
+                     SeriesSpec, eval_phi)
 from qsk.errors import (
     DivergentSeries,
     IllConditioned,
@@ -206,6 +209,74 @@ def test_monotone_tail_stopping():
         partial += term
         streak = streak + 1 if abs(term) <= 1e-15 * abs(partial) else 0
     assert res.terms_used == k + 1
+
+
+STREAKS = {"SERIES": SERIES, "TAIL": TAIL, "OUTER": OUTER}
+RULES = {**STREAKS, "OUTER_DOUBLING": OUTER_DOUBLING, "HALVING": HALVING}
+
+
+def test_stop_rules_match_the_readme_table():
+    """README's "Stop rules" table states every layer's tol, R, u and cap
+    as ``bhs`` does; a cap that is not a number is None."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 7 and cells[1].strip("`") in RULES:
+            cap = re.search(r"\d[\d,]*", cells[6])
+            rows[cells[1].strip("`")] = (float(cells[3]), int(cells[4]), float(cells[5]),
+                                         int(cap[0].replace(",", "")) if cap else None)
+    assert rows == {name: tuple(rule) for name, rule in RULES.items()}
+
+
+@pytest.mark.parametrize("name", STREAKS)
+def test_a_term_at_the_bound_is_negligible(name):
+    """|t| = tol (unit + |S|) exactly, S the sum with t added, counts toward
+    the run, and the next double above it does not: ``run`` terms at the
+    bound end the sum on the last of them, before the term after."""
+    rule = STREAKS[name]
+    total, terms = 1.0, []
+    for _ in range(rule.run):
+        t = rule.tol * (rule.unit + total)
+        for _ in range(3):  # the fixed point t = tol (unit + |total + t|)
+            t = rule.tol * (rule.unit + abs(total + t))
+        assert t == rule.tol * (rule.unit + abs(total + t))
+        assert math.nextafter(t, 1.0) > rule.tol * (rule.unit + abs(total + math.nextafter(t, 1.0)))
+        terms.append(t)
+        total += t
+    assert rule.add(iter(terms + [1.0]), 1.0) == (total, rule.run, rule.run)
+    over = [math.nextafter(terms[0], 1.0)] + terms[1:]
+    assert rule.add(iter(over), 1.0)[2] == rule.run - 1
+
+
+@pytest.mark.parametrize("name", STREAKS)
+def test_one_large_term_resets_the_run(name):
+    """A run one short of complete, broken by a term of 1, starts again:
+    the sum ends only after a whole run that follows it."""
+    rule = STREAKS[name]
+    stream = [0.0] * (rule.run - 1) + [1.0] + [0.0] * rule.run + [1.0]
+    assert rule.add(iter(stream), 1.0) == (2.0, 2 * rule.run, rule.run)
+    # a run already complete adds nothing; one in progress carries on
+    assert rule.add(iter([1.0]), 2.0, rule.run) == (2.0, 0, rule.run)
+    assert rule.add(iter([0.0, 1.0]), 2.0, rule.run - 1) == (2.0, 1, rule.run)
+
+
+@pytest.mark.parametrize("rule", [OUTER_DOUBLING, HALVING], ids=["OUTER_DOUBLING", "HALVING"])
+def test_estimates_exactly_tol_apart_agree(rule):
+    """|new - old| = tol (1 + |new|) agrees; one double farther does not."""
+    assert (rule.run, rule.unit) == (1, 1.0)
+    assert rule.agree(0.0, -rule.tol) and rule.agree(0j, complex(rule.tol))
+    assert not rule.agree(0.0, -math.nextafter(rule.tol, 1.0))
+
+
+@pytest.mark.parametrize("z", [0.5, 0.5 + 0.0j])
+def test_series_plan_stops_where_its_rule_does(z):
+    """The inline test of ``SeriesPlan`` is ``SERIES``: 1phi0(q; -; q, 1/2)
+    at q = 1/2 has the exact terms 2^-k and exact partial sums, and stops
+    after the terms ``SERIES.add`` takes."""
+    _, count, run = SERIES.add((0.5**k for k in range(1, 200)), 1.0)
+    assert run == SERIES.run
+    assert SeriesPlan((0.5,), (), QBase(0.5))(z).terms_used == count + 1
 
 
 def qbinomial_residual(a: complex, z: complex, q: float) -> float:

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from qsk import connect, polyfam
+from qsk import connect, genfun, polyfam
 from qsk.bhs import eval_phi
 from qsk.context import ParamPoint
 from qsk.errors import PreconditionViolation
@@ -199,6 +199,33 @@ def test_domain_monotonicity_along_ray():
         acc = _RhsAccumulator(entry_for("T3"), pt, CTX)
         res.append(abs(lhs - acc.partial(48)) / (1.0 + abs(lhs)))
     assert all(res[i + 1] <= res[i] * 1.01 + 1e-15 for i in range(len(res) - 1))
+
+
+def test_outer_run_carries_across_partial_calls(monkeypatch):
+    """The outer sum's run of negligible terms is counted across
+    ``partial`` calls: a run of six that straddles partial(16) and
+    partial(32) ends the sum there, and no term past it is built.  The
+    terms are a fixed stream put in place of the coefficients of a source
+    whose terms are coef_n p_n(x) alone."""
+    stream = [1.0] * 13 + [0.0] * 6
+
+    def coef(c, q, n):
+        assert n < len(stream), "summed past the run"
+        return stream[n]
+
+    monkeypatch.setattr(genfun, "_coef", coef)
+    tag = "SRC_CQU_141027"
+    assert entry_for(tag).inner is None
+    acc = _RhsAccumulator(entry_for(tag), sample_point(tag, Random(1), 0.5), CTX)
+    acc._poly = lambda n: (1.0, 0)
+    assert (acc.partial(16), acc.count) == (13.0, 16)
+    assert (acc.partial(32), acc.count) == (13.0, 19)
+    assert (acc.partial(64), acc.count) == (13.0, 19)
+    # a large term inside the run starts it again
+    stream[:] = [1.0] * 13 + [0.0] * 5 + [1.0] + [0.0] * 6
+    acc = _RhsAccumulator(entry_for(tag), sample_point(tag, Random(1), 0.5), CTX)
+    acc._poly = lambda n: (1.0, 0)
+    assert (acc.partial(16), acc.partial(32), acc.count) == (13.0, 14.0, 25)
 
 
 def test_in_domain_and_bounds():

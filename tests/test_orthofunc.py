@@ -217,11 +217,32 @@ def test_tail_sums_stop_at_the_node_cap(monkeypatch):
         FunctionalSpec(FunctionalKind.BILATERAL, QLagParams(1.0, B5), c=1.3),
         FunctionalSpec(FunctionalKind.JACKSON, QLagParams(1.0, B5)),
     )
-    for cap in (200, orthofunc._MAX_NODES):
-        monkeypatch.setattr(orthofunc, "_MAX_NODES", cap)
+    for cap in (200, orthofunc.TAIL.cap):
+        monkeypatch.setattr(orthofunc, "TAIL", orthofunc.TAIL._replace(cap=cap))
         for spec in specs:
             with pytest.raises(TailNonConvergence):
                 inner_product(spec, inv, inv)
+
+
+def test_tail_sum_cap_counts_the_terms_added():
+    """The cap is on terms added: a sum still without its run at the cap-th
+    term raises, having pulled no term past it, and a run completed by the
+    cap-th term does not."""
+    pulled = []
+
+    def stream(values):
+        for v in values:
+            pulled.append(v)
+            yield v
+
+    with pytest.raises(TailNonConvergence, match="cap of 5 nodes"):
+        _sum_tail(stream(itertools.repeat(1.0)), 5)
+    assert len(pulled) == 5
+    assert _sum_tail(stream([1.0, 1.0, 0.0, 0.0, 0.0, 1.0]), 5) == (2.0, 5)
+    with pytest.raises(TailNonConvergence):
+        _sum_tail(stream([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), 5)
+    # a stream that runs out below the cap ends the sum where it stops
+    assert _sum_tail(stream([1.0, 2.0]), 5, 1.0) == (4.0, 2)
 
 
 def test_lower_tail_weight_underflow_raises():

@@ -283,6 +283,14 @@ def test_lql_at_zero_is_one():
     p = LqLParams(0.8, B5)
     for n in range(9):
         assert little_q_laguerre(n, 0.0, p) == pytest.approx(1.0, rel=1e-12)
+    # at q = 0.05, aq = 0.999 the defining sum's first ratio c_236 overflows
+    # to -inf, and -inf * x is NaN at x = 0: every read path must give 1
+    p = LqLParams(0.999 / 0.05, QBase(0.05))
+    fam, degrees = FAMILIES[FamilyId.LITTLE_Q_LAGUERRE], (0, 1, 50, 236)
+    assert fam.values(degrees, (0.0,), p) == [[1.0] * 4]
+    cursor = fam.cursors(p)(0.0)
+    assert [cursor(n) for n in degrees] == [(1.0, 0)] * 4
+    assert [fam.evaluate(n, 0.0, p) for n in degrees] == [1.0] * 4
 
 
 def test_lql_form_agreement():
