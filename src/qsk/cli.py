@@ -30,9 +30,10 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 from . import genfun, orthofunc
 from .bhs import OUTER_DOUBLING, SERIES
@@ -99,9 +100,31 @@ def _point_hash(tag: str, q: float, point: ParamPoint) -> str:
     return hashlib.sha1(key.encode()).hexdigest()[:12]
 
 
-def _record(kind: str, rep) -> dict:
-    flagged = kind == "corollary" and orthofunc.is_flagged(rep.id)
-    if flagged:
+def draws(config: SuiteConfig) -> Iterator[tuple[str, float, ParamPoint]]:
+    """The run's points as (tag, q, point), in run order: for each tag and
+    each q of the grid, ``points_per_identity`` points drawn from
+    ``Random(f"{seed}:{tag}:{qi}")``, qi the index of q in the grid."""
+    for tag in config.tags:
+        sample = (orthofunc.sample_corollary_point if tag in _COROLLARY_TAGS
+                  else genfun.sample_point)
+        for qi, q in enumerate(config.q_grid):
+            rng = Random(f"{config.seed}:{tag}:{qi}")
+            for _ in range(config.points_per_identity):
+                yield tag, q, sample(tag, rng, q)
+
+
+def record(tag: str, q: float, point: ParamPoint) -> dict:
+    """The report record of one point: the tag's corollary, source or
+    identity check run at ``QBase(q)``, its residual classified at
+    ``SuiteConfig.tolerance``.  A ``QskError`` of the check propagates."""
+    if tag in _COROLLARY_TAGS:
+        kind, check = "corollary", orthofunc.verify_corollary
+    elif genfun.IdentityId(tag) in genfun.SOURCES:
+        kind, check = "source", genfun.verify_source
+    else:
+        kind, check = "identity", genfun.verify_identity
+    rep = check(tag, point, QBase(q))
+    if kind == "corollary" and orthofunc.is_flagged(rep.id):
         status = "unresolved-in-paper"
     elif not rep.in_domain:
         status = "flagged"
@@ -128,35 +151,11 @@ def _record(kind: str, rep) -> dict:
 
 def run_suite(config: SuiteConfig) -> dict:
     """Run every requested tag over the q-grid and assemble the report."""
-    records = []
-    for tag in config.tags:
-        for qi, q in enumerate(config.q_grid):
-            ctx = config.context(q)
-            rng = Random(f"{config.seed}:{tag}:{qi}")
-            for i in range(config.points_per_identity):
-                if tag in _COROLLARY_TAGS:
-                    point = orthofunc.sample_corollary_point(tag, rng, q)
-                    rep = orthofunc.verify_corollary(tag, point, ctx)
-                    kind = "corollary"
-                else:
-                    point = genfun.sample_point(tag, rng, q)
-                    if genfun.IdentityId(tag) in genfun.SOURCES:
-                        rep = genfun.verify_source(tag, point, ctx)
-                        kind = "source"
-                    else:
-                        rep = genfun.verify_identity(tag, point, ctx)
-                        kind = "identity"
-                records.append(_record(kind, rep))
-    records.sort(key=lambda r: (r["id"], r["point_hash"]))
-    counts = {"pass": 0, "fail": 0, "flagged": 0}
+    records = sorted((record(*d) for d in draws(config)),
+                     key=lambda r: (r["id"], r["point_hash"]))
+    counts = Counter(r["status"] for r in records)
     worst: dict[str, float] = {}
     for r in records:
-        if r["status"] == "pass":
-            counts["pass"] += 1
-        elif r["status"] == "fail":
-            counts["fail"] += 1
-        else:
-            counts["flagged"] += 1
         worst[r["id"]] = max(worst.get(r["id"], 0.0), float(r["rel_residual"]))
     return {
         "schema_version": SCHEMA_VERSION,
@@ -175,7 +174,7 @@ def run_suite(config: SuiteConfig) -> dict:
             "total": len(records),
             "passed": counts["pass"],
             "failed": counts["fail"],
-            "flagged": counts["flagged"],
+            "flagged": len(records) - counts["pass"] - counts["fail"],
             "max_rel_residual_by_tag": {k: _sci(v) for k, v in sorted(worst.items())},
         },
     }

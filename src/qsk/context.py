@@ -35,7 +35,7 @@ class ParamPoint:
         for k, v in self.values:
             if k == name:
                 return v
-        raise KeyError(name)
+        raise PreconditionViolation(f"the point has no parameter {name!r}")
 
     def real(self, name: str) -> float:
         return self.get(name).real

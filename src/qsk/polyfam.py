@@ -610,11 +610,11 @@ def q_laguerre(n: int, x: float, p: QLagParams) -> float:
 # plans of its infinite products once and returns x -> w(x).
 def _on_interval(f: Callable[[complex], float], m: int) -> Callable[[float], float]:
     """x -> f(e^(i m theta)) for x = cos(theta) in (-1, 1), and exactly 0 at
-    x = +-1, where the weight's factor (e^(2i theta); q)_inf vanishes."""
+    x = +-1, where the weight's factor (e^(2i theta); q)_inf vanishes, and
+    at the ends that ``_theta`` clamps to them."""
     def weight(x: float) -> float:
-        if not abs(x) <= 1.0:
-            raise PreconditionViolation("weight defined for |x| <= 1")
-        return 0.0 if abs(x) == 1.0 else f(cmath.exp(m * 1j * math.acos(x)))
+        theta = _theta(x)
+        return 0.0 if abs(x) >= 1.0 else f(cmath.exp(m * 1j * theta))
 
     return weight
 

@@ -40,3 +40,35 @@ def lql_exact(n: int, x, a, q) -> Fraction:
         r = (1 - q ** (k - n)) * q * x / ((1 - q ** (k + 1)) * (1 - a * q ** (k + 1)))
         num, den = den * r.denominator + num * r.numerator, den * r.denominator
     return Fraction(num, den)
+
+
+def euler_qp(a, q, dps: int = 20, margin: int = 5):
+    """(a; q)_inf by Euler's series sum_k (-a)^k q^(k(k-1)/2) / (q; q)_k
+    (Gasper & Rahman (1.3.16)), in mpmath, to about ``dps`` digits.  The
+    terms cancel: the largest reaches 3e30 times the sum at a = 1.7,
+    q = 0.95.  So the series is summed, max |t| / |sum| read, and summed
+    again with ``dps`` raised by that ratio's log10 plus ``margin``, until
+    the digits it was summed with cover the raise."""
+    from mpmath import mp
+
+    def euler(digits):
+        with mp.workdps(digits):
+            x, b = mp.mpmathify(a), mp.mpf(q)
+            total, term, big, qk = mp.mpf(0), mp.mpf(1), mp.mpf(0), mp.mpf(1)
+            while True:
+                total += term
+                big = max(big, abs(term))
+                ratio = -x * qk / (1 - qk * b)  # t_(k+1) / t_k, falling in k
+                if abs(ratio) < 0.5 and abs(term) <= mp.eps * abs(total):
+                    return total, big
+                term *= ratio
+                qk *= b
+
+    digits = dps + margin
+    while True:
+        total, big = euler(digits)
+        need = dps + margin + max(0, int(mp.ceil(mp.log10(big / abs(total)))))
+        if digits >= need:
+            with mp.workdps(dps):
+                return +total
+        digits = need

@@ -9,12 +9,11 @@ import sys
 import types
 from collections import Counter
 from pathlib import Path
-from random import Random
 
 import pytest
 
 import qsk
-from qsk.cli import SuiteConfig, _point_hash, _record, main, report_to_json, run_suite
+from qsk.cli import SuiteConfig, _point_hash, draws, main, record, report_to_json, run_suite
 from qsk.connect import (
     aw_connection,
     expansion_residual,
@@ -23,11 +22,10 @@ from qsk.connect import (
     ultra_connection,
 )
 from qsk.errors import QskError
-from qsk.genfun import SOURCES, IdentityId, sample_point, verify_identity, verify_source
-from qsk.orthofunc import CorollaryId, sample_corollary_point, verify_corollary
+from qsk.genfun import IdentityId
+from qsk.orthofunc import CorollaryId
 
-COROLLARY_TAGS = [c.value for c in CorollaryId]
-ALL_TAGS = [t.value for t in IdentityId] + COROLLARY_TAGS
+ALL_TAGS = [t.value for t in IdentityId] + [c.value for c in CorollaryId]
 
 
 def run(capsys, *argv):
@@ -379,27 +377,16 @@ def _sweep(q: float) -> list[tuple]:
     """The sorted (id, point_hash, status, n_terms_outer, n_terms_inner)
     of run_suite's records at one q, an error record carrying
     ("error", class name) as its status and no truncation orders."""
-    config = SuiteConfig(tags=tuple(ALL_TAGS), q_grid=(q,))
-    ctx = config.context(q)
     shape = []
-    for tag in config.tags:
-        rng = Random(f"{config.seed}:{tag}:0")
-        for _ in range(config.points_per_identity):
-            if tag in COROLLARY_TAGS:
-                kind, point = "corollary", sample_corollary_point(tag, rng, q)
-                check = verify_corollary
-            else:
-                kind = "source" if IdentityId(tag) in SOURCES else "identity"
-                point = sample_point(tag, rng, q)
-                check = verify_source if kind == "source" else verify_identity
-            try:
-                r = _record(kind, check(tag, point, ctx))
-            except QskError as exc:
-                shape.append((tag, _point_hash(tag, q, point),
-                              ("error", type(exc).__name__), None, None))
-            else:
-                shape.append((r["id"], r["point_hash"], r["status"],
-                              r["n_terms_outer"], r["n_terms_inner"]))
+    for tag, q, point in draws(SuiteConfig(tags=tuple(ALL_TAGS), q_grid=(q,))):
+        try:
+            r = record(tag, q, point)
+        except QskError as exc:
+            shape.append((tag, _point_hash(tag, q, point),
+                          ("error", type(exc).__name__), None, None))
+        else:
+            shape.append((r["id"], r["point_hash"], r["status"],
+                          r["n_terms_outer"], r["n_terms_inner"]))
     return sorted(shape)
 
 
@@ -413,6 +400,29 @@ def test_sweep_shape_and_statuses_are_pinned_near_q_one(q):
     errors = [(t, h, s) for t, h, s, _, _ in shape if not isinstance(s, str)]
     assert errors == [(t, h, ("error", "QuadratureNonConvergence"))
                       for t, h in SWEEP_ERRORS_AT_Q[q]]
+
+
+def test_run_suite_is_record_over_draws():
+    """run_suite's records are record(tag, q, point) over draws(config):
+    draws yields tag by tag, then q by q, points_per_identity points each,
+    and record of each point equals the report's record with its hash."""
+    config = SuiteConfig(tags=("T13", "C33"), q_grid=(0.4, 0.65), seed=7,
+                         points_per_identity=3)
+    drawn = list(draws(config))
+    assert [(t, q) for t, q, _ in drawn] == [
+        (t, q) for t in config.tags for q in config.q_grid for _ in range(3)]
+    by_hash = {r["point_hash"]: r for r in run_suite(config)["records"]}
+    assert sorted(_point_hash(*d) for d in drawn) == sorted(by_hash)
+    for tag, q, point in drawn:
+        assert record(tag, q, point) == by_hash[_point_hash(tag, q, point)]
+
+
+@pytest.mark.parametrize("tag,kind", [
+    ("C_AW", "corollary"), ("SRC_AW_14113", "source"), ("T2", "identity")])
+def test_record_kind(tag, kind):
+    (d,) = draws(SuiteConfig(tags=(tag,), points_per_identity=1))
+    rec = record(*d)
+    assert (rec["id"], rec["kind"], rec["status"]) == (tag, kind, "pass")
 
 
 def test_run_suite_python_api():

@@ -7,8 +7,9 @@ from random import Random
 
 import pytest
 
-from qsk import connect, genfun, polyfam
+from qsk import connect, genfun, orthofunc, polyfam
 from qsk.bhs import eval_phi
+from qsk.cli import SuiteConfig, draws
 from qsk.context import ParamPoint
 from qsk.errors import PreconditionViolation
 from qsk.genfun import (
@@ -265,6 +266,29 @@ def test_non_finite_values_are_out_of_domain(tag):
                 verify(tag, pt, CTX)
 
 
+def test_a_missing_parameter_is_refused_by_name():
+    """A point without a parameter its check reads is a bad input like any
+    other: a PreconditionViolation naming the parameter, not a KeyError.
+    Each name of a sampled point is dropped in turn; C29's points carry
+    alpha and beta as copies of a and b that its check does not read."""
+    with pytest.raises(PreconditionViolation, match="no parameter 'beta'"):
+        verify_identity("T3", ParamPoint.of(x=0.5, t=0.1), CTX)
+    with pytest.raises(PreconditionViolation, match="no parameter 'n'"):
+        orthofunc.verify_corollary("C_AW", ParamPoint.of(t=0.1), CTX)
+    checks = [(t, sample_point, verify_source if t in SOURCES else verify_identity)
+              for t in IdentityId]
+    checks += [(c, orthofunc.sample_corollary_point, orthofunc.verify_corollary)
+               for c in orthofunc.CorollaryId]
+    for tag, sample, verify in checks:
+        point = sample(tag, Random(f"missing:{tag.value}"), 0.5)
+        for name, _ in point:
+            if tag is orthofunc.CorollaryId.C29 and name in ("alpha", "beta"):
+                continue
+            less = ParamPoint(tuple((k, v) for k, v in point if k != name))
+            with pytest.raises(PreconditionViolation, match=f"no parameter '{name}'"):
+                verify(tag, less, CTX)
+
+
 @pytest.mark.parametrize("tag", list(IdentityId))
 def test_kernel_refuses_a_non_finite_x(tag):
     """The interval kernels refuse x through the |x| <= 1 check, which a
@@ -484,10 +508,8 @@ def test_generalized_identity_in_coefficient_space(tag, q):
     draws (seed 1), to max(1e-13, C u kappa) relative, kappa the
     connection sum's sum |t| / |sum t|: at q >= 0.9 the pointwise check
     cannot certify some of these points, whose outer sums cancel."""
-    entry, ctx, rng = entry_for(tag), QBase(q), Random(f"1:{tag}:0")
-    degrees = range(6)
-    for _ in range(5):
-        pt = sample_point(tag, rng, q)
+    entry, ctx, degrees = entry_for(tag), QBase(q), range(6)
+    for _, _, pt in draws(SuiteConfig(tags=(tag,), q_grid=(q,))):
         for n, (want, kappa) in zip(degrees, _connected_coefficients(tag, pt, ctx, degrees)):
             got = outer_coefficient(tag, n, pt, ctx) * eval_phi(entry.inner(n, pt, ctx)).value
             err = abs(got - want) / abs(want)

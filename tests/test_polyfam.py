@@ -478,6 +478,20 @@ def test_ultra_weight():
     assert ultra_weight(1.0, p) == 0.0
 
 
+def test_interval_weights_share_the_theta_rule():
+    """The interval weights take theta from the rule every interval read
+    uses: within 1e-12 of +-1 x is clamped, where the weight is exactly 0,
+    and beyond it x is refused with that rule's message."""
+    aw, ultra = AWParams(0.3, 0.2, 0.1, 0.05, B5), UltraParams(0.4, B5)
+    for x in (1.0 + 5e-13, -1.0 - 5e-13):
+        assert aw_weight(x, aw) == 0.0 and ultra_weight(x, ultra) == 0.0
+        assert math.isfinite(askey_wilson(3, x, aw).real)  # the read takes x too
+    for weight, p in ((aw_weight, aw), (ultra_weight, ultra)):
+        for x in (1.0 + 1e-9, -1.0 - 1e-9, math.nan):
+            with pytest.raises(PreconditionViolation, match=r"need \|x\| <= 1"):
+                weight(x, p)
+
+
 def test_qlag_weight():
     p = QLagParams(0.5, B5)
     x = 1.7
