@@ -206,8 +206,9 @@ class _Entry:
         if not (_finite(pt) and lo <= pt.real("x") <= hi):
             return False
         for names in self.domain_names:
+            values = [pt.get(nm) for nm in names]  # a missing name raises here
             try:
-                rec = fam.params(*(pt.get(nm) for nm in names), ctx)
+                rec = fam.params(*values, ctx)
             except PreconditionViolation:
                 return False
             if self.family is FamilyId.ASKEY_WILSON and not rec.orthogonal():

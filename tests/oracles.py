@@ -42,13 +42,13 @@ def lql_exact(n: int, x, a, q) -> Fraction:
     return Fraction(num, den)
 
 
-def euler_qp(a, q, dps: int = 20, margin: int = 5):
+def euler_qp(a, q):
     """(a; q)_inf by Euler's series sum_k (-a)^k q^(k(k-1)/2) / (q; q)_k
-    (Gasper & Rahman (1.3.16)), in mpmath, to about ``dps`` digits.  The
-    terms cancel: the largest reaches 3e30 times the sum at a = 1.7,
-    q = 0.95.  So the series is summed, max |t| / |sum| read, and summed
-    again with ``dps`` raised by that ratio's log10 plus ``margin``, until
-    the digits it was summed with cover the raise."""
+    (Gasper & Rahman (1.3.16)), in mpmath, to about 20 digits.  The terms
+    cancel: the largest reaches 3e30 times the sum at a = 1.7, q = 0.95.
+    So the series is summed, max |t| / |sum| read, and summed again with
+    the digits raised by that ratio's log10 plus a margin of 5, until the
+    digits it was summed with cover the raise."""
     from mpmath import mp
 
     def euler(digits):
@@ -64,6 +64,7 @@ def euler_qp(a, q, dps: int = 20, margin: int = 5):
                 term *= ratio
                 qk *= b
 
+    dps, margin = 20, 5
     digits = dps + margin
     while True:
         total, big = euler(digits)

@@ -290,6 +290,18 @@ def test_a_missing_parameter_is_refused_by_name():
 
 
 @pytest.mark.parametrize("tag", list(IdentityId))
+def test_domain_test_refuses_a_missing_parameter(tag):
+    """The domain test itself refuses a point without one of its names: a
+    missing parameter is an error, not an out-of-domain point, whatever
+    read the check makes first."""
+    point = sample_point(tag, Random(f"missing-domain:{tag.value}"), 0.5)
+    for name in {nm for names in entry_for(tag).domain_names for nm in names}:
+        less = ParamPoint(tuple((k, v) for k, v in point if k != name))
+        with pytest.raises(PreconditionViolation, match=f"no parameter '{name}'"):
+            entry_for(tag).contains(less, CTX)
+
+
+@pytest.mark.parametrize("tag", list(IdentityId))
 def test_kernel_refuses_a_non_finite_x(tag):
     """The interval kernels refuse x through the |x| <= 1 check, which a
     NaN fails; the lattice and half-line kernels through their series,
